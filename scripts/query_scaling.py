@@ -18,29 +18,23 @@ import sys
 
 import numpy as np
 
-from sdhsp import hsp_modular
-from sdhsp.acceptance import BUDGET_CONSTANT, query_budget
-from sdhsp.blackbox import make_hidden_instance, sdp_table
+from sdhsp.acceptance import BUDGET_CONSTANT, RunConfig, grid_cell, query_budget, run_case
 from sdhsp.cli import _parse_grid
-from sdhsp.sdp_group import enumerate_subgroups, modular_group_spec, subgroup_elements
+from sdhsp.qsim import BACKENDS, backend_for
 
 
 def sweep_cell(p: int, r: int, seeds: list[int], backend: str) -> tuple[int, float, int]:
-    spec = modular_group_spec(p, r)
-    table = sdp_table(spec)
+    table, subs = grid_cell((p, r))
     worst = 0
     superposed = []
     runs = 0
-    for desc in enumerate_subgroups(spec):
-        truth = frozenset(subgroup_elements(spec, desc))
+    for label, truth in subs:
         for seed in seeds:
-            inst, handles = make_hidden_instance(table, truth, seed=seed)
-            out = hsp_modular.solve(
-                inst, handles, rng=np.random.default_rng([seed, p, r]), backend=backend
-            )
-            if frozenset(out.subgroup) != truth:
-                raise SystemExit(f"solver mismatch at ({p},{r}) {desc.label()} seed {seed}")
-            q = out.report["queries"]
+            rng = np.random.default_rng([seed, p, r])
+            res = run_case(table, truth, RunConfig(seed=seed, backend=backend), rng)
+            if not res.match:
+                raise SystemExit(f"solver mismatch at ({p},{r}) {label} seed {seed}")
+            q = res.outcome.report["queries"]
             worst = max(worst, q["mul"] + q["inv"] + q["eq"] + q["f"])
             superposed.append(q["superposed_calls"])
             runs += 1
@@ -51,7 +45,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grid", default="3,2;3,3;5,2;7,2;2,3;2,4")
     ap.add_argument("--seeds", type=int, default=3, help="number of seeds per subgroup")
-    ap.add_argument("--backend", default="statevector", choices=("statevector", "annihilator"))
+    ap.add_argument("--backend", default="statevector", choices=BACKENDS)
     args = ap.parse_args()
 
     seeds = [7 + 2 * i for i in range(args.seeds)]
@@ -63,9 +57,8 @@ def main() -> int:
         if len(cell) != 2:
             raise SystemExit("query_scaling sweeps rank-one cells only (p,r)")
         p, r = cell
-        backend = args.backend
-        if backend == "statevector" and (p ** (r - 1)) ** 2 > 2**20:
-            backend = "annihilator"
+        # the largest internal oracle domain is (p^{r-1})^2
+        backend = "annihilator" if args.backend == "annihilator" else backend_for((p ** (r - 1)) ** 2)
         worst, mean_sup, runs = sweep_cell(p, r, seeds, backend)
         budget = query_budget(p, r)
         ratio = worst / budget

@@ -37,7 +37,7 @@ from .hsp_modular import SolveOutcome, SpecialPair, find_special_pair
 from .hsp_modular import solve as solve_modular
 from .hsp_vector import VecElement, VecInstance, VecSolveOutcome, ZmGroupSpec, make_vec_instance
 from .hsp_vector import solve as solve_vector
-from .qsim import AbelianOracle, abelian_hsp_solve, qft_matrix, verify_candidate
+from .qsim import AbelianOracle, abelian_hsp_solve, qft_matrix
 from .sdp_group import (
     Element,
     GroupSpec,

@@ -4,7 +4,9 @@ Each criterion_* function runs one gate end to end and returns a
 CriterionResult; run_all chains them (the query-budget gate consumes the
 solver sweep's measurements).  The same runners back both the pytest
 acceptance suite and the CLI selftest, so there is exactly one definition
-of "passing".
+of "passing".  run_case is the one "build instance, solve, compare with
+the planted subgroup" path; the sweeps, the solver commands, bench and the
+scripts all go through it.
 
 Solver gates always compare against the brute-force reference route,
 never against the solver's own bookkeeping.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as _field
+from typing import Any
 
 import numpy as np
 
@@ -29,9 +32,9 @@ from .algebra import (
     lattice_size,
     lattices_equal,
 )
-from .blackbox import make_hidden_instance, sdp_table
+from .blackbox import GroupTable, HiddenInstance, make_hidden_instance, sdp_table
 from .hsp_vector import ZmGroupSpec, make_vec_instance, vec_table
-from .qsim import AbelianOracle, sample_annihilator, sample_statevector
+from .qsim import AbelianOracle, backend_for, sample_annihilator, sample_statevector
 from .sdp_group import (
     Element,
     GroupSpec,
@@ -61,7 +64,6 @@ ENCODINGS = (
     ("salted", 4, "fresh"),
 )
 GENERATOR_POLICIES = ("canonical", "scrambled")
-STATEVECTOR_DOMAIN_BOUND = 2**20
 
 # query budget: classical evaluations per solve must stay below
 # BUDGET_CONSTANT * p^2 * r^3 * max(1, log2 p)^2.  Pinned from the first
@@ -105,9 +107,73 @@ def query_budget(p: int, r: int) -> int:
     return int(BUDGET_CONSTANT * p * p * r**3 * max(1.0, math.log2(p)) ** 2)
 
 
-def _pick_backend(p: int, r: int) -> str:
-    # the largest internal oracle domain is (p^{r-1})^2
-    return "statevector" if (p ** (r - 1)) ** 2 <= STATEVECTOR_DOMAIN_BOUND else "annihilator"
+@dataclass(frozen=True)
+class RunConfig:
+    """How a case is handed to a solver: instance seed, encoding, sampler."""
+
+    seed: int = 0
+    backend: str = "statevector"
+    mode: str = "unique"
+    salts: int = 1
+    salt_policy: str = "zero"
+    generator_policy: str = "canonical"
+    delta: float = 0.01
+
+
+@dataclass(frozen=True)
+class CaseResult:
+    instance: HiddenInstance
+    outcome: Any  # hsp_modular.SolveOutcome or hsp_vector.VecSolveOutcome
+    wall_ms: float  # the solve alone, without the instance build
+    match: bool  # the answer equals the planted subgroup
+
+
+def grid_cell(cell: tuple[int, ...]) -> tuple[GroupTable, list[tuple[str, frozenset]]]:
+    """Table and every labelled subgroup of a rank-one (p, r) or vector (p, r, m) cell."""
+    if len(cell) == 2:
+        spec = modular_group_spec(*cell)
+        subs = [
+            (d.label(), frozenset(subgroup_elements(spec, d))) for d in enumerate_subgroups(spec)
+        ]
+        return sdp_table(spec), subs
+    table = vec_table(ZmGroupSpec(*cell))
+    subs = reference.enumerate_all_subgroups(table)
+    return table, [(f"sub{si}:order{len(sub)}", sub) for si, sub in enumerate(subs)]
+
+
+def run_case(table: GroupTable, truth, cfg: RunConfig, rng: np.random.Generator) -> CaseResult:
+    """Build the hiding instance for `truth`, solve it and compare with `truth`.
+
+    The solver follows the type of ``table.spec``: vector groups go to
+    hsp_vector, rank-one groups to hsp_modular.
+    """
+    if isinstance(table.spec, ZmGroupSpec):
+        vin = make_vec_instance(
+            table.spec, truth, mode=cfg.mode, generator_policy=cfg.generator_policy, seed=cfg.seed
+        )
+        inst = vin.instance
+        t0 = time.monotonic()
+        out = hsp_vector.solve(vin, rng, delta=cfg.delta, backend=cfg.backend)
+    else:
+        inst, handles = make_hidden_instance(
+            table,
+            truth,
+            mode=cfg.mode,
+            salts=cfg.salts,
+            salt_policy=cfg.salt_policy,
+            generator_policy=cfg.generator_policy,
+            seed=cfg.seed,
+        )
+        t0 = time.monotonic()
+        out = hsp_modular.solve(inst, handles, rng=rng, delta=cfg.delta, backend=cfg.backend)
+    wall_ms = 1000.0 * (time.monotonic() - t0)
+    return CaseResult(inst, out, wall_ms, frozenset(out.subgroup) == frozenset(truth))
+
+
+def _brute_force_agrees(table: GroupTable, res: CaseResult) -> bool:
+    """The answer, the brute-force level set and the planted subgroup coincide."""
+    bf = reference.brute_force_hidden_subgroup(table, res.instance.label_of_element)
+    return frozenset(res.outcome.subgroup) == bf and bf == res.instance.truth_elements()
 
 
 def criterion_solver_modular(quick: bool = False) -> CriterionResult:
@@ -121,39 +187,27 @@ def criterion_solver_modular(quick: bool = False) -> CriterionResult:
     per_grid: dict[tuple[int, int], dict] = {}
 
     for p, r in grid:
-        spec = modular_group_spec(p, r)
-        table = sdp_table(spec)
-        backend = _pick_backend(p, r)
+        table, subs = grid_cell((p, r))
+        # the largest internal oracle domain is (p^{r-1})^2
+        backend = backend_for((p ** (r - 1)) ** 2)
         cell = {"classical": [], "superposed": []}
         per_grid[(p, r)] = cell
-        for di, desc in enumerate(enumerate_subgroups(spec)):
-            truth = frozenset(subgroup_elements(spec, desc))
+        for di, (label, truth) in enumerate(subs):
             for ei, (mode, salts, salt_policy) in enumerate(encodings):
                 for gi, gpol in enumerate(GENERATOR_POLICIES):
                     for seed in seeds:
-                        inst, handles = make_hidden_instance(
-                            table,
-                            truth,
-                            mode=mode,
-                            salts=salts,
-                            salt_policy=salt_policy,
-                            generator_policy=gpol,
-                            seed=seed,
-                        )
+                        cfg = RunConfig(seed, backend, mode, salts, salt_policy, gpol)
                         rng = np.random.default_rng([seed, p, r, di, ei, gi])
-                        out = hsp_modular.solve(inst, handles, rng=rng, backend=backend)
-                        bf = reference.brute_force_hidden_subgroup(
-                            table, inst.label_of_element
-                        )
+                        res = run_case(table, truth, cfg, rng)
                         runs += 1
-                        q = out.report["queries"]
+                        q = res.outcome.report["queries"]
                         cell["classical"].append(q["mul"] + q["inv"] + q["eq"] + q["f"])
                         cell["superposed"].append(q["superposed_calls"])
-                        if frozenset(out.subgroup) != bf or bf != inst.truth_elements():
+                        if not _brute_force_agrees(table, res):
                             failures.append(
-                                f"(p={p},r={r}) {desc.label()} enc={mode}/{salt_policy} "
-                                f"gen={gpol} seed={seed}: got order {len(out.subgroup)}, "
-                                f"want {len(truth)}"
+                                f"(p={p},r={r}) {label} enc={mode}/{salt_policy} "
+                                f"gen={gpol} seed={seed}: got order "
+                                f"{len(res.outcome.subgroup)}, want {len(truth)}"
                             )
     elapsed = time.monotonic() - t0
     metrics = {
@@ -184,20 +238,13 @@ def criterion_solver_vector(quick: bool = False) -> CriterionResult:
     failures: list[str] = []
     runs = 0
     for p, r, m in grid:
-        spec = ZmGroupSpec(p, r, m)
-        table = vec_table(spec)
-        subs = reference.enumerate_all_subgroups(table)
-        for si, sub in enumerate(subs):
-            vin = make_vec_instance(spec, sub, generator_policy="canonical", seed=7)
-            rng = np.random.default_rng([7, p, r, m, si])
-            out = hsp_vector.solve(vin, rng)
-            bf = reference.brute_force_hidden_subgroup(
-                table, vin.instance.label_of_element
-            )
+        table, subs = grid_cell((p, r, m))
+        for si, (label, sub) in enumerate(subs):
+            res = run_case(table, sub, RunConfig(seed=7), np.random.default_rng([7, p, r, m, si]))
             runs += 1
-            if frozenset(out.subgroup) != bf or bf != vin.instance.truth_elements():
+            if not _brute_force_agrees(table, res):
                 failures.append(
-                    f"(p={p},r={r},m={m}) |H|={len(sub)}: got order {len(out.subgroup)}"
+                    f"(p={p},r={r},m={m}) {label}: got order {len(res.outcome.subgroup)}"
                 )
     elapsed = time.monotonic() - t0
     return _mk(
@@ -495,12 +542,11 @@ def criterion_lattice_laws(quick: bool = False) -> CriterionResult:
     )
 
 
-def criterion_query_budget(
-    sweep: CriterionResult | None = None, quick: bool = False
-) -> CriterionResult:
-    """Classical query budget (gating) and superposed scaling fit (informational)."""
-    if sweep is None or "per_grid" not in sweep.metrics:
-        sweep = criterion_solver_modular(quick=quick)
+def criterion_query_budget(sweep: CriterionResult) -> CriterionResult:
+    """Classical query budget (gating) and superposed scaling fit (informational).
+
+    Reads the per-cell query counts of a criterion_solver_modular result.
+    """
     t0 = time.monotonic()
     failures: list[str] = []
     xs, ys = [], []

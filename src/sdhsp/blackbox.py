@@ -68,24 +68,8 @@ def sdp_table(spec: GroupSpec) -> GroupTable:
     )
 
 
-def closure(table: GroupTable, gens: Iterable[Any]) -> frozenset:
-    seen = {table.identity}
-    frontier = [table.identity]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                w = table.mul(h, g)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
-
-
 def generates(table: GroupTable, gens: Iterable[Any]) -> bool:
-    return len(closure(table, gens)) == table.order
+    return len(sdp_group.closure(table.mul, table.identity, gens)) == table.order
 
 
 class BlackBox:
@@ -191,6 +175,37 @@ def oracle_pow(
         base = bb.oracle_mul(base, base)
         n >>= 1
     return acc
+
+
+def oracle_lift(
+    bb: BlackBox, identity: OpaqueHandle, gens: Sequence[OpaqueHandle], coords
+) -> OpaqueHandle:
+    """g_1^{c_1} ... g_k^{c_k} through the oracles, one power per factor."""
+    if len(coords) != len(gens):
+        raise ValueError("coordinate width does not match the generator count")
+    acc = identity
+    for h, c in zip(gens, coords):
+        acc = bb.oracle_mul(acc, oracle_pow(bb, h, int(c), identity))
+    return acc
+
+
+def reveal_answer(bb: BlackBox, handles) -> tuple[tuple, tuple, tuple]:
+    """Decode a solver's surviving handles for its outcome.
+
+    Drops the identity and repeats, keeping handles and elements aligned and
+    in order, and closes the elements into the sorted subgroup they generate.
+    """
+    handles_out: list[OpaqueHandle] = []
+    elems_out: list[Any] = []
+    seen = {bb.table.identity}
+    for h in handles:
+        g = bb.reveal(h)
+        if g not in seen:
+            seen.add(g)
+            handles_out.append(h)
+            elems_out.append(g)
+    subgroup = sorted(sdp_group.closure(bb.table.mul, bb.table.identity, elems_out))
+    return tuple(handles_out), tuple(elems_out), tuple(subgroup)
 
 
 class HiddenInstance:

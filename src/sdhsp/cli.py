@@ -22,26 +22,21 @@ import json
 import os
 import re
 import sys
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import acceptance, hsp_modular, hsp_vector, reference
-from .blackbox import make_hidden_instance, sdp_table
-from .hsp_vector import (
-    VecElement,
-    ZmGroupSpec,
-    make_vec_instance,
-    vec_subgroup_elements,
-    vec_table,
-)
+from . import acceptance
+from .acceptance import RunConfig, grid_cell, run_case
+from .blackbox import sdp_table
+from .hsp_vector import VecElement, ZmGroupSpec, vec_table
+from .qsim import BACKENDS
 from .sdp_group import (
     CLASS_NAMES,
     Element,
     GroupSpec,
     SubgroupDesc,
     classify,
+    closure,
     enumerate_alphas,
     enumerate_subgroups,
     is_prime,
@@ -51,22 +46,6 @@ from .sdp_group import (
 
 REPORT_VERSION = 1
 SEED_ENV_VAR = "SDHSP_SEED"
-BACKENDS = ("statevector", "annihilator")
-
-
-@dataclass
-class RunConfig:
-    """Validated run options shared by the solver commands."""
-
-    seed: int = 0
-    backend: str = "statevector"
-    mode: str = "unique"
-    salts: int = 1
-    salt_policy: str = "zero"
-    generator_policy: str = "canonical"
-    output: str = "json"
-    delta: float = 0.01
-    timings: bool = False
 
 
 def _parse_encoding(text: str) -> tuple[str, int]:
@@ -99,9 +78,7 @@ def _config_from_args(args) -> RunConfig:
         salts=salts,
         salt_policy=args.salt_policy,
         generator_policy=args.generators,
-        output=args.output,
         delta=args.delta,
-        timings=args.timings,
     )
 
 
@@ -155,12 +132,12 @@ def parse_hidden_modular(text: str, spec: GroupSpec, rng: np.random.Generator) -
     raise ValueError(f"cannot parse hidden-subgroup spec {text!r}")
 
 
-def parse_hidden_vector(text: str, spec: ZmGroupSpec, rng: np.random.Generator) -> tuple[VecElement, ...]:
-    """Hidden-subgroup mini-language for the vector groups.
+def parse_hidden_vector(text: str, table, rng: np.random.Generator) -> tuple[VecElement, ...]:
+    """Hidden-subgroup mini-language for the vector groups (over their table).
 
     full | trivial | random | gens:(a_1,..,a_m,b),(...)  Returns elements.
     """
-    table = vec_table(spec)
+    spec = table.spec
     if text == "full":
         return tuple(sorted(table.elements))
     if text == "trivial":
@@ -170,8 +147,7 @@ def parse_hidden_vector(text: str, spec: ZmGroupSpec, rng: np.random.Generator) 
         gens = [
             table.elements[int(rng.integers(0, len(table.elements)))] for _ in range(k)
         ]
-        return vec_subgroup_elements(spec, gens)
-    if text.startswith("gens:"):
+    elif text.startswith("gens:"):
         gens = []
         for tup in _parse_tuples(text[len("gens:"):]):
             if len(tup) != spec.m + 1:
@@ -181,8 +157,9 @@ def parse_hidden_vector(text: str, spec: ZmGroupSpec, rng: np.random.Generator) 
             gens.append(
                 VecElement(tuple(c % spec.modulus for c in tup[:-1]), tup[-1] % spec.p)
             )
-        return vec_subgroup_elements(spec, gens)
-    raise ValueError(f"cannot parse hidden-subgroup spec {text!r}")
+    else:
+        raise ValueError(f"cannot parse hidden-subgroup spec {text!r}")
+    return tuple(sorted(closure(table.mul, table.identity, gens)))
 
 
 # -- classify ---------------------------------------------------------------------
@@ -224,7 +201,34 @@ def cmd_classify(args) -> int:
     return 0
 
 
-# -- solve-p ----------------------------------------------------------------------
+# -- solve-p / solve-zm --------------------------------------------------------------
+
+
+def _solve_report(command: str, args, cfg: RunConfig, truth, res) -> int:
+    out = res.outcome
+    report = {
+        "report_version": REPORT_VERSION,
+        "command": command,
+        "group": out.report["group"],
+        "hidden_spec": args.hidden,
+        "encoding": {"mode": cfg.mode, "salts": cfg.salts, "salt_policy": cfg.salt_policy},
+        "generator_policy": cfg.generator_policy,
+        "backend": cfg.backend,
+        "delta": cfg.delta,
+        "seed": cfg.seed,
+        # (a, b) pairs; a vector group's a is a tuple, which dumps as a list
+        "truth": [[g.a, g.b] for g in truth],
+        "found_generators": [[g.a, g.b] for g in out.generators],
+        "found_subgroup": [[g.a, g.b] for g in out.subgroup],
+        "match": res.match,
+        "confident": out.confident,
+        "queries": out.report["queries"],
+        "solver": out.report,
+    }
+    if args.timings:
+        report["wall_ms"] = round(res.wall_ms, 3)
+    _emit(report)
+    return 0 if res.match else 1
 
 
 def cmd_solve_p(args) -> int:
@@ -234,49 +238,10 @@ def cmd_solve_p(args) -> int:
         raise ValueError(
             "p = r = 2 is excluded: that group is dihedral, outside this solver's class"
         )
-    rng_pick = np.random.default_rng([cfg.seed, 101])
-    desc = parse_hidden_modular(args.hidden, spec, rng_pick)
+    desc = parse_hidden_modular(args.hidden, spec, np.random.default_rng([cfg.seed, 101]))
     truth = subgroup_elements(spec, desc)
-    table = sdp_table(spec)
-    inst, handles = make_hidden_instance(
-        table,
-        truth,
-        mode=cfg.mode,
-        salts=cfg.salts,
-        salt_policy=cfg.salt_policy,
-        generator_policy=cfg.generator_policy,
-        seed=cfg.seed,
-    )
-    rng = np.random.default_rng([cfg.seed, 202])
-    t0 = time.monotonic()
-    out = hsp_modular.solve(inst, handles, rng=rng, delta=cfg.delta, backend=cfg.backend)
-    wall_ms = 1000.0 * (time.monotonic() - t0)
-    match = frozenset(out.subgroup) == frozenset(truth)
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": "solve-p",
-        "group": {"p": spec.p, "q": spec.q, "r": spec.r, "alpha": spec.alpha},
-        "hidden_spec": args.hidden,
-        "encoding": {"mode": cfg.mode, "salts": cfg.salts, "salt_policy": cfg.salt_policy},
-        "generator_policy": cfg.generator_policy,
-        "backend": cfg.backend,
-        "delta": cfg.delta,
-        "seed": cfg.seed,
-        "truth": [[g.a, g.b] for g in truth],
-        "found_generators": [[g.a, g.b] for g in out.generators],
-        "found_subgroup": [[g.a, g.b] for g in out.subgroup],
-        "match": match,
-        "confident": out.confident,
-        "queries": out.report["queries"],
-        "solver": out.report,
-    }
-    if cfg.timings:
-        report["wall_ms"] = round(wall_ms, 3)
-    _emit(report)
-    return 0 if match else 1
-
-
-# -- solve-zm ---------------------------------------------------------------------
+    res = run_case(sdp_table(spec), truth, cfg, np.random.default_rng([cfg.seed, 202]))
+    return _solve_report("solve-p", args, cfg, truth, res)
 
 
 def cmd_solve_zm(args) -> int:
@@ -286,42 +251,10 @@ def cmd_solve_zm(args) -> int:
     spec = ZmGroupSpec(args.p, args.r, args.m)
     if spec.order > 3**12:
         raise ValueError(f"group order {spec.order} too large for the desk-scale table")
-    rng_pick = np.random.default_rng([cfg.seed, 303])
-    truth = parse_hidden_vector(args.hidden, spec, rng_pick)
-    vin = make_vec_instance(
-        spec,
-        truth,
-        mode="unique",
-        generator_policy=cfg.generator_policy,
-        seed=cfg.seed,
-    )
-    rng = np.random.default_rng([cfg.seed, 404])
-    t0 = time.monotonic()
-    out = hsp_vector.solve(vin, rng, delta=cfg.delta, backend=cfg.backend)
-    wall_ms = 1000.0 * (time.monotonic() - t0)
-    match = frozenset(out.subgroup) == frozenset(truth)
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": "solve-zm",
-        "group": {"p": spec.p, "r": spec.r, "m": spec.m},
-        "hidden_spec": args.hidden,
-        "encoding": {"mode": "unique", "salts": 1, "salt_policy": cfg.salt_policy},
-        "generator_policy": cfg.generator_policy,
-        "backend": cfg.backend,
-        "delta": cfg.delta,
-        "seed": cfg.seed,
-        "truth": [[list(g.a), g.b] for g in truth],
-        "found_generators": [[list(g.a), g.b] for g in out.generators],
-        "found_subgroup": [[list(g.a), g.b] for g in out.subgroup],
-        "match": match,
-        "confident": out.confident,
-        "queries": out.report["queries"],
-        "solver": out.report,
-    }
-    if cfg.timings:
-        report["wall_ms"] = round(wall_ms, 3)
-    _emit(report)
-    return 0 if match else 1
+    table = vec_table(spec)
+    truth = parse_hidden_vector(args.hidden, table, np.random.default_rng([cfg.seed, 303]))
+    res = run_case(table, truth, cfg, np.random.default_rng([cfg.seed, 404]))
+    return _solve_report("solve-zm", args, cfg, truth, res)
 
 
 # -- bench ------------------------------------------------------------------------
@@ -362,101 +295,41 @@ def _parse_grid(text: str) -> list[tuple[int, ...]]:
     return cells
 
 
-def _bench_rows_modular(p: int, r: int, cfg: RunConfig) -> list[dict]:
-    spec = modular_group_spec(p, r)
-    table = sdp_table(spec)
-    rows = []
-    for di, desc in enumerate(enumerate_subgroups(spec)):
-        truth = frozenset(subgroup_elements(spec, desc))
-        inst, handles = make_hidden_instance(
-            table,
-            truth,
-            mode=cfg.mode,
-            salts=cfg.salts,
-            salt_policy=cfg.salt_policy,
-            generator_policy=cfg.generator_policy,
-            seed=cfg.seed,
-        )
-        rng = np.random.default_rng([cfg.seed, p, r, di])
-        t0 = time.monotonic()
-        out = hsp_modular.solve(inst, handles, rng=rng, delta=cfg.delta, backend=cfg.backend)
-        wall_ms = 1000.0 * (time.monotonic() - t0)
-        q = out.report["queries"]
-        rows.append(
-            {
-                "p": p,
-                "r": r,
-                "m": "",
-                "group_order": spec.order,
-                "subgroup": desc.label(),
-                "seed": cfg.seed,
-                "backend": cfg.backend,
-                "encoding": cfg.mode if cfg.mode == "unique" else f"salted:{cfg.salts}",
-                "salt_policy": cfg.salt_policy,
-                "generator_policy": cfg.generator_policy,
-                "match": frozenset(out.subgroup) == truth,
-                "confident": out.confident,
-                "mul": q["mul"],
-                "inv": q["inv"],
-                "eq": q["eq"],
-                "f": q["f"],
-                "superposed_calls": q["superposed_calls"],
-                "wall_ms": round(wall_ms, 3) if cfg.timings else "",
-            }
-        )
-    return rows
-
-
-def _bench_rows_vector(p: int, r: int, m: int, cfg: RunConfig) -> list[dict]:
-    spec = ZmGroupSpec(p, r, m)
-    table = vec_table(spec)
-    rows = []
-    for si, sub in enumerate(reference.enumerate_all_subgroups(table)):
-        vin = make_vec_instance(
-            spec, sub, mode="unique", generator_policy=cfg.generator_policy, seed=cfg.seed
-        )
-        rng = np.random.default_rng([cfg.seed, p, r, m, si])
-        t0 = time.monotonic()
-        out = hsp_vector.solve(vin, rng, delta=cfg.delta, backend=cfg.backend)
-        wall_ms = 1000.0 * (time.monotonic() - t0)
-        q = out.report["queries"]
-        rows.append(
-            {
-                "p": p,
-                "r": r,
-                "m": m,
-                "group_order": spec.order,
-                "subgroup": f"sub{si}:order{len(sub)}",
-                "seed": cfg.seed,
-                "backend": cfg.backend,
-                "encoding": "unique",
-                "salt_policy": cfg.salt_policy,
-                "generator_policy": cfg.generator_policy,
-                "match": frozenset(out.subgroup) == frozenset(sub),
-                "confident": out.confident,
-                "mul": q["mul"],
-                "inv": q["inv"],
-                "eq": q["eq"],
-                "f": q["f"],
-                "superposed_calls": q["superposed_calls"],
-                "wall_ms": round(wall_ms, 3) if cfg.timings else "",
-            }
-        )
-    return rows
+def _bench_row(cell: tuple[int, ...], label: str, cfg: RunConfig, res, timings: bool) -> dict:
+    q = res.outcome.report["queries"]
+    return {
+        "p": cell[0],
+        "r": cell[1],
+        "m": cell[2] if len(cell) == 3 else "",
+        "group_order": res.instance.blackbox.table.order,
+        "subgroup": label,
+        "seed": cfg.seed,
+        "backend": cfg.backend,
+        "encoding": cfg.mode if cfg.mode == "unique" else f"salted:{cfg.salts}",
+        "salt_policy": cfg.salt_policy,
+        "generator_policy": cfg.generator_policy,
+        "match": res.match,
+        "confident": res.outcome.confident,
+        "mul": q["mul"],
+        "inv": q["inv"],
+        "eq": q["eq"],
+        "f": q["f"],
+        "superposed_calls": q["superposed_calls"],
+        "wall_ms": round(res.wall_ms, 3) if timings else "",
+    }
 
 
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
-    cells = _parse_grid(args.grid)
     rows: list[dict] = []
-    for cell in cells:
-        if len(cell) == 2:
-            rows.extend(_bench_rows_modular(cell[0], cell[1], cfg))
-        else:
-            if cfg.mode != "unique":
-                raise ValueError("the vector-group solver requires unique encoding")
-            rows.extend(_bench_rows_vector(cell[0], cell[1], cell[2], cfg))
-    if cfg.output == "json":
+    for cell in _parse_grid(args.grid):
+        if len(cell) == 3 and cfg.mode != "unique":
+            raise ValueError("the vector-group solver requires unique encoding")
+        table, subs = grid_cell(cell)
+        for i, (label, truth) in enumerate(subs):
+            res = run_case(table, truth, cfg, np.random.default_rng([cfg.seed, *cell, i]))
+            rows.append(_bench_row(cell, label, cfg, res, args.timings))
+    if args.output == "json":
         _emit({"report_version": REPORT_VERSION, "command": "bench", "rows": rows})
     else:
         buf = io.StringIO()

@@ -38,10 +38,12 @@ from .blackbox import (
     HiddenInstance,
     OpaqueHandle,
     oracle_identity,
+    oracle_lift,
     oracle_pow,
+    reveal_answer,
 )
 from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve
-from .sdp_group import Element, GroupSpec, SubgroupDesc, subgroup_elements
+from .sdp_group import Element, GroupSpec, SubgroupDesc
 
 
 @dataclass(frozen=True)
@@ -65,14 +67,10 @@ class ShiftResult:
     Z_{p^{r-1}} x Z_{p^{r-1}}.  ``shift`` is the exponent l tying the two
     p-th powers together modulo H; it is None when the lattice is full
     (no information, the quotient reduction necessarily applies).
-    ``shift_mod_p`` would hold a low-precision residue if only a mod-p
-    relation were extractable; over prime-power moduli the canonical basis
-    always yields the full-precision value, so it stays None.
     """
 
     lattice: Lattice
     shift: int | None
-    shift_mod_p: int | None
     confident: bool
 
 
@@ -178,13 +176,13 @@ def find_shift(
     res = abelian_hsp_solve(oracle, rng, delta=delta, backend=backend)
     lat = res.lattice
     if lattice_is_full(lat):
-        return ShiftResult(lat, None, None, res.confident), res
+        return ShiftResult(lat, None, res.confident), res
     for u, v in lat.gens:
         if v % p != 0:
             shift = (-u * pow(v, -1, n1)) % n1
-            return ShiftResult(lat, shift, None, res.confident), res
+            return ShiftResult(lat, shift, res.confident), res
     # unreachable for this group family (the congruence has unit coefficients)
-    return ShiftResult(lat, None, None, res.confident), res
+    return ShiftResult(lat, None, res.confident), res
 
 
 def shifted_generator(bb: BlackBox, pair: SpecialPair, shift: int | None) -> OpaqueHandle:
@@ -223,13 +221,6 @@ def find_involution_partner(
     return None
 
 
-def _lift(bb: BlackBox, e, gens, point) -> OpaqueHandle:
-    acc = e
-    for h, c in zip(gens, point, strict=True):
-        acc = bb.oracle_mul(acc, oracle_pow(bb, h, int(c), e))
-    return acc
-
-
 def _run_branch(
     name: str,
     inst: HiddenInstance,
@@ -244,7 +235,7 @@ def _run_branch(
     bb = inst.blackbox
     oracle = AbelianOracle.from_handles(moduli, inst, e, gens)
     res = abelian_hsp_solve(oracle, rng, delta=delta, backend=backend)
-    cands = [_lift(bb, e, gens, g) for g in res.lattice.gens]
+    cands = [oracle_lift(bb, e, gens, g) for g in res.lattice.gens]
     cands.extend(extras)
     report = BranchReport(
         name=name,
@@ -340,19 +331,8 @@ def solve(
         branches.append(BranchReport("inner", False, note="shift unavailable (full relation lattice)"))
 
     survivors = [h for h in candidates if inst.f(h) == f0]
-    # drop the identity from the reported generator list; keep handles aligned
-    gens_out: list[Element] = []
-    handles_out: list[OpaqueHandle] = []
-    seen: set[Element] = set()
-    for h in survivors:
-        g = bb.reveal(h)
-        if g == Element(0, 0) or g in seen:
-            continue
-        seen.add(g)
-        gens_out.append(g)
-        handles_out.append(h)
-    desc = SubgroupDesc.from_generators(sorted(seen))
-    subgroup = tuple(subgroup_elements(spec, desc))
+    handles_out, gens_out, subgroup = reveal_answer(bb, survivors)
+    desc = SubgroupDesc.from_generators(sorted(gens_out))
 
     report = {
         "group": {"p": p, "q": spec.q, "r": r, "alpha": spec.alpha},
@@ -371,8 +351,8 @@ def solve(
     }
     return SolveOutcome(
         desc=desc,
-        generator_handles=tuple(handles_out),
-        generators=tuple(gens_out),
+        generator_handles=handles_out,
+        generators=gens_out,
         subgroup=subgroup,
         confident=confident,
         report=report,

@@ -23,7 +23,6 @@ elements have equal encodings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product as _cartesian
 
 import numpy as np
@@ -43,10 +42,11 @@ from .blackbox import (
     OpaqueHandle,
     make_hidden_instance,
     oracle_identity,
-    oracle_pow,
+    oracle_lift,
+    reveal_answer,
 )
 from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve
-from .sdp_group import is_prime
+from .sdp_group import _alpha_powers, closure, is_prime
 
 
 @dataclass(frozen=True, order=True)
@@ -90,29 +90,14 @@ class ZmGroupSpec:
         return self.p ** (self.r * self.m + 1)
 
 
-@lru_cache(maxsize=None)
-def _alpha_pows(alpha: int, p: int, modulus: int) -> tuple[int, ...]:
-    out = [1]
-    for _ in range(p - 1):
-        out.append(out[-1] * alpha % modulus)
-    return tuple(out)
-
-
 def vec_identity(G: ZmGroupSpec) -> VecElement:
     return VecElement((0,) * G.m, 0)
-
-
-def vec_check(G: ZmGroupSpec, e: VecElement) -> None:
-    if len(e.a) != G.m:
-        raise ValueError(f"vector width {len(e.a)} does not match m = {G.m}")
-    if not all(0 <= ai < G.modulus for ai in e.a) or not 0 <= e.b < G.p:
-        raise ValueError(f"{e} out of range for the group")
 
 
 def vec_compose(G: ZmGroupSpec, e1: VecElement, e2: VecElement) -> VecElement:
     # (a1, b1)(a2, b2) = (a1 + alpha^{b1} a2, b1 + b2)
     n = G.modulus
-    s = _alpha_pows(G.alpha, G.p, n)[e1.b]
+    s = _alpha_powers(G.alpha, G.p, n)[e1.b]
     return VecElement(
         tuple((a1 + s * a2) % n for a1, a2 in zip(e1.a, e2.a)),
         (e1.b + e2.b) % G.p,
@@ -121,21 +106,8 @@ def vec_compose(G: ZmGroupSpec, e1: VecElement, e2: VecElement) -> VecElement:
 
 def vec_invert(G: ZmGroupSpec, e: VecElement) -> VecElement:
     n = G.modulus
-    s = _alpha_pows(G.alpha, G.p, n)[(-e.b) % G.p]
+    s = _alpha_powers(G.alpha, G.p, n)[(-e.b) % G.p]
     return VecElement(tuple((-s * ai) % n for ai in e.a), (-e.b) % G.p)
-
-
-def vec_power(G: ZmGroupSpec, e: VecElement, c: int) -> VecElement:
-    if c < 0:
-        return vec_power(G, vec_invert(G, e), -c)
-    acc = vec_identity(G)
-    base = e
-    while c:
-        if c & 1:
-            acc = vec_compose(G, acc, base)
-        base = vec_compose(G, base, base)
-        c >>= 1
-    return acc
 
 
 def vec_elements(G: ZmGroupSpec) -> list[VecElement]:
@@ -145,23 +117,6 @@ def vec_elements(G: ZmGroupSpec) -> list[VecElement]:
         for b in range(G.p):
             out.append(VecElement(coords, b))
     return out
-
-
-def vec_subgroup_elements(G: ZmGroupSpec, gens) -> tuple[VecElement, ...]:
-    """Closure of a generator list, sorted."""
-    seen = {vec_identity(G)}
-    frontier = [vec_identity(G)]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                w = vec_compose(G, h, g)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return tuple(sorted(seen))
 
 
 def vec_table(G: ZmGroupSpec) -> GroupTable:
@@ -253,12 +208,7 @@ class ReductionMap:
 
     def lift(self, bb: BlackBox, coords) -> OpaqueHandle:
         """Handle of the element at the given abelian coordinates."""
-        if len(coords) != len(self.moduli):
-            raise ValueError("coordinate width does not match the reduction domain")
-        acc = self.identity
-        for h, c in zip(self.gen_handles + (self.y_handle,), coords):
-            acc = bb.oracle_mul(acc, oracle_pow(bb, h, int(c), self.identity))
-        return acc
+        return oracle_lift(bb, self.identity, self.gen_handles + (self.y_handle,), coords)
 
 
 def minimal_generating_set(
@@ -296,15 +246,11 @@ def minimal_generating_set(
             "the abelian generator handles do not present a free module of "
             f"rank {m} over Z_{n}"
         )
-    gens = []
-    for i, d in enumerate(snf.d):
-        if d != n:
-            continue
-        coeffs = [snf.uinv[j][i] for j in range(s)]
-        acc = e
-        for h, c in zip(vin.a_handles, coeffs):
-            acc = bb.oracle_mul(acc, oracle_pow(bb, h, int(c) % n, e))
-        gens.append(acc)
+    gens = [
+        oracle_lift(bb, e, vin.a_handles, [snf.uinv[j][i] % n for j in range(s)])
+        for i, d in enumerate(snf.d)
+        if d == n
+    ]
     rmap = ReductionMap(
         moduli=(n,) * m + (spec.p,),
         gen_handles=tuple(gens),
@@ -368,23 +314,11 @@ def pullback_generators(
             if inst.f(h) == f0:
                 pool.append(h)
         points = []
-        # byte-keyed closure; valid because encoding is unique
-        seen = {rmap.identity.data: rmap.identity}
-        frontier = [rmap.identity]
-        for h in pool:
-            if h.data not in seen:
-                seen[h.data] = h
-                frontier.append(h)
-        while frontier and len(seen) <= target:
-            cur = frontier.pop()
-            for h in pool:
-                w = bb.oracle_mul(cur, h)
-                if w.data not in seen:
-                    seen[w.data] = w
-                    frontier.append(w)
-        if len(seen) == target:
-            return list(seen.values()), True
-        if len(seen) > target:
+        # handles compare by their bytes, which is exact under unique encoding
+        found = closure(bb.oracle_mul, rmap.identity, pool, bound=target)
+        if len(found) == target:
+            return found, True
+        if len(found) > target:
             break  # closure escaped the lattice size: the lattice is wrong
     return pool, False
 
@@ -430,18 +364,7 @@ def solve(
     rmap, mgs_report = minimal_generating_set(vin, rng, delta=delta, backend=backend)
     res, _oracle = reduce_and_solve(vin, rmap, rng, delta=delta, backend=backend)
     handles, pulled_ok = pullback_generators(vin, rmap, res.lattice, rng)
-
-    gens_out: list[VecElement] = []
-    handles_out: list[OpaqueHandle] = []
-    seen: set[VecElement] = set()
-    for h in handles:
-        g = bb.reveal(h)
-        if g == vec_identity(spec) or g in seen:
-            continue
-        seen.add(g)
-        gens_out.append(g)
-        handles_out.append(h)
-    subgroup = vec_subgroup_elements(spec, gens_out)
+    handles_out, gens_out, subgroup = reveal_answer(bb, handles)
 
     confident = bool(mgs_report["confident"] and res.confident and pulled_ok)
     report = {
@@ -457,8 +380,8 @@ def solve(
         "queries": vin.instance.query_stats(),
     }
     return VecSolveOutcome(
-        generator_handles=tuple(handles_out),
-        generators=tuple(gens_out),
+        generator_handles=handles_out,
+        generators=gens_out,
         subgroup=subgroup,
         confident=confident,
         report=report,

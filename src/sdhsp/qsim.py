@@ -27,7 +27,6 @@ from .algebra import (
     Lattice,
     dual_lattice,
     lattice_canonicalize,
-    lattice_member,
     lattice_sample,
     lattice_size,
     solve_kernel,
@@ -36,6 +35,11 @@ from .algebra import (
 STATEVECTOR_BOUND = 2**20
 AMPLITUDE_FLOOR = 1e-9
 BACKENDS = ("statevector", "annihilator")
+
+
+def backend_for(domain_size: int) -> str:
+    """The dense simulation while the domain fits its bound, else the shortcut."""
+    return "statevector" if domain_size <= STATEVECTOR_BOUND else "annihilator"
 
 
 def qft_matrix(n: int) -> np.ndarray:
@@ -292,51 +296,3 @@ def abelian_hsp_solve(
         rounds,
         len(pooled),
     )
-
-
-def verify_candidate(
-    oracle: AbelianOracle,
-    lat: Lattice,
-    rng: np.random.Generator,
-    trials: int = 32,
-    sweep_bound: int = 2**14,
-) -> bool:
-    """Check that `lat` is exactly the periodicity lattice of F.
-
-    Closure direction: at random domain points v and random lattice shifts h,
-    F(v) must equal F(v + h).  Maximality direction: any two points that share
-    a label must differ by a lattice member; a full label-bucket scan settles
-    it on small domains, random collision probes stand in on larger ones.
-    """
-    moduli = oracle.moduli
-
-    def shifted(v, h):
-        return tuple((a + b) % n for a, b, n in zip(v, h, moduli))
-
-    for _ in range(trials):
-        v = tuple(int(rng.integers(0, n)) for n in moduli)
-        h = lattice_sample(lat, rng)
-        if oracle.evaluate(v) != oracle.evaluate(shifted(v, h)):
-            return False
-
-    anchor: dict[int, tuple[int, ...]] = {}
-    if oracle.domain_size <= sweep_bound:
-        for pt in _iterate_grid(moduli):
-            lab = int(oracle.grid[pt])
-            if lab in anchor:
-                diff = tuple((a - b) % n for a, b, n in zip(pt, anchor[lab], moduli))
-                if not lattice_member(lat, diff):
-                    return False
-            else:
-                anchor[lab] = pt
-        return True
-    for _ in range(trials * 8):
-        v = tuple(int(rng.integers(0, n)) for n in moduli)
-        lab = oracle.evaluate(v)
-        if lab in anchor:
-            diff = tuple((a - b) % n for a, b, n in zip(v, anchor[lab], moduli))
-            if not lattice_member(lat, diff):
-                return False
-        else:
-            anchor[lab] = v
-    return True

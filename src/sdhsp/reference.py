@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .blackbox import GroupTable, closure
+from .blackbox import GroupTable
+from .sdp_group import closure
 
 BRUTE_FORCE_BOUND = 10**6
 ENUMERATION_BOUND = 10**4
@@ -38,12 +39,7 @@ def brute_force_hidden_subgroup(table: GroupTable, label_of: Callable[[Any], int
 
 
 def _cyclic(table: GroupTable, g: Any) -> frozenset:
-    seen = [table.identity]
-    cur = g
-    while cur != table.identity:
-        seen.append(cur)
-        cur = table.mul(cur, g)
-    return frozenset(seen)
+    return frozenset(closure(table.mul, table.identity, (g,)))
 
 
 def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:
@@ -72,7 +68,7 @@ def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:
         for g in reps:
             if g in H:
                 continue
-            K = closure(table, base + (g,))
+            K = frozenset(closure(table.mul, table.identity, base + (g,)))
             if K not in gens_of:
                 gens_of[K] = base + (g,)
                 queue.append(K)

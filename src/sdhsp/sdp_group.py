@@ -15,9 +15,10 @@ group of order p^(r+1); those are the groups the hidden-subgroup solver in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from functools import lru_cache, partial
+from typing import Callable
 
 from .algebra import multiplicative_order
 
@@ -325,21 +326,38 @@ def subgroup_generators(G: GroupSpec, S: SubgroupDesc) -> list[Element]:
     raise ValueError(f"unknown subgroup kind {S.kind!r}")
 
 
+def closure(mul: Callable, identity, gens, bound: int | None = None) -> list:
+    """Every product of `gens`, in discovery order.
+
+    The identity comes first, then each new generator in order, then what
+    a depth-first walk from the end of the stack finds; each element found
+    is multiplied on the right by every entry of `gens`.  Expansion stops
+    once more than `bound` elements are known.  Elements must hash by
+    value; opaque handles do, by their bytes.
+    """
+    gens = list(gens)
+    limit = math.inf if bound is None else bound
+    seen = {identity}
+    out = [identity]
+    for g in gens:
+        if g not in seen:
+            seen.add(g)
+            out.append(g)
+    stack = list(out)
+    while stack and len(out) <= limit:
+        h = stack.pop()
+        for g in gens:
+            w = mul(h, g)
+            if w not in seen:
+                seen.add(w)
+                out.append(w)
+                stack.append(w)
+    return out
+
+
 def subgroup_elements(G: GroupSpec, S: SubgroupDesc) -> list[Element]:
     """Element list by closure of the defining generators."""
-    gens = subgroup_generators(G, S)
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                w = compose(G, h, g)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return sorted(seen)
+    return sorted(closure(partial(compose, G), IDENTITY, subgroup_generators(G, S)))
 
 
 def enumerate_subgroups(G: GroupSpec) -> list[SubgroupDesc]:
@@ -391,9 +409,3 @@ def subgroup_properties(G: GroupSpec, S: SubgroupDesc) -> SubgroupProperties:
         if not normal:
             break
     return SubgroupProperties(order=len(elems), abelian=abelian, normal=normal)
-
-
-def coset_id(G: GroupSpec, subgroup: list[Element], e: Element) -> Element:
-    """Lexicographically least element of the left coset e * S."""
-    check_element(G, e)
-    return min(compose(G, e, s) for s in subgroup)

@@ -7,14 +7,20 @@ import pytest
 
 from sdhsp.blackbox import (
     BlackBox,
-    closure,
     generates,
     make_hidden_instance,
     oracle_identity,
     oracle_pow,
     sdp_table,
 )
-from sdhsp.sdp_group import Element, compose, invert, modular_group_spec, subgroup_elements
+from sdhsp.sdp_group import (
+    Element,
+    closure,
+    compose,
+    invert,
+    modular_group_spec,
+    subgroup_elements,
+)
 from sdhsp.sdp_group import enumerate_subgroups
 
 
@@ -117,8 +123,8 @@ def test_closure_and_generates():
     table = sdp_table(spec)
     assert generates(table, [Element(1, 0), Element(0, 1)])
     assert generates(table, [Element(1, 1)]) is False  # order 9 element only
-    got = closure(table, [Element(3, 1)])
-    assert got == frozenset({Element(0, 0), Element(3, 1), Element(6, 2)})
+    got = closure(table.mul, table.identity, [Element(3, 1)])
+    assert got == [Element(0, 0), Element(3, 1), Element(6, 2)]
 
 
 def test_hidden_f_constant_exactly_on_left_cosets():

@@ -11,9 +11,24 @@ from sdhsp.cli import SEED_ENV_VAR, main
 
 jsonschema = pytest.importorskip("jsonschema")
 
-SCHEMA = json.loads(
-    (pathlib.Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
-)
+HERE = pathlib.Path(__file__).resolve().parent
+SCHEMA = json.loads((HERE.parent / "docs" / "report_schema.json").read_text())
+
+# stdout pinned from an earlier commit: a report that drifts between commits
+# fails here even when each commit is deterministic on its own
+PINNED_REPORTS = {
+    "solve_p_cyclicxy.json": (
+        "solve-p", "--p", "3", "--r", "2", "--hidden", "cyclicxy:1,1", "--seed", "7",
+    ),
+    "solve_p_salted_scrambled.json": (
+        "solve-p", "--p", "2", "--r", "4", "--hidden", "random", "--encoding", "salted:4",
+        "--salt-policy", "fresh", "--generators", "scrambled", "--seed", "3",
+    ),
+    "solve_zm_random.json": (
+        "solve-zm", "--p", "3", "--r", "2", "--m", "1", "--hidden", "random", "--seed", "1",
+    ),
+    "bench_mixed.csv": ("bench", "--grid", "3,2;2,3;3,2,1", "--seed", "7"),
+}
 
 
 def run(capsys, *argv):
@@ -212,3 +227,10 @@ def test_bench_vector_cells(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 10  # the pinned subgroup count of Z_9 x| Z_3
     assert all(row["m"] == "1" and row["match"] == "True" for row in rows)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_reports_match_the_pinned_bytes(capsys, name):
+    code, out, _ = run(capsys, *PINNED_REPORTS[name])
+    assert code == 0
+    assert out == (HERE / "data" / name).read_text()

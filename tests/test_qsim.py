@@ -21,7 +21,6 @@ from sdhsp.qsim import (
     qft_matrix,
     sample_annihilator,
     sample_statevector,
-    verify_candidate,
 )
 
 # (moduli, lattice generators) pairs used throughout
@@ -143,18 +142,6 @@ def test_abelian_solver_trivial_and_full():
     oracle2 = AbelianOracle.from_function((9, 3), lambda pt: 0)
     res2 = abelian_hsp_solve(oracle2, rng)
     assert res2.confident and lattices_equal(res2.lattice, full_lattice((9, 3)))
-
-
-def test_verify_candidate_directions():
-    rng = np.random.default_rng(707)
-    oracle, L = coset_oracle((9, 3), ((3, 1),))
-    assert verify_candidate(oracle, L, rng)
-    # too small: fails the maximality (collision) direction
-    small = Lattice((9, 3), ())
-    assert not verify_candidate(oracle, small, rng)
-    # too big: fails the closure direction
-    big = Lattice((9, 3), ((1, 0), (0, 1)))
-    assert not verify_candidate(oracle, big, rng)
 
 
 def test_statevector_domain_bound():

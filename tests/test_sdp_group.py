@@ -17,6 +17,7 @@ from sdhsp.sdp_group import (
     IDENTITY,
     SubgroupDesc,
     classify,
+    closure,
     compose,
     conjugate,
     element_order,
@@ -236,28 +237,32 @@ def test_power_agrees_with_closed_form(a, b, c):
     assert power(P32, g, c) == power_closed_form(P32, g, c)
 
 
-def test_left_cosets_partition_the_group():
-    from sdhsp.sdp_group import coset_id
+def test_closure_discovery_order_and_mul_count():
+    calls = []
 
-    for spec in (P32, modular_group_spec(2, 3)):
-        for desc in enumerate_subgroups(spec):
-            H = list(subgroup_elements(spec, desc))
-            Hset = set(H)
-            buckets = {}
-            for g in elements(spec):
-                buckets.setdefault(coset_id(spec, H, g), []).append(g)
-            assert len(buckets) == spec.order // len(H)
-            for rep, members in buckets.items():
-                assert len(members) == len(H)
-                assert rep == min(members)  # the id is the least coset member
-            # two elements share an id iff g^-1 h lands in the subgroup
-            rng = np.random.default_rng(8)
-            els = elements(spec)
-            for _ in range(150):
-                g = els[int(rng.integers(0, len(els)))]
-                h = els[int(rng.integers(0, len(els)))]
-                same = coset_id(spec, H, g) == coset_id(spec, H, h)
-                assert same == (compose(spec, invert(spec, g), h) in Hset)
+    def mul(g, h):
+        calls.append((g, h))
+        return compose(P32, g, h)
+
+    x = Element(1, 0)
+    # identity, then each new generator, then depth first from the stack top;
+    # every element found is multiplied by every generator, repeats included
+    got = closure(mul, IDENTITY, [x, x, IDENTITY])
+    assert got == [IDENTITY] + [Element(a, 0) for a in range(1, 9)]
+    assert len(calls) == 9 * 3
+
+
+def test_closure_stops_expanding_past_the_bound():
+    calls = []
+
+    def mul(g, h):
+        calls.append((g, h))
+        return compose(P32, g, h)
+
+    got = closure(mul, IDENTITY, [Element(1, 0)], bound=3)
+    assert got == [IDENTITY, Element(1, 0), Element(2, 0), Element(3, 0)]
+    assert len(calls) == 2
+    assert len(closure(mul, IDENTITY, [Element(1, 0)], bound=9)) == 9
 
 
 def test_spec_validation():
