@@ -2,9 +2,12 @@
 
 Layers, bottom up:
 
-  algebra      integer lattices over mixed moduli: duals, kernels, Smith form
-  sdp_group    the groups Z_{p^r} x| Z_q: arithmetic, twists, classes, subgroups
-  blackbox     opaque-handle encodings, oracles and query accounting
+  algebra      integer lattices over mixed moduli, plus closure and
+               square-and-multiply over a plain (mul, inv, identity)
+  sdp_group    both families Z_{p^r}^m x| Z_q: arithmetic, group tables,
+               twists, classes, subgroups
+  blackbox     opaque-handle encodings, oracles, query accounting, instances
+               and the solvers' shared outcome
   qsim         the simulated quantum step: QFT sampling of periodic functions
   hsp_modular  solver for the rank-one modular maximal-cyclic family
   hsp_vector   solver for Z_{p^r}^m x| Z_p with the near-identity twist
@@ -25,23 +28,19 @@ from .algebra import (
     smith_normal_form,
     solve_kernel,
 )
-from .blackbox import (
-    BlackBox,
-    GroupTable,
-    HiddenInstance,
-    OpaqueHandle,
-    make_hidden_instance,
-    sdp_table,
-)
-from .hsp_modular import SolveOutcome, SpecialPair, find_special_pair
+from .blackbox import BlackBox, HiddenInstance, OpaqueHandle, SolveOutcome, make_hidden_instance
+from .hsp_modular import SpecialPair, find_special_pair
 from .hsp_modular import solve as solve_modular
-from .hsp_vector import VecElement, VecInstance, VecSolveOutcome, ZmGroupSpec, make_vec_instance
+from .hsp_vector import VecInstance, make_vec_instance
 from .hsp_vector import solve as solve_vector
 from .qsim import AbelianOracle, abelian_hsp_solve, qft_matrix
 from .sdp_group import (
     Element,
     GroupSpec,
+    GroupTable,
     SubgroupDesc,
+    VecElement,
+    ZmGroupSpec,
     classify,
     compose,
     enumerate_alphas,
@@ -51,6 +50,7 @@ from .sdp_group import (
     modular_group_spec,
     power,
     power_closed_form,
+    sdp_table,
 )
 
 __version__ = "0.1.0"

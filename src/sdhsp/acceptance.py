@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as _field
-from typing import Any
-
 import numpy as np
 
 from . import hsp_modular, hsp_vector, reference
@@ -32,22 +30,27 @@ from .algebra import (
     lattice_size,
     lattices_equal,
 )
-from .blackbox import GroupTable, HiddenInstance, make_hidden_instance, sdp_table
-from .hsp_vector import ZmGroupSpec, make_vec_instance, vec_table
+from .blackbox import HiddenInstance, SolveOutcome, make_hidden_instance
+from .hsp_vector import make_vec_instance
 from .qsim import AbelianOracle, backend_for, sample_annihilator, sample_statevector
 from .sdp_group import (
     Element,
     GroupSpec,
+    GroupTable,
+    ZmGroupSpec,
     classify,
     compose,
     elements,
     enumerate_alphas,
     enumerate_subgroups,
+    is_prime,
     iso_map,
     modular_group_spec,
     power_closed_form,
+    sdp_table,
     subgroup_elements,
     subgroup_properties,
+    vec_table,
 )
 
 PRIMES_13 = (2, 3, 5, 7, 11, 13)
@@ -123,7 +126,7 @@ class RunConfig:
 @dataclass(frozen=True)
 class CaseResult:
     instance: HiddenInstance
-    outcome: Any  # hsp_modular.SolveOutcome or hsp_vector.VecSolveOutcome
+    outcome: SolveOutcome
     wall_ms: float  # the solve alone, without the instance build
     match: bool  # the answer equals the planted subgroup
 
@@ -316,11 +319,8 @@ def criterion_classification_iso(quick: bool = False) -> CriterionResult:
     pairs_checked = 0
     classes_checked = 0
 
-    def prime_list(n: int) -> list[int]:
-        return [k for k in range(2, n + 1) if all(k % d for d in range(2, int(k**0.5) + 1))]
-
-    for q in prime_list(bound // 2):
-        for p in prime_list(bound // q):
+    for q in filter(is_prime, range(2, bound // 2 + 1)):
+        for p in filter(is_prime, range(2, bound // q + 1)):
             r = 1
             while p**r * q <= bound:
                 alphas = sorted(enumerate_alphas(p, q, r))

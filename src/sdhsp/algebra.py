@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # Desk-scale guards.  Moduli above MAX_MODULUS are refused outright; element
 # enumeration refuses groups larger than ENUM_BOUND.
@@ -72,6 +72,52 @@ def multiplicative_order(a: int, n: int) -> int:
         while d % p == 0 and pow(a, d // p, n) == 1:
             d //= p
     return d
+
+
+# ---------------------------------------------------------------------------
+# Operations derived from a plain (mul, inv, identity)
+
+
+def closure(mul: Callable, identity, gens, bound: int | None = None) -> list:
+    """Every product of `gens`, in discovery order.
+
+    The identity comes first, then each new generator in order, then what
+    a depth-first walk from the end of the stack finds; each element found
+    is multiplied on the right by every entry of `gens`.  Expansion stops
+    once more than `bound` elements are known.  Elements must hash by
+    value; opaque handles do, by their bytes.
+    """
+    gens = list(gens)
+    limit = math.inf if bound is None else bound
+    seen = {identity}
+    out = [identity]
+    for g in gens:
+        if g not in seen:
+            seen.add(g)
+            out.append(g)
+    stack = list(out)
+    while stack and len(out) <= limit:
+        h = stack.pop()
+        for g in gens:
+            w = mul(h, g)
+            if w not in seen:
+                seen.add(w)
+                out.append(w)
+                stack.append(w)
+    return out
+
+
+def square_and_multiply(mul: Callable, inv: Callable, identity, g, n: int):
+    """g^n with O(log |n|) products; a negative n inverts g first."""
+    if n < 0:
+        g, n = inv(g), -n
+    acc = identity
+    while n:
+        if n & 1:
+            acc = mul(acc, g)
+        g = mul(g, g)
+        n >>= 1
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +296,8 @@ def lattice_elements(L: Lattice) -> list[tuple[int, ...]]:
     size = lattice_size(L)
     if size > ENUM_BOUND:
         raise ValueError(f"lattice with {size} elements exceeds the enumeration bound")
-    mods = L.moduli
-    zero = tuple(0 for _ in mods)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in L.gens:
-                w = tuple((a + b) % n for a, b, n in zip(v, g, mods))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return sorted(seen)
+    add = lambda v, w: tuple((a + b) % n for a, b, n in zip(v, w, L.moduli))
+    return sorted(closure(add, (0,) * len(L.moduli), L.gens))
 
 
 def lattice_sample(L: Lattice, rng) -> tuple[int, ...]:

@@ -19,12 +19,12 @@ tests; solver code must never call it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from . import sdp_group
-from .sdp_group import Element, GroupSpec
+from .algebra import closure, square_and_multiply
+from .sdp_group import GroupTable, generates, is_subgroup
 
 HANDLE_BYTES = 8
 TABLE_BOUND = 2**24  # |G| * S must stay under this
@@ -37,39 +37,6 @@ class OpaqueHandle:
 
     def __repr__(self) -> str:  # keep logs short
         return f"<{self.data.hex()}>"
-
-
-@dataclass(frozen=True)
-class GroupTable:
-    """Concrete group plugged into the black box: elements plus operations."""
-
-    name: str
-    spec: Any
-    elements: tuple
-    identity: Any
-    mul: Callable[[Any, Any], Any]
-    inv: Callable[[Any], Any]
-    standard_generators: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def sdp_table(spec: GroupSpec) -> GroupTable:
-    return GroupTable(
-        name=f"sdp({spec.p}^{spec.r}:{spec.q},alpha={spec.alpha})",
-        spec=spec,
-        elements=tuple(sdp_group.elements(spec)),
-        identity=sdp_group.IDENTITY,
-        mul=lambda g, h: sdp_group.compose(spec, g, h),
-        inv=lambda g: sdp_group.invert(spec, g),
-        standard_generators=(Element(1, 0), Element(0, 1)),
-    )
-
-
-def generates(table: GroupTable, gens: Iterable[Any]) -> bool:
-    return len(sdp_group.closure(table.mul, table.identity, gens)) == table.order
 
 
 class BlackBox:
@@ -165,16 +132,7 @@ def oracle_pow(
     bb: BlackBox, h: OpaqueHandle, n: int, identity: OpaqueHandle
 ) -> OpaqueHandle:
     """h^n by square-and-multiply through the oracles."""
-    if n < 0:
-        return oracle_pow(bb, bb.oracle_inv(h), -n, identity)
-    acc = identity
-    base = h
-    while n:
-        if n & 1:
-            acc = bb.oracle_mul(acc, base)
-        base = bb.oracle_mul(base, base)
-        n >>= 1
-    return acc
+    return square_and_multiply(bb.oracle_mul, bb.oracle_inv, identity, h, n)
 
 
 def oracle_lift(
@@ -189,8 +147,20 @@ def oracle_lift(
     return acc
 
 
-def reveal_answer(bb: BlackBox, handles) -> tuple[tuple, tuple, tuple]:
-    """Decode a solver's surviving handles for its outcome.
+@dataclass(frozen=True)
+class SolveOutcome:
+    """What either solver returns: surviving handles, their revealed
+    elements, the sorted subgroup they generate, and the report."""
+
+    generator_handles: tuple[OpaqueHandle, ...]
+    generators: tuple
+    subgroup: tuple
+    confident: bool
+    report: dict = field(hash=False)
+
+
+def reveal_answer(bb: BlackBox, handles, confident: bool, report: dict) -> SolveOutcome:
+    """The shared tail of both solvers: decode the surviving handles.
 
     Drops the identity and repeats, keeping handles and elements aligned and
     in order, and closes the elements into the sorted subgroup they generate.
@@ -204,8 +174,8 @@ def reveal_answer(bb: BlackBox, handles) -> tuple[tuple, tuple, tuple]:
             seen.add(g)
             handles_out.append(h)
             elems_out.append(g)
-    subgroup = sorted(sdp_group.closure(bb.table.mul, bb.table.identity, elems_out))
-    return tuple(handles_out), tuple(elems_out), tuple(subgroup)
+    subgroup = sorted(closure(bb.table.mul, bb.table.identity, elems_out))
+    return SolveOutcome(tuple(handles_out), tuple(elems_out), tuple(subgroup), confident, report)
 
 
 class HiddenInstance:
@@ -259,16 +229,6 @@ class HiddenInstance:
         return stats
 
 
-def _is_subgroup(table: GroupTable, elems: frozenset) -> bool:
-    if table.identity not in elems:
-        return False
-    for g in elems:
-        for h in elems:
-            if table.mul(g, h) not in elems:
-                return False
-    return True
-
-
 def make_hidden_instance(
     table: GroupTable,
     subgroup: Iterable[Any],
@@ -286,7 +246,7 @@ def make_hidden_instance(
     the construction; everything else must come from the oracles.
     """
     H = frozenset(subgroup)
-    if not _is_subgroup(table, H):
+    if not is_subgroup(table, H):
         raise ValueError("the hidden set is not a subgroup")
     ss = np.random.SeedSequence(seed)
     table_rng, label_rng, gen_rng = (np.random.default_rng(c) for c in ss.spawn(3))

@@ -27,21 +27,23 @@ import numpy as np
 
 from . import acceptance
 from .acceptance import RunConfig, grid_cell, run_case
-from .blackbox import sdp_table
-from .hsp_vector import VecElement, ZmGroupSpec, vec_table
 from .qsim import BACKENDS
 from .sdp_group import (
     CLASS_NAMES,
     Element,
     GroupSpec,
     SubgroupDesc,
+    VecElement,
+    ZmGroupSpec,
     classify,
     closure,
     enumerate_alphas,
     enumerate_subgroups,
     is_prime,
     modular_group_spec,
+    sdp_table,
     subgroup_elements,
+    vec_table,
 )
 
 REPORT_VERSION = 1
@@ -363,7 +365,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--salt-policy", default="zero", choices=("zero", "operands", "fresh"))
     sp.add_argument("--generators", default="canonical", choices=("canonical", "scrambled"))
     sp.add_argument("--delta", type=float, default=0.01, help="failure budget, in (0, 0.5]")
-    sp.add_argument("--output", default="json", choices=("json", "csv"))
     sp.add_argument("--timings", action="store_true", help="include wall_ms (breaks byte-identical reruns)")
 
 
@@ -395,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="CSV sweep: every subgroup of every grid cell")
     sp.add_argument("--grid", required=True, help='e.g. "3,2;3,3" or "3,2,1" for vector groups')
     _add_common(sp)
-    sp.set_defaults(fn=cmd_bench, output="csv")
+    sp.add_argument("--output", default="csv", choices=("json", "csv"))
+    sp.set_defaults(fn=cmd_bench)
 
     sp = sub.add_parser("selftest", help="run the acceptance gates")
     sp.add_argument("--quick", action="store_true", help="reduced sweep, under a minute")

@@ -28,7 +28,7 @@ confident abelian solves the closure equals H exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +37,14 @@ from .blackbox import (
     BlackBox,
     HiddenInstance,
     OpaqueHandle,
+    SolveOutcome,
     oracle_identity,
     oracle_lift,
     oracle_pow,
     reveal_answer,
 )
 from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve
-from .sdp_group import Element, GroupSpec, SubgroupDesc
+from .sdp_group import GroupSpec
 
 
 @dataclass(frozen=True)
@@ -92,16 +93,6 @@ class BranchReport:
             "lattice_gens": [list(g) for g in self.lattice_gens],
             "note": self.note,
         }
-
-
-@dataclass(frozen=True)
-class SolveOutcome:
-    desc: SubgroupDesc
-    generator_handles: tuple[OpaqueHandle, ...]
-    generators: tuple[Element, ...]
-    subgroup: tuple[Element, ...]
-    confident: bool
-    report: dict = field(hash=False)
 
 
 def _require_solver_group(spec) -> None:
@@ -280,16 +271,15 @@ def solve(
     shift_res, shift_solve = find_shift(inst, pair, rng, delta=delta, backend=backend)
     branches: list[BranchReport] = []
     candidates: list[OpaqueHandle] = []
-    confident = shift_res.confident
+
+    def run_branch(name, moduli, gens, extras) -> None:
+        cands, rep = _run_branch(name, inst, e, moduli, gens, extras, rng, delta, backend)
+        candidates.extend(cands)
+        branches.append(rep)
 
     # quotient reduction: valid exactly when x^p lies in H
     if inst.f(xp) == f0:
-        cands, rep = _run_branch(
-            "quotient", inst, e, (p, p), (pair.x, pair.y), (xp,), rng, delta, backend
-        )
-        candidates.extend(cands)
-        confident = confident and rep.confident
-        branches.append(rep)
+        run_branch("quotient", (p, p), (pair.x, pair.y), (xp,))
     else:
         branches.append(BranchReport("quotient", False, note="x^p lies outside the hidden subgroup"))
 
@@ -297,20 +287,7 @@ def solve(
         yprime = shifted_generator(bb, pair, shift_res.shift)
         ypp = oracle_pow(bb, yprime, p, e)
         if inst.f(ypp) == f0:
-            cands, rep = _run_branch(
-                "inner",
-                inst,
-                e,
-                (p ** (r - 1), p),
-                (xp, yprime),
-                (ypp,),
-                rng,
-                delta,
-                backend,
-            )
-            candidates.extend(cands)
-            confident = confident and rep.confident
-            branches.append(rep)
+            run_branch("inner", (p ** (r - 1), p), (xp, yprime), (ypp,))
         else:
             branches.append(
                 BranchReport("inner", False, note="corrected generator's p-th power is outside H")
@@ -321,19 +298,12 @@ def solve(
                     branches.append(BranchReport("involution", False, note="no involution found"))
                 else:
                     x4 = oracle_pow(bb, pair.x, 2 ** (r - 2), e)
-                    cands, rep = _run_branch(
-                        "involution", inst, e, (4, 2), (x4, w), (), rng, delta, backend
-                    )
-                    candidates.extend(cands)
-                    confident = confident and rep.confident
-                    branches.append(rep)
+                    run_branch("involution", (4, 2), (x4, w), ())
     else:
         branches.append(BranchReport("inner", False, note="shift unavailable (full relation lattice)"))
 
     survivors = [h for h in candidates if inst.f(h) == f0]
-    handles_out, gens_out, subgroup = reveal_answer(bb, survivors)
-    desc = SubgroupDesc.from_generators(sorted(gens_out))
-
+    confident = shift_res.confident and all(b.confident for b in branches if b.ran)
     report = {
         "group": {"p": p, "q": spec.q, "r": r, "alpha": spec.alpha},
         "backend": backend,
@@ -349,11 +319,4 @@ def solve(
         "confident": confident,
         "queries": inst.query_stats(),
     }
-    return SolveOutcome(
-        desc=desc,
-        generator_handles=handles_out,
-        generators=gens_out,
-        subgroup=subgroup,
-        confident=confident,
-        report=report,
-    )
+    return reveal_answer(bb, survivors, confident, report)

@@ -22,14 +22,14 @@ elements have equal encodings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product as _cartesian
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
     Lattice,
     _lattice_basis,
+    closure,
     lattice_is_full,
     lattice_sample,
     lattice_size,
@@ -37,101 +37,21 @@ from .algebra import (
 )
 from .blackbox import (
     BlackBox,
-    GroupTable,
     HiddenInstance,
     OpaqueHandle,
+    SolveOutcome,
     make_hidden_instance,
     oracle_identity,
     oracle_lift,
     reveal_answer,
 )
 from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve
-from .sdp_group import _alpha_powers, closure, is_prime
+from .sdp_group import VecElement, ZmGroupSpec, vec_table
 
-
-@dataclass(frozen=True, order=True)
-class VecElement:
-    """(a, b) with a an m-vector of exponents mod p^r and b mod p."""
-
-    a: tuple[int, ...]
-    b: int
-
-
-@dataclass(frozen=True)
-class ZmGroupSpec:
-    """Parameters of Z_{p^r}^m x| Z_p with the fixed near-identity twist."""
-
-    p: int
-    r: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.r < 2:
-            raise ValueError("r must be at least 2")
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
-        if self.p == 2 and self.r == 2:
-            raise ValueError(
-                "p = r = 2 is excluded: the twist collapses to a dihedral action"
-            )
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.r
-
-    @property
-    def alpha(self) -> int:
-        return self.p ** (self.r - 1) + 1
-
-    @property
-    def order(self) -> int:
-        return self.p ** (self.r * self.m + 1)
-
-
-def vec_identity(G: ZmGroupSpec) -> VecElement:
-    return VecElement((0,) * G.m, 0)
-
-
-def vec_compose(G: ZmGroupSpec, e1: VecElement, e2: VecElement) -> VecElement:
-    # (a1, b1)(a2, b2) = (a1 + alpha^{b1} a2, b1 + b2)
-    n = G.modulus
-    s = _alpha_powers(G.alpha, G.p, n)[e1.b]
-    return VecElement(
-        tuple((a1 + s * a2) % n for a1, a2 in zip(e1.a, e2.a)),
-        (e1.b + e2.b) % G.p,
-    )
-
-
-def vec_invert(G: ZmGroupSpec, e: VecElement) -> VecElement:
-    n = G.modulus
-    s = _alpha_powers(G.alpha, G.p, n)[(-e.b) % G.p]
-    return VecElement(tuple((-s * ai) % n for ai in e.a), (-e.b) % G.p)
-
-
-def vec_elements(G: ZmGroupSpec) -> list[VecElement]:
-    n = G.modulus
-    out = []
-    for coords in _cartesian(*(range(n) for _ in range(G.m))):
-        for b in range(G.p):
-            out.append(VecElement(coords, b))
-    return out
-
-
-def vec_table(G: ZmGroupSpec) -> GroupTable:
-    std = tuple(
-        VecElement(tuple(1 if j == i else 0 for j in range(G.m)), 0) for i in range(G.m)
-    ) + (VecElement((0,) * G.m, 1),)
-    return GroupTable(
-        name=f"vec({G.p}^{G.r})^{G.m}:{G.p}",
-        spec=G,
-        elements=tuple(vec_elements(G)),
-        identity=vec_identity(G),
-        mul=lambda g, h: vec_compose(G, g, h),
-        inv=lambda g: vec_invert(G, g),
-        standard_generators=std,
-    )
+# Pullback: fresh lattice samples per round beyond the lattice's own
+# generators, and the number of rounds before giving up.
+PULLBACK_EXTRA_SAMPLES = 4
+PULLBACK_MAX_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -167,7 +87,8 @@ def make_vec_instance(
 
     'canonical' hands out the coordinate vectors x_1..x_m and y.
     'scrambled' draws random generating vectors for A and a random
-    generator of the complement.  Unique encoding is mandatory.
+    generator of the complement.  Unique encoding is mandatory.  The
+    instance runs on ``vec_table(spec)``, the one table of that spec.
     """
     if mode != "unique":
         raise ValueError("the vector-group solver requires unique encoding")
@@ -288,8 +209,6 @@ def pullback_generators(
     rmap: ReductionMap,
     lat: Lattice,
     rng: np.random.Generator,
-    count: int | None = None,
-    max_rounds: int = 8,
 ) -> tuple[list[OpaqueHandle], bool]:
     """Map lattice points back through pi and keep what lands in H.
 
@@ -301,13 +220,12 @@ def pullback_generators(
     """
     inst, bb = vin.instance, vin.blackbox
     target = lattice_size(lat)
-    if count is None:
-        count = len(lat.gens) + 4
+    count = len(lat.gens) + PULLBACK_EXTRA_SAMPLES
     f0 = inst.f(rmap.identity)
 
     pool: list[OpaqueHandle] = []
     points = list(lat.gens)
-    for _ in range(max_rounds):
+    for _ in range(PULLBACK_MAX_ROUNDS):
         points.extend(lattice_sample(lat, rng) for _ in range(count))
         for pt in points:
             h = rmap.lift(bb, pt)
@@ -323,21 +241,12 @@ def pullback_generators(
     return pool, False
 
 
-@dataclass(frozen=True)
-class VecSolveOutcome:
-    generator_handles: tuple[OpaqueHandle, ...]
-    generators: tuple[VecElement, ...]
-    subgroup: tuple[VecElement, ...]
-    confident: bool
-    report: dict = field(hash=False)
-
-
 def solve(
     vin: VecInstance,
     rng: np.random.Generator | None = None,
     delta: float = 0.01,
     backend: str = "statevector",
-) -> VecSolveOutcome:
+) -> SolveOutcome:
     """Recover the hidden subgroup of Z_{p^r}^m x| Z_p.
 
     Pipeline: rebase the abelian generators, solve the single reduced
@@ -364,7 +273,6 @@ def solve(
     rmap, mgs_report = minimal_generating_set(vin, rng, delta=delta, backend=backend)
     res, _oracle = reduce_and_solve(vin, rmap, rng, delta=delta, backend=backend)
     handles, pulled_ok = pullback_generators(vin, rmap, res.lattice, rng)
-    handles_out, gens_out, subgroup = reveal_answer(bb, handles)
 
     confident = bool(mgs_report["confident"] and res.confident and pulled_ok)
     report = {
@@ -379,10 +287,4 @@ def solve(
         "confident": confident,
         "queries": vin.instance.query_stats(),
     }
-    return VecSolveOutcome(
-        generator_handles=handles_out,
-        generators=gens_out,
-        subgroup=subgroup,
-        confident=confident,
-        report=report,
-    )
+    return reveal_answer(bb, handles, confident, report)

@@ -35,6 +35,7 @@ from .algebra import (
 STATEVECTOR_BOUND = 2**20
 AMPLITUDE_FLOOR = 1e-9
 BACKENDS = ("statevector", "annihilator")
+MAX_ROUNDS = 3  # abelian_hsp_solve doubles its sample pool at most twice
 
 
 def backend_for(domain_size: int) -> str:
@@ -82,7 +83,7 @@ class AbelianOracle:
     def from_function(cls, moduli: Sequence[int], fn: Callable) -> "AbelianOracle":
         """Uncounted oracle from a plain callable on index tuples."""
         moduli = tuple(int(n) for n in moduli)
-        labels = [fn(pt) for pt in _iterate_grid(moduli)]
+        labels = [fn(pt) for pt in np.ndindex(*moduli)]
         return cls(moduli, _to_id_grid(labels, moduli))
 
     @classmethod
@@ -149,11 +150,6 @@ class AbelianOracle:
         return lat
 
 
-def _iterate_grid(moduli: tuple[int, ...]):
-    """Row-major index tuples, i.e. np.ndindex order."""
-    return np.ndindex(*moduli)
-
-
 def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
     ids: dict = {}
     flat = np.empty(math.prod(moduli), dtype=np.int64)
@@ -202,7 +198,6 @@ def sample_statevector(
         raise ValueError(
             f"domain size {dom} exceeds the statevector bound {STATEVECTOR_BOUND}"
         )
-    dfts = [qft_matrix(n) for n in moduli]
     out: list[tuple[int, ...]] = []
     for _ in range(count):
         oracle.note_sample()
@@ -211,10 +206,8 @@ def sample_statevector(
         support = oracle.grid == oracle.grid[u0]
         psi = support.astype(np.complex128)
         psi /= math.sqrt(int(support.sum()))
-        for axis in range(len(moduli)):
-            psi = np.moveaxis(
-                np.tensordot(dfts[axis], psi, axes=([1], [axis])), 0, axis
-            )
+        # the unitary DFT of every axis, qft_matrix's e^{+2 pi i jk/n} convention
+        psi = np.fft.ifftn(psi, norm="ortho")
         amp = np.abs(psi.reshape(-1))
         amp[amp < AMPLITUDE_FLOOR] = 0.0
         probs = amp * amp
@@ -242,12 +235,10 @@ def draw_samples(oracle, rng, count: int, backend: str) -> list[tuple[int, ...]]
     if backend == "annihilator":
         # derive the truth by sweeping the oracle's own grid, then draw;
         # books the same modeled cost per sample as the statevector path
-        dual = dual_lattice(oracle.periodicity_lattice())
-        out = []
+        truth = oracle.periodicity_lattice()
         for _ in range(count):
             oracle.note_sample()
-            out.append(lattice_sample(dual, rng))
-        return out
+        return sample_annihilator(truth, rng, count)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -267,7 +258,6 @@ def abelian_hsp_solve(
     rng: np.random.Generator,
     delta: float = 0.01,
     backend: str = "statevector",
-    max_rounds: int = 3,
 ) -> AbelianSolveResult:
     """Recover the hidden lattice of a periodic F from annihilator samples.
 
@@ -282,7 +272,7 @@ def abelian_hsp_solve(
     pooled: list[tuple[int, ...]] = []
     rounds = 0
     lat = None
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         want = base * (2 ** (rounds - 1))
         pooled.extend(draw_samples(oracle, rng, want - len(pooled), backend))
         lat = solve_kernel(tuple(pooled), oracle.moduli)

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .blackbox import GroupTable
-from .sdp_group import closure
+from .sdp_group import GroupTable, closure
 
 BRUTE_FORCE_BOUND = 10**6
 ENUMERATION_BOUND = 10**4
@@ -38,10 +37,6 @@ def brute_force_hidden_subgroup(table: GroupTable, label_of: Callable[[Any], int
     return H
 
 
-def _cyclic(table: GroupTable, g: Any) -> frozenset:
-    return frozenset(closure(table.mul, table.identity, (g,)))
-
-
 def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:
     """Every subgroup, found by augmentation closure.
 
@@ -55,7 +50,7 @@ def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:
         raise ValueError(f"group of order {table.order} exceeds the enumeration bound")
     cyc: dict[frozenset, Any] = {}
     for g in table.elements:
-        cyc.setdefault(_cyclic(table, g), g)
+        cyc.setdefault(frozenset(closure(table.mul, table.identity, (g,))), g)
     reps = [g for g in cyc.values() if g != table.identity]
 
     gens_of: dict[frozenset, tuple] = {frozenset([table.identity]): ()}

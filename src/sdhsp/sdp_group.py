@@ -1,26 +1,31 @@
-"""Semidirect products Z_{p^r} x| Z_q and their concrete arithmetic.
+"""Semidirect products Z_{p^r}^m x| Z_q and their concrete arithmetic.
 
-A group is fixed by (p, q, r, alpha) where alpha = phi(1)(1) determines the
-twisting automorphism: written multiplicatively with x generating Z_{p^r}
-and y generating Z_q, the defining relation is  y x = x^alpha y,  and alpha
-must satisfy alpha^q = 1 (mod p^r).  Elements are pairs (a, b) standing for
-x^a y^b, with
+Both solver families are this one shape: the generator y of Z_q acts on
+every coordinate of Z_{p^r}^m as multiplication by a unit alpha with
+alpha^q = 1 (mod p^r).  The rank-one family is m = 1, fixed by
+(p, q, r, alpha): written multiplicatively with x generating Z_{p^r}, the
+defining relation is  y x = x^alpha y,  and elements are pairs (a, b)
+standing for x^a y^b, with
 
     (a1, b1) * (a2, b2) = (a1 + a2 * alpha^b1 mod p^r, b1 + b2 mod q).
 
 For q = p and alpha = p^(r-1) + 1 the group is the modular maximal-cyclic
 group of order p^(r+1); those are the groups the hidden-subgroup solver in
-``hsp_modular`` targets, and their full subgroup taxonomy lives here.
+``hsp_modular`` targets, and their full subgroup taxonomy lives here.  The
+vector family (``ZmGroupSpec``, solved by ``hsp_vector``) fixes q = p and
+that twist, with elements (a_1..a_m, b) and a product law of its own.  A
+``GroupTable`` wraps either family as a plain (mul, inv, identity) with its
+elements; that is all the black box and the reference routes see of a group.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
+from itertools import product
+from typing import Any, Callable
 
-from .algebra import multiplicative_order
+from .algebra import closure, multiplicative_order, square_and_multiply
 
 
 def is_prime(n: int) -> bool:
@@ -131,16 +136,7 @@ def invert(G: GroupSpec, e: Element) -> Element:
 
 def power(G: GroupSpec, e: Element, c: int) -> Element:
     """e^c by square-and-multiply; negative c goes through the inverse."""
-    if c < 0:
-        return power(G, invert(G, e), -c)
-    acc = IDENTITY
-    base = e
-    while c:
-        if c & 1:
-            acc = compose(G, acc, base)
-        base = compose(G, base, base)
-        c >>= 1
-    return acc
+    return square_and_multiply(partial(compose, G), partial(invert, G), IDENTITY, e, c)
 
 
 def power_closed_form(G: GroupSpec, e: Element, c: int) -> Element:
@@ -160,14 +156,7 @@ def power_closed_form(G: GroupSpec, e: Element, c: int) -> Element:
 
 def element_order(G: GroupSpec, e: Element) -> int:
     check_element(G, e)
-    acc = e
-    n = 1
-    while acc != IDENTITY:
-        acc = compose(G, acc, e)
-        n += 1
-        if n > G.order:
-            raise AssertionError("order search exceeded the group order")
-    return n
+    return len(closure(partial(compose, G), IDENTITY, (e,)))
 
 
 def conjugate(G: GroupSpec, g: Element, h: Element) -> Element:
@@ -177,6 +166,157 @@ def conjugate(G: GroupSpec, g: Element, h: Element) -> Element:
 
 def elements(G: GroupSpec) -> list[Element]:
     return [Element(a, b) for a in range(G.modulus) for b in range(G.q)]
+
+
+# ---------------------------------------------------------------------------
+# The vector family Z_{p^r}^m x| Z_p with the near-identity twist
+
+
+@dataclass(frozen=True, order=True)
+class VecElement:
+    """(a, b) with a an m-vector of exponents mod p^r and b mod p."""
+
+    a: tuple[int, ...]
+    b: int
+
+
+@dataclass(frozen=True)
+class ZmGroupSpec:
+    """Parameters of Z_{p^r}^m x| Z_p with the fixed near-identity twist."""
+
+    p: int
+    r: int
+    m: int
+
+    def __post_init__(self) -> None:
+        if not is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not prime")
+        if self.r < 2:
+            raise ValueError("r must be at least 2")
+        if self.m < 1:
+            raise ValueError("m must be at least 1")
+        if self.p == 2 and self.r == 2:
+            raise ValueError(
+                "p = r = 2 is excluded: the twist collapses to a dihedral action"
+            )
+
+    @property
+    def modulus(self) -> int:
+        return self.p**self.r
+
+    @property
+    def alpha(self) -> int:
+        return self.p ** (self.r - 1) + 1
+
+    @property
+    def order(self) -> int:
+        return self.p ** (self.r * self.m + 1)
+
+
+def vec_identity(G: ZmGroupSpec) -> VecElement:
+    return VecElement((0,) * G.m, 0)
+
+
+def vec_compose(G: ZmGroupSpec, e1: VecElement, e2: VecElement) -> VecElement:
+    # (a1, b1)(a2, b2) = (a1 + alpha^{b1} a2, b1 + b2)
+    n = G.modulus
+    s = _alpha_powers(G.alpha, G.p, n)[e1.b]
+    return VecElement(
+        tuple((a1 + s * a2) % n for a1, a2 in zip(e1.a, e2.a)),
+        (e1.b + e2.b) % G.p,
+    )
+
+
+def vec_invert(G: ZmGroupSpec, e: VecElement) -> VecElement:
+    n = G.modulus
+    s = _alpha_powers(G.alpha, G.p, n)[(-e.b) % G.p]
+    return VecElement(tuple((-s * ai) % n for ai in e.a), (-e.b) % G.p)
+
+
+def vec_elements(G: ZmGroupSpec) -> list[VecElement]:
+    n = G.modulus
+    out = []
+    for coords in product(*(range(n) for _ in range(G.m))):
+        for b in range(G.p):
+            out.append(VecElement(coords, b))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Group tables: either family as a plain (mul, inv, identity)
+
+
+@dataclass(frozen=True)
+class GroupTable:
+    """Concrete group plugged into the black box: elements plus operations."""
+
+    name: str
+    spec: Any
+    elements: tuple
+    identity: Any
+    mul: Callable[[Any, Any], Any]
+    inv: Callable[[Any], Any]
+    standard_generators: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+
+@lru_cache(maxsize=None)
+def sdp_table(spec: GroupSpec) -> GroupTable:
+    """The one table of a rank-one group; `mul` looks `compose` up per call."""
+    return GroupTable(
+        name=f"sdp({spec.p}^{spec.r}:{spec.q},alpha={spec.alpha})",
+        spec=spec,
+        elements=tuple(elements(spec)),
+        identity=IDENTITY,
+        mul=lambda g, h: compose(spec, g, h),
+        inv=lambda g: invert(spec, g),
+        standard_generators=(Element(1, 0), Element(0, 1)),
+    )
+
+
+@lru_cache(maxsize=None)
+def vec_table(G: ZmGroupSpec) -> GroupTable:
+    """The one table of a vector group."""
+    std = tuple(
+        VecElement(tuple(1 if j == i else 0 for j in range(G.m)), 0) for i in range(G.m)
+    ) + (VecElement((0,) * G.m, 1),)
+    return GroupTable(
+        name=f"vec({G.p}^{G.r})^{G.m}:{G.p}",
+        spec=G,
+        elements=tuple(vec_elements(G)),
+        identity=vec_identity(G),
+        mul=lambda g, h: vec_compose(G, g, h),
+        inv=lambda g: vec_invert(G, g),
+        standard_generators=std,
+    )
+
+
+def generates(table: GroupTable, gens) -> bool:
+    return len(closure(table.mul, table.identity, gens)) == table.order
+
+
+def is_subgroup(table: GroupTable, elems: frozenset) -> bool:
+    """Exact subgroup test in O(|H| log^2 |H|) products.
+
+    Each element of H not yet spanned joins the generators, and the span is
+    re-closed with bound |H|.  No closure leaves a subgroup, so a span that
+    leaves H rejects; one inside H is a complete closure, hence a subgroup,
+    and at the end it holds all of H.
+    """
+    if table.identity not in elems:
+        return False
+    gens: list = []
+    span = {table.identity}
+    for g in sorted(elems):
+        if g not in span:
+            gens.append(g)
+            span = set(closure(table.mul, table.identity, gens, bound=len(elems)))
+            if not span <= elems:
+                return False
+    return True
 
 
 def enumerate_alphas(p: int, q: int, r: int) -> set[int]:
@@ -324,35 +464,6 @@ def subgroup_generators(G: GroupSpec, S: SubgroupDesc) -> list[Element]:
             raise ValueError(f"cyclicxy parameters ({S.t},{S.j}) out of range")
         return [Element(S.t * p**S.j, 1)]
     raise ValueError(f"unknown subgroup kind {S.kind!r}")
-
-
-def closure(mul: Callable, identity, gens, bound: int | None = None) -> list:
-    """Every product of `gens`, in discovery order.
-
-    The identity comes first, then each new generator in order, then what
-    a depth-first walk from the end of the stack finds; each element found
-    is multiplied on the right by every entry of `gens`.  Expansion stops
-    once more than `bound` elements are known.  Elements must hash by
-    value; opaque handles do, by their bytes.
-    """
-    gens = list(gens)
-    limit = math.inf if bound is None else bound
-    seen = {identity}
-    out = [identity]
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-    stack = list(out)
-    while stack and len(out) <= limit:
-        h = stack.pop()
-        for g in gens:
-            w = mul(h, g)
-            if w not in seen:
-                seen.add(w)
-                out.append(w)
-                stack.append(w)
-    return out
 
 
 def subgroup_elements(G: GroupSpec, S: SubgroupDesc) -> list[Element]:

@@ -7,18 +7,18 @@ import pytest
 
 from sdhsp.blackbox import (
     BlackBox,
-    generates,
     make_hidden_instance,
     oracle_identity,
     oracle_pow,
-    sdp_table,
 )
 from sdhsp.sdp_group import (
     Element,
     closure,
     compose,
+    generates,
     invert,
     modular_group_spec,
+    sdp_table,
     subgroup_elements,
 )
 from sdhsp.sdp_group import enumerate_subgroups
@@ -143,7 +143,7 @@ def test_hidden_f_constant_exactly_on_left_cosets():
 
 
 def test_hidden_f_on_a_vector_group_of_order_243():
-    from sdhsp.hsp_vector import ZmGroupSpec, vec_invert, vec_table
+    from sdhsp.sdp_group import ZmGroupSpec, vec_invert, vec_table
     from sdhsp.reference import enumerate_all_subgroups
 
     spec = ZmGroupSpec(3, 2, 2)

@@ -198,6 +198,13 @@ def test_bench_json_mode_validates(capsys):
     assert len(rep["rows"]) == 10
 
 
+def test_output_is_a_bench_option_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-p", "--p", "3", "--r", "2", "--seed", "7", "--output", "csv"])
+    assert exc.value.code == 2
+    assert "--output" in capsys.readouterr().err
+
+
 def test_selftest_quick_passes_fast(capsys):
     import time
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdhsp.algebra import Lattice, lattices_equal
-from sdhsp.blackbox import make_hidden_instance, sdp_table
+from sdhsp.blackbox import make_hidden_instance
 from sdhsp.hsp_modular import (
     SpecialPair,
     find_shift,
@@ -16,9 +16,11 @@ from sdhsp.reference import brute_force_hidden_subgroup
 from sdhsp.sdp_group import (
     Element,
     GroupSpec,
+    SubgroupDesc,
     element_order,
     enumerate_subgroups,
     modular_group_spec,
+    sdp_table,
     subgroup_elements,
 )
 
@@ -118,7 +120,7 @@ def test_solve_small_groups_exhaustive():
             )
             assert out.confident
             # reported generators really generate what was found
-            got = frozenset(subgroup_elements(spec, out.desc))
+            got = frozenset(subgroup_elements(spec, SubgroupDesc.from_generators(out.generators)))
             assert got == truth
 
 

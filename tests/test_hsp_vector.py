@@ -9,22 +9,24 @@ from sdhsp.algebra import lattice_is_full, Lattice
 from sdhsp.blackbox import oracle_pow
 from sdhsp.hsp_vector import (
     ReductionMap,
-    VecElement,
     VecInstance,
-    ZmGroupSpec,
     make_vec_instance,
     minimal_generating_set,
     pullback_generators,
     reduce_and_solve,
     solve,
+)
+from sdhsp.reference import brute_force_hidden_subgroup, enumerate_all_subgroups
+from sdhsp.sdp_group import (
+    VecElement,
+    ZmGroupSpec,
+    closure,
     vec_compose,
     vec_elements,
     vec_identity,
     vec_invert,
     vec_table,
 )
-from sdhsp.reference import brute_force_hidden_subgroup, enumerate_all_subgroups
-from sdhsp.sdp_group import closure
 
 S321 = ZmGroupSpec(3, 2, 1)
 S322 = ZmGroupSpec(3, 2, 2)
@@ -93,6 +95,12 @@ def test_vec_subgroup_closure():
         VecElement((3,), 1),
         VecElement((6,), 2),
     }
+
+
+def test_make_vec_instance_reuses_the_table():
+    table = vec_table(S322)
+    vin = make_vec_instance(table.spec, [vec_identity(S322)], seed=0)
+    assert vin.blackbox.table is table
 
 
 def test_make_vec_instance_guards():

@@ -51,6 +51,17 @@ def test_qft_first_row_uniform():
     assert np.allclose(F[0], np.full(5, 1 / np.sqrt(5)))
 
 
+def test_fft_equals_the_per_axis_qft_product():
+    # the sampler transforms with np.fft.ifftn; qft_matrix is its oracle
+    rng = np.random.default_rng(7)
+    moduli = (4, 3, 5)
+    psi = rng.normal(size=moduli) + 1j * rng.normal(size=moduli)
+    want = psi
+    for axis, n in enumerate(moduli):
+        want = np.moveaxis(np.tensordot(qft_matrix(n), want, axes=([1], [axis])), 0, axis)
+    assert np.allclose(np.fft.ifftn(psi, norm="ortho"), want, atol=1e-12)
+
+
 def test_statevector_samples_live_in_the_dual():
     rng = np.random.default_rng(101)
     for moduli, gens in FIXTURES:

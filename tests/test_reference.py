@@ -2,8 +2,7 @@
 
 import pytest
 
-from sdhsp.blackbox import make_hidden_instance, sdp_table
-from sdhsp.hsp_vector import ZmGroupSpec, vec_table
+from sdhsp.blackbox import make_hidden_instance
 from sdhsp.reference import (
     brute_force_hidden_subgroup,
     enumerate_all_subgroups,
@@ -11,9 +10,12 @@ from sdhsp.reference import (
 )
 from sdhsp.sdp_group import (
     Element,
+    ZmGroupSpec,
     enumerate_subgroups,
     modular_group_spec,
+    sdp_table,
     subgroup_elements,
+    vec_table,
 )
 
 

@@ -16,6 +16,7 @@ from sdhsp.sdp_group import (
     GroupSpec,
     IDENTITY,
     SubgroupDesc,
+    ZmGroupSpec,
     classify,
     closure,
     compose,
@@ -25,12 +26,15 @@ from sdhsp.sdp_group import (
     enumerate_alphas,
     enumerate_subgroups,
     invert,
+    is_subgroup,
     iso_map,
     modular_group_spec,
     power,
     power_closed_form,
+    sdp_table,
     subgroup_elements,
     subgroup_properties,
+    vec_table,
 )
 
 P32 = GroupSpec(3, 3, 2, 4)
@@ -272,3 +276,42 @@ def test_spec_validation():
         GroupSpec(3, 3, 2, 5)  # 5^3 != 1 mod 9
     with pytest.raises(ValueError):
         modular_group_spec(3, 1)  # r >= 2 needed for the near-identity unit
+
+
+def all_pairs_subgroup(table, elems):
+    """The definition: contains the identity and is closed under products."""
+    return table.identity in elems and all(
+        table.mul(g, h) in elems for g in elems for h in elems
+    )
+
+
+P32_TABLE = sdp_table(P32)
+
+
+@given(st.sets(st.sampled_from(P32_TABLE.elements)), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_is_subgroup_matches_the_definition_on_random_subsets(subset, with_identity):
+    if with_identity:
+        subset = subset | {IDENTITY}
+    H = frozenset(subset)
+    assert is_subgroup(P32_TABLE, H) == all_pairs_subgroup(P32_TABLE, H)
+
+
+def test_is_subgroup_matches_the_definition_next_to_every_subgroup():
+    from sdhsp.reference import enumerate_all_subgroups
+
+    table = P32_TABLE
+    for H in enumerate_all_subgroups(table):
+        assert is_subgroup(table, H)
+        neighbours = [H | {g} for g in table.elements if g not in H]
+        neighbours += [H - {h} for h in H]
+        for K in neighbours:
+            assert is_subgroup(table, K) == all_pairs_subgroup(table, K)
+
+
+def test_one_table_per_spec():
+    assert sdp_table(P32) is sdp_table(P32)
+    assert sdp_table(GroupSpec(3, 3, 2, 4)) is sdp_table(P32)
+    spec = ZmGroupSpec(3, 2, 2)
+    assert vec_table(spec) is vec_table(spec)
+    assert vec_table(ZmGroupSpec(3, 2, 2)) is vec_table(spec)
