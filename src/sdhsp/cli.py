@@ -71,8 +71,6 @@ def _config_from_args(args) -> RunConfig:
     mode, salts = _parse_encoding(args.encoding)
     if not 0.0 < args.delta <= 0.5:
         raise ValueError("delta must be in (0, 0.5]")
-    if args.backend not in BACKENDS:
-        raise ValueError(f"unknown backend {args.backend!r}")
     return RunConfig(
         seed=seed,
         backend=args.backend,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Lattice, lattice_is_full
+from .algebra import lattice_is_full
 from .blackbox import (
     BlackBox,
     HiddenInstance,
@@ -58,21 +58,6 @@ class SpecialPair:
     x: OpaqueHandle
     y: OpaqueHandle
     identity: OpaqueHandle
-
-
-@dataclass(frozen=True)
-class ShiftResult:
-    """Outcome of the preliminary abelian solve over (X^p, Y^p).
-
-    ``lattice`` is the recovered relation lattice over
-    Z_{p^{r-1}} x Z_{p^{r-1}}.  ``shift`` is the exponent l tying the two
-    p-th powers together modulo H; it is None when the lattice is full
-    (no information, the quotient reduction necessarily applies).
-    """
-
-    lattice: Lattice
-    shift: int | None
-    confident: bool
 
 
 @dataclass
@@ -145,7 +130,7 @@ def find_shift(
     rng: np.random.Generator,
     delta: float = 0.01,
     backend: str = "statevector",
-) -> tuple[ShiftResult, AbelianSolveResult]:
+) -> tuple[int | None, AbelianSolveResult]:
     """Relate the p-th powers of the special pair through the hiding function.
 
     Both X^p and Y^p are central powers of x, so
@@ -153,8 +138,9 @@ def find_shift(
     Z_{p^{r-1}} x Z_{p^{r-1}} and its periodicity lattice is a congruence
     a u + a' v = 0 (mod p^{i-1}) with a invertible.  Any basis of a proper
     such lattice contains a row whose second coordinate is a unit, giving
-    shift = -u * v^{-1}.  A full lattice carries no information and leaves
-    the shift absent.
+    shift = -u * v^{-1}.  A full lattice carries no information: the shift
+    is then None and the quotient reduction applies.  Returns the shift and
+    the abelian solve, whose lattice is this periodicity lattice.
     """
     bb = inst.blackbox
     spec = bb.table.spec
@@ -165,15 +151,13 @@ def find_shift(
     yp = oracle_pow(bb, pair.y, p, e)
     oracle = AbelianOracle.from_handles((n1, n1), inst, e, (xp, yp))
     res = abelian_hsp_solve(oracle, rng, delta=delta, backend=backend)
-    lat = res.lattice
-    if lattice_is_full(lat):
-        return ShiftResult(lat, None, res.confident), res
-    for u, v in lat.gens:
+    if lattice_is_full(res.lattice):
+        return None, res
+    for u, v in res.lattice.gens:
         if v % p != 0:
-            shift = (-u * pow(v, -1, n1)) % n1
-            return ShiftResult(lat, shift, res.confident), res
+            return (-u * pow(v, -1, n1)) % n1, res
     # unreachable for this group family (the congruence has unit coefficients)
-    return ShiftResult(lat, None, res.confident), res
+    return None, res
 
 
 def shifted_generator(bb: BlackBox, pair: SpecialPair, shift: int | None) -> OpaqueHandle:
@@ -268,7 +252,7 @@ def solve(
     f0 = inst.f(e)
     xp = oracle_pow(bb, pair.x, p, e)
 
-    shift_res, shift_solve = find_shift(inst, pair, rng, delta=delta, backend=backend)
+    shift, shift_solve = find_shift(inst, pair, rng, delta=delta, backend=backend)
     branches: list[BranchReport] = []
     candidates: list[OpaqueHandle] = []
 
@@ -283,8 +267,8 @@ def solve(
     else:
         branches.append(BranchReport("quotient", False, note="x^p lies outside the hidden subgroup"))
 
-    if shift_res.shift is not None:
-        yprime = shifted_generator(bb, pair, shift_res.shift)
+    if shift is not None:
+        yprime = shifted_generator(bb, pair, shift)
         ypp = oracle_pow(bb, yprime, p, e)
         if inst.f(ypp) == f0:
             run_branch("inner", (p ** (r - 1), p), (xp, yprime), (ypp,))
@@ -303,15 +287,15 @@ def solve(
         branches.append(BranchReport("inner", False, note="shift unavailable (full relation lattice)"))
 
     survivors = [h for h in candidates if inst.f(h) == f0]
-    confident = shift_res.confident and all(b.confident for b in branches if b.ran)
+    confident = shift_solve.confident and all(b.confident for b in branches if b.ran)
     report = {
         "group": {"p": p, "q": spec.q, "r": r, "alpha": spec.alpha},
         "backend": backend,
         "delta": delta,
         "shift": {
-            "value": shift_res.shift,
-            "lattice_gens": [list(g) for g in shift_res.lattice.gens],
-            "confident": shift_res.confident,
+            "value": shift,
+            "lattice_gens": [list(g) for g in shift_solve.lattice.gens],
+            "confident": shift_solve.confident,
             "samples_used": shift_solve.samples_used,
         },
         "branches": [b.as_dict() for b in branches],

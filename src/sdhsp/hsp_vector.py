@@ -193,7 +193,7 @@ def reduce_and_solve(
     rng: np.random.Generator,
     delta: float = 0.01,
     backend: str = "statevector",
-) -> tuple[AbelianSolveResult, AbelianOracle]:
+) -> AbelianSolveResult:
     """Solve the abelian problem F = f o pi over Z_{p^r}^m x Z_p."""
     oracle = AbelianOracle.from_handles(
         rmap.moduli,
@@ -201,7 +201,7 @@ def reduce_and_solve(
         rmap.identity,
         rmap.gen_handles + (rmap.y_handle,),
     )
-    return abelian_hsp_solve(oracle, rng, delta=delta, backend=backend), oracle
+    return abelian_hsp_solve(oracle, rng, delta=delta, backend=backend)
 
 
 def pullback_generators(
@@ -271,7 +271,7 @@ def solve(
                 raise ValueError("the abelian generator handles do not commute")
 
     rmap, mgs_report = minimal_generating_set(vin, rng, delta=delta, backend=backend)
-    res, _oracle = reduce_and_solve(vin, rmap, rng, delta=delta, backend=backend)
+    res = reduce_and_solve(vin, rmap, rng, delta=delta, backend=backend)
     handles, pulled_ok = pullback_generators(vin, rmap, res.lattice, rng)
 
     confident = bool(mgs_report["confident"] and res.confident and pulled_ok)

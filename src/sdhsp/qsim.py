@@ -264,7 +264,10 @@ def abelian_hsp_solve(
     Samples lie in L^perp, so the kernel of the pooled sample span always
     contains L.  The candidate is accepted once every canonical generator g
     satisfies F(g) = F(0); since that containment makes acceptance imply
-    equality, a confident result is exact.  Each round doubles the pool.
+    equality, a confident result is exact.  A confident lattice that is not
+    F's period and F(0) level set on the pre-evaluated grid (no query is
+    booked) means F is not periodic: ValueError under either backend.
+    Each round doubles the pool.
     """
     k = len(oracle.moduli)
     base = k + math.ceil(math.log2(1.0 / delta)) + 4
@@ -277,6 +280,12 @@ def abelian_hsp_solve(
         pooled.extend(draw_samples(oracle, rng, want - len(pooled), backend))
         lat = solve_kernel(tuple(pooled), oracle.moduli)
         if all(oracle.evaluate(g) == f0 for g in lat.gens):
+            axes = tuple(range(k))
+            if np.count_nonzero(oracle.grid == f0) != lattice_size(lat) or any(
+                not np.array_equal(np.roll(oracle.grid, g, axis=axes), oracle.grid)
+                for g in lat.gens
+            ):
+                raise ValueError("function is not periodic over this domain")
             return AbelianSolveResult(lat, True, rounds, len(pooled))
     # keep the generators that do satisfy the periodicity check
     good = tuple(g for g in lat.gens if oracle.evaluate(g) == f0)

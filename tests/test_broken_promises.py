@@ -2,23 +2,27 @@
 
 Each case hands a solver something outside its input contract: handles
 from another black box, handle sets that do not generate the group,
-abelian handles that do not form a basis, or a salted encoding given to
-the vector solver, which needs unique encodings.
+abelian handles that do not form a basis, a salted encoding given to
+the vector solver, which needs unique encodings, or a hiding function
+that is not periodic.
 """
 
 import numpy as np
 import pytest
 
-from sdhsp.blackbox import make_hidden_instance
+from sdhsp.blackbox import HiddenInstance, make_hidden_instance
 from sdhsp.hsp_modular import solve as solve_modular
 from sdhsp.hsp_vector import VecInstance, make_vec_instance
 from sdhsp.hsp_vector import solve as solve_vector
+from sdhsp.qsim import BACKENDS
 from sdhsp.sdp_group import (
     Element,
     VecElement,
     ZmGroupSpec,
+    enumerate_subgroups,
     modular_group_spec,
     sdp_table,
+    subgroup_elements,
     vec_identity,
     vec_table,
 )
@@ -77,3 +81,17 @@ def test_salted_instance_given_to_the_vector_solver():
     vin = VecInstance(inst, tuple(handles[: S322.m]), handles[S322.m])
     with pytest.raises(ValueError, match="requires unique encoding"):
         solve_vector(vin, rng=np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_non_periodic_f_raises_under_both_backends(backend):
+    # every element but x is relabelled with f(e): the f(e) level set has
+    # 26 of 27 elements and is not a subgroup
+    table = sdp_table(P32)
+    desc = next(d for d in enumerate_subgroups(P32) if d.label() == "cyclicxy:1,1")
+    inst, handles = make_hidden_instance(table, subgroup_elements(P32, desc), seed=7)
+    f0 = inst.label_of_element(table.identity)
+    labels = {g: inst.label_of_element(g) if g == Element(1, 0) else f0 for g in table.elements}
+    broken = HiddenInstance(inst.blackbox, inst.truth_elements(), labels)
+    with pytest.raises(ValueError, match="function is not periodic over this domain"):
+        solve_modular(broken, handles, rng=np.random.default_rng(1), backend=backend)
