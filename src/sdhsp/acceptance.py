@@ -520,6 +520,8 @@ def criterion_query_budget(sweep: CriterionResult) -> CriterionResult:
 
     Reads the per-cell query counts of a criterion_solver_modular result and
     reports the worst ratio of classical queries to the budget, with its cell.
+    The superposed counts are fitted to a power of log2 |G| only when they
+    differ between cells; a constant count is reported as such.
     """
     t0 = time.monotonic()
     failures: list[str] = []
@@ -544,10 +546,14 @@ def criterion_query_budget(sweep: CriterionResult) -> CriterionResult:
         xs.append(math.log2(cell["group_order"]))
         ys.append(cell["mean_superposed"])
     exponent = None
-    if len(xs) >= 2 and min(ys) > 0:
-        exponent = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
     details = f"budget constant {BUDGET_CONSTANT}, worst ratio {worst:.3f} at (p,r)=({worst_key}); "
-    details += f"superposed fit exponent {exponent:.2f} (informational, threshold 3.5)" if exponent is not None else "fit skipped"
+    if len(xs) < 2 or min(ys) <= 0:
+        details += "fit skipped"
+    elif len(set(ys)) == 1:  # a power law fitted to a constant shows nothing
+        details += f"superposed calls constant at {ys[0]:g} per solve over {len(ys)} cells"
+    else:
+        exponent = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+        details += f"superposed fit exponent {exponent:.2f} (informational, threshold 3.5)"
     return _mk(
         "query budget",
         failures,

@@ -12,12 +12,21 @@ The salt of an oracle result is chosen by policy:
   'operands'  a deterministic mix of the operand bytes,
   'fresh'     drawn from the instance RNG on every call.
 
+The same handles, read as big-endian integers, form a uint64 code view of
+shape (order, salts) whose row is the element's index in ``table.elements``.
+``walk_codes`` uses it to build the codes of g_1^{u_1}...g_k^{u_k} over a
+whole grid with array arithmetic on element indices, one sweep per axis.
+It books, and salts, exactly what one ``oracle_mul`` per grid point in
+row-major order would: the same ``mul`` count, the same salt per point and,
+under 'fresh', the same draws from the instance RNG.
+
 ``reveal`` decodes a handle back to coordinates.  It exists for reports and
 tests; solver code must never call it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -29,6 +38,8 @@ from .sdp_group import GroupTable, generates, is_subgroup
 HANDLE_BYTES = 8
 TABLE_BOUND = 2**24  # |G| * S must stay under this
 SALT_POLICIES = ("zero", "operands", "fresh")
+MIX_MASK = 0xFFFFFFFF  # the 'operands' salt mixes operand bytes modulo 2^32
+MIX_FACTOR = 1000003
 
 
 @dataclass(frozen=True)
@@ -38,9 +49,20 @@ class OpaqueHandle:
     def __repr__(self) -> str:  # keep logs short
         return f"<{self.data.hex()}>"
 
+    @property
+    def code(self) -> int:
+        """The handle's bytes as one big-endian integer."""
+        return int.from_bytes(self.data, "big")
+
 
 class BlackBox:
-    """Encoding table plus the three counted group oracles."""
+    """Encoding table plus the three counted group oracles.
+
+    ``codes`` is the uint64 view of the same handles, one row per element of
+    ``table.elements`` and one column per salt.  ``walk_codes`` is the
+    batched oracle walk over a grid of products; it books exactly what the
+    per-point ``oracle_mul`` walk would.
+    """
 
     def __init__(
         self,
@@ -70,16 +92,21 @@ class BlackBox:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.counters = {"mul": 0, "inv": 0, "eq": 0}
         self._encode_map: dict[tuple[Any, int], OpaqueHandle] = {}
-        self._decode_map: dict[bytes, Any] = {}
-        used: set[bytes] = set()
-        for g in table.elements:
+        self._decode_map: dict[bytes, int] = {}  # handle bytes -> element index
+        drawn: list[bytes] = []
+        for i, g in enumerate(table.elements):
             for s in range(salts):
                 h = self._rng.bytes(HANDLE_BYTES)
-                while h in used:  # keyed pseudorandom injection: no collisions
+                while h in self._decode_map:  # keyed pseudorandom injection: no collisions
                     h = self._rng.bytes(HANDLE_BYTES)
-                used.add(h)
+                drawn.append(h)
                 self._encode_map[(g, s)] = OpaqueHandle(h)
-                self._decode_map[h] = g
+                self._decode_map[h] = i
+        # the code view: codes[i, s] is the handle of (table.elements[i], s)
+        flat = np.frombuffer(b"".join(drawn), dtype=">u8").astype(np.uint64)
+        self.codes = flat.reshape(table.order, salts)
+        self._code_order = np.argsort(flat)
+        self._sorted_codes = flat[self._code_order]
 
     # -- construction-side access (not part of the solver surface) ---------
 
@@ -91,10 +118,21 @@ class BlackBox:
         return self._decode(h)
 
     def _decode(self, h: OpaqueHandle) -> Any:
+        return self.table.elements[self._decode_index(h)]
+
+    def _decode_index(self, h: OpaqueHandle) -> int:
         try:
             return self._decode_map[h.data]
         except KeyError:
             raise ValueError("unknown encoding") from None
+
+    def _decode_indices(self, codes) -> np.ndarray:
+        """Element index of every code in an array (positions in ``table.elements``)."""
+        codes = np.asarray(codes, dtype=np.uint64)
+        pos = np.minimum(np.searchsorted(self._sorted_codes, codes), len(self._sorted_codes) - 1)
+        if not np.array_equal(self._sorted_codes[pos], codes):
+            raise ValueError("unknown encoding")
+        return self._code_order[pos] // self.salts
 
     def _out_salt(self, *operands: OpaqueHandle) -> int:
         if self.salts == 1 or self.salt_policy == "zero":
@@ -102,7 +140,7 @@ class BlackBox:
         if self.salt_policy == "operands":
             acc = 0
             for h in operands:
-                acc = (acc * 1000003 + int.from_bytes(h.data, "big")) & 0xFFFFFFFF
+                acc = (acc * MIX_FACTOR + h.code) & MIX_MASK
             return acc % self.salts
         return int(self._rng.integers(0, self.salts))
 
@@ -121,6 +159,61 @@ class BlackBox:
     def oracle_eq(self, h1: OpaqueHandle, h2: OpaqueHandle) -> bool:
         self.counters["eq"] += 1
         return self._decode(h1) == self._decode(h2)
+
+    def walk_codes(self, moduli, identity: OpaqueHandle, gen_handles) -> np.ndarray:
+        """Codes of h g_1^{u_1} ... g_k^{u_k} over the grid, h = ``identity``.
+
+        The per-point walk this replaces visits the grid in row-major order
+        and makes one ``oracle_mul(out[u - e_d], g_d)`` per point u != 0, d
+        its last nonzero digit.  Here each axis d is one sweep: the cells
+        with all digits after d zero are filled by doubling, right-multiplying
+        the first L of them by g_d^L, which is a permutation of the element
+        indices squared at each step.  The salts follow the per-point walk:
+        'fresh' draws its total - 1 salts in one call, by row-major step, and
+        'operands' replays the operand mix along each axis, since each salt
+        depends on the previous code.  Cell 0 is ``identity`` itself.
+        Validates every handle before booking ``mul += total - 1``.
+        """
+        moduli = tuple(int(n) for n in moduli)
+        if len(gen_handles) != len(moduli):
+            raise ValueError("one generator handle per modulus is required")
+        start, *gens = (self._decode_index(h) for h in (identity, *gen_handles))
+        total = math.prod(moduli)
+        self.counters["mul"] += total - 1
+        elems = np.empty(total, dtype=np.int64)
+        elems[0] = start
+        everything = np.arange(self.table.order)
+        for d, g in enumerate(gens):
+            cells = elems.reshape(math.prod(moduli[:d]), moduli[d], -1)[:, :, 0]
+            length, right = 1, self.table.index_mul(everything, g)  # i -> i * g^length
+            while length < moduli[d]:
+                width = min(length, moduli[d] - length)
+                cells[:, length : length + width] = right[cells[:, :width]]
+                length, right = 2 * length, right[right]
+        if self.salts == 1 or self.salt_policy == "zero":
+            salt = 0
+        elif self.salt_policy == "fresh":
+            salt = np.zeros(total, dtype=np.int64)
+            salt[1:] = self._rng.integers(0, self.salts, size=total - 1)
+        else:
+            return self._operands_codes(moduli, elems, identity, gen_handles)
+        codes = self.codes[elems, salt]
+        codes[0] = identity.code
+        return codes.reshape(moduli)
+
+    def _operands_codes(self, moduli, elems, identity, gen_handles) -> np.ndarray:
+        """Codes under the 'operands' policy, one step along each axis at a time."""
+        codes = np.empty(len(elems), dtype=np.uint64)
+        codes[0] = identity.code
+        mask, factor = np.uint64(MIX_MASK), np.uint64(MIX_FACTOR)
+        for d, h in enumerate(gen_handles):
+            shape = (math.prod(moduli[:d]), moduli[d], -1)
+            cells, out = elems.reshape(shape)[:, :, 0], codes.reshape(shape)[:, :, 0]
+            g_code = np.uint64(h.code)
+            for j in range(1, moduli[d]):
+                mix = ((out[:, j - 1] & mask) * factor + g_code) & mask
+                out[:, j] = self.codes[cells[:, j], mix % np.uint64(self.salts)]
+        return codes.reshape(moduli)
 
 
 def oracle_identity(bb: BlackBox, some_handle: OpaqueHandle) -> OpaqueHandle:
@@ -183,7 +276,8 @@ class HiddenInstance:
 
     f maps any valid encoding of g to a 64-bit label constant on the left
     coset g*H and distinct across cosets.  ``f_batch`` evaluates a whole
-    list in one oracle invocation; the counters track both the number of
+    array of codes (``BlackBox.walk_codes``) in one oracle invocation,
+    decoding it with array lookups; the counters track both the number of
     pointwise evaluations ('f') and the number of batched invocations
     ('superposed_calls'), which is the quantum-query figure of merit.
     """
@@ -197,17 +291,19 @@ class HiddenInstance:
         self.blackbox = bb
         self._truth = truth_elements
         self._labels = labels  # element -> 64-bit label (via its coset rep)
+        self._label_array = np.array([labels[g] for g in bb.table.elements], dtype=np.int64)
         self.counters = {"f": 0, "superposed_calls": 0}
 
     def f(self, h: OpaqueHandle) -> int:
         self.counters["f"] += 1
         return self._labels[self.blackbox._decode(h)]
 
-    def f_batch(self, handles: Sequence[OpaqueHandle]) -> list[int]:
-        self.counters["f"] += len(handles)
+    def f_batch(self, codes: np.ndarray) -> np.ndarray:
+        """Labels of an array of handle codes, in its shape; one superposed call."""
+        labels = self._label_array[self.blackbox._decode_indices(codes)]
+        self.counters["f"] += labels.size
         self.counters["superposed_calls"] += 1
-        dec = self.blackbox._decode
-        return [self._labels[dec(h)] for h in handles]
+        return labels
 
     def charge(self, evals: int, calls: int) -> None:
         """Book modeled query cost for replayed (cached) evaluations."""

@@ -13,6 +13,15 @@ from the annihilator L^perp.  Two interchangeable backends:
 Both backends book the same modeled query cost: one superposed evaluation
 of F over the whole domain per sample.  Pointwise evaluations are booked
 as single classical queries.
+
+Oracles over a black box are built in one batched pass: ``BlackBox.walk_codes``
+computes the handle codes of g_1^{u_1}...g_k^{u_k} over the whole grid with
+the group's product law on element indices, one sweep per axis, and
+``HiddenInstance.f_batch`` maps those codes to labels with array lookups.
+The walk books exactly the ``mul`` calls, salts and RNG draws of one
+``oracle_mul`` per grid point in row-major order, so counters and answers
+match a point-by-point walk.  Grid values are small label ids, compared only
+for equality.
 """
 
 from __future__ import annotations
@@ -93,12 +102,11 @@ class AbelianOracle:
         The build performs one batched evaluation of f over the domain,
         which pays for the first superposed sample.
         """
-        handles = _walk_products(inst.blackbox, moduli, identity, gen_handles)
-        labels = inst.f_batch(handles)
-        dom = math.prod(moduli)
+        labels = inst.f_batch(inst.blackbox.walk_codes(moduli, identity, gen_handles))
+        dom = labels.size
         return cls(
             moduli,
-            _to_id_grid(labels, tuple(moduli)),
+            _unique_id_grid(labels),
             sample_cost=lambda: inst.charge(dom, 1),
             single_cost=lambda: inst.charge(1, 0),
             first_sample_paid=True,
@@ -106,19 +114,17 @@ class AbelianOracle:
 
     @classmethod
     def from_products(cls, moduli, bb, identity, gen_handles, charge=None) -> "AbelianOracle":
-        """F(u) = encoding bytes of g_1^{u_1} ... g_k^{u_k}.
+        """F(u) = handle code (encoding bytes) of g_1^{u_1} ... g_k^{u_k}.
 
-        Valid only when encodings are unique, so equal bytes mean equal
+        Valid only when encodings are unique, so equal codes mean equal
         elements.  Samples book superposed group-operation rounds through
         ``charge``; no hiding function is involved.
         """
         if bb.salts != 1:
             raise ValueError("product-valued oracles require unique encoding")
-        handles = _walk_products(bb, moduli, identity, gen_handles)
-        labels = [h.data for h in handles]
         return cls(
             moduli,
-            _to_id_grid(labels, tuple(moduli)),
+            _unique_id_grid(bb.walk_codes(moduli, identity, gen_handles)),
             sample_cost=charge,
         )
 
@@ -151,6 +157,7 @@ class AbelianOracle:
 
 
 def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
+    """Ids of arbitrary hashable labels, numbered by first appearance."""
     ids: dict = {}
     flat = np.empty(math.prod(moduli), dtype=np.int64)
     for i, lab in enumerate(labels):
@@ -158,31 +165,9 @@ def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
     return flat.reshape(moduli)
 
 
-def _walk_products(bb, moduli, identity, gen_handles) -> list:
-    """Handles of g_1^{u_1}...g_k^{u_k} in row-major order, one mul per step.
-
-    prefix[i] is the product of the first i factors at the current index;
-    bumping digit d multiplies prefix[d+1] by g_{d+1} on the right and
-    resets all lower prefixes.
-    """
-    k = len(moduli)
-    if len(gen_handles) != k:
-        raise ValueError("one generator handle per modulus is required")
-    idx = [0] * k
-    prefix = [identity] * (k + 1)
-    out = [prefix[k]]
-    total = math.prod(moduli)
-    for _ in range(total - 1):
-        d = k - 1
-        while idx[d] == moduli[d] - 1:
-            idx[d] = 0
-            d -= 1
-        idx[d] += 1
-        prefix[d + 1] = bb.oracle_mul(prefix[d + 1], gen_handles[d])
-        for j in range(d + 1, k):
-            prefix[j + 1] = prefix[j]
-        out.append(prefix[k])
-    return out
+def _unique_id_grid(values: np.ndarray) -> np.ndarray:
+    """Ids of an integer array's values, numbered in sorted order."""
+    return np.unique(values.ravel(), return_inverse=True)[1].reshape(values.shape)
 
 
 # -- sampling backends ----------------------------------------------------------

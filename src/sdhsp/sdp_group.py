@@ -16,6 +16,11 @@ vector family (``ZmGroupSpec``, solved by ``hsp_vector``) fixes q = p and
 that twist, with elements (a_1..a_m, b) and a product law of its own.  A
 ``GroupTable`` wraps either family as a plain (mul, inv, identity) with its
 elements; that is all the black box and the reference routes see of a group.
+
+Both families also share one product law on integer element indices,
+``GroupTable.index_mul``, vectorized over numpy arrays.  The index of an
+element is its position in ``table.elements``: mixed radix over the
+coordinates, then b, i.e. ``a*q + b`` in the rank-one family.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 from typing import Any, Callable
+
+import numpy as np
 
 from .algebra import closure, multiplicative_order, square_and_multiply
 
@@ -246,6 +253,32 @@ def vec_elements(G: ZmGroupSpec) -> list[VecElement]:
 # Group tables: either family as a plain (mul, inv, identity)
 
 
+def _index_law(n: int, m: int, q: int, pw: tuple[int, ...]) -> Callable:
+    """The product of Z_n^m x| Z_q on element indices (mixed radix, b last).
+
+    (a1, b1)(a2, b2) = (a1 + pw[b1] a2, b1 + b2) coordinate-wise, the law of
+    both families: m = 1 is the rank-one group, q = p the vector group.
+    Broadcasts over integer arrays.
+    """
+    powers = np.array(pw, dtype=np.int64)
+
+    def index_mul(i, j):
+        a1, b1 = divmod(i, q)
+        a2, b2 = divmod(j, q)
+        s = powers[b1]
+        lower = []  # the coordinates after the first, last one first
+        for _ in range(m - 1):
+            a1, c1 = divmod(a1, n)
+            a2, c2 = divmod(a2, n)
+            lower.append((c1 + s * c2) % n)
+        a = (a1 + s * a2) % n
+        for c in reversed(lower):
+            a = a * n + c
+        return a * q + (b1 + b2) % q
+
+    return index_mul
+
+
 @dataclass(frozen=True)
 class GroupTable:
     """Concrete group plugged into the black box: elements plus operations."""
@@ -256,6 +289,7 @@ class GroupTable:
     identity: Any
     mul: Callable[[Any, Any], Any]
     inv: Callable[[Any], Any]
+    index_mul: Callable[[np.ndarray, np.ndarray], np.ndarray]
     standard_generators: tuple
 
     @property
@@ -273,6 +307,9 @@ def sdp_table(spec: GroupSpec) -> GroupTable:
         identity=IDENTITY,
         mul=lambda g, h: compose(spec, g, h),
         inv=lambda g: invert(spec, g),
+        index_mul=_index_law(
+            spec.modulus, 1, spec.q, _alpha_powers(spec.alpha, spec.q, spec.modulus)
+        ),
         standard_generators=(Element(1, 0), Element(0, 1)),
     )
 
@@ -290,6 +327,7 @@ def vec_table(G: ZmGroupSpec) -> GroupTable:
         identity=vec_identity(G),
         mul=lambda g, h: vec_compose(G, g, h),
         inv=lambda g: vec_invert(G, g),
+        index_mul=_index_law(G.modulus, G.m, G.p, _alpha_powers(G.alpha, G.p, G.modulus)),
         standard_generators=std,
     )
 

@@ -87,6 +87,28 @@ def test_criterion_9_query_budget(modular_sweep):
     worst = max(c["max_classical"] / c["budget"] for c in budget.metrics["per_grid"].values())
     assert budget.metrics["worst_ratio"] == worst
     assert f"worst ratio {worst:.3f} at (p,r)=(" in budget.details
+    # every rank-one solve makes 26 superposed calls, so no power law is fitted
+    superposed = {c["mean_superposed"] for c in budget.metrics["per_grid"].values()}
+    assert superposed == {26.0}
+    cells = len(budget.metrics["per_grid"])
+    assert f"superposed calls constant at 26 per solve over {cells} cells" in budget.details
+    assert budget.metrics["superposed_fit_exponent"] is None
+
+
+def test_budget_gate_fits_only_superposed_counts_that_differ():
+    def sweep(superposed):
+        per_grid = {
+            "3,2": {"max_classical": 10, "mean_superposed": superposed[0], "group_order": 27},
+            "3,3": {"max_classical": 10, "mean_superposed": superposed[1], "group_order": 81},
+        }
+        return acceptance.CriterionResult("sweep", True, "", metrics={"per_grid": per_grid})
+
+    flat = acceptance.criterion_query_budget(sweep((26.0, 26.0)))
+    assert "superposed calls constant at 26 per solve over 2 cells" in flat.details
+    assert flat.metrics["superposed_fit_exponent"] is None
+    rising = acceptance.criterion_query_budget(sweep((26.0, 39.0)))
+    assert "superposed fit exponent " in rising.details
+    assert rising.metrics["superposed_fit_exponent"] > 0
 
 
 def test_gates_detect_a_corrupted_dual(monkeypatch):

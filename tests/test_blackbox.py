@@ -165,7 +165,7 @@ def test_f_goes_through_the_query_counter():
     inst, handles = make_hidden_instance(table, H, seed=0)
     h = inst.blackbox.encode(Element(1, 1))
     inst.f(h)
-    inst.f_batch([h, h, h])  # one superposed call, three evaluations
+    inst.f_batch(np.array([h.code] * 3, dtype=np.uint64))  # one superposed call, three evaluations
     inst.charge(10, 2)
     stats = inst.query_stats()
     assert stats["f"] == 14

@@ -1,20 +1,20 @@
 """Inputs that break a solver's promises raise a typed error, never answer.
 
 Each case hands a solver something outside its input contract: handles
-from another black box, handle sets that do not generate the group,
-abelian handles that do not form a basis, a salted encoding given to
-the vector solver, which needs unique encodings, or a hiding function
-that is not periodic.
+from another black box (to a solver, an oracle walk or ``f_batch``),
+handle sets that do not generate the group, abelian handles that do not
+form a basis, a salted encoding given to the vector solver, which needs
+unique encodings, or a hiding function that is not periodic.
 """
 
 import numpy as np
 import pytest
 
-from sdhsp.blackbox import HiddenInstance, make_hidden_instance
+from sdhsp.blackbox import HiddenInstance, OpaqueHandle, make_hidden_instance
 from sdhsp.hsp_modular import solve as solve_modular
 from sdhsp.hsp_vector import VecInstance, make_vec_instance
 from sdhsp.hsp_vector import solve as solve_vector
-from sdhsp.qsim import BACKENDS
+from sdhsp.qsim import BACKENDS, AbelianOracle
 from sdhsp.sdp_group import (
     Element,
     VecElement,
@@ -41,6 +41,39 @@ def test_foreign_handle_to_the_rank_one_solver():
     other, other_handles = rank_one_instance(seed=1)
     with pytest.raises(ValueError, match="unknown encoding"):
         solve_modular(inst, [other_handles[0], handles[1]], rng=np.random.default_rng(1))
+
+
+def _stranger(kind):
+    """A handle the instance of rank_one_instance(seed=0) never issued."""
+    if kind == "foreign":
+        return OpaqueHandle(bytes(8))
+    _, other_handles = rank_one_instance(seed=1)
+    return other_handles[0]
+
+
+@pytest.mark.parametrize("kind", ["foreign", "other instance"])
+@pytest.mark.parametrize("build", ["from_handles", "from_products"])
+def test_stranger_handle_in_an_oracle_walk(build, kind):
+    inst, handles = rank_one_instance(seed=0)
+    e = inst.blackbox.encode(inst.blackbox.table.identity)
+    gens = (handles[0], _stranger(kind))
+    before = inst.query_stats()
+    with pytest.raises(ValueError, match="unknown encoding"):
+        if build == "from_handles":
+            AbelianOracle.from_handles((9, 3), inst, e, gens)
+        else:
+            AbelianOracle.from_products((9, 3), inst.blackbox, e, gens)
+    assert inst.query_stats() == before
+
+
+@pytest.mark.parametrize("kind", ["foreign", "other instance"])
+def test_stranger_code_in_f_batch(kind):
+    inst, handles = rank_one_instance(seed=0)
+    codes = np.array([handles[0].code, _stranger(kind).code], dtype=np.uint64)
+    before = inst.query_stats()
+    with pytest.raises(ValueError, match="unknown encoding"):
+        inst.f_batch(codes)
+    assert inst.query_stats() == before
 
 
 def test_foreign_handle_to_the_vector_solver():

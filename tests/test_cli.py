@@ -24,6 +24,13 @@ PINNED_REPORTS = {
         "solve-p", "--p", "2", "--r", "4", "--hidden", "random", "--encoding", "salted:4",
         "--salt-policy", "fresh", "--generators", "scrambled", "--seed", "3",
     ),
+    "solve_p_salted_operands.json": (
+        "solve-p", "--p", "2", "--r", "4", "--hidden", "random", "--encoding", "salted:4",
+        "--salt-policy", "operands", "--generators", "scrambled", "--seed", "3",
+    ),
+    "solve_p_large_cyclicxy.json": (
+        "solve-p", "--p", "2", "--r", "8", "--hidden", "cyclicxy:1,3", "--seed", "5",
+    ),
     "solve_zm_random.json": (
         "solve-zm", "--p", "3", "--r", "2", "--m", "1", "--hidden", "random", "--seed", "1",
     ),

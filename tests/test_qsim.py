@@ -1,7 +1,11 @@
-"""Simulated quantum layer: QFT sampling, dual-lattice draws, abelian solver."""
+"""Simulated quantum layer: QFT sampling, dual-lattice draws, abelian solver, batched oracle walk."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdhsp.algebra import (
     Lattice,
@@ -14,6 +18,7 @@ from sdhsp.algebra import (
     lattices_equal,
     trivial_lattice,
 )
+from sdhsp.blackbox import BlackBox, OpaqueHandle, make_hidden_instance
 from sdhsp.qsim import (
     AbelianOracle,
     abelian_hsp_solve,
@@ -22,6 +27,7 @@ from sdhsp.qsim import (
     sample_annihilator,
     sample_statevector,
 )
+from sdhsp.sdp_group import ZmGroupSpec, modular_group_spec, sdp_table, vec_table
 
 # (moduli, lattice generators) pairs used throughout
 FIXTURES = [
@@ -199,3 +205,120 @@ def test_sampling_cost_model():
     assert stub.counters == {"f": 54, "superposed_calls": 2}
     counted.evaluate((1, 1))
     assert stub.counters == {"f": 55, "superposed_calls": 2}
+
+
+# -- the batched oracle walk against the per-point walk it replaced -----------
+
+
+def reference_walk(bb, moduli, identity, gen_handles) -> list:
+    """Handles of g_1^{u_1}...g_k^{u_k} in row-major order, one mul per step.
+
+    prefix[i] is the product of the first i factors at the current index;
+    bumping digit d multiplies prefix[d+1] by g_{d+1} on the right and
+    resets all lower prefixes.
+    """
+    k = len(moduli)
+    if len(gen_handles) != k:
+        raise ValueError("one generator handle per modulus is required")
+    idx = [0] * k
+    prefix = [identity] * (k + 1)
+    out = [prefix[k]]
+    total = math.prod(moduli)
+    for _ in range(total - 1):
+        d = k - 1
+        while idx[d] == moduli[d] - 1:
+            idx[d] = 0
+            d -= 1
+        idx[d] += 1
+        prefix[d + 1] = bb.oracle_mul(prefix[d + 1], gen_handles[d])
+        for j in range(d + 1, k):
+            prefix[j + 1] = prefix[j]
+        out.append(prefix[k])
+    return out
+
+
+WALK_TABLES = [
+    sdp_table(modular_group_spec(3, 2)),
+    sdp_table(modular_group_spec(2, 3)),
+    vec_table(ZmGroupSpec(3, 2, 1)),
+    vec_table(ZmGroupSpec(2, 3, 1)),
+]
+WALK_ENCODINGS = [
+    ("unique", 1, "zero"),
+    ("salted", 4, "zero"),
+    ("salted", 4, "operands"),
+    ("salted", 4, "fresh"),
+]
+
+
+@given(
+    table=st.sampled_from(WALK_TABLES),
+    encoding=st.sampled_from(WALK_ENCODINGS),
+    moduli=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+@example(WALK_TABLES[2], WALK_ENCODINGS[3], [3, 1, 4], [(5, 1), (7, 2), (1, 3), (2, 0)], 0)
+@settings(max_examples=150, deadline=None)
+def test_batched_walk_matches_the_per_point_walk(table, encoding, moduli, picks, seed):
+    mode, salts, policy = encoding
+
+    def blackbox():
+        return BlackBox(table, mode, salts, policy, rng=np.random.default_rng(seed))
+
+    ref_bb, walk_bb = blackbox(), blackbox()
+    start, *gens = (
+        ref_bb.encode(table.elements[i % table.order], s % ref_bb.salts) for i, s in picks
+    )
+    gens = gens[: len(moduli)]
+    want = reference_walk(ref_bb, moduli, start, gens)
+    codes = walk_bb.walk_codes(moduli, start, gens)
+    total = math.prod(moduli)
+    assert codes.shape == tuple(moduli)
+    handles = [OpaqueHandle(int(c).to_bytes(8, "big")) for c in codes.ravel()]
+    assert [walk_bb.reveal(h) for h in handles] == [ref_bb.reveal(h) for h in want]
+    assert handles == want  # the same salt at every point too
+    assert walk_bb.counters == ref_bb.counters == {"mul": total - 1, "inv": 0, "eq": 0}
+    # under 'fresh' both consumed total - 1 scalar draws; otherwise none
+    assert walk_bb._rng.bit_generator.state == ref_bb._rng.bit_generator.state
+
+
+def test_walk_needs_one_generator_per_modulus():
+    bb = BlackBox(WALK_TABLES[0], rng=np.random.default_rng(0))
+    e = bb.encode(WALK_TABLES[0].identity)
+    with pytest.raises(ValueError, match="one generator handle per modulus"):
+        bb.walk_codes((3, 3), e, [e])
+    assert bb.counters["mul"] == 0
+
+
+@pytest.mark.parametrize("encoding", WALK_ENCODINGS, ids=lambda e: f"{e[0]}:{e[1]}:{e[2]}")
+def test_oracle_from_handles_books_one_superposed_evaluation(encoding):
+    mode, salts, policy = encoding
+    table = WALK_TABLES[0]
+    H = frozenset({table.identity, *(g for g in table.elements if g.b == 0 and g.a % 3 == 0)})
+    inst, handles = make_hidden_instance(
+        table, H, mode=mode, salts=salts, salt_policy=policy, seed=4
+    )
+    bb = inst.blackbox
+    e = bb.encode(table.identity)
+    moduli = (9, 3)
+    before = inst.query_stats()
+    oracle = AbelianOracle.from_handles(moduli, inst, e, handles)
+    after = inst.query_stats()
+    assert after["mul"] - before["mul"] == 26
+    assert after["f"] - before["f"] == 27
+    assert after["superposed_calls"] - before["superposed_calls"] == 1
+    # equal ids exactly where the labels of the revealed products are equal
+    x, y = (bb.reveal(h) for h in handles)
+    labels = np.empty(moduli, dtype=np.int64)
+    for u, v in np.ndindex(*moduli):
+        g = table.identity
+        for _ in range(u):
+            g = table.mul(g, x)
+        for _ in range(v):
+            g = table.mul(g, y)
+        labels[u, v] = inst.label_of_element(g)
+    flat_ids, flat_labels = oracle.grid.ravel(), labels.ravel()
+    assert np.array_equal(
+        flat_ids[:, None] == flat_ids[None, :], flat_labels[:, None] == flat_labels[None, :]
+    )

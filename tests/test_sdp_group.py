@@ -16,6 +16,7 @@ from sdhsp.sdp_group import (
     GroupSpec,
     IDENTITY,
     SubgroupDesc,
+    VecElement,
     ZmGroupSpec,
     classify,
     closure,
@@ -34,6 +35,7 @@ from sdhsp.sdp_group import (
     sdp_table,
     subgroup_elements,
     subgroup_properties,
+    vec_compose,
     vec_table,
 )
 
@@ -315,3 +317,55 @@ def test_one_table_per_spec():
     spec = ZmGroupSpec(3, 2, 2)
     assert vec_table(spec) is vec_table(spec)
     assert vec_table(ZmGroupSpec(3, 2, 2)) is vec_table(spec)
+
+
+def _documented_index(table, g) -> int:
+    """The index the docs give: mixed radix over the coordinates, then b."""
+    spec = table.spec
+    coords = g.a if isinstance(g, VecElement) else (g.a,)
+    acc = 0
+    for c in coords:
+        acc = acc * spec.modulus + c
+    return acc * (spec.q if isinstance(spec, GroupSpec) else spec.p) + g.b
+
+
+INDEX_TABLES_ALL_PAIRS = [
+    sdp_table(modular_group_spec(3, 2)),
+    sdp_table(modular_group_spec(2, 3)),
+    vec_table(ZmGroupSpec(2, 3, 1)),
+    vec_table(ZmGroupSpec(3, 2, 1)),
+]
+INDEX_TABLES_RANDOM_PAIRS = [
+    sdp_table(modular_group_spec(2, 10)),
+    sdp_table(modular_group_spec(5, 4)),
+    vec_table(ZmGroupSpec(3, 2, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "table", INDEX_TABLES_ALL_PAIRS + INDEX_TABLES_RANDOM_PAIRS, ids=lambda t: t.name
+)
+def test_element_order_is_the_documented_index(table):
+    assert [_documented_index(table, g) for g in table.elements] == list(range(table.order))
+
+
+def _law_by_element(table, left, right) -> list[int]:
+    law = vec_compose if isinstance(table.spec, ZmGroupSpec) else compose
+    elems = table.elements
+    return [
+        _documented_index(table, law(table.spec, elems[i], elems[j]))
+        for i, j in zip(left.tolist(), right.tolist())
+    ]
+
+
+@pytest.mark.parametrize("table", INDEX_TABLES_ALL_PAIRS, ids=lambda t: t.name)
+def test_index_law_matches_compose_on_all_pairs(table):
+    left, right = (a.ravel() for a in np.indices((table.order, table.order)))
+    assert table.index_mul(left, right).tolist() == _law_by_element(table, left, right)
+
+
+@pytest.mark.parametrize("table", INDEX_TABLES_RANDOM_PAIRS, ids=lambda t: t.name)
+def test_index_law_matches_compose_on_random_pairs(table):
+    rng = np.random.default_rng(table.order)
+    left, right = rng.integers(0, table.order, size=(2, 10**4))
+    assert table.index_mul(left, right).tolist() == _law_by_element(table, left, right)
