@@ -42,7 +42,6 @@ from .sdp_group import (
     GroupTable,
     ZmGroupSpec,
     classify,
-    compose,
     elements,
     enumerate_alphas,
     enumerate_subgroups,
@@ -324,19 +323,14 @@ def criterion_classification_iso(quick: bool = False) -> CriterionResult:
                         failures.append(f"classify({p},{q},{r},alpha={a}) = {cls}, want {want}")
                     by_class.setdefault(cls, []).append(a)
                 for cls, members in by_class.items():
-                    els = elements(GroupSpec(p, q, r, members[0]))
-                    index = {e: i for i, e in enumerate(els)}
-                    # table[a][i, j] is the index of e_i e_j under twist a
-                    table = {}
-                    for a in members:
-                        spec = GroupSpec(p, q, r, a)
-                        table[a] = np.array(
-                            [[index[compose(spec, e1, e2)] for e2 in els] for e1 in els]
-                        )
+                    tables = {a: sdp_table(GroupSpec(p, q, r, a)) for a in members}
+                    els = tables[members[0]].elements
+                    every = np.arange(len(els))
+                    # products[a][i, j] is the index of e_i e_j under twist a
+                    products = {a: t.index_mul(every[:, None], every) for a, t in tables.items()}
                     for a1 in members:
                         for a2 in members:
-                            src = GroupSpec(p, q, r, a1)
-                            dst = GroupSpec(p, q, r, a2)
+                            src, dst = tables[a1].spec, tables[a2].spec
                             images = [iso_map(src, dst, e) for e in els]
                             pairs_checked += 1
                             if len(set(images)) != len(els):
@@ -345,8 +339,9 @@ def criterion_classification_iso(quick: bool = False) -> CriterionResult:
                                 )
                                 continue
                             # phi(e_i e_j) == phi(e_i) phi(e_j) for all |G|^2 pairs
-                            phi = np.array([index[g] for g in images])
-                            if not np.array_equal(phi[table[a1]], table[a2][np.ix_(phi, phi)]):
+                            phi = np.array([tables[a2].index(g) for g in images])
+                            image_products = products[a2][np.ix_(phi, phi)]
+                            if not np.array_equal(phi[products[a1]], image_products):
                                 failures.append(
                                     f"iso_map({p},{q},{r}) alpha {a1}->{a2}: not a homomorphism"
                                 )
@@ -423,14 +418,15 @@ def criterion_power_closed_form(quick: bool = False) -> CriterionResult:
         fixtures.append((spec, {e: sorted(set(cs)) for e, cs in draws.items()}))
     total = 0
     for spec, exponents in fixtures:
+        table = sdp_table(spec)
         for e, cs in exponents.items():
-            acc, at = Element(0, 0), 0
+            i, acc, at = table.index(e), 0, 0  # acc is the index of e^at
             for c in cs:
                 for _ in range(c - at):
-                    acc = compose(spec, acc, e)
+                    acc = table.imul(acc, i)
                 at = c
                 total += 1
-                if power_closed_form(spec, e, c) != acc:
+                if power_closed_form(spec, e, c) != table.elements[acc]:
                     failures.append(f"(p={spec.p},r={spec.r}) {e}^{c}")
                     break
     return _mk(

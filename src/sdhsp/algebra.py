@@ -275,10 +275,6 @@ def full_lattice(moduli: Sequence[int]) -> Lattice:
     return lattice_canonicalize(Lattice(tuple(moduli), tuple(rows)))
 
 
-def trivial_lattice(moduli: Sequence[int]) -> Lattice:
-    return Lattice(tuple(moduli), ())
-
-
 def lattice_coset_rep(L: Lattice, v: Sequence[int]) -> tuple[int, ...]:
     """Canonical representative of v + L (reduction against the basis)."""
     k = len(L.moduli)

@@ -12,13 +12,16 @@ The salt of an oracle result is chosen by policy:
   'operands'  a deterministic mix of the operand bytes,
   'fresh'     drawn from the instance RNG on every call.
 
-The same handles, read as big-endian integers, form a uint64 code view of
-shape (order, salts) whose row is the element's index in ``table.elements``.
-``walk_codes`` uses it to build the codes of g_1^{u_1}...g_k^{u_k} over a
-whole grid with array arithmetic on element indices, one sweep per axis.
-It books, and salts, exactly what one ``oracle_mul`` per grid point in
-row-major order would: the same ``mul`` count, the same salt per point and,
-under 'fresh', the same draws from the instance RNG.
+The handles, read as big-endian integers, form a uint64 table of shape
+(order, salts) whose row is the element's index in ``table.elements``; a
+dict maps handle bytes back to that index.  Below ``encode``/``reveal``
+everything is an element index: the oracles decode handles to indices,
+apply the table's scalar law and read the result's handle from the table.
+``walk_codes`` uses the table to build the codes of g_1^{u_1}...g_k^{u_k}
+over a whole grid with array arithmetic on element indices, one sweep per
+axis.  It books, and salts, exactly what one ``oracle_mul`` per grid point
+in row-major order would: the same ``mul`` count, the same salt per point
+and, under 'fresh', the same draws from the instance RNG.
 
 ``reveal`` decodes a handle back to coordinates.  It exists for reports and
 tests; solver code must never call it.
@@ -58,10 +61,10 @@ class OpaqueHandle:
 class BlackBox:
     """Encoding table plus the three counted group oracles.
 
-    ``codes`` is the uint64 view of the same handles, one row per element of
-    ``table.elements`` and one column per salt.  ``walk_codes`` is the
-    batched oracle walk over a grid of products; it books exactly what the
-    per-point ``oracle_mul`` walk would.
+    ``codes`` holds every handle as a uint64, one row per element index and
+    one column per salt; ``encode`` and the oracles read their results from
+    it.  ``walk_codes`` is the batched oracle walk over a grid of products;
+    it books exactly what the per-point ``oracle_mul`` walk would.
     """
 
     def __init__(
@@ -91,18 +94,16 @@ class BlackBox:
         self.salt_policy = salt_policy
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.counters = {"mul": 0, "inv": 0, "eq": 0}
-        self._encode_map: dict[tuple[Any, int], OpaqueHandle] = {}
         self._decode_map: dict[bytes, int] = {}  # handle bytes -> element index
         drawn: list[bytes] = []
-        for i, g in enumerate(table.elements):
-            for s in range(salts):
+        for i in range(table.order):
+            for _ in range(salts):
                 h = self._rng.bytes(HANDLE_BYTES)
                 while h in self._decode_map:  # keyed pseudorandom injection: no collisions
                     h = self._rng.bytes(HANDLE_BYTES)
                 drawn.append(h)
-                self._encode_map[(g, s)] = OpaqueHandle(h)
                 self._decode_map[h] = i
-        # the code view: codes[i, s] is the handle of (table.elements[i], s)
+        # codes[i, s] is the handle of element index i under salt s
         flat = np.frombuffer(b"".join(drawn), dtype=">u8").astype(np.uint64)
         self.codes = flat.reshape(table.order, salts)
         self._code_order = np.argsort(flat)
@@ -111,14 +112,17 @@ class BlackBox:
     # -- construction-side access (not part of the solver surface) ---------
 
     def encode(self, g: Any, salt: int = 0) -> OpaqueHandle:
-        return self._encode_map[(g, salt)]
+        """The handle of element `g` under `salt`; ValueError outside the table."""
+        if not 0 <= salt < self.salts:
+            raise ValueError(f"salt {salt} out of range for {self.salts} salts")
+        return self._handle(self.table.index(g), salt)
 
     def reveal(self, h: OpaqueHandle) -> Any:
         """Decode for reports and the reference layer only."""
-        return self._decode(h)
-
-    def _decode(self, h: OpaqueHandle) -> Any:
         return self.table.elements[self._decode_index(h)]
+
+    def _handle(self, i: int, salt: int) -> OpaqueHandle:
+        return OpaqueHandle(int(self.codes[i, salt]).to_bytes(HANDLE_BYTES, "big"))
 
     def _decode_index(self, h: OpaqueHandle) -> int:
         try:
@@ -148,17 +152,16 @@ class BlackBox:
 
     def oracle_mul(self, h1: OpaqueHandle, h2: OpaqueHandle) -> OpaqueHandle:
         self.counters["mul"] += 1
-        g = self.table.mul(self._decode(h1), self._decode(h2))
-        return self._encode_map[(g, self._out_salt(h1, h2))]
+        i = self.table.imul(self._decode_index(h1), self._decode_index(h2))
+        return self._handle(i, self._out_salt(h1, h2))
 
     def oracle_inv(self, h: OpaqueHandle) -> OpaqueHandle:
         self.counters["inv"] += 1
-        g = self.table.inv(self._decode(h))
-        return self._encode_map[(g, self._out_salt(h))]
+        return self._handle(self.table.iinv(self._decode_index(h)), self._out_salt(h))
 
     def oracle_eq(self, h1: OpaqueHandle, h2: OpaqueHandle) -> bool:
         self.counters["eq"] += 1
-        return self._decode(h1) == self._decode(h2)
+        return self._decode_index(h1) == self._decode_index(h2)
 
     def walk_codes(self, moduli, identity: OpaqueHandle, gen_handles) -> np.ndarray:
         """Codes of h g_1^{u_1} ... g_k^{u_k} over the grid, h = ``identity``.
@@ -259,26 +262,32 @@ def reveal_answer(bb: BlackBox, handles, confident: bool, report: dict) -> Solve
     in order, and closes the elements into the sorted subgroup they generate.
     """
     handles_out: list[OpaqueHandle] = []
-    elems_out: list[Any] = []
-    seen = {bb.table.identity}
+    found: list[int] = []
     for h in handles:
-        g = bb.reveal(h)
-        if g not in seen:
-            seen.add(g)
+        i = bb._decode_index(h)
+        if i not in found and i != 0:
             handles_out.append(h)
-            elems_out.append(g)
-    subgroup = sorted(closure(bb.table.mul, bb.table.identity, elems_out))
-    return SolveOutcome(tuple(handles_out), tuple(elems_out), tuple(subgroup), confident, report)
+            found.append(i)
+    elements = bb.table.elements
+    return SolveOutcome(
+        tuple(handles_out),
+        tuple(elements[i] for i in found),
+        tuple(elements[i] for i in sorted(closure(bb.table.imul, 0, found))),
+        confident,
+        report,
+    )
 
 
 class HiddenInstance:
     """A hiding function f over a black box, with its sealed truth.
 
     f maps any valid encoding of g to a 64-bit label constant on the left
-    coset g*H and distinct across cosets.  ``f_batch`` evaluates a whole
-    array of codes (``BlackBox.walk_codes``) in one oracle invocation,
-    decoding it with array lookups; the counters track both the number of
-    pointwise evaluations ('f') and the number of batched invocations
+    coset g*H and distinct across cosets.  ``labels`` is the label of every
+    element index; the truth is the planted subgroup's elements, which only
+    ``truth_elements`` hands back.  ``f_batch`` evaluates a whole array of
+    codes (``BlackBox.walk_codes``) in one oracle invocation, decoding it
+    with array lookups; the counters track both the number of pointwise
+    evaluations ('f') and the number of batched invocations
     ('superposed_calls'), which is the quantum-query figure of merit.
     """
 
@@ -286,17 +295,16 @@ class HiddenInstance:
         self,
         bb: BlackBox,
         truth_elements: frozenset,
-        labels: dict,
+        labels: np.ndarray,
     ) -> None:
         self.blackbox = bb
         self._truth = truth_elements
-        self._labels = labels  # element -> 64-bit label (via its coset rep)
-        self._label_array = np.array([labels[g] for g in bb.table.elements], dtype=np.int64)
+        self._label_array = np.asarray(labels, dtype=np.int64)
         self.counters = {"f": 0, "superposed_calls": 0}
 
     def f(self, h: OpaqueHandle) -> int:
         self.counters["f"] += 1
-        return self._labels[self.blackbox._decode(h)]
+        return int(self._label_array[self.blackbox._decode_index(h)])
 
     def f_batch(self, codes: np.ndarray) -> np.ndarray:
         """Labels of an array of handle codes, in its shape; one superposed call."""
@@ -317,7 +325,7 @@ class HiddenInstance:
 
     def label_of_element(self, g: Any) -> int:
         """Direct label lookup for the reference layer (not counted)."""
-        return self._labels[g]
+        return int(self._label_array[self.blackbox.table.index(g)])
 
     def query_stats(self) -> dict[str, int]:
         stats = dict(self.blackbox.counters)
@@ -342,41 +350,35 @@ def make_hidden_instance(
     the construction; everything else must come from the oracles.
     """
     H = frozenset(subgroup)
-    if not is_subgroup(table, H):
+    members = sorted(map(table.index, H))
+    if not is_subgroup(table, frozenset(members)):
         raise ValueError("the hidden set is not a subgroup")
     ss = np.random.SeedSequence(seed)
     table_rng, label_rng, gen_rng = (np.random.default_rng(c) for c in ss.spawn(3))
     bb = BlackBox(table, mode=mode, salts=salts, salt_policy=salt_policy, rng=table_rng)
 
-    # Label each left coset g*H through its lexicographically least member.
-    H_sorted = sorted(H)
-    rep_of: dict[Any, Any] = {}
-    for g in table.elements:
-        if g in rep_of:
-            continue
-        coset = [table.mul(g, h) for h in H_sorted]
-        rep = min(coset)
-        for c in coset:
-            rep_of[c] = rep
+    # Label each left coset g*H in order of its least member, which is the
+    # first index of the coset reached (index order is element order).
+    labels: list[int | None] = [None] * table.order
     used_labels: set[int] = set()
-    label_for_rep: dict[Any, int] = {}
-    for rep in sorted(set(rep_of.values())):
+    for g in range(table.order):
+        if labels[g] is not None:
+            continue
         lab = int(label_rng.integers(0, 2**63))
         while lab in used_labels:
             lab = int(label_rng.integers(0, 2**63))
         used_labels.add(lab)
-        label_for_rep[rep] = lab
-    labels = {g: label_for_rep[rep_of[g]] for g in table.elements}
+        for h in members:
+            labels[table.imul(g, h)] = lab
 
     inst = HiddenInstance(bb, H, labels)
 
     if generator_policy == "canonical":
-        gens = list(table.standard_generators)
+        gens = [table.index(g) for g in table.standard_generators]
     elif generator_policy == "scrambled":
         for _ in range(500):
             k = int(gen_rng.integers(2, 5))
-            idx = gen_rng.integers(0, table.order, size=k)
-            gens = [table.elements[int(i)] for i in idx]
+            gens = [int(i) for i in gen_rng.integers(0, table.order, size=k)]
             if generates(table, gens):
                 break
         else:
@@ -384,5 +386,5 @@ def make_hidden_instance(
     else:
         raise ValueError(f"unknown generator policy {generator_policy!r}")
 
-    handles = [bb.encode(g, int(gen_rng.integers(0, bb.salts))) for g in gens]
+    handles = [bb._handle(g, int(gen_rng.integers(0, bb.salts))) for g in gens]
     return inst, handles

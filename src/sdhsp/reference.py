@@ -2,7 +2,9 @@
 
 Everything here works on explicit group tables with full truth access and
 serves as the independent route the solvers are checked against.  Nothing
-in this module touches handles, oracles or counters.
+in this module touches handles, oracles or counters.  Both routes run on
+element indices with the table's scalar law (``imul``), not the array law
+the oracle walk uses, and decode to elements only on return.
 """
 
 from __future__ import annotations
@@ -24,17 +26,15 @@ def brute_force_hidden_subgroup(table: GroupTable, label_of: Callable[[Any], int
     """
     if table.order > BRUTE_FORCE_BOUND:
         raise ValueError(f"group of order {table.order} exceeds the brute-force bound")
-    labels = {g: label_of(g) for g in table.elements}
-    f0 = labels[table.identity]
-    H = frozenset(g for g in table.elements if labels[g] == f0)
-    for g in table.elements:
-        base = labels[g]
+    labels = [label_of(g) for g in table.elements]
+    H = [h for h, lab in enumerate(labels) if lab == labels[0]]
+    for g, base in enumerate(labels):
         for h in H:
-            if labels[table.mul(g, h)] != base:
+            if labels[table.imul(g, h)] != base:
                 raise ValueError("f is not H-periodic")
-    if len(set(labels.values())) * len(H) != table.order:
+    if len(set(labels)) * len(H) != table.order:
         raise ValueError("f is not H-periodic")
-    return H
+    return frozenset(table.elements[h] for h in H)
 
 
 def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:
@@ -48,12 +48,12 @@ def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:
     """
     if table.order > ENUMERATION_BOUND:
         raise ValueError(f"group of order {table.order} exceeds the enumeration bound")
-    cyc: dict[frozenset, Any] = {}
-    for g in table.elements:
-        cyc.setdefault(frozenset(closure(table.mul, table.identity, (g,))), g)
-    reps = [g for g in cyc.values() if g != table.identity]
+    cyc: dict[frozenset, int] = {}
+    for g in range(table.order):
+        cyc.setdefault(frozenset(closure(table.imul, 0, (g,))), g)
+    reps = [g for g in cyc.values() if g != 0]
 
-    gens_of: dict[frozenset, tuple] = {frozenset([table.identity]): ()}
+    gens_of: dict[frozenset, tuple] = {frozenset([0]): ()}
     for S, g in cyc.items():
         gens_of.setdefault(S, (g,))
     queue = list(gens_of)
@@ -63,11 +63,13 @@ def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:
         for g in reps:
             if g in H:
                 continue
-            K = frozenset(closure(table.mul, table.identity, base + (g,)))
+            K = frozenset(closure(table.imul, 0, base + (g,)))
             if K not in gens_of:
                 gens_of[K] = base + (g,)
                 queue.append(K)
-    return sorted(gens_of, key=lambda s: (len(s), sorted(s)))
+    # index order is element order, so this is the order of the element sets
+    subgroups = sorted(gens_of, key=lambda s: (len(s), sorted(s)))
+    return [frozenset(table.elements[i] for i in s) for s in subgroups]
 
 
 def subgroup_equal(a, b) -> bool:

@@ -13,19 +13,21 @@ For q = p and alpha = p^(r-1) + 1 the group is the modular maximal-cyclic
 group of order p^(r+1); those are the groups the hidden-subgroup solver in
 ``hsp_modular`` targets, and their full subgroup taxonomy lives here.  The
 vector family (``ZmGroupSpec``, solved by ``hsp_vector``) fixes q = p and
-that twist, with elements (a_1..a_m, b) and a product law of its own.  A
-``GroupTable`` wraps either family as a plain (mul, inv, identity) with its
-elements; that is all the black box and the reference routes see of a group.
+that twist, with elements (a_1..a_m, b) and the same law coordinate-wise.
 
-Both families also share one product law on integer element indices,
-``GroupTable.index_mul``, vectorized over numpy arrays.  The index of an
-element is its position in ``table.elements``: mixed radix over the
-coordinates, then b, i.e. ``a*q + b`` in the rank-one family.
+Below the element dataclasses a group element is its integer index, its
+position in ``table.elements``: mixed radix over the coordinates, then b,
+i.e. ``a*q + b`` in the rank-one family.  Index order is the lexicographic
+order of the elements.  A ``GroupTable`` carries the one law of both
+families on indices twice: as a scalar law (``imul``, ``iinv``) and
+vectorized over numpy arrays (``index_mul``).  Everything that takes or
+returns ``Element``/``VecElement`` values (``GroupTable.mul``/``inv``,
+``compose``, ``invert``) only decodes, calls the scalar law and encodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
 from typing import Any, Callable
@@ -122,23 +124,12 @@ def _alpha_powers(alpha: int, q: int, modulus: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def check_element(G: GroupSpec, e: Element) -> None:
-    if not (0 <= e.a < G.modulus and 0 <= e.b < G.q):
-        raise ValueError(f"element {e} out of range for this group")
-
-
 def compose(G: GroupSpec, e1: Element, e2: Element) -> Element:
-    check_element(G, e1)
-    check_element(G, e2)
-    pw = _alpha_powers(G.alpha, G.q, G.modulus)
-    return Element((e1.a + e2.a * pw[e1.b]) % G.modulus, (e1.b + e2.b) % G.q)
+    return sdp_table(G).mul(e1, e2)
 
 
 def invert(G: GroupSpec, e: Element) -> Element:
-    check_element(G, e)
-    pw = _alpha_powers(G.alpha, G.q, G.modulus)
-    b_inv = (-e.b) % G.q
-    return Element((-e.a * pw[b_inv]) % G.modulus, b_inv)
+    return sdp_table(G).inv(e)
 
 
 def power(G: GroupSpec, e: Element, c: int) -> Element:
@@ -155,14 +146,13 @@ def power_closed_form(G: GroupSpec, e: Element, c: int) -> Element:
         raise ValueError("closed-form powering requires the modular parameterization")
     if c < 0:
         raise ValueError("closed form is stated for c >= 0")
-    check_element(G, e)
+    sdp_table(G).index(e)  # validates e
     half = c * (c - 1) // 2
     exp = e.a * (c + half * e.b * G.p ** (G.r - 1))
     return Element(exp % G.modulus, (e.b * c) % G.q)
 
 
 def element_order(G: GroupSpec, e: Element) -> int:
-    check_element(G, e)
     return len(closure(partial(compose, G), IDENTITY, (e,)))
 
 
@@ -224,42 +214,51 @@ def vec_identity(G: ZmGroupSpec) -> VecElement:
     return VecElement((0,) * G.m, 0)
 
 
-def vec_compose(G: ZmGroupSpec, e1: VecElement, e2: VecElement) -> VecElement:
-    # (a1, b1)(a2, b2) = (a1 + alpha^{b1} a2, b1 + b2)
-    n = G.modulus
-    s = _alpha_powers(G.alpha, G.p, n)[e1.b]
-    return VecElement(
-        tuple((a1 + s * a2) % n for a1, a2 in zip(e1.a, e2.a)),
-        (e1.b + e2.b) % G.p,
-    )
-
-
-def vec_invert(G: ZmGroupSpec, e: VecElement) -> VecElement:
-    n = G.modulus
-    s = _alpha_powers(G.alpha, G.p, n)[(-e.b) % G.p]
-    return VecElement(tuple((-s * ai) % n for ai in e.a), (-e.b) % G.p)
-
-
 def vec_elements(G: ZmGroupSpec) -> list[VecElement]:
-    n = G.modulus
-    out = []
-    for coords in product(*(range(n) for _ in range(G.m))):
-        for b in range(G.p):
-            out.append(VecElement(coords, b))
-    return out
+    coords = product(range(G.modulus), repeat=G.m)
+    return [VecElement(a, b) for a in coords for b in range(G.p)]
 
 
 # ---------------------------------------------------------------------------
-# Group tables: either family as a plain (mul, inv, identity)
+# Group tables: either family as its elements plus one law on their indices
+
+
+def _scalar_law(n: int, m: int, q: int, pw: tuple[int, ...]) -> tuple[Callable, Callable]:
+    """The product and inverse of Z_n^m x| Z_q on single element indices.
+
+    (a1, b1)(a2, b2) = (a1 + pw[b1] a2, b1 + b2) and (a, b)^-1 = (-pw[-b] a, -b),
+    coordinate by coordinate over the mixed-radix digits of a: the law of
+    both families, m = 1 being the rank-one group and q = p the vector group.
+    """
+
+    def imul(i: int, j: int) -> int:
+        a1, b1 = divmod(i, q)
+        a2, b2 = divmod(j, q)
+        s = pw[b1]
+        a, place = 0, 1
+        for _ in range(m):
+            a1, c1 = divmod(a1, n)
+            a2, c2 = divmod(a2, n)
+            a += (c1 + s * c2) % n * place
+            place *= n
+        return a * q + (b1 + b2) % q
+
+    def iinv(i: int) -> int:
+        rest, b = divmod(i, q)
+        b = -b % q
+        s = pw[b]
+        a, place = 0, 1
+        for _ in range(m):
+            rest, c = divmod(rest, n)
+            a += -s * c % n * place
+            place *= n
+        return a * q + b
+
+    return imul, iinv
 
 
 def _index_law(n: int, m: int, q: int, pw: tuple[int, ...]) -> Callable:
-    """The product of Z_n^m x| Z_q on element indices (mixed radix, b last).
-
-    (a1, b1)(a2, b2) = (a1 + pw[b1] a2, b1 + b2) coordinate-wise, the law of
-    both families: m = 1 is the rank-one group, q = p the vector group.
-    Broadcasts over integer arrays.
-    """
+    """The product of ``_scalar_law``, broadcast over integer arrays of indices."""
     powers = np.array(pw, dtype=np.int64)
 
     def index_mul(i, j):
@@ -281,37 +280,65 @@ def _index_law(n: int, m: int, q: int, pw: tuple[int, ...]) -> Callable:
 
 @dataclass(frozen=True)
 class GroupTable:
-    """Concrete group plugged into the black box: elements plus operations."""
+    """A concrete group: its elements, and its law on their indices.
+
+    ``elements[i]`` is the element of index i; the identity has index 0.
+    ``imul``/``iinv`` is the scalar law and ``index_mul`` the same product
+    over numpy arrays.  ``index``, ``mul``, ``inv`` and ``identity`` are the
+    element-typed edge: ``index`` raises ValueError for an element outside
+    the group.
+    """
 
     name: str
     spec: Any
     elements: tuple
-    identity: Any
-    mul: Callable[[Any, Any], Any]
-    inv: Callable[[Any], Any]
-    index_mul: Callable[[np.ndarray, np.ndarray], np.ndarray]
     standard_generators: tuple
+    imul: Callable[[int, int], int]
+    iinv: Callable[[int], int]
+    index_mul: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    positions: dict = field(repr=False, compare=False)  # element -> index
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def identity(self) -> Any:
+        return self.elements[0]
+
+    def index(self, g: Any) -> int:
+        try:
+            return self.positions[g]
+        except KeyError:
+            raise ValueError(f"element {g} is not in {self.name}") from None
+
+    def mul(self, g: Any, h: Any) -> Any:
+        return self.elements[self.imul(self.index(g), self.index(h))]
+
+    def inv(self, g: Any) -> Any:
+        return self.elements[self.iinv(self.index(g))]
+
+
+def _table(name: str, spec, m: int, q: int, elems: list, standard_generators: tuple) -> GroupTable:
+    pw = _alpha_powers(spec.alpha, q, spec.modulus)
+    imul, iinv = _scalar_law(spec.modulus, m, q, pw)
+    return GroupTable(
+        name=name,
+        spec=spec,
+        elements=tuple(elems),
+        standard_generators=standard_generators,
+        imul=imul,
+        iinv=iinv,
+        index_mul=_index_law(spec.modulus, m, q, pw),
+        positions={g: i for i, g in enumerate(elems)},
+    )
+
 
 @lru_cache(maxsize=None)
 def sdp_table(spec: GroupSpec) -> GroupTable:
-    """The one table of a rank-one group; `mul` looks `compose` up per call."""
-    return GroupTable(
-        name=f"sdp({spec.p}^{spec.r}:{spec.q},alpha={spec.alpha})",
-        spec=spec,
-        elements=tuple(elements(spec)),
-        identity=IDENTITY,
-        mul=lambda g, h: compose(spec, g, h),
-        inv=lambda g: invert(spec, g),
-        index_mul=_index_law(
-            spec.modulus, 1, spec.q, _alpha_powers(spec.alpha, spec.q, spec.modulus)
-        ),
-        standard_generators=(Element(1, 0), Element(0, 1)),
-    )
+    """The one table of a rank-one group."""
+    name = f"sdp({spec.p}^{spec.r}:{spec.q},alpha={spec.alpha})"
+    return _table(name, spec, 1, spec.q, elements(spec), (Element(1, 0), Element(0, 1)))
 
 
 @lru_cache(maxsize=None)
@@ -320,38 +347,30 @@ def vec_table(G: ZmGroupSpec) -> GroupTable:
     std = tuple(
         VecElement(tuple(1 if j == i else 0 for j in range(G.m)), 0) for i in range(G.m)
     ) + (VecElement((0,) * G.m, 1),)
-    return GroupTable(
-        name=f"vec({G.p}^{G.r})^{G.m}:{G.p}",
-        spec=G,
-        elements=tuple(vec_elements(G)),
-        identity=vec_identity(G),
-        mul=lambda g, h: vec_compose(G, g, h),
-        inv=lambda g: vec_invert(G, g),
-        index_mul=_index_law(G.modulus, G.m, G.p, _alpha_powers(G.alpha, G.p, G.modulus)),
-        standard_generators=std,
-    )
+    return _table(f"vec({G.p}^{G.r})^{G.m}:{G.p}", G, G.m, G.p, vec_elements(G), std)
 
 
 def generates(table: GroupTable, gens) -> bool:
-    return len(closure(table.mul, table.identity, gens)) == table.order
+    """Whether the element indices `gens` generate the whole group."""
+    return len(closure(table.imul, 0, gens)) == table.order
 
 
 def is_subgroup(table: GroupTable, elems: frozenset) -> bool:
-    """Exact subgroup test in O(|H| log^2 |H|) products.
+    """Exact subgroup test on a set of element indices, in O(|H| log^2 |H|) products.
 
     Each element of H not yet spanned joins the generators, and the span is
     re-closed with bound |H|.  No closure leaves a subgroup, so a span that
     leaves H rejects; one inside H is a complete closure, hence a subgroup,
     and at the end it holds all of H.
     """
-    if table.identity not in elems:
+    if 0 not in elems:
         return False
     gens: list = []
-    span = {table.identity}
+    span = {0}
     for g in sorted(elems):
         if g not in span:
             gens.append(g)
-            span = set(closure(table.mul, table.identity, gens, bound=len(elems)))
+            span = set(closure(table.imul, 0, gens, bound=len(elems)))
             if not span <= elems:
                 return False
     return True
@@ -370,13 +389,7 @@ def enumerate_alphas(p: int, q: int, r: int) -> set[int]:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     m = p**r
-    out = set()
-    for a in range(2, m):
-        if a % p == 0:
-            continue
-        if multiplicative_order(a, m) == q:
-            out.add(a)
-    return out
+    return {a for a in range(2, m) if a % p and multiplicative_order(a, m) == q}
 
 
 # Classification labels for Z_{p^r} x| Z_q with alpha of order q (or 1):
@@ -420,15 +433,10 @@ def iso_map(G_src: GroupSpec, G_dst: GroupSpec, e: Element) -> Element:
     """
     if (G_src.p, G_src.q, G_src.r) != (G_dst.p, G_dst.q, G_dst.r):
         raise ValueError("isomorphism requires matching (p, q, r)")
-    check_element(G_src, e)
+    sdp_table(G_src).index(e)  # validates e
     m = G_src.modulus
-    exponent = None
-    for i in range(1, G_src.q):
-        if pow(G_src.alpha, i, m) == G_dst.alpha:
-            exponent = i
-            break
-    if G_src.alpha == 1 and G_dst.alpha == 1:
-        exponent = 1
+    powers = (i for i in range(1, G_src.q) if pow(G_src.alpha, i, m) == G_dst.alpha)
+    exponent = next(powers, None)
     if exponent is None:
         raise ValueError("specs are not in the same isomorphism family")
     i_inv = pow(exponent, -1, G_src.q)
@@ -484,7 +492,7 @@ class SubgroupDesc:
 def subgroup_generators(G: GroupSpec, S: SubgroupDesc) -> list[Element]:
     if S.kind == "generators":
         for g in S.gens:
-            check_element(G, g)
+            sdp_table(G).index(g)  # validates g
         return list(S.gens)
     if not G.is_modular:
         raise ValueError("structural subgroup tags require the modular parameterization")
@@ -540,21 +548,9 @@ def subgroup_properties(G: GroupSpec, S: SubgroupDesc) -> SubgroupProperties:
     """Order, commutativity and normality, decided by direct enumeration."""
     elems = subgroup_elements(G, S)
     elem_set = set(elems)
-    abelian = True
-    for i, g in enumerate(elems):
-        for h in elems[i + 1 :]:
-            if compose(G, g, h) != compose(G, h, g):
-                abelian = False
-                break
-        if not abelian:
-            break
+    abelian = all(
+        compose(G, g, h) == compose(G, h, g) for i, g in enumerate(elems) for h in elems[i + 1 :]
+    )
     gens = subgroup_generators(G, S)
-    normal = True
-    for g in elements(G):
-        for s in gens:
-            if conjugate(G, g, s) not in elem_set:
-                normal = False
-                break
-        if not normal:
-            break
+    normal = all(conjugate(G, g, s) in elem_set for g in elements(G) for s in gens)
     return SubgroupProperties(order=len(elems), abelian=abelian, normal=normal)

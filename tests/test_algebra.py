@@ -22,7 +22,6 @@ from sdhsp.algebra import (
     multiplicative_order,
     smith_normal_form,
     solve_kernel,
-    trivial_lattice,
 )
 
 MODULI_POOL = [2, 3, 4, 5, 8, 9, 27]
@@ -90,8 +89,8 @@ def test_dual_of_known_line():
 
 def test_dual_trivial_and_full():
     moduli = (4, 9)
-    assert lattices_equal(dual_lattice(trivial_lattice(moduli)), full_lattice(moduli))
-    assert lattices_equal(dual_lattice(full_lattice(moduli)), trivial_lattice(moduli))
+    assert lattices_equal(dual_lattice(Lattice(moduli, ())), full_lattice(moduli))
+    assert lattices_equal(dual_lattice(full_lattice(moduli)), Lattice(moduli, ()))
 
 
 def test_double_dual_and_size_product_random():

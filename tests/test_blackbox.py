@@ -121,8 +121,9 @@ def test_oracle_identity():
 def test_closure_and_generates():
     spec = modular_group_spec(3, 2)
     table = sdp_table(spec)
-    assert generates(table, [Element(1, 0), Element(0, 1)])
-    assert generates(table, [Element(1, 1)]) is False  # order 9 element only
+    # generates takes element indices
+    assert generates(table, [table.index(Element(1, 0)), table.index(Element(0, 1))])
+    assert generates(table, [table.index(Element(1, 1))]) is False  # order 9 element only
     got = closure(table.mul, table.identity, [Element(3, 1)])
     assert got == [Element(0, 0), Element(3, 1), Element(6, 2)]
 
@@ -143,7 +144,7 @@ def test_hidden_f_constant_exactly_on_left_cosets():
 
 
 def test_hidden_f_on_a_vector_group_of_order_243():
-    from sdhsp.sdp_group import ZmGroupSpec, vec_invert, vec_table
+    from sdhsp.sdp_group import ZmGroupSpec, vec_table
     from sdhsp.reference import enumerate_all_subgroups
 
     spec = ZmGroupSpec(3, 2, 2)
@@ -153,7 +154,7 @@ def test_hidden_f_on_a_vector_group_of_order_243():
         inst, _ = make_hidden_instance(table, H, seed=6)
         lab = {g: inst.label_of_element(g) for g in table.elements}
         for g in table.elements[::5]:
-            gi = vec_invert(spec, g)
+            gi = table.inv(g)
             for h in table.elements:
                 assert (lab[g] == lab[h]) == (table.mul(gi, h) in H)
 
@@ -180,7 +181,7 @@ def test_generator_policies():
     assert [inst_c.blackbox.reveal(h) for h in hc] == list(table.standard_generators)
     inst_s, hs = make_hidden_instance(table, H, generator_policy="scrambled", seed=1)
     revealed = [inst_s.blackbox.reveal(h) for h in hs]
-    assert generates(table, revealed)
+    assert generates(table, [table.index(g) for g in revealed])
     # over several seeds the scrambled sets cannot all equal the standard pair
     variants = set()
     for seed in range(6):

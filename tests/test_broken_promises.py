@@ -4,7 +4,9 @@ Each case hands a solver something outside its input contract: handles
 from another black box (to a solver, an oracle walk or ``f_batch``),
 handle sets that do not generate the group, abelian handles that do not
 form a basis, a salted encoding given to the vector solver, which needs
-unique encodings, or a hiding function that is not periodic.
+unique encodings, or a hiding function that is not periodic.  At the
+element edge, an element outside the group or a salt outside the box
+raises ValueError too.
 """
 
 import numpy as np
@@ -123,8 +125,27 @@ def test_non_periodic_f_raises_under_both_backends(backend):
     table = sdp_table(P32)
     desc = next(d for d in enumerate_subgroups(P32) if d.label() == "cyclicxy:1,1")
     inst, handles = make_hidden_instance(table, subgroup_elements(P32, desc), seed=7)
-    f0 = inst.label_of_element(table.identity)
-    labels = {g: inst.label_of_element(g) if g == Element(1, 0) else f0 for g in table.elements}
+    labels = np.full(table.order, inst.label_of_element(table.identity), dtype=np.int64)
+    labels[table.index(Element(1, 0))] = inst.label_of_element(Element(1, 0))
     broken = HiddenInstance(inst.blackbox, inst.truth_elements(), labels)
     with pytest.raises(ValueError, match="function is not periodic over this domain"):
         solve_modular(broken, handles, rng=np.random.default_rng(1), backend=backend)
+
+
+EDGE_CALLS = {
+    "encode a foreign element": lambda inst: inst.blackbox.encode(Element(99, 0)),
+    "encode another family's element": lambda inst: inst.blackbox.encode(VecElement((1,), 0)),
+    "encode salt == salts": lambda inst: inst.blackbox.encode(Element(1, 0), 2),
+    "encode salt == -1": lambda inst: inst.blackbox.encode(Element(1, 0), -1),
+    "label of a foreign element": lambda inst: inst.label_of_element(Element(99, 0)),
+}
+
+
+@pytest.mark.parametrize("call", EDGE_CALLS.values(), ids=EDGE_CALLS.keys())
+def test_the_element_edge_raises_a_typed_error(call):
+    table = sdp_table(P32)
+    inst, _ = make_hidden_instance(
+        table, frozenset({table.identity}), mode="salted", salts=2, seed=0
+    )
+    with pytest.raises(ValueError, match="is not in|out of range"):
+        call(inst)

@@ -21,10 +21,8 @@ from sdhsp.sdp_group import (
     VecElement,
     ZmGroupSpec,
     closure,
-    vec_compose,
     vec_elements,
     vec_identity,
-    vec_invert,
     vec_table,
 )
 
@@ -33,7 +31,7 @@ S322 = ZmGroupSpec(3, 2, 2)
 
 
 def subgroup_of(spec, gens):
-    return frozenset(closure(lambda g, h: vec_compose(spec, g, h), vec_identity(spec), gens))
+    return frozenset(closure(vec_table(spec).mul, vec_identity(spec), gens))
 
 
 def test_spec_validation():
@@ -49,25 +47,25 @@ def test_spec_validation():
 
 
 def test_vec_arithmetic_basics():
+    table = vec_table(S321)
     e = vec_identity(S321)
     g = VecElement((1,), 1)
-    assert vec_compose(S321, g, vec_invert(S321, g)) == e
-    assert vec_compose(S321, vec_invert(S321, g), g) == e
+    assert table.mul(g, table.inv(g)) == e
+    assert table.mul(table.inv(g), g) == e
     # y acts on the vector part by multiplication with alpha = 4
     y = VecElement((0,), 1)
     x = VecElement((1,), 0)
-    yxy_inv = vec_compose(S321, vec_compose(S321, y, x), vec_invert(S321, y))
+    yxy_inv = table.mul(table.mul(y, x), table.inv(y))
     assert yxy_inv == VecElement((4,), 0)
 
 
 def test_vec_associativity_random():
     rng = np.random.default_rng(55)
     els = vec_elements(S322)
+    mul = vec_table(S322).mul
     for _ in range(4000):
         a, b, c = (els[int(rng.integers(0, len(els)))] for _ in range(3))
-        assert vec_compose(S322, vec_compose(S322, a, b), c) == vec_compose(
-            S322, a, vec_compose(S322, b, c)
-        )
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
 def test_mixed_power_identity_via_oracles():
@@ -80,7 +78,7 @@ def test_mixed_power_identity_via_oracles():
     p, n = spec.p, spec.modulus
     for a in range(n):
         g = VecElement((a,), 0)
-        gy = vec_compose(spec, g, VecElement((0,), 1))
+        gy = table.mul(g, VecElement((0,), 1))
         h = bb.encode(gy)
         for c in range(p + 1):
             got = bb.reveal(oracle_pow(bb, h, c, e))

@@ -16,7 +16,6 @@ from sdhsp.algebra import (
     lattice_member,
     lattice_size,
     lattices_equal,
-    trivial_lattice,
 )
 from sdhsp.blackbox import BlackBox, OpaqueHandle, make_hidden_instance
 from sdhsp.qsim import (
@@ -155,7 +154,7 @@ def test_abelian_solver_trivial_and_full():
     rng = np.random.default_rng(606)
     oracle, L = coset_oracle((9, 3), ())
     res = abelian_hsp_solve(oracle, rng)
-    assert res.confident and lattices_equal(res.lattice, trivial_lattice((9, 3)))
+    assert res.confident and lattices_equal(res.lattice, Lattice((9, 3), ()))
     oracle2 = AbelianOracle.from_function((9, 3), lambda pt: 0)
     res2 = abelian_hsp_solve(oracle2, rng)
     assert res2.confident and lattices_equal(res2.lattice, full_lattice((9, 3)))

@@ -35,7 +35,6 @@ from sdhsp.sdp_group import (
     sdp_table,
     subgroup_elements,
     subgroup_properties,
-    vec_compose,
     vec_table,
 )
 
@@ -296,19 +295,24 @@ def test_is_subgroup_matches_the_definition_on_random_subsets(subset, with_ident
     if with_identity:
         subset = subset | {IDENTITY}
     H = frozenset(subset)
-    assert is_subgroup(P32_TABLE, H) == all_pairs_subgroup(P32_TABLE, H)
+    indices = frozenset(map(P32_TABLE.index, H))
+    assert is_subgroup(P32_TABLE, indices) == all_pairs_subgroup(P32_TABLE, H)
 
 
 def test_is_subgroup_matches_the_definition_next_to_every_subgroup():
     from sdhsp.reference import enumerate_all_subgroups
 
     table = P32_TABLE
+
+    def indices(elems):
+        return frozenset(map(table.index, elems))
+
     for H in enumerate_all_subgroups(table):
-        assert is_subgroup(table, H)
+        assert is_subgroup(table, indices(H))
         neighbours = [H | {g} for g in table.elements if g not in H]
         neighbours += [H - {h} for h in H]
         for K in neighbours:
-            assert is_subgroup(table, K) == all_pairs_subgroup(table, K)
+            assert is_subgroup(table, indices(K)) == all_pairs_subgroup(table, K)
 
 
 def test_one_table_per_spec():
@@ -349,8 +353,43 @@ def test_element_order_is_the_documented_index(table):
     assert [_documented_index(table, g) for g in table.elements] == list(range(table.order))
 
 
+# The law of each family written directly on its elements, from the
+# semidirect-product formula: the literal reference both index laws
+# (GroupTable.imul/iinv and GroupTable.index_mul) are checked against.
+def reference_compose(G, e1, e2):
+    s = pow(G.alpha, e1.b, G.modulus)
+    return Element((e1.a + e2.a * s) % G.modulus, (e1.b + e2.b) % G.q)
+
+
+def reference_invert(G, e):
+    b_inv = (-e.b) % G.q
+    return Element((-e.a * pow(G.alpha, b_inv, G.modulus)) % G.modulus, b_inv)
+
+
+def reference_vec_compose(G, e1, e2):
+    # (a1, b1)(a2, b2) = (a1 + alpha^{b1} a2, b1 + b2)
+    n = G.modulus
+    s = pow(G.alpha, e1.b, n)
+    return VecElement(
+        tuple((a1 + s * a2) % n for a1, a2 in zip(e1.a, e2.a)),
+        (e1.b + e2.b) % G.p,
+    )
+
+
+def reference_vec_invert(G, e):
+    n = G.modulus
+    s = pow(G.alpha, (-e.b) % G.p, n)
+    return VecElement(tuple((-s * ai) % n for ai in e.a), (-e.b) % G.p)
+
+
+def _reference_law(table):
+    if isinstance(table.spec, ZmGroupSpec):
+        return reference_vec_compose, reference_vec_invert
+    return reference_compose, reference_invert
+
+
 def _law_by_element(table, left, right) -> list[int]:
-    law = vec_compose if isinstance(table.spec, ZmGroupSpec) else compose
+    law = _reference_law(table)[0]
     elems = table.elements
     return [
         _documented_index(table, law(table.spec, elems[i], elems[j]))
@@ -358,14 +397,39 @@ def _law_by_element(table, left, right) -> list[int]:
     ]
 
 
+def _check_both_laws(table, left, right):
+    want = _law_by_element(table, left, right)
+    assert table.index_mul(left, right).tolist() == want
+    assert [table.imul(i, j) for i, j in zip(left.tolist(), right.tolist())] == want
+
+
 @pytest.mark.parametrize("table", INDEX_TABLES_ALL_PAIRS, ids=lambda t: t.name)
 def test_index_law_matches_compose_on_all_pairs(table):
     left, right = (a.ravel() for a in np.indices((table.order, table.order)))
-    assert table.index_mul(left, right).tolist() == _law_by_element(table, left, right)
+    _check_both_laws(table, left, right)
 
 
 @pytest.mark.parametrize("table", INDEX_TABLES_RANDOM_PAIRS, ids=lambda t: t.name)
 def test_index_law_matches_compose_on_random_pairs(table):
     rng = np.random.default_rng(table.order)
     left, right = rng.integers(0, table.order, size=(2, 10**4))
-    assert table.index_mul(left, right).tolist() == _law_by_element(table, left, right)
+    _check_both_laws(table, left, right)
+
+
+@pytest.mark.parametrize(
+    "table", INDEX_TABLES_ALL_PAIRS + INDEX_TABLES_RANDOM_PAIRS, ids=lambda t: t.name
+)
+def test_scalar_inverse_on_every_index(table):
+    invert_ref = _reference_law(table)[1]
+    inverses = [table.iinv(i) for i in range(table.order)]
+    assert inverses == [_documented_index(table, invert_ref(table.spec, g)) for g in table.elements]
+    for i, j in enumerate(inverses):
+        assert table.imul(i, j) == table.imul(j, i) == 0
+
+
+@pytest.mark.parametrize(
+    "table", INDEX_TABLES_ALL_PAIRS + INDEX_TABLES_RANDOM_PAIRS, ids=lambda t: t.name
+)
+def test_index_order_is_element_order(table):
+    # coset labelling and the subgroup order rely on this
+    assert list(table.elements) == sorted(table.elements)
