@@ -63,8 +63,12 @@ class BlackBox:
 
     ``codes`` holds every handle as a uint64, one row per element index and
     one column per salt; ``encode`` and the oracles read their results from
-    it.  ``walk_codes`` is the batched oracle walk over a grid of products;
-    it books exactly what the per-point ``oracle_mul`` walk would.
+    it.  The table is drawn from ``rng`` in one call, with repeated handles
+    dropped and only the shortfall redrawn: the same handles, and the same
+    final generator state, as one 8-byte draw per (element, salt) in row
+    order, redrawn on a repeat.  ``walk_codes`` is the batched oracle walk
+    over a grid of products; it books exactly what the per-point
+    ``oracle_mul`` walk would.
     """
 
     def __init__(
@@ -94,16 +98,17 @@ class BlackBox:
         self.salt_policy = salt_policy
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.counters = {"mul": 0, "inv": 0, "eq": 0}
-        self._decode_map: dict[bytes, int] = {}  # handle bytes -> element index
-        drawn: list[bytes] = []
-        for i in range(table.order):
-            for _ in range(salts):
-                h = self._rng.bytes(HANDLE_BYTES)
-                while h in self._decode_map:  # keyed pseudorandom injection: no collisions
-                    h = self._rng.bytes(HANDLE_BYTES)
-                drawn.append(h)
-                self._decode_map[h] = i
-        # codes[i, s] is the handle of element index i under salt s
+        # Keyed pseudorandom injection: no two handles collide.  Draws of
+        # whole 8-byte chunks concatenate, so dropping repeats in order and
+        # redrawing the shortfall consumes the per-handle stream exactly.
+        n = table.order * salts
+        drawn: dict[bytes, None] = {}
+        while len(drawn) < n:
+            blob = self._rng.bytes(HANDLE_BYTES * (n - len(drawn)))
+            chunks = (blob[k : k + HANDLE_BYTES] for k in range(0, len(blob), HANDLE_BYTES))
+            drawn.update(dict.fromkeys(chunks))
+        # handle bytes -> element index; codes[i, s] is the handle of index i under salt s
+        self._decode_map: dict[bytes, int] = {h: k // salts for k, h in enumerate(drawn)}
         flat = np.frombuffer(b"".join(drawn), dtype=">u8").astype(np.uint64)
         self.codes = flat.reshape(table.order, salts)
         self._code_order = np.argsort(flat)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .sdp_group import GroupTable, closure
+from .sdp_group import GroupTable, closure, greedy_generators
 
 BRUTE_FORCE_BOUND = 10**6
 ENUMERATION_BOUND = 10**4
@@ -22,18 +22,27 @@ def brute_force_hidden_subgroup(table: GroupTable, label_of: Callable[[Any], int
 
     Requires that label_of is constant on every left coset of some subgroup
     and distinct across cosets; raises if the level-set structure does not
-    hold, which flags a broken hiding function rather than guessing.
+    hold, which flags a broken hiding function rather than guessing.  H, the
+    level set of f(e), must close as a subgroup under at most log2 |H|
+    greedily picked generators.  Labels constant under right multiplication
+    by each generator are constant on every left coset gH, and then a label
+    count of |G|/|H| makes them distinct across cosets.  That costs
+    O(|G| log |H|) products of the scalar law, one permutation of the
+    element indices per generator.
     """
     if table.order > BRUTE_FORCE_BOUND:
         raise ValueError(f"group of order {table.order} exceeds the brute-force bound")
     labels = [label_of(g) for g in table.elements]
-    H = [h for h, lab in enumerate(labels) if lab == labels[0]]
-    for g, base in enumerate(labels):
-        for h in H:
-            if labels[table.imul(g, h)] != base:
-                raise ValueError("f is not H-periodic")
+    H = frozenset(h for h, lab in enumerate(labels) if lab == labels[0])
+    gens = greedy_generators(table, H)
+    if gens is None:
+        raise ValueError("f is not H-periodic: the level set of f(e) is no subgroup")
+    for h in gens:
+        perm = [table.imul(g, h) for g in range(table.order)]
+        if any(labels[gh] != lab for gh, lab in zip(perm, labels)):
+            raise ValueError("f is not H-periodic: it changes within a left coset of H")
     if len(set(labels)) * len(H) != table.order:
-        raise ValueError("f is not H-periodic")
+        raise ValueError("f is not H-periodic: two cosets of H share a label")
     return frozenset(table.elements[h] for h in H)
 
 

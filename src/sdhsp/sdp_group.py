@@ -210,10 +210,6 @@ class ZmGroupSpec:
         return self.p ** (self.r * self.m + 1)
 
 
-def vec_identity(G: ZmGroupSpec) -> VecElement:
-    return VecElement((0,) * G.m, 0)
-
-
 def vec_elements(G: ZmGroupSpec) -> list[VecElement]:
     coords = product(range(G.modulus), repeat=G.m)
     return [VecElement(a, b) for a in coords for b in range(G.p)]
@@ -355,16 +351,18 @@ def generates(table: GroupTable, gens) -> bool:
     return len(closure(table.imul, 0, gens)) == table.order
 
 
-def is_subgroup(table: GroupTable, elems: frozenset) -> bool:
-    """Exact subgroup test on a set of element indices, in O(|H| log^2 |H|) products.
+def greedy_generators(table: GroupTable, elems: frozenset) -> list | None:
+    """Generators of the set of element indices `elems`, or None if it is no subgroup.
 
-    Each element of H not yet spanned joins the generators, and the span is
-    re-closed with bound |H|.  No closure leaves a subgroup, so a span that
-    leaves H rejects; one inside H is a complete closure, hence a subgroup,
-    and at the end it holds all of H.
+    Each element of H not yet spanned, in index order, joins the generators,
+    and the span is re-closed with bound |H|, in O(|H| log^2 |H|) products.
+    No closure leaves a subgroup, so a span that leaves H rejects; one
+    inside H is a complete closure, hence a subgroup, and at the end it
+    holds all of H.  Each generator at least doubles the span, so there
+    are at most log2 |H| of them.
     """
     if 0 not in elems:
-        return False
+        return None
     gens: list = []
     span = {0}
     for g in sorted(elems):
@@ -372,8 +370,13 @@ def is_subgroup(table: GroupTable, elems: frozenset) -> bool:
             gens.append(g)
             span = set(closure(table.imul, 0, gens, bound=len(elems)))
             if not span <= elems:
-                return False
-    return True
+                return None
+    return gens
+
+
+def is_subgroup(table: GroupTable, elems: frozenset) -> bool:
+    """Exact subgroup test on a set of element indices (see ``greedy_generators``)."""
+    return greedy_generators(table, elems) is not None
 
 
 def enumerate_alphas(p: int, q: int, r: int) -> set[int]:

@@ -1,7 +1,5 @@
 """Opaque encodings, oracle bookkeeping, and instance construction."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -13,15 +11,17 @@ from sdhsp.blackbox import (
 )
 from sdhsp.sdp_group import (
     Element,
+    ZmGroupSpec,
     closure,
     compose,
+    enumerate_subgroups,
     generates,
     invert,
     modular_group_spec,
     sdp_table,
     subgroup_elements,
+    vec_table,
 )
-from sdhsp.sdp_group import enumerate_subgroups
 
 
 def fresh_box(mode="unique", salts=1, salt_policy="zero", seed=0):
@@ -29,6 +29,68 @@ def fresh_box(mode="unique", salts=1, salt_policy="zero", seed=0):
     return table, BlackBox(
         table, mode=mode, salts=salts, salt_policy=salt_policy, rng=np.random.default_rng(seed)
     )
+
+
+def per_handle_draws(rng, order, salts):
+    """The per-handle loop the one-draw table replaced: handle bytes -> element index."""
+    decode = {}
+    for i in range(order):
+        for _ in range(salts):
+            h = rng.bytes(8)
+            while h in decode:
+                h = rng.bytes(8)
+            decode[h] = i
+    return decode
+
+
+@pytest.mark.parametrize("salts", [1, 4, 16])
+@pytest.mark.parametrize(
+    "table",
+    [
+        sdp_table(modular_group_spec(3, 2)),
+        sdp_table(modular_group_spec(2, 10)),
+        vec_table(ZmGroupSpec(2, 3, 2)),
+    ],
+    ids=["3,2", "2,10", "2,3,2"],
+)
+def test_one_draw_table_matches_the_per_handle_loop(table, salts):
+    ref_rng, rng = np.random.default_rng(salts), np.random.default_rng(salts)
+    decode = per_handle_draws(ref_rng, table.order, salts)
+    bb = BlackBox(table, mode="salted", salts=salts, rng=rng)
+    assert list(bb._decode_map.items()) == list(decode.items())
+    expected = np.frombuffer(b"".join(decode), dtype=">u8").reshape(table.order, salts)
+    assert np.array_equal(bb.codes, expected)
+    assert rng.bytes(64) == ref_rng.bytes(64)
+
+
+class ScriptedBytes:
+    """A generator stub that hands out a fixed byte stream and logs each draw."""
+
+    def __init__(self, values):
+        self.stream = b"".join(v.to_bytes(8, "big") for v in values)
+        self.pos = 0
+        self.draws = []
+
+    def bytes(self, n):
+        self.draws.append(n)
+        self.pos += n
+        if self.pos > len(self.stream):
+            raise RuntimeError("scripted byte stream exhausted")
+        return self.stream[self.pos - n : self.pos]
+
+
+def test_repeated_handles_are_topped_up_like_the_per_handle_loop():
+    # 27 handles wanted: the first draw repeats 1 and 2, the first top-up
+    # repeats 26 within itself, the second repeats 3; the third completes
+    values = [1, 2, 1, 3, 2, *range(4, 26), 26, 26, 3, 27]
+    table = sdp_table(modular_group_spec(3, 2))
+    ref, stub = ScriptedBytes(values), ScriptedBytes(values)
+    decode = per_handle_draws(ref, table.order, 1)
+    bb = BlackBox(table, rng=stub)
+    assert stub.draws == [27 * 8, 16, 8, 8]
+    assert list(bb._decode_map.items()) == list(decode.items())
+    assert bb.codes[:, 0].tolist() == list(range(1, 28))
+    assert stub.pos == ref.pos == len(stub.stream)
 
 
 def test_unique_encoding_is_injective_and_stable():

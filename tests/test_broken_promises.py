@@ -25,7 +25,6 @@ from sdhsp.sdp_group import (
     modular_group_spec,
     sdp_table,
     subgroup_elements,
-    vec_identity,
     vec_table,
 )
 
@@ -79,8 +78,8 @@ def test_stranger_code_in_f_batch(kind):
 
 
 def test_foreign_handle_to_the_vector_solver():
-    vin = make_vec_instance(S322, [vec_identity(S322)], seed=0)
-    other = make_vec_instance(S322, [vec_identity(S322)], seed=1)
+    vin = make_vec_instance(S322, [vec_table(S322).identity], seed=0)
+    other = make_vec_instance(S322, [vec_table(S322).identity], seed=1)
     bad = VecInstance(vin.instance, (other.a_handles[0], vin.a_handles[1]), vin.y_handle)
     with pytest.raises(ValueError, match="unknown encoding"):
         solve_vector(bad, rng=np.random.default_rng(1))
@@ -100,7 +99,7 @@ def test_rank_one_handles_that_do_not_generate(gens):
     "rows", [((3, 0), (0, 1)), ((1, 0),)], ids=["3e1,e2", "e1"]
 )
 def test_vector_handles_that_are_not_a_basis(rows):
-    vin = make_vec_instance(S322, [vec_identity(S322)], seed=0)
+    vin = make_vec_instance(S322, [vec_table(S322).identity], seed=0)
     bb = vin.blackbox
     a_handles = tuple(bb.encode(VecElement(row, 0)) for row in rows)
     bad = VecInstance(vin.instance, a_handles, vin.y_handle)

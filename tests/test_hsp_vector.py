@@ -8,7 +8,6 @@ import pytest
 from sdhsp.algebra import lattice_is_full, Lattice
 from sdhsp.blackbox import oracle_pow
 from sdhsp.hsp_vector import (
-    ReductionMap,
     VecInstance,
     make_vec_instance,
     minimal_generating_set,
@@ -22,7 +21,6 @@ from sdhsp.sdp_group import (
     ZmGroupSpec,
     closure,
     vec_elements,
-    vec_identity,
     vec_table,
 )
 
@@ -31,7 +29,8 @@ S322 = ZmGroupSpec(3, 2, 2)
 
 
 def subgroup_of(spec, gens):
-    return frozenset(closure(vec_table(spec).mul, vec_identity(spec), gens))
+    table = vec_table(spec)
+    return frozenset(closure(table.mul, table.identity, gens))
 
 
 def test_spec_validation():
@@ -48,7 +47,7 @@ def test_spec_validation():
 
 def test_vec_arithmetic_basics():
     table = vec_table(S321)
-    e = vec_identity(S321)
+    e = table.identity
     g = VecElement((1,), 1)
     assert table.mul(g, table.inv(g)) == e
     assert table.mul(table.inv(g), g) == e
@@ -72,9 +71,9 @@ def test_mixed_power_identity_via_oracles():
     # (g y)^c = g^(c + C(c,2) p^{r-1}) y^c for g in the vector part
     spec = S321
     table = vec_table(spec)
-    vin = make_vec_instance(spec, [vec_identity(spec)], seed=8)
+    vin = make_vec_instance(spec, [table.identity], seed=8)
     bb = vin.blackbox
-    e = bb.encode(vec_identity(spec))
+    e = bb.encode(table.identity)
     p, n = spec.p, spec.modulus
     for a in range(n):
         g = VecElement((a,), 0)
@@ -97,19 +96,19 @@ def test_vec_subgroup_closure():
 
 def test_make_vec_instance_reuses_the_table():
     table = vec_table(S322)
-    vin = make_vec_instance(table.spec, [vec_identity(S322)], seed=0)
+    vin = make_vec_instance(table.spec, [table.identity], seed=0)
     assert vin.blackbox.table is table
 
 
 def test_make_vec_instance_guards():
     with pytest.raises(ValueError):
-        make_vec_instance(S321, [vec_identity(S321)], mode="salted", seed=0)
+        make_vec_instance(S321, [vec_table(S321).identity], mode="salted", seed=0)
 
 
 def test_scrambled_handles_still_form_a_basis_probe():
     for seed in range(8):
         vin = make_vec_instance(
-            S322, [vec_identity(S322)], generator_policy="scrambled", seed=seed
+            S322, [vec_table(S322).identity], generator_policy="scrambled", seed=seed
         )
         bb = vin.blackbox
         vecs = [bb.reveal(h) for h in vin.a_handles]
@@ -124,7 +123,7 @@ def test_minimal_generating_set_reduces_redundant_sets():
     rng = np.random.default_rng(61)
     for seed in range(6):
         vin = make_vec_instance(
-            S322, [vec_identity(S322)], generator_policy="scrambled", seed=seed
+            S322, [vec_table(S322).identity], generator_policy="scrambled", seed=seed
         )
         rmap, info = minimal_generating_set(vin, rng)
         assert info["confident"]
@@ -142,7 +141,7 @@ def test_minimal_generating_set_reduces_redundant_sets():
 def test_reduction_map_is_bijective():
     # pi(u, s) = A(u) y^s must hit every group element exactly once
     rng = np.random.default_rng(62)
-    vin = make_vec_instance(S322, [vec_identity(S322)], generator_policy="scrambled", seed=3)
+    vin = make_vec_instance(S322, [vec_table(S322).identity], generator_policy="scrambled", seed=3)
     rmap, _ = minimal_generating_set(vin, rng)
     bb = vin.blackbox
     seen = set()
@@ -153,7 +152,7 @@ def test_reduction_map_is_bijective():
 
 def test_lift_checks_width():
     rng = np.random.default_rng(63)
-    vin = make_vec_instance(S321, [vec_identity(S321)], seed=0)
+    vin = make_vec_instance(S321, [vec_table(S321).identity], seed=0)
     rmap, _ = minimal_generating_set(vin, rng)
     with pytest.raises(ValueError):
         rmap.lift(vin.blackbox, (1, 2, 3, 4))
@@ -203,7 +202,7 @@ def test_pullback_generators_close_to_the_subgroup():
 
 
 def test_solver_requires_commuting_vector_handles():
-    vin = make_vec_instance(S321, [vec_identity(S321)], seed=0)
+    vin = make_vec_instance(S321, [vec_table(S321).identity], seed=0)
     bb = vin.blackbox
     bad = VecInstance(
         instance=vin.instance,
@@ -215,6 +214,6 @@ def test_solver_requires_commuting_vector_handles():
 
 
 def test_solve_rejects_bad_delta():
-    vin = make_vec_instance(S321, [vec_identity(S321)], seed=0)
+    vin = make_vec_instance(S321, [vec_table(S321).identity], seed=0)
     with pytest.raises(ValueError):
         solve(vin, rng=np.random.default_rng(1), delta=2.0)

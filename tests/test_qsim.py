@@ -14,7 +14,6 @@ from sdhsp.algebra import (
     lattice_coset_rep,
     lattice_elements,
     lattice_member,
-    lattice_size,
     lattices_equal,
 )
 from sdhsp.blackbox import BlackBox, OpaqueHandle, make_hidden_instance

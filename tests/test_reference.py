@@ -11,6 +11,7 @@ from sdhsp.reference import (
 from sdhsp.sdp_group import (
     Element,
     ZmGroupSpec,
+    closure,
     enumerate_subgroups,
     modular_group_spec,
     sdp_table,
@@ -46,6 +47,121 @@ def test_brute_force_rejects_non_periodic_labelings():
         brute_force_hidden_subgroup(
             table, lambda g: 0 if g in (Element(0, 0), Element(1, 0)) else hash(g)
         )
+
+
+def reference_brute_force(table, label_of):
+    """The |G| * |H| loop the brute force replaced: every product g*h, h in H."""
+    labels = [label_of(g) for g in table.elements]
+    H = [h for h, lab in enumerate(labels) if lab == labels[0]]
+    for g, base in enumerate(labels):
+        for h in H:
+            if labels[table.imul(g, h)] != base:
+                raise ValueError("f is not H-periodic")
+    if len(set(labels)) * len(H) != table.order:
+        raise ValueError("f is not H-periodic")
+    return frozenset(table.elements[h] for h in H)
+
+
+def every_subgroup(spec, table):
+    if isinstance(spec, ZmGroupSpec):
+        return enumerate_all_subgroups(table)
+    return [frozenset(subgroup_elements(spec, d)) for d in enumerate_subgroups(spec)]
+
+
+def mutations(table, H, labels):
+    """(name, labels) for each broken labelling derived from a planted one."""
+    members = sorted(map(table.index, H))
+    cosets: dict = {}  # label -> the indices of its left coset, by least member
+    for g, lab in enumerate(labels):
+        cosets.setdefault(lab, []).append(g)
+    order = table.order
+    yield "right cosets", [min(table.imul(h, g) for h in members) for g in range(order)]
+    for x in range(1, order):
+        yield "stray {e, x}", [0 if g in (0, x) else g + 1 for g in range(order)]
+    if len(cosets) < 3:
+        return
+    _, first, second = list(cosets)[:3]
+    yield "merged cosets", [first if lab == second else lab for lab in labels]
+    if len(members) >= 2:
+        outside = cosets[first][0]
+        for name, lab in (("fresh label", max(labels) + 1), ("borrowed label", second)):
+            yield name, [lab if g == outside else old for g, old in enumerate(labels)]
+    # constant on H and on the left cosets of K = <least member of H but e>;
+    # the other K-cosets go in blocks of [H:K] by least member, so the label
+    # count is that of a hiding by H, yet only a generator outside K sees it
+    K = closure(table.imul, 0, members[1:2])
+    if len(K) < len(members):
+        least = [min(table.imul(g, k) for k in K) for g in range(order)]
+        outer = sorted(set(least) - set(members))
+        block = {c: 1 + j * len(K) // len(members) for j, c in enumerate(outer)}
+        yield "periodic under a smaller subgroup", [block.get(c, 0) for c in least]
+
+
+def outcome(route, table, labels):
+    """The subgroup a route returns, or that it raised (the loop gives no detail)."""
+    try:
+        return route(table, lambda g: labels[table.index(g)])
+    except ValueError as exc:
+        return f"raises: {str(exc).split(':')[0]}"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        modular_group_spec(3, 2),
+        modular_group_spec(2, 3),
+        modular_group_spec(3, 3),
+        ZmGroupSpec(2, 3, 1),
+    ],
+    ids=["3,2", "2,3", "3,3", "2,3,1"],
+)
+def test_brute_force_matches_the_all_products_loop(spec):
+    table = vec_table(spec) if isinstance(spec, ZmGroupSpec) else sdp_table(spec)
+    raised = set()
+    for H in every_subgroup(spec, table):
+        inst, _ = make_hidden_instance(table, H, seed=5)
+        labels = [inst.label_of_element(g) for g in table.elements]
+        assert brute_force_hidden_subgroup(table, inst.label_of_element) == H
+        assert reference_brute_force(table, inst.label_of_element) == H
+        for name, broken in mutations(table, H, labels):
+            new = outcome(brute_force_hidden_subgroup, table, broken)
+            assert new == outcome(reference_brute_force, table, broken), (H, name)
+            if isinstance(new, str):
+                raised.add(name)
+    assert raised == {
+        "right cosets",
+        "stray {e, x}",
+        "merged cosets",
+        "fresh label",
+        "borrowed label",
+        "periodic under a smaller subgroup",
+    }
+
+
+def test_each_check_of_the_brute_force_catches_its_own_fault():
+    spec = modular_group_spec(3, 2)
+    table = sdp_table(spec)
+    H = frozenset(subgroup_elements(spec, next(
+        d for d in enumerate_subgroups(spec) if d.label() == "xpowery:2"
+    )))  # order 3, index 9
+    inst, _ = make_hidden_instance(table, H, seed=5)
+    labels = [inst.label_of_element(g) for g in table.elements]
+    broken = dict(mutations(table, H, labels))
+
+    def run(name):
+        return brute_force_hidden_subgroup(table, lambda g: broken[name][table.index(g)])
+
+    # constant on cosets, one label short: only the count sees it
+    with pytest.raises(ValueError, match="two cosets of H share a label"):
+        run("merged cosets")
+    # one element moved into another coset's label: the count still holds
+    assert len(set(broken["borrowed label"])) * len(H) == table.order
+    with pytest.raises(ValueError, match="changes within a left coset"):
+        run("borrowed label")
+    with pytest.raises(ValueError, match="changes within a left coset"):
+        run("fresh label")
+    with pytest.raises(ValueError, match="no subgroup"):
+        run("stray {e, x}")
 
 
 def test_generic_enumeration_matches_the_taxonomy():

@@ -3,8 +3,6 @@
 Reference group throughout: p=3, r=2, alpha=4, i.e. Z_9 twisted by the unit 4.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
