@@ -24,7 +24,6 @@ from .algebra import (
     lattice_sample,
     lattice_size,
     lattices_equal,
-    multiplicative_order,
     smith_normal_form,
     solve_kernel,
 )

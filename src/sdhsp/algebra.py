@@ -37,43 +37,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk scale)."""
-    if n < 1:
-        raise ValueError(f"cannot factor {n}")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Least d >= 1 with a^d = 1 (mod n).
-
-    Raises ValueError if gcd(a, n) != 1 ("not a unit") or n < 2.
-    """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    a %= n
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not a unit mod {n}")
-    phi = 1
-    for p, e in _factorize(n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    # Start from the group order and peel off prime factors while possible.
-    d = phi
-    for p in _factorize(phi):
-        while d % p == 0 and pow(a, d // p, n) == 1:
-            d //= p
-    return d
-
-
 # ---------------------------------------------------------------------------
 # Operations derived from a plain (mul, inv, identity)
 
@@ -231,19 +194,7 @@ def lattices_equal(L1: Lattice, L2: Lattice) -> bool:
 
 def lattice_member(L: Lattice, v: Sequence[int]) -> bool:
     """True iff v (reduced mod the moduli) lies in L."""
-    k = len(L.moduli)
-    if len(v) != k:
-        raise ValueError(f"vector width {len(v)} does not match {k} moduli")
-    basis = _lattice_basis(L)
-    w = [int(x) % n for x, n in zip(v, L.moduli)]
-    for i in range(k):
-        d = basis[i][i]
-        if w[i] % d:
-            return False
-        q = w[i] // d
-        if q:
-            w = [x - q * y for x, y in zip(w, basis[i])]
-    return not any(w)
+    return not any(lattice_coset_rep(L, v))
 
 
 def lattice_size(L: Lattice) -> int:
@@ -278,6 +229,8 @@ def full_lattice(moduli: Sequence[int]) -> Lattice:
 def lattice_coset_rep(L: Lattice, v: Sequence[int]) -> tuple[int, ...]:
     """Canonical representative of v + L (reduction against the basis)."""
     k = len(L.moduli)
+    if len(v) != k:
+        raise ValueError(f"vector width {len(v)} does not match {k} moduli")
     basis = _lattice_basis(L)
     w = [int(x) % n for x, n in zip(v, L.moduli)]
     for i in range(k):
@@ -353,16 +306,14 @@ def solve_kernel(samples: Iterable[Sequence[int]], moduli: Sequence[int]) -> Lat
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V == diag(d) with U, V unimodular; uinv, vinv their inverses.
+    """A @ V == uinv @ diag(d) with V and uinv unimodular.
 
     d is nonnegative with d[i] | d[i+1] (zeros last).
     """
 
     d: tuple[int, ...]
-    u: tuple[tuple[int, ...], ...]
     uinv: tuple[tuple[int, ...], ...]
     v: tuple[tuple[int, ...], ...]
-    vinv: tuple[tuple[int, ...], ...]
 
 
 def _eye(n: int) -> list[list[int]]:
@@ -375,25 +326,21 @@ def smith_normal_form(rows: Sequence[Sequence[int]], width: int) -> SmithDecompo
     for r in A:
         if len(r) != k:
             raise ValueError("ragged matrix")
-    U, Uinv = _eye(m), _eye(m)
-    V, Vinv = _eye(k), _eye(k)
+    Uinv, V = _eye(m), _eye(k)
 
     def row_swap(i: int, j: int) -> None:
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
         for r in Uinv:
             r[i], r[j] = r[j], r[i]
 
     def row_add(i: int, j: int, c: int) -> None:
         # row i += c * row j
         A[i] = [x + c * y for x, y in zip(A[i], A[j])]
-        U[i] = [x + c * y for x, y in zip(U[i], U[j])]
         for r in Uinv:
             r[j] -= c * r[i]
 
     def row_neg(i: int) -> None:
         A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
         for r in Uinv:
             r[i] = -r[i]
 
@@ -402,7 +349,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]], width: int) -> SmithDecompo
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def col_add(i: int, j: int, c: int) -> None:
         # col i += c * col j
@@ -410,7 +356,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]], width: int) -> SmithDecompo
             r[i] += c * r[j]
         for r in V:
             r[i] += c * r[j]
-        Vinv[j] = [x - c * y for x, y in zip(Vinv[j], Vinv[i])]
 
     rank = min(m, k)
 
@@ -471,4 +416,4 @@ def smith_normal_form(rows: Sequence[Sequence[int]], width: int) -> SmithDecompo
 
     d = tuple(A[i][i] for i in range(rank))
     to_t = lambda M: tuple(tuple(r) for r in M)
-    return SmithDecomposition(d, to_t(U), to_t(Uinv), to_t(V), to_t(Vinv))
+    return SmithDecomposition(d, to_t(Uinv), to_t(V))

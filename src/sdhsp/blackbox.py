@@ -17,11 +17,11 @@ The handles, read as big-endian integers, form a uint64 table of shape
 dict maps handle bytes back to that index.  Below ``encode``/``reveal``
 everything is an element index: the oracles decode handles to indices,
 apply the table's scalar law and read the result's handle from the table.
-``walk_codes`` uses the table to build the codes of g_1^{u_1}...g_k^{u_k}
-over a whole grid with array arithmetic on element indices, one sweep per
-axis.  It books, and salts, exactly what one ``oracle_mul`` per grid point
-in row-major order would: the same ``mul`` count, the same salt per point
-and, under 'fresh', the same draws from the instance RNG.
+The superposed walk over g_1^{u_1}...g_k^{u_k} stays on element indices:
+``HiddenInstance.f_walk`` labels them, and ``walk_codes`` (unique encodings
+only) reads their codes.  It books the ``mul`` count and, under 'fresh', the
+RNG draws of one ``oracle_mul`` per grid point; no salt of an intermediate
+product is formed, since f gives every encoding of an element one label.
 
 ``reveal`` decodes a handle back to coordinates.  It exists for reports and
 tests; solver code must never call it.
@@ -66,9 +66,9 @@ class BlackBox:
     it.  The table is drawn from ``rng`` in one call, with repeated handles
     dropped and only the shortfall redrawn: the same handles, and the same
     final generator state, as one 8-byte draw per (element, salt) in row
-    order, redrawn on a repeat.  ``walk_codes`` is the batched oracle walk
-    over a grid of products; it books exactly what the per-point
-    ``oracle_mul`` walk would.
+    order, redrawn on a repeat.  ``_walk`` is the batched oracle walk over
+    a grid of products; it books what the per-point ``oracle_mul`` walk
+    would.
     """
 
     def __init__(
@@ -111,8 +111,6 @@ class BlackBox:
         self._decode_map: dict[bytes, int] = {h: k // salts for k, h in enumerate(drawn)}
         flat = np.frombuffer(b"".join(drawn), dtype=">u8").astype(np.uint64)
         self.codes = flat.reshape(table.order, salts)
-        self._code_order = np.argsort(flat)
-        self._sorted_codes = flat[self._code_order]
 
     # -- construction-side access (not part of the solver surface) ---------
 
@@ -134,14 +132,6 @@ class BlackBox:
             return self._decode_map[h.data]
         except KeyError:
             raise ValueError("unknown encoding") from None
-
-    def _decode_indices(self, codes) -> np.ndarray:
-        """Element index of every code in an array (positions in ``table.elements``)."""
-        codes = np.asarray(codes, dtype=np.uint64)
-        pos = np.minimum(np.searchsorted(self._sorted_codes, codes), len(self._sorted_codes) - 1)
-        if not np.array_equal(self._sorted_codes[pos], codes):
-            raise ValueError("unknown encoding")
-        return self._code_order[pos] // self.salts
 
     def _out_salt(self, *operands: OpaqueHandle) -> int:
         if self.salts == 1 or self.salt_policy == "zero":
@@ -168,19 +158,16 @@ class BlackBox:
         self.counters["eq"] += 1
         return self._decode_index(h1) == self._decode_index(h2)
 
-    def walk_codes(self, moduli, identity: OpaqueHandle, gen_handles) -> np.ndarray:
-        """Codes of h g_1^{u_1} ... g_k^{u_k} over the grid, h = ``identity``.
+    def _walk(self, moduli, identity: OpaqueHandle, gen_handles) -> np.ndarray:
+        """Element indices of h g_1^{u_1} ... g_k^{u_k} over the grid, h = ``identity``.
 
         The per-point walk this replaces visits the grid in row-major order
         and makes one ``oracle_mul(out[u - e_d], g_d)`` per point u != 0, d
         its last nonzero digit.  Here each axis d is one sweep: the cells
         with all digits after d zero are filled by doubling, right-multiplying
         the first L of them by g_d^L, which is a permutation of the element
-        indices squared at each step.  The salts follow the per-point walk:
-        'fresh' draws its total - 1 salts in one call, by row-major step, and
-        'operands' replays the operand mix along each axis, since each salt
-        depends on the previous code.  Cell 0 is ``identity`` itself.
-        Validates every handle before booking ``mul += total - 1``.
+        indices squared at each step.  Validates every handle before booking
+        ``mul += total - 1``.
         """
         moduli = tuple(int(n) for n in moduli)
         if len(gen_handles) != len(moduli):
@@ -188,6 +175,11 @@ class BlackBox:
         start, *gens = (self._decode_index(h) for h in (identity, *gen_handles))
         total = math.prod(moduli)
         self.counters["mul"] += total - 1
+        if self.salts > 1 and self.salt_policy == "fresh":
+            # The salts of intermediate products never reach a caller, but the
+            # per-point walk drew one per step; drawing them keeps the instance
+            # RNG, and so every later handle, as that walk leaves it.
+            self._rng.integers(0, self.salts, size=total - 1)
         elems = np.empty(total, dtype=np.int64)
         elems[0] = start
         everything = np.arange(self.table.order)
@@ -198,30 +190,14 @@ class BlackBox:
                 width = min(length, moduli[d] - length)
                 cells[:, length : length + width] = right[cells[:, :width]]
                 length, right = 2 * length, right[right]
-        if self.salts == 1 or self.salt_policy == "zero":
-            salt = 0
-        elif self.salt_policy == "fresh":
-            salt = np.zeros(total, dtype=np.int64)
-            salt[1:] = self._rng.integers(0, self.salts, size=total - 1)
-        else:
-            return self._operands_codes(moduli, elems, identity, gen_handles)
-        codes = self.codes[elems, salt]
-        codes[0] = identity.code
-        return codes.reshape(moduli)
+        return elems.reshape(moduli)
 
-    def _operands_codes(self, moduli, elems, identity, gen_handles) -> np.ndarray:
-        """Codes under the 'operands' policy, one step along each axis at a time."""
-        codes = np.empty(len(elems), dtype=np.uint64)
-        codes[0] = identity.code
-        mask, factor = np.uint64(MIX_MASK), np.uint64(MIX_FACTOR)
-        for d, h in enumerate(gen_handles):
-            shape = (math.prod(moduli[:d]), moduli[d], -1)
-            cells, out = elems.reshape(shape)[:, :, 0], codes.reshape(shape)[:, :, 0]
-            g_code = np.uint64(h.code)
-            for j in range(1, moduli[d]):
-                mix = ((out[:, j - 1] & mask) * factor + g_code) & mask
-                out[:, j] = self.codes[cells[:, j], mix % np.uint64(self.salts)]
-        return codes.reshape(moduli)
+    def walk_codes(self, moduli, identity: OpaqueHandle, gen_handles) -> np.ndarray:
+        """Handle codes of the ``_walk`` grid; unique encodings only, where
+        equal codes mean equal elements."""
+        if self.salts != 1:
+            raise ValueError("product-valued oracles require unique encoding")
+        return self.codes[self._walk(moduli, identity, gen_handles), 0]
 
 
 def oracle_identity(bb: BlackBox, some_handle: OpaqueHandle) -> OpaqueHandle:
@@ -289,11 +265,11 @@ class HiddenInstance:
     f maps any valid encoding of g to a 64-bit label constant on the left
     coset g*H and distinct across cosets.  ``labels`` is the label of every
     element index; the truth is the planted subgroup's elements, which only
-    ``truth_elements`` hands back.  ``f_batch`` evaluates a whole array of
-    codes (``BlackBox.walk_codes``) in one oracle invocation, decoding it
-    with array lookups; the counters track both the number of pointwise
-    evaluations ('f') and the number of batched invocations
-    ('superposed_calls'), which is the quantum-query figure of merit.
+    ``truth_elements`` hands back.  ``f_walk`` evaluates f over a whole grid
+    of products in one oracle invocation; the counters track both the
+    number of pointwise evaluations ('f') and the number of batched
+    invocations ('superposed_calls'), which is the quantum-query figure of
+    merit.
     """
 
     def __init__(
@@ -311,9 +287,9 @@ class HiddenInstance:
         self.counters["f"] += 1
         return int(self._label_array[self.blackbox._decode_index(h)])
 
-    def f_batch(self, codes: np.ndarray) -> np.ndarray:
-        """Labels of an array of handle codes, in its shape; one superposed call."""
-        labels = self._label_array[self.blackbox._decode_indices(codes)]
+    def f_walk(self, moduli, identity: OpaqueHandle, gen_handles) -> np.ndarray:
+        """Labels of g_1^{u_1} ... g_k^{u_k} over the grid; one superposed call."""
+        labels = self._label_array[self.blackbox._walk(moduli, identity, gen_handles)]
         self.counters["f"] += labels.size
         self.counters["superposed_calls"] += 1
         return labels

@@ -14,13 +14,12 @@ Both backends book the same modeled query cost: one superposed evaluation
 of F over the whole domain per sample.  Pointwise evaluations are booked
 as single classical queries.
 
-Oracles over a black box are built in one batched pass: ``BlackBox.walk_codes``
-computes the handle codes of g_1^{u_1}...g_k^{u_k} over the whole grid with
-the group's product law on element indices, one sweep per axis, and
-``HiddenInstance.f_batch`` maps those codes to labels with array lookups.
-The walk books exactly the ``mul`` calls, salts and RNG draws of one
+Oracles over a black box are built in one batched pass inside the black
+box: ``HiddenInstance.f_walk`` labels g_1^{u_1}...g_k^{u_k} over the whole
+grid, and ``BlackBox.walk_codes`` gives their handle codes under a unique
+encoding.  The walk books the ``mul`` calls and RNG draws of one
 ``oracle_mul`` per grid point in row-major order, so counters and answers
-match a point-by-point walk.  Grid values are small label ids, compared only
+match a point-by-point walk.  Grid values are labels or codes, compared only
 for equality.
 """
 
@@ -61,9 +60,9 @@ def qft_matrix(n: int) -> np.ndarray:
 class AbelianOracle:
     """F on a product of cyclic groups, pre-evaluated on the full grid.
 
-    The grid holds small integer label ids.  Cost hooks let an oracle built
-    over a counted hiding function keep booking modeled cost even though
-    replays hit the cache.
+    The grid holds integer values, compared only for equality.  Cost hooks
+    let an oracle built over a counted hiding function keep booking modeled
+    cost even though replays hit the cache.
     """
 
     def __init__(
@@ -102,11 +101,11 @@ class AbelianOracle:
         The build performs one batched evaluation of f over the domain,
         which pays for the first superposed sample.
         """
-        labels = inst.f_batch(inst.blackbox.walk_codes(moduli, identity, gen_handles))
+        labels = inst.f_walk(moduli, identity, gen_handles)
         dom = labels.size
         return cls(
             moduli,
-            _unique_id_grid(labels),
+            labels,
             sample_cost=lambda: inst.charge(dom, 1),
             single_cost=lambda: inst.charge(1, 0),
             first_sample_paid=True,
@@ -120,13 +119,7 @@ class AbelianOracle:
         elements.  Samples book superposed group-operation rounds through
         ``charge``; no hiding function is involved.
         """
-        if bb.salts != 1:
-            raise ValueError("product-valued oracles require unique encoding")
-        return cls(
-            moduli,
-            _unique_id_grid(bb.walk_codes(moduli, identity, gen_handles)),
-            sample_cost=charge,
-        )
+        return cls(moduli, bb.walk_codes(moduli, identity, gen_handles), sample_cost=charge)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -163,11 +156,6 @@ def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
     for i, lab in enumerate(labels):
         flat[i] = ids.setdefault(lab, len(ids))
     return flat.reshape(moduli)
-
-
-def _unique_id_grid(values: np.ndarray) -> np.ndarray:
-    """Ids of an integer array's values, numbered in sorted order."""
-    return np.unique(values.ravel(), return_inverse=True)[1].reshape(values.shape)
 
 
 # -- sampling backends ----------------------------------------------------------

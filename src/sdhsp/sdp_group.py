@@ -34,7 +34,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .algebra import closure, multiplicative_order, square_and_multiply
+from .algebra import closure, square_and_multiply
 
 
 def is_prime(n: int) -> bool:
@@ -347,8 +347,13 @@ def vec_table(G: ZmGroupSpec) -> GroupTable:
 
 
 def generates(table: GroupTable, gens) -> bool:
-    """Whether the element indices `gens` generate the whole group."""
-    return len(closure(table.imul, 0, gens)) == table.order
+    """Whether the element indices `gens` generate the whole group.
+
+    A proper subgroup has at most |G|/2 elements (Lagrange), so the closure
+    stops as soon as it holds more.
+    """
+    half = table.order // 2
+    return len(closure(table.imul, 0, gens, bound=half)) > half
 
 
 def greedy_generators(table: GroupTable, elems: frozenset) -> list | None:
@@ -382,8 +387,9 @@ def is_subgroup(table: GroupTable, elems: frozenset) -> bool:
 def enumerate_alphas(p: int, q: int, r: int) -> set[int]:
     """All alpha != 1 of multiplicative order exactly q mod p^r.
 
-    Straight search over the units; the classification layer asserts the
-    case counts against this set, not the other way around.
+    Straight search: q is prime, so alpha^q = 1 with alpha != 1 means order
+    exactly q.  The classification layer asserts the case counts against
+    this set, not the other way around.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -392,7 +398,7 @@ def enumerate_alphas(p: int, q: int, r: int) -> set[int]:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     m = p**r
-    return {a for a in range(2, m) if a % p and multiplicative_order(a, m) == q}
+    return {a for a in range(2, m) if pow(a, q, m) == 1}
 
 
 # Classification labels for Z_{p^r} x| Z_q with alpha of order q (or 1):

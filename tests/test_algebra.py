@@ -19,7 +19,6 @@ from sdhsp.algebra import (
     lattice_sample,
     lattice_size,
     lattices_equal,
-    multiplicative_order,
     smith_normal_form,
     solve_kernel,
 )
@@ -51,32 +50,6 @@ def random_lattice(rng, k_max=3) -> Lattice:
         tuple(int(rng.integers(0, n)) for n in moduli) for _ in range(ngens)
     )
     return Lattice(moduli, gens)
-
-
-def test_multiplicative_order_known_values():
-    assert multiplicative_order(4, 9) == 3
-    assert multiplicative_order(2, 7) == 3
-    assert multiplicative_order(1, 5) == 1
-    assert multiplicative_order(2, 9) == 6
-
-
-def test_multiplicative_order_rejects_non_units():
-    with pytest.raises(ValueError):
-        multiplicative_order(3, 9)
-    with pytest.raises(ValueError):
-        multiplicative_order(0, 7)
-
-
-@given(st.integers(2, 500), st.integers(1, 500))
-@settings(max_examples=60, deadline=None)
-def test_multiplicative_order_is_the_order(n, a):
-    a %= n
-    if a == 0 or np.gcd(a, n) != 1:
-        return
-    d = multiplicative_order(a, n)
-    assert pow(a, d, n) == 1
-    for e in range(1, d):
-        assert pow(a, e, n) != 1
 
 
 def test_dual_of_known_line():
@@ -147,6 +120,15 @@ def test_coset_reps_partition():
             assert lattice_member(L, diff)
 
 
+def test_a_vector_of_the_wrong_width_raises():
+    L = Lattice((9, 3), ((3, 1),))
+    for v in [(1, 2, 5), (1,)]:
+        with pytest.raises(ValueError, match="vector width"):
+            lattice_coset_rep(L, v)
+        with pytest.raises(ValueError, match="vector width"):
+            lattice_member(L, v)
+
+
 def test_sample_stays_inside_and_covers():
     rng = np.random.default_rng(5150)
     L = Lattice((9, 3), ((3, 1), (0, 0)))
@@ -192,6 +174,16 @@ def test_solve_kernel_of_nothing_is_everything():
     assert lattices_equal(solve_kernel((), (4, 9)), full_lattice((4, 9)))
 
 
+def exact_det(M) -> int:
+    """Integer determinant by cofactor expansion along the first row."""
+    if not M:
+        return 1
+    return sum(
+        (-1) ** j * M[0][j] * exact_det([r[:j] + r[j + 1 :] for r in M[1:]])
+        for j in range(len(M))
+    )
+
+
 @given(
     st.lists(
         st.lists(st.integers(-40, 40), min_size=3, max_size=3),
@@ -203,25 +195,19 @@ def test_solve_kernel_of_nothing_is_everything():
 def test_smith_normal_form_properties(rows):
     snf = smith_normal_form(rows, 3)
     A = np.array(rows, dtype=object)
-    U = np.array(snf.u, dtype=object)
-    V = np.array(snf.v, dtype=object)
-    prod = U @ A @ V
-    for i in range(len(rows)):
-        for j in range(3):
-            want = snf.d[i] if i == j and i < len(snf.d) else 0
-            assert prod[i][j] == want
+    D = np.zeros((len(rows), 3), dtype=object)
+    for i, d in enumerate(snf.d):
+        D[i, i] = d
+    V, Uinv = np.array(snf.v, dtype=object), np.array(snf.uinv, dtype=object)
+    assert (A @ V).tolist() == (Uinv @ D).tolist()
+    assert abs(exact_det(snf.v)) == 1
+    assert abs(exact_det(snf.uinv)) == 1
+    assert all(d >= 0 for d in snf.d)
     for i in range(len(snf.d) - 1):
         if snf.d[i + 1] != 0:
             assert snf.d[i + 1] % max(snf.d[i], 1) == 0 or snf.d[i] == 0
         if snf.d[i] != 0 and snf.d[i + 1] != 0:
             assert snf.d[i + 1] % snf.d[i] == 0
-    # the recorded inverses really invert
-    assert (np.array(snf.u, dtype=object) @ np.array(snf.uinv, dtype=object)).tolist() == np.eye(
-        len(rows), dtype=object
-    ).tolist()
-    assert (np.array(snf.v, dtype=object) @ np.array(snf.vinv, dtype=object)).tolist() == np.eye(
-        3, dtype=object
-    ).tolist()
 
 
 def test_lattice_validation():

@@ -228,7 +228,8 @@ def test_f_goes_through_the_query_counter():
     inst, handles = make_hidden_instance(table, H, seed=0)
     h = inst.blackbox.encode(Element(1, 1))
     inst.f(h)
-    inst.f_batch(np.array([h.code] * 3, dtype=np.uint64))  # one superposed call, three evaluations
+    # one superposed call, three evaluations
+    inst.f_walk((3,), inst.blackbox.encode(Element(0, 0)), [h])
     inst.charge(10, 2)
     stats = inst.query_stats()
     assert stats["f"] == 14

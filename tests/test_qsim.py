@@ -270,15 +270,18 @@ def test_batched_walk_matches_the_per_point_walk(table, encoding, moduli, picks,
     )
     gens = gens[: len(moduli)]
     want = reference_walk(ref_bb, moduli, start, gens)
-    codes = walk_bb.walk_codes(moduli, start, gens)
+    got = walk_bb._walk(moduli, start, gens)
     total = math.prod(moduli)
-    assert codes.shape == tuple(moduli)
-    handles = [OpaqueHandle(int(c).to_bytes(8, "big")) for c in codes.ravel()]
-    assert [walk_bb.reveal(h) for h in handles] == [ref_bb.reveal(h) for h in want]
-    assert handles == want  # the same salt at every point too
+    assert got.shape == tuple(moduli)
+    assert got.ravel().tolist() == [ref_bb._decode_index(h) for h in want]
     assert walk_bb.counters == ref_bb.counters == {"mul": total - 1, "inv": 0, "eq": 0}
-    # under 'fresh' both consumed total - 1 scalar draws; otherwise none
+    # under 'fresh' both consumed total - 1 salt draws; otherwise none
     assert walk_bb._rng.bit_generator.state == ref_bb._rng.bit_generator.state
+    if mode == "unique":
+        codes_bb = blackbox()
+        codes = codes_bb.walk_codes(moduli, start, gens)
+        assert [OpaqueHandle(int(c).to_bytes(8, "big")) for c in codes.ravel()] == want
+        assert codes_bb.counters == ref_bb.counters
 
 
 def test_walk_needs_one_generator_per_modulus():
@@ -287,6 +290,17 @@ def test_walk_needs_one_generator_per_modulus():
     with pytest.raises(ValueError, match="one generator handle per modulus"):
         bb.walk_codes((3, 3), e, [e])
     assert bb.counters["mul"] == 0
+
+
+@pytest.mark.parametrize("policy", ["zero", "operands", "fresh"])
+def test_walk_codes_refuses_a_salted_box(policy):
+    bb = BlackBox(WALK_TABLES[0], "salted", 4, policy, rng=np.random.default_rng(0))
+    e = bb.encode(WALK_TABLES[0].identity)
+    state = bb._rng.bit_generator.state
+    with pytest.raises(ValueError, match="product-valued oracles require unique encoding"):
+        bb.walk_codes((3, 3), e, [e, e])
+    assert bb.counters == {"mul": 0, "inv": 0, "eq": 0}
+    assert bb._rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("encoding", WALK_ENCODINGS, ids=lambda e: f"{e[0]}:{e[1]}:{e[2]}")

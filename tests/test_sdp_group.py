@@ -24,7 +24,9 @@ from sdhsp.sdp_group import (
     elements,
     enumerate_alphas,
     enumerate_subgroups,
+    generates,
     invert,
+    is_prime,
     is_subgroup,
     iso_map,
     modular_group_spec,
@@ -120,6 +122,33 @@ def test_alpha_defining_property():
             # y x y^-1 = x^alpha is exactly what the twist means
             y, x = Element(0, 1), Element(1, 0)
             assert conjugate(spec, y, x) == Element(a, 0)
+
+
+def literal_order(a: int, m: int) -> int | None:
+    """Least d >= 1 with a^d = 1 mod m by repeated multiplication; None for a non-unit."""
+    x, d = a % m, 1
+    while x != 1:
+        if d > m:
+            return None
+        x, d = x * a % m, d + 1
+    return d
+
+
+def test_alpha_sets_match_the_literal_order_over_the_classification_range():
+    # every (p, q, r) with p^r * q <= 500, the classification gate's range
+    orders: dict[int, dict[int, int | None]] = {}
+    cells = 0
+    for q in filter(is_prime, range(2, 251)):
+        for p in filter(is_prime, range(2, 500 // q + 1)):
+            r = 1
+            while p**r * q <= 500:
+                m = p**r
+                if m not in orders:
+                    orders[m] = {a: literal_order(a, m) for a in range(2, m)}
+                assert enumerate_alphas(p, q, r) == {a for a, d in orders[m].items() if d == q}
+                cells += 1
+                r += 1
+    assert cells == 413
 
 
 def test_alpha_case_two_is_the_near_identity_coset():
@@ -311,6 +340,23 @@ def test_is_subgroup_matches_the_definition_next_to_every_subgroup():
         neighbours += [H - {h} for h in H]
         for K in neighbours:
             assert is_subgroup(table, indices(K)) == all_pairs_subgroup(table, K)
+
+
+GENERATES_TABLES = [
+    P32_TABLE,
+    sdp_table(modular_group_spec(2, 3)),
+    sdp_table(GroupSpec(7, 3, 1, 2)),
+    vec_table(ZmGroupSpec(3, 2, 1)),
+    vec_table(ZmGroupSpec(2, 3, 1)),
+    vec_table(ZmGroupSpec(2, 3, 2)),
+]
+
+
+@given(st.sampled_from(GENERATES_TABLES), st.lists(st.integers(0, 10**6), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_generates_matches_the_full_closure(table, picks):
+    gens = [i % table.order for i in picks]
+    assert generates(table, gens) == (len(closure(table.imul, 0, gens)) == table.order)
 
 
 def test_one_table_per_spec():
