@@ -278,14 +278,15 @@ def dual_lattice(L: Lattice) -> Lattice:
     k = len(mods)
     N = math.lcm(*mods)
     weights = [N // n for n in mods]
-    rows = [[h[j] * weights[j] for j in range(k)] for h in L.gens]
-    if not rows:
-        return full_lattice(mods)
+    # Factor the k x k basis of the lift, not the generator rows: it gives
+    # the same constraints (a modulus row pairs to 0 mod N), has full rank and
+    # entries no larger than the moduli.  On a tall stack of raw rows the
+    # Smith form's entries grow to thousands of digits.
+    rows = [[h[j] * weights[j] for j in range(k)] for h in _lattice_basis(L)]
     snf = smith_normal_form(rows, k)
     gens = []
     for i in range(k):
-        d = snf.d[i] if i < len(snf.d) else 0
-        scale = N // math.gcd(d, N)
+        scale = N // math.gcd(snf.d[i], N)
         gens.append(tuple(scale * snf.v[j][i] % mods[j] for j in range(k)))
     return lattice_canonicalize(Lattice(mods, tuple(gens)))
 

@@ -104,23 +104,10 @@ def _parse_tuples(text: str) -> list[tuple[int, ...]]:
 def parse_hidden_modular(text: str, spec: GroupSpec, rng: np.random.Generator) -> SubgroupDesc:
     """Hidden-subgroup mini-language for the rank-one groups.
 
-    full | trivial | random | xpower:i | xpowery:i | cyclicxy:t,j |
-    gens:(a,b),(a,b),...
+    full | trivial | random | gens:(a,b),(a,b),... | any label of
+    ``enumerate_subgroups`` (xpower:i | xpowery:i | cyclicxy:t,j), whose
+    integer fields go through int(): "xpower:+1" names xpower:1.
     """
-    if text == "full":
-        return SubgroupDesc.xpowery(0)
-    if text == "trivial":
-        return SubgroupDesc.xpower(spec.r)
-    if text == "random":
-        descs = enumerate_subgroups(spec)
-        return descs[int(rng.integers(0, len(descs)))]
-    if text.startswith("xpower:"):
-        return SubgroupDesc.xpower(int(text.split(":", 1)[1]))
-    if text.startswith("xpowery:"):
-        return SubgroupDesc.xpowery(int(text.split(":", 1)[1]))
-    if text.startswith("cyclicxy:"):
-        t, j = (int(s) for s in text.split(":", 1)[1].split(","))
-        return SubgroupDesc.cyclicxy(t, j)
     if text.startswith("gens:"):
         pairs = _parse_tuples(text[len("gens:"):])
         gens = []
@@ -129,7 +116,16 @@ def parse_hidden_modular(text: str, spec: GroupSpec, rng: np.random.Generator) -
                 raise ValueError(f"modular group elements are (a,b) pairs, got {tup}")
             gens.append(Element(tup[0] % spec.modulus, tup[1] % spec.q))
         return SubgroupDesc.from_generators(gens)
-    raise ValueError(f"cannot parse hidden-subgroup spec {text!r}")
+    descs = enumerate_subgroups(spec)
+    if text == "random":
+        return descs[int(rng.integers(0, len(descs)))]
+    aliases = {"full": "xpowery:0", "trivial": f"xpower:{spec.r}"}
+    name, _, fields = aliases.get(text, text).partition(":")
+    try:
+        label = name + ":" + ",".join(str(int(s)) for s in fields.split(","))
+        return next(d for d in descs if d.label() == label)
+    except (ValueError, StopIteration):
+        raise ValueError(f"cannot parse hidden-subgroup spec {text!r}") from None
 
 
 def parse_hidden_vector(text: str, table, rng: np.random.Generator) -> tuple[VecElement, ...]:

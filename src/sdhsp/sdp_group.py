@@ -458,90 +458,54 @@ def iso_map(G_src: GroupSpec, G_dst: GroupSpec, e: Element) -> Element:
 
 @dataclass(frozen=True)
 class SubgroupDesc:
-    """Structural or generator-list description of a subgroup.
+    """A subgroup of a rank-one group: a name and the generators it closes over.
 
-    kind 'xpower'    <x^(p^i)>            field i, 0 <= i <= r
-    kind 'xpowery'   <x^(p^i), y>         field i, 0 <= i <= r
-    kind 'cyclicxy'  <x^(t p^j) y>        fields t, j, 0 <= j < r, 1 <= t < p
-    kind 'generators' arbitrary generator list in ``gens``
+    ``enumerate_subgroups`` names the modular taxonomy (``xpower:i``,
+    ``xpowery:i``, ``cyclicxy:t,j``); ``from_generators`` names any
+    generator list ``gens:(a,b),...``.
     """
 
-    kind: str
-    i: int | None = None
-    t: int | None = None
-    j: int | None = None
-    gens: tuple[Element, ...] | None = None
-
-    @staticmethod
-    def xpower(i: int) -> "SubgroupDesc":
-        return SubgroupDesc(kind="xpower", i=i)
-
-    @staticmethod
-    def xpowery(i: int) -> "SubgroupDesc":
-        return SubgroupDesc(kind="xpowery", i=i)
-
-    @staticmethod
-    def cyclicxy(t: int, j: int) -> "SubgroupDesc":
-        return SubgroupDesc(kind="cyclicxy", t=t, j=j)
+    name: str
+    gens: tuple[Element, ...]
 
     @staticmethod
     def from_generators(gens) -> "SubgroupDesc":
-        return SubgroupDesc(kind="generators", gens=tuple(gens))
+        gens = tuple(gens)
+        return SubgroupDesc("gens:" + ",".join(f"({g.a},{g.b})" for g in gens), gens)
 
     def label(self) -> str:
-        if self.kind == "xpower":
-            return f"xpower:{self.i}"
-        if self.kind == "xpowery":
-            return f"xpowery:{self.i}"
-        if self.kind == "cyclicxy":
-            return f"cyclicxy:{self.t},{self.j}"
-        return "gens:" + ",".join(f"({g.a},{g.b})" for g in self.gens)
-
-
-def subgroup_generators(G: GroupSpec, S: SubgroupDesc) -> list[Element]:
-    if S.kind == "generators":
-        for g in S.gens:
-            sdp_table(G).index(g)  # validates g
-        return list(S.gens)
-    if not G.is_modular:
-        raise ValueError("structural subgroup tags require the modular parameterization")
-    p, r = G.p, G.r
-    if S.kind == "xpower":
-        if not 0 <= S.i <= r:
-            raise ValueError(f"xpower index {S.i} out of range")
-        return [Element(p**S.i % G.modulus, 0)]
-    if S.kind == "xpowery":
-        if not 0 <= S.i <= r:
-            raise ValueError(f"xpowery index {S.i} out of range")
-        return [Element(p**S.i % G.modulus, 0), Element(0, 1)]
-    if S.kind == "cyclicxy":
-        if not (0 <= S.j < r and 1 <= S.t < p):
-            raise ValueError(f"cyclicxy parameters ({S.t},{S.j}) out of range")
-        return [Element(S.t * p**S.j, 1)]
-    raise ValueError(f"unknown subgroup kind {S.kind!r}")
+        return self.name
 
 
 def subgroup_elements(G: GroupSpec, S: SubgroupDesc) -> list[Element]:
     """Element list by closure of the defining generators."""
-    return sorted(closure(partial(compose, G), IDENTITY, subgroup_generators(G, S)))
+    for g in S.gens:
+        sdp_table(G).index(g)  # validates g
+    return sorted(closure(partial(compose, G), IDENTITY, S.gens))
 
 
 def enumerate_subgroups(G: GroupSpec) -> list[SubgroupDesc]:
-    """The complete subgroup list of the modular group of order p^(r+1).
+    """Every subgroup of the modular group of order p^(r+1): 2(r+1) + r(p-1).
 
-    Count: 2(r+1) + r(p-1).  Not valid for (p, r) = (2, 2), where extra
-    subgroups outside this taxonomy exist (that group is dihedral).
+    The one writer of the taxonomy's labels, in this order:
+      xpower:i      <x^(p^i)>        0 <= i <= r
+      xpowery:i     <x^(p^i), y>     0 <= i <= r
+      cyclicxy:t,j  <x^(t p^j) y>    0 <= j < r, 1 <= t < p
+    Not valid for (p, r) = (2, 2): that group is dihedral, with subgroups
+    outside this taxonomy.
     """
     if not G.is_modular:
         raise ValueError("subgroup taxonomy requires the modular parameterization")
-    if (G.p, G.r) == (2, 2):
+    p, r = G.p, G.r
+    if (p, r) == (2, 2):
         raise ValueError("(p, r) = (2, 2) is outside the modular taxonomy")
-    out = [SubgroupDesc.xpower(i) for i in range(G.r + 1)]
-    out += [SubgroupDesc.xpowery(i) for i in range(G.r + 1)]
+    x = [Element(p**i % G.modulus, 0) for i in range(r + 1)]
+    out = [SubgroupDesc(f"xpower:{i}", (x[i],)) for i in range(r + 1)]
+    out += [SubgroupDesc(f"xpowery:{i}", (x[i], Element(0, 1))) for i in range(r + 1)]
     out += [
-        SubgroupDesc.cyclicxy(t, j)
-        for j in range(G.r)
-        for t in range(1, G.p)
+        SubgroupDesc(f"cyclicxy:{t},{j}", (Element(t * p**j, 1),))
+        for j in range(r)
+        for t in range(1, p)
     ]
     return out
 
@@ -560,6 +524,5 @@ def subgroup_properties(G: GroupSpec, S: SubgroupDesc) -> SubgroupProperties:
     abelian = all(
         compose(G, g, h) == compose(G, h, g) for i, g in enumerate(elems) for h in elems[i + 1 :]
     )
-    gens = subgroup_generators(G, S)
-    normal = all(conjugate(G, g, s) in elem_set for g in elements(G) for s in gens)
+    normal = all(conjugate(G, g, s) in elem_set for g in elements(G) for s in S.gens)
     return SubgroupProperties(order=len(elems), abelian=abelian, normal=normal)

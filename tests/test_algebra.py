@@ -1,6 +1,8 @@
 """Lattice and number-theory layer, checked against direct enumeration."""
 
 import itertools
+import math
+import signal
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from sdhsp.algebra import (
     solve_kernel,
 )
 
-MODULI_POOL = [2, 3, 4, 5, 8, 9, 27]
+MODULI_POOL = [1, 2, 3, 4, 5, 6, 8, 9, 27]
 
 
 def brute_dual(L: Lattice) -> set:
@@ -83,6 +85,35 @@ def test_dual_matches_definition_exhaustively():
     for _ in range(40):
         L = random_lattice(rng, k_max=2)
         assert set(lattice_elements(dual_lattice(L))) == brute_dual(L)
+
+
+def test_kernel_of_tall_sample_stacks_finishes():
+    # a Smith form of these raw rows grew entries past 4,000 digits and did
+    # not finish; the alarm turns such a hang into a failure
+    full = Lattice(
+        (512, 49, 49, 3),
+        ((456, 17, 46, 0), (104, 20, 1, 0), (26, 41, 34, 0), (390, 43, 13, 1), (29, 33, 14, 1)),
+    )
+    rng = np.random.default_rng(19)
+    moduli = (125, 125, 125, 5)
+    H = Lattice(moduli, tuple(tuple(int(rng.integers(0, n)) for n in moduli) for _ in range(2)))
+    D = dual_lattice(H)
+    samples = Lattice(moduli, tuple(lattice_sample(D, rng) for _ in range(15)))
+
+    def hang(signum, frame):
+        raise TimeoutError("the kernel solve did not finish")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        for S, planted in ((full, Lattice(full.moduli, ())), (samples, H)):
+            K = solve_kernel(S.gens, S.moduli)
+            assert lattices_equal(K, planted)
+            assert lattices_equal(dual_lattice(K), S)
+            assert lattice_size(K) * lattice_size(S) == math.prod(S.moduli)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_canonical_form_identifies_equal_lattices():

@@ -5,9 +5,18 @@ import io
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
-from sdhsp.cli import SEED_ENV_VAR, main
+from sdhsp.cli import SEED_ENV_VAR, main, parse_hidden_modular
+from sdhsp.sdp_group import (
+    IDENTITY,
+    Element,
+    elements,
+    enumerate_subgroups,
+    modular_group_spec,
+    subgroup_elements,
+)
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -160,8 +169,31 @@ def test_bad_encoding_string(capsys):
 
 
 def test_bad_hidden_spec(capsys):
-    code, out, err = run(capsys, "solve-p", "--p", "3", "--r", "2", "--hidden", "nope:1")
-    assert code == 2
+    for text in ("nope:1", "xpower:9", "cyclicxy:0,1", "cyclicxy:1"):
+        code, out, err = run(capsys, "solve-p", "--p", "3", "--r", "2", "--hidden", text)
+        assert code == 2, text
+
+
+def _hidden_modular_specs():
+    for p, r in ((3, 2), (2, 3)):
+        spec = modular_group_spec(p, r)
+        for d in enumerate_subgroups(spec):
+            want = subgroup_elements(spec, d)
+            yield pytest.param(spec, d.label(), want, id=f"{p},{r} {d.label()}")
+        yield pytest.param(spec, "full", elements(spec), id=f"{p},{r} full")
+        yield pytest.param(spec, "trivial", [IDENTITY], id=f"{p},{r} trivial")
+    spec = modular_group_spec(3, 2)
+    for text, want in (
+        ("xpower:+1", [IDENTITY, Element(3, 0), Element(6, 0)]),
+        ("cyclicxy:1, 1", [IDENTITY, Element(3, 1), Element(6, 2)]),
+    ):
+        yield pytest.param(spec, text, want, id=f"3,2 {text}")
+
+
+@pytest.mark.parametrize("spec, text, want", list(_hidden_modular_specs()))
+def test_hidden_modular_spec_resolves(spec, text, want):
+    desc = parse_hidden_modular(text, spec, np.random.default_rng(0))
+    assert subgroup_elements(spec, desc) == sorted(want)
 
 
 def test_seed_env_var(capsys, monkeypatch):

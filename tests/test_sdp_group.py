@@ -202,7 +202,8 @@ def test_iso_map_rejects_cross_family():
 
 
 def test_subgroup_worked_example():
-    desc = SubgroupDesc.cyclicxy(1, 1)
+    desc = next(d for d in enumerate_subgroups(P32) if d.label() == "cyclicxy:1,1")
+    assert desc.gens == (Element(3, 1),)
     got = subgroup_elements(P32, desc)
     assert set(got) == {Element(0, 0), Element(3, 1), Element(6, 2)}
 
@@ -260,6 +261,8 @@ def test_from_generators_canonicalizes():
     d1 = SubgroupDesc.from_generators([Element(3, 1)])
     d2 = SubgroupDesc.from_generators([Element(6, 2), Element(3, 1)])
     assert subgroup_elements(P32, d1) == subgroup_elements(P32, d2)
+    with pytest.raises(ValueError, match="not in"):
+        subgroup_elements(P32, SubgroupDesc.from_generators([Element(9, 0)]))
 
 
 @given(st.integers(0, 8), st.integers(0, 2), st.integers(0, 200))
