@@ -4,14 +4,13 @@ Each criterion_* function runs one gate end to end and returns a
 CriterionResult built by _mk, which also times the gate; run_all chains
 them (the query-budget gate consumes the rank-one sweep's measurements).
 The same runners back both the pytest acceptance suite and the CLI
-selftest, so there is exactly one definition of "passing".  run_case is
-the one "build instance, solve, compare with the planted subgroup" path;
-_sweep, the solver commands and bench all go through it.  Both solver
-gates are one _sweep each: every labelled subgroup of every grid cell,
-run under each configuration the gate lists for that cell.
+selftest, so there is exactly one definition of "passing".
 
-Solver gates always compare against the brute-force reference route,
-never against the solver's own bookkeeping.
+run_case is the one "build instance, solve, compare" path: a case matches
+when the answer, the brute-force level set of f(e) (never the solver's own
+bookkeeping) and the planted subgroup coincide.  The solver commands call
+it; run_grid runs it over every labelled subgroup of every grid cell, for
+bench and for the two solver gates (one _sweep each).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .algebra import (
     lattice_size,
     lattices_equal,
 )
-from .blackbox import HiddenInstance, SolveOutcome, make_hidden_instance
+from .blackbox import SolveOutcome, make_hidden_instance
 from .hsp_vector import make_vec_instance
 from .qsim import AbelianOracle, backend_for, sample_annihilator, sample_statevector
 from .sdp_group import (
@@ -130,34 +129,21 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CaseResult:
-    instance: HiddenInstance
     outcome: SolveOutcome
-    wall_ms: float  # the solve alone, without the instance build
-    match: bool  # the answer equals the planted subgroup
-
-
-def grid_cell(cell: tuple[int, ...]) -> tuple[GroupTable, list[tuple[str, frozenset]]]:
-    """Table and every labelled subgroup of a rank-one (p, r) or vector (p, r, m) cell."""
-    if len(cell) == 2:
-        spec = modular_group_spec(*cell)
-        subs = [
-            (d.label(), frozenset(subgroup_elements(spec, d))) for d in enumerate_subgroups(spec)
-        ]
-        return sdp_table(spec), subs
-    table = vec_table(ZmGroupSpec(*cell))
-    subs = reference.enumerate_all_subgroups(table)
-    return table, [(f"sub{si}:order{len(sub)}", sub) for si, sub in enumerate(subs)]
+    wall_ms: float  # the solve alone, without the instance build or the check
+    match: bool  # answer, brute-force level set and planted subgroup coincide
 
 
 def run_case(table: GroupTable, truth, cfg: RunConfig, rng: np.random.Generator) -> CaseResult:
-    """Build the hiding instance for `truth`, solve it and compare with `truth`.
+    """Build the hiding instance for `truth`, solve it and check the answer.
 
     The solver follows the type of ``table.spec``: vector groups go to
-    hsp_vector, rank-one groups to hsp_modular.
+    hsp_vector, rank-one groups to hsp_modular.  The answer must equal both
+    the brute-force level set of f(e) and `truth`.
     """
     if isinstance(table.spec, ZmGroupSpec):
         vin = make_vec_instance(
-            table.spec, truth, mode=cfg.mode, generator_policy=cfg.generator_policy, seed=cfg.seed
+            table.spec, truth, salts=cfg.salts, generator_policy=cfg.generator_policy, seed=cfg.seed
         )
         inst = vin.instance
         start = time.monotonic()
@@ -175,45 +161,61 @@ def run_case(table: GroupTable, truth, cfg: RunConfig, rng: np.random.Generator)
         start = time.monotonic()
         out = hsp_modular.solve(inst, handles, rng=rng, delta=cfg.delta, backend=cfg.backend)
     wall_ms = 1000.0 * (time.monotonic() - start)
-    return CaseResult(inst, out, wall_ms, frozenset(out.subgroup) == frozenset(truth))
+    brute = reference.brute_force_hidden_subgroup(table, inst.label_of_element)
+    return CaseResult(out, wall_ms, frozenset(out.subgroup) == brute == frozenset(truth))
 
 
-def _sweep(name: str, grid, configs_of) -> CriterionResult:
-    """Solve every labelled subgroup of every grid cell and check it by brute force.
+def run_grid(grid, configs_of):
+    """Run every labelled subgroup of every grid cell, in grid order.
 
-    ``configs_of(cell)`` lists the ``(RunConfig, key)`` runs for a cell; the
-    solver's rng is ``[seed, *cell, subgroup index, *key]``.  A run passes
-    when the answer, the brute-force level set and the planted subgroup
-    coincide.  Records the worst classical and mean superposed query count.
+    A cell is rank-one (p, r) or vector (p, r, m).  ``configs_of(cell)``
+    lists the ``(RunConfig, key)`` runs for a cell; the solver's rng is
+    ``[seed, *cell, subgroup index, *key]``.  Yields
+    ``(cell, table, label, truth, cfg, result)`` per run.
     """
-    t0 = time.monotonic()
-    failures: list[str] = []
-    runs = 0
-    per_grid: dict[str, dict] = {}
     for cell in grid:
-        table, subs = grid_cell(cell)
+        if len(cell) == 2:
+            spec = modular_group_spec(*cell)
+            table = sdp_table(spec)
+            descs = enumerate_subgroups(spec)
+            subs = [(d.label(), frozenset(subgroup_elements(spec, d))) for d in descs]
+        else:
+            table = vec_table(ZmGroupSpec(*cell))
+            subs = reference.enumerate_all_subgroups(table)
+            subs = [(f"sub{si}:order{len(sub)}", sub) for si, sub in enumerate(subs)]
         configs = configs_of(cell)
-        classical, superposed = [], []
         for si, (label, truth) in enumerate(subs):
             for cfg, key in configs:
                 rng = np.random.default_rng([cfg.seed, *cell, si, *key])
-                res = run_case(table, truth, cfg, rng)
-                runs += 1
-                q = res.outcome.report["queries"]
-                classical.append(q["mul"] + q["inv"] + q["eq"] + q["f"])
-                superposed.append(q["superposed_calls"])
-                bf = reference.brute_force_hidden_subgroup(table, res.instance.label_of_element)
-                if not frozenset(res.outcome.subgroup) == bf == truth:
-                    failures.append(
-                        f"{cell} {label} enc={cfg.mode}/{cfg.salt_policy} "
-                        f"gen={cfg.generator_policy} seed={cfg.seed}: got order "
-                        f"{len(res.outcome.subgroup)}, want {len(truth)}"
-                    )
-        per_grid[",".join(map(str, cell))] = {
+                yield cell, table, label, truth, cfg, run_case(table, truth, cfg, rng)
+
+
+def _sweep(name: str, grid, configs_of) -> CriterionResult:
+    """A gate over run_grid that every run must match; per cell it records the
+    worst classical and the mean superposed query count."""
+    t0 = time.monotonic()
+    failures: list[str] = []
+    cells: dict[tuple, tuple[int, list, list]] = {}  # cell -> (|G|, classical, superposed)
+    for cell, table, label, truth, cfg, res in run_grid(grid, configs_of):
+        _, classical, superposed = cells.setdefault(cell, (table.order, [], []))
+        q = res.outcome.report["queries"]
+        classical.append(q["mul"] + q["inv"] + q["eq"] + q["f"])
+        superposed.append(q["superposed_calls"])
+        if not res.match:
+            failures.append(
+                f"{cell} {label} enc={cfg.mode}/{cfg.salt_policy} "
+                f"gen={cfg.generator_policy} seed={cfg.seed}: got order "
+                f"{len(res.outcome.subgroup)}, want {len(truth)}"
+            )
+    runs = sum(len(classical) for _, classical, _ in cells.values())
+    per_grid = {
+        ",".join(map(str, cell)): {
             "max_classical": max(classical),
             "mean_superposed": float(np.mean(superposed)),
-            "group_order": table.order,
+            "group_order": order,
         }
+        for cell, (order, classical, superposed) in cells.items()
+    }
     return _mk(
         name,
         failures,

@@ -9,15 +9,14 @@ Subcommands:
 
 All commands are deterministic under a fixed --seed: reports are emitted
 with sorted keys and contain no timing fields unless --timings is given.
-Exit codes: 0 success (and solver matched truth), 1 solver mismatch,
-2 invalid input.
+Exit codes: 0 success, 1 when an answer differs from the brute-force level
+set of f(e) or from the planted subgroup, 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
@@ -26,13 +25,13 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .acceptance import RunConfig, grid_cell, run_case
+from .acceptance import GENERATOR_POLICIES, RunConfig, run_case, run_grid
+from .blackbox import SALT_POLICIES
 from .qsim import BACKENDS
 from .sdp_group import (
     CLASS_NAMES,
     Element,
     GroupSpec,
-    SubgroupDesc,
     VecElement,
     ZmGroupSpec,
     classify,
@@ -101,61 +100,51 @@ def _parse_tuples(text: str) -> list[tuple[int, ...]]:
     return out
 
 
-def parse_hidden_modular(text: str, spec: GroupSpec, rng: np.random.Generator) -> SubgroupDesc:
-    """Hidden-subgroup mini-language for the rank-one groups.
+def parse_hidden(text: str, table, rng: np.random.Generator) -> list:
+    """Hidden-subgroup mini-language over a group table; the sorted subgroup.
 
-    full | trivial | random | gens:(a,b),(a,b),... | any label of
-    ``enumerate_subgroups`` (xpower:i | xpowery:i | cyclicxy:t,j), whose
-    integer fields go through int(): "xpower:+1" names xpower:1.
-    """
-    if text.startswith("gens:"):
-        pairs = _parse_tuples(text[len("gens:"):])
-        gens = []
-        for tup in pairs:
-            if len(tup) != 2:
-                raise ValueError(f"modular group elements are (a,b) pairs, got {tup}")
-            gens.append(Element(tup[0] % spec.modulus, tup[1] % spec.q))
-        return SubgroupDesc.from_generators(gens)
-    descs = enumerate_subgroups(spec)
-    if text == "random":
-        return descs[int(rng.integers(0, len(descs)))]
-    aliases = {"full": "xpowery:0", "trivial": f"xpower:{spec.r}"}
-    name, _, fields = aliases.get(text, text).partition(":")
-    try:
-        label = name + ":" + ",".join(str(int(s)) for s in fields.split(","))
-        return next(d for d in descs if d.label() == label)
-    except (ValueError, StopIteration):
-        raise ValueError(f"cannot parse hidden-subgroup spec {text!r}") from None
-
-
-def parse_hidden_vector(text: str, table, rng: np.random.Generator) -> tuple[VecElement, ...]:
-    """Hidden-subgroup mini-language for the vector groups (over their table).
-
-    full | trivial | random | gens:(a_1,..,a_m,b),(...)  Returns elements.
+    full | trivial | random | gens:(a,b),... on a rank-one group, whose
+    ``random`` draws one label of ``enumerate_subgroups`` and which takes
+    those labels (xpower:i | xpowery:i | cyclicxy:t,j) with their integer
+    fields read by int(): "xpower:+1" names xpower:1.  full | trivial |
+    random | gens:(a_1,..,a_m,b),... on a vector group, whose ``random``
+    closes up to m+1 random elements.
     """
     spec = table.spec
+    vector = isinstance(spec, ZmGroupSpec)
     if text == "full":
-        return tuple(sorted(table.elements))
+        return sorted(table.elements)
     if text == "trivial":
-        return (table.identity,)
-    if text == "random":
-        k = int(rng.integers(0, spec.m + 2))
-        gens = [
-            table.elements[int(rng.integers(0, len(table.elements)))] for _ in range(k)
-        ]
-    elif text.startswith("gens:"):
+        return [table.identity]
+    if text.startswith("gens:"):
         gens = []
         for tup in _parse_tuples(text[len("gens:"):]):
-            if len(tup) != spec.m + 1:
-                raise ValueError(
-                    f"vector group elements need {spec.m + 1} coordinates, got {tup}"
-                )
-            gens.append(
-                VecElement(tuple(c % spec.modulus for c in tup[:-1]), tup[-1] % spec.p)
-            )
-    else:
+            if vector and len(tup) != spec.m + 1:
+                raise ValueError(f"vector group elements need {spec.m + 1} coordinates, got {tup}")
+            if not vector and len(tup) != 2:
+                raise ValueError(f"modular group elements are (a,b) pairs, got {tup}")
+            *a, b = tup
+            if vector:
+                gens.append(VecElement(tuple(c % spec.modulus for c in a), b % spec.p))
+            else:
+                gens.append(Element(a[0] % spec.modulus, b % spec.q))
+    elif vector and text == "random":
+        k = int(rng.integers(0, spec.m + 2))
+        gens = [table.elements[int(rng.integers(0, table.order))] for _ in range(k)]
+    elif vector:
         raise ValueError(f"cannot parse hidden-subgroup spec {text!r}")
-    return tuple(sorted(closure(table.mul, table.identity, gens)))
+    else:
+        descs = enumerate_subgroups(spec)
+        if text == "random":
+            return subgroup_elements(spec, descs[int(rng.integers(0, len(descs)))])
+        name, _, fields = text.partition(":")
+        try:
+            label = name + ":" + ",".join(str(int(s)) for s in fields.split(","))
+            desc = next(d for d in descs if d.label() == label)
+        except (ValueError, StopIteration):
+            raise ValueError(f"cannot parse hidden-subgroup spec {text!r}") from None
+        return subgroup_elements(spec, desc)
+    return sorted(closure(table.mul, table.identity, gens))
 
 
 # -- classify ---------------------------------------------------------------------
@@ -200,7 +189,10 @@ def cmd_classify(args) -> int:
 # -- solve-p / solve-zm --------------------------------------------------------------
 
 
-def _solve_report(command: str, args, cfg: RunConfig, truth, res) -> int:
+def _solve(command: str, args, cfg: RunConfig, table, keys: tuple[int, int]) -> int:
+    """Parse --hidden with rng ``[seed, keys[0]]``, solve with ``[seed, keys[1]]``, report."""
+    truth = parse_hidden(args.hidden, table, np.random.default_rng([cfg.seed, keys[0]]))
+    res = run_case(table, truth, cfg, np.random.default_rng([cfg.seed, keys[1]]))
     out = res.outcome
     report = {
         "report_version": REPORT_VERSION,
@@ -234,23 +226,15 @@ def cmd_solve_p(args) -> int:
         raise ValueError(
             "p = r = 2 is excluded: that group is dihedral, outside this solver's class"
         )
-    desc = parse_hidden_modular(args.hidden, spec, np.random.default_rng([cfg.seed, 101]))
-    truth = subgroup_elements(spec, desc)
-    res = run_case(sdp_table(spec), truth, cfg, np.random.default_rng([cfg.seed, 202]))
-    return _solve_report("solve-p", args, cfg, truth, res)
+    return _solve("solve-p", args, cfg, sdp_table(spec), (101, 202))
 
 
 def cmd_solve_zm(args) -> int:
     cfg = _config_from_args(args)
-    if cfg.mode != "unique":
-        raise ValueError("the vector-group solver requires unique encoding")
     spec = ZmGroupSpec(args.p, args.r, args.m)
     if spec.order > 3**12:
         raise ValueError(f"group order {spec.order} too large for the desk-scale table")
-    table = vec_table(spec)
-    truth = parse_hidden_vector(args.hidden, table, np.random.default_rng([cfg.seed, 303]))
-    res = run_case(table, truth, cfg, np.random.default_rng([cfg.seed, 404]))
-    return _solve_report("solve-zm", args, cfg, truth, res)
+    return _solve("solve-zm", args, cfg, vec_table(spec), (303, 404))
 
 
 # -- bench ------------------------------------------------------------------------
@@ -291,13 +275,13 @@ def _parse_grid(text: str) -> list[tuple[int, ...]]:
     return cells
 
 
-def _bench_row(cell: tuple[int, ...], label: str, cfg: RunConfig, res, timings: bool) -> dict:
+def _bench_row(cell: tuple, table, label: str, cfg: RunConfig, res, timings: bool) -> dict:
     q = res.outcome.report["queries"]
     return {
         "p": cell[0],
         "r": cell[1],
         "m": cell[2] if len(cell) == 3 else "",
-        "group_order": res.instance.blackbox.table.order,
+        "group_order": table.order,
         "subgroup": label,
         "seed": cfg.seed,
         "backend": cfg.backend,
@@ -317,23 +301,17 @@ def _bench_row(cell: tuple[int, ...], label: str, cfg: RunConfig, res, timings: 
 
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
-    rows: list[dict] = []
-    for cell in _parse_grid(args.grid):
-        if len(cell) == 3 and cfg.mode != "unique":
-            raise ValueError("the vector-group solver requires unique encoding")
-        table, subs = grid_cell(cell)
-        for i, (label, truth) in enumerate(subs):
-            res = run_case(table, truth, cfg, np.random.default_rng([cfg.seed, *cell, i]))
-            rows.append(_bench_row(cell, label, cfg, res, args.timings))
+    runs = run_grid(_parse_grid(args.grid), lambda cell: [(cfg, ())])
+    rows = [
+        _bench_row(cell, table, label, cfg, res, args.timings)
+        for cell, table, label, _, _, res in runs
+    ]
     if args.output == "json":
         _emit({"report_version": REPORT_VERSION, "command": "bench", "rows": rows})
     else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        sys.stdout.write(buf.getvalue())
+        writer.writerows(rows)
     return 0 if all(row["match"] for row in rows) else 1
 
 
@@ -356,8 +334,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=None, help=f"default: ${SEED_ENV_VAR} or 0")
     sp.add_argument("--backend", default="statevector", choices=BACKENDS)
     sp.add_argument("--encoding", default="unique", help="unique | salted:S (S <= 16)")
-    sp.add_argument("--salt-policy", default="zero", choices=("zero", "operands", "fresh"))
-    sp.add_argument("--generators", default="canonical", choices=("canonical", "scrambled"))
+    sp.add_argument("--salt-policy", default="zero", choices=SALT_POLICIES)
+    sp.add_argument("--generators", default="canonical", choices=GENERATOR_POLICIES)
     sp.add_argument("--delta", type=float, default=0.01, help="failure budget, in (0, 0.5]")
     sp.add_argument("--timings", action="store_true", help="include wall_ms (breaks byte-identical reruns)")
 

@@ -79,7 +79,7 @@ class VecInstance:
 def make_vec_instance(
     spec: ZmGroupSpec,
     subgroup,
-    mode: str = "unique",
+    salts: int = 1,
     generator_policy: str = "canonical",
     seed: int = 0,
 ) -> VecInstance:
@@ -87,15 +87,14 @@ def make_vec_instance(
 
     'canonical' hands out the coordinate vectors x_1..x_m and y.
     'scrambled' draws random generating vectors for A and a random
-    generator of the complement.  Unique encoding is mandatory.  The
-    instance runs on ``vec_table(spec)``, the one table of that spec.
+    generator of the complement.  Unique encoding (one salt per element)
+    is mandatory.  The instance runs on ``vec_table(spec)``, the one table
+    of that spec.
     """
-    if mode != "unique":
+    if salts != 1:
         raise ValueError("the vector-group solver requires unique encoding")
     table = vec_table(spec)
-    inst, handles = make_hidden_instance(
-        table, subgroup, mode=mode, generator_policy="canonical", seed=seed
-    )
+    inst, handles = make_hidden_instance(table, subgroup, seed=seed)
     bb = inst.blackbox
     if generator_policy == "canonical":
         return VecInstance(inst, tuple(handles[: spec.m]), handles[spec.m])
@@ -251,9 +250,11 @@ def solve(
 
     Pipeline: rebase the abelian generators, solve the single reduced
     abelian instance, pull the lattice back through the reduction map.
-    ``confident`` requires every stage to have verified its output; the
-    result is then exact.  All returned elements pass the f-membership
-    filter regardless.
+    ``confident`` requires every stage to have verified its output: the
+    result is then exact under the hiding promise, and f was periodic on
+    every superposed grid evaluated.  It does not detect an f relabelled
+    off those grids.  All returned elements pass the f-membership filter
+    regardless.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must be in (0, 0.5]")

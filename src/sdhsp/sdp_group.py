@@ -461,17 +461,11 @@ class SubgroupDesc:
     """A subgroup of a rank-one group: a name and the generators it closes over.
 
     ``enumerate_subgroups`` names the modular taxonomy (``xpower:i``,
-    ``xpowery:i``, ``cyclicxy:t,j``); ``from_generators`` names any
-    generator list ``gens:(a,b),...``.
+    ``xpowery:i``, ``cyclicxy:t,j``).
     """
 
     name: str
     gens: tuple[Element, ...]
-
-    @staticmethod
-    def from_generators(gens) -> "SubgroupDesc":
-        gens = tuple(gens)
-        return SubgroupDesc("gens:" + ",".join(f"({g.a},{g.b})" for g in gens), gens)
 
     def label(self) -> str:
         return self.name

@@ -8,14 +8,19 @@ import pathlib
 import numpy as np
 import pytest
 
-from sdhsp.cli import SEED_ENV_VAR, main, parse_hidden_modular
+from sdhsp.cli import SEED_ENV_VAR, main, parse_hidden
 from sdhsp.sdp_group import (
     IDENTITY,
     Element,
+    VecElement,
+    ZmGroupSpec,
+    closure,
     elements,
     enumerate_subgroups,
     modular_group_spec,
+    sdp_table,
     subgroup_elements,
+    vec_table,
 )
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -155,6 +160,13 @@ def test_solve_zm_requires_unique_encoding(capsys):
     )
     assert code == 2
     assert "unique encoding" in err
+    # one salt per element is a unique encoding, whatever the mode is called
+    code, rep, _ = run_json(
+        capsys, "solve-zm", "--p", "3", "--r", "2", "--m", "1",
+        "--hidden", "trivial", "--encoding", "salted:1",
+    )
+    assert code == 0 and rep["match"] is True
+    assert rep["encoding"] == {"mode": "salted", "salts": 1, "salt_policy": "zero"}
 
 
 def test_bad_encoding_string(capsys):
@@ -174,26 +186,67 @@ def test_bad_hidden_spec(capsys):
         assert code == 2, text
 
 
+def _vec(*gens):
+    """Elements (a_1,..,a_m,b) of a vector group."""
+    return [VecElement(tuple(g[:-1]), g[-1]) for g in gens]
+
+
 def _hidden_modular_specs():
     for p, r in ((3, 2), (2, 3)):
         spec = modular_group_spec(p, r)
+        table = sdp_table(spec)
         for d in enumerate_subgroups(spec):
             want = subgroup_elements(spec, d)
-            yield pytest.param(spec, d.label(), want, id=f"{p},{r} {d.label()}")
-        yield pytest.param(spec, "full", elements(spec), id=f"{p},{r} full")
-        yield pytest.param(spec, "trivial", [IDENTITY], id=f"{p},{r} trivial")
-    spec = modular_group_spec(3, 2)
+            yield pytest.param(table, d.label(), 0, want, id=f"{p},{r} {d.label()}")
+        yield pytest.param(table, "full", 0, elements(spec), id=f"{p},{r} full")
+        yield pytest.param(table, "trivial", 0, [IDENTITY], id=f"{p},{r} trivial")
+    table = sdp_table(modular_group_spec(3, 2))
     for text, want in (
         ("xpower:+1", [IDENTITY, Element(3, 0), Element(6, 0)]),
         ("cyclicxy:1, 1", [IDENTITY, Element(3, 1), Element(6, 2)]),
+        ("gens:(6,2),(12,4)", [IDENTITY, Element(3, 1), Element(6, 2)]),
     ):
-        yield pytest.param(spec, text, want, id=f"3,2 {text}")
+        yield pytest.param(table, text, 0, want, id=f"3,2 {text}")
+    # random specs resolve to the subgroups the per-family parsers drew
+    # before they were merged: a label on a rank-one group, the closure of
+    # up to m+1 drawn elements on a vector group
+    for (p, r), labels in (
+        ((3, 2), ("xpowery:1", "cyclicxy:1,1", "cyclicxy:1,1")),
+        ((2, 3), ("xpowery:1", "cyclicxy:1,1", "cyclicxy:1,0")),
+    ):
+        spec = modular_group_spec(p, r)
+        descs = {d.label(): d for d in enumerate_subgroups(spec)}
+        for seed, label in enumerate(labels, 1):
+            want = subgroup_elements(spec, descs[label])
+            yield pytest.param(sdp_table(spec), "random", seed, want, id=f"{p},{r} random {seed}")
+    for cell, drawn in (
+        ((3, 2, 1), (_vec((4, 1)), _vec((2, 1), (0, 2)), _vec((0, 2), (1, 1)))),
+        (
+            (2, 3, 2),
+            (
+                _vec((4, 0, 1)),
+                _vec((2, 0, 1), (0, 6, 1), (2, 3, 0)),
+                _vec((0, 5, 0), (1, 3, 0), (1, 7, 0)),
+            ),
+        ),
+    ):
+        table = vec_table(ZmGroupSpec(*cell))
+        key = ",".join(map(str, cell))
+        for seed, gens in enumerate(drawn, 1):
+            want = closure(table.mul, table.identity, gens)
+            yield pytest.param(table, "random", seed, want, id=f"{key} random {seed}")
+        yield pytest.param(table, "full", 0, table.elements, id=f"{key} full")
+        yield pytest.param(table, "trivial", 0, [table.identity], id=f"{key} trivial")
+    table = vec_table(ZmGroupSpec(3, 2, 1))
+    yield pytest.param(table, "gens:(3,1)", 0, _vec((0, 0), (3, 1), (6, 2)), id="3,2,1 gens:(3,1)")
+    table = vec_table(ZmGroupSpec(2, 3, 2))
+    want = closure(table.mul, table.identity, _vec((4, 0, 1), (0, 2, 0)))
+    yield pytest.param(table, "gens:(12,0,3),(0,-6,0)", 0, want, id="2,3,2 gens:(12,0,3),(0,-6,0)")
 
 
-@pytest.mark.parametrize("spec, text, want", list(_hidden_modular_specs()))
-def test_hidden_modular_spec_resolves(spec, text, want):
-    desc = parse_hidden_modular(text, spec, np.random.default_rng(0))
-    assert subgroup_elements(spec, desc) == sorted(want)
+@pytest.mark.parametrize("table, text, seed, want", list(_hidden_modular_specs()))
+def test_hidden_modular_spec_resolves(table, text, seed, want):
+    assert parse_hidden(text, table, np.random.default_rng(seed)) == sorted(want)
 
 
 def test_seed_env_var(capsys, monkeypatch):
@@ -215,6 +268,27 @@ def test_bench_row_counts_match_the_count_formula(capsys):
         per[key] = per.get(key, 0) + 1
         assert row["match"] == "True"
     assert per == {("3", "2"): 10, ("3", "3"): 14, ("5", "2"): 14}
+
+
+def test_match_needs_the_brute_force_level_set(capsys, monkeypatch):
+    # a reference that disagrees with the planted subgroup turns match off,
+    # although the solver still finds the planted subgroup
+    from sdhsp import acceptance
+
+    real = acceptance.reference.brute_force_hidden_subgroup
+    monkeypatch.setattr(
+        acceptance.reference,
+        "brute_force_hidden_subgroup",
+        lambda table, label_of: real(table, label_of) - {table.identity},
+    )
+    code, rep, _ = run_json(
+        capsys, "solve-p", "--p", "3", "--r", "2", "--hidden", "cyclicxy:1,1", "--seed", "7"
+    )
+    assert code == 1 and rep["match"] is False
+    assert sorted(rep["found_subgroup"]) == [[0, 0], [3, 1], [6, 2]]
+    code, rep, _ = run_json(capsys, "bench", "--grid", "3,2,1", "--seed", "7", "--output", "json")
+    assert code == 1
+    assert [row["match"] for row in rep["rows"]] == [False] * 10
 
 
 def test_bench_empty_grid_gives_header_only(capsys):

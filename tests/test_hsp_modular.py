@@ -120,7 +120,7 @@ def test_solve_small_groups_exhaustive():
             )
             assert out.confident
             # reported generators really generate what was found
-            got = frozenset(subgroup_elements(spec, SubgroupDesc.from_generators(out.generators)))
+            got = frozenset(subgroup_elements(spec, SubgroupDesc("found", tuple(out.generators))))
             assert got == truth
 
 

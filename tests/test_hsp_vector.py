@@ -102,7 +102,7 @@ def test_make_vec_instance_reuses_the_table():
 
 def test_make_vec_instance_guards():
     with pytest.raises(ValueError):
-        make_vec_instance(S321, [vec_table(S321).identity], mode="salted", seed=0)
+        make_vec_instance(S321, [vec_table(S321).identity], salts=4, seed=0)
 
 
 def test_scrambled_handles_still_form_a_basis_probe():

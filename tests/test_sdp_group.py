@@ -258,11 +258,11 @@ def test_normality_flag_against_definition():
 
 
 def test_from_generators_canonicalizes():
-    d1 = SubgroupDesc.from_generators([Element(3, 1)])
-    d2 = SubgroupDesc.from_generators([Element(6, 2), Element(3, 1)])
+    d1 = SubgroupDesc("gens", (Element(3, 1),))
+    d2 = SubgroupDesc("gens", (Element(6, 2), Element(3, 1)))
     assert subgroup_elements(P32, d1) == subgroup_elements(P32, d2)
     with pytest.raises(ValueError, match="not in"):
-        subgroup_elements(P32, SubgroupDesc.from_generators([Element(9, 0)]))
+        subgroup_elements(P32, SubgroupDesc("gens", (Element(9, 0),)))
 
 
 @given(st.integers(0, 8), st.integers(0, 2), st.integers(0, 200))
