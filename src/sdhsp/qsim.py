@@ -10,6 +10,16 @@ from the annihilator L^perp.  Two interchangeable backends:
   'annihilator'   algebraic shortcut: uniform draws from the dual of the
                   swept periodicity lattice; same output distribution.
 
+Translating a coset state changes only the phases of its Fourier
+transform, so every coset whose level set is a translate of F(0)'s has
+the outcome distribution of F(0)'s coset.  The statevector backend
+transforms F(0)'s coset state once per oracle and keeps its CDF; each
+sample checks that its measured coset is such a translate, and otherwise
+(F not periodic there) transforms that coset literally.  The cached CDF
+equals a coset's own CDF only up to rounding, so draws identical to the
+literal per-coset simulation are measured (tests, pinned reports), not
+guaranteed.
+
 Both backends book the same modeled query cost: one superposed evaluation
 of F over the whole domain per sample.  Pointwise evaluations are booked
 as single classical queries.
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,7 +87,10 @@ class AbelianOracle:
         self.moduli = tuple(int(n) for n in moduli)
         if any(n < 1 for n in self.moduli):
             raise ValueError("moduli must be positive")
+        # the cached transform and lattice below are only valid for this grid
+        grid.flags.writeable = False
         self.grid = grid
+        self._lattice: Lattice | None = None
         self._sample_cost = sample_cost
         self._single_cost = single_cost
         self._credit = first_sample_paid
@@ -140,13 +154,27 @@ class AbelianOracle:
             self._sample_cost()
 
     def periodicity_lattice(self) -> Lattice:
-        """Sweep the grid for { u : F(u) = F(0) }; must be a subgroup."""
-        mask = self.grid == self.grid[(0,) * len(self.moduli)]
-        points = [tuple(int(x) for x in idx) for idx in np.argwhere(mask)]
-        lat = lattice_canonicalize(Lattice(self.moduli, tuple(points)))
-        if lattice_size(lat) != len(points):
-            raise ValueError("function is not periodic over this domain")
-        return lat
+        """Sweep the grid for { u : F(u) = F(0) }; must be a subgroup.
+
+        Swept once per oracle; a non-periodic F raises on every call.
+        """
+        if self._lattice is None:
+            mask = self.grid == self.f0()
+            points = [tuple(int(x) for x in idx) for idx in np.argwhere(mask)]
+            lat = lattice_canonicalize(Lattice(self.moduli, tuple(points)))
+            if lattice_size(lat) != len(points):
+                raise ValueError("function is not periodic over this domain")
+            self._lattice = lat
+        return self._lattice
+
+    @cached_property
+    def _zero_coset(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support of F(0) and the CDF of its coset state's outcomes,
+        made with ``Generator.choice``'s own steps on ``p``."""
+        support = self.grid == self.f0()
+        cdf = _coset_probs(support).cumsum()
+        cdf /= cdf[-1]
+        return support, cdf
 
 
 def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
@@ -161,31 +189,49 @@ def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
 # -- sampling backends ----------------------------------------------------------
 
 
+def _coset_probs(support: np.ndarray) -> np.ndarray:
+    """Row-major outcome probabilities of the uniform coset state on `support`."""
+    psi = support.astype(np.complex128)
+    psi /= math.sqrt(int(support.sum()))
+    # the unitary DFT of every axis, qft_matrix's e^{+2 pi i jk/n} convention
+    psi = np.fft.ifftn(psi, norm="ortho")
+    amp = np.abs(psi.reshape(-1))
+    amp[amp < AMPLITUDE_FLOOR] = 0.0
+    probs = amp * amp
+    probs /= probs.sum()
+    return probs
+
+
 def sample_statevector(
     oracle: AbelianOracle, rng: np.random.Generator, count: int = 1
 ) -> list[tuple[int, ...]]:
-    """Dense simulation of `count` independent coset-state rounds."""
+    """Dense simulation of `count` independent coset-state rounds.
+
+    A measured coset whose support is the translate of F(0)'s by u0 has
+    the outcome distribution of F(0)'s coset (a translation only moves
+    phases), so it draws from the oracle's cached CDF with one uniform,
+    as ``rng.choice(p=)`` would.  Any other coset (F not periodic there)
+    is transformed literally.  The cached CDF matches each coset's own up
+    to rounding, so identical draws are measured, not guaranteed.
+    """
     moduli = oracle.moduli
     dom = oracle.domain_size
     if dom > STATEVECTOR_BOUND:
         raise ValueError(
             f"domain size {dom} exceeds the statevector bound {STATEVECTOR_BOUND}"
         )
+    support0, cdf = oracle._zero_coset
+    axes = tuple(range(len(moduli)))
     out: list[tuple[int, ...]] = []
     for _ in range(count):
         oracle.note_sample()
         # measuring the value register collapses to a uniform coset state
         u0 = tuple(int(rng.integers(0, n)) for n in moduli)
         support = oracle.grid == oracle.grid[u0]
-        psi = support.astype(np.complex128)
-        psi /= math.sqrt(int(support.sum()))
-        # the unitary DFT of every axis, qft_matrix's e^{+2 pi i jk/n} convention
-        psi = np.fft.ifftn(psi, norm="ortho")
-        amp = np.abs(psi.reshape(-1))
-        amp[amp < AMPLITUDE_FLOOR] = 0.0
-        probs = amp * amp
-        probs /= probs.sum()
-        flat = int(rng.choice(dom, p=probs))
+        if np.array_equal(support, np.roll(support0, u0, axis=axes)):
+            flat = int(cdf.searchsorted(rng.random(), side="right"))
+        else:
+            flat = int(rng.choice(dom, p=_coset_probs(support)))
         out.append(tuple(int(x) for x in np.unravel_index(flat, moduli)))
     return out
 

@@ -45,6 +45,9 @@ PINNED_REPORTS = {
     "solve_p_large_cyclicxy.json": (
         "solve-p", "--p", "2", "--r", "8", "--hidden", "cyclicxy:1,3", "--seed", "5",
     ),
+    "solve_p_2_10_cyclicxy.json": (
+        "solve-p", "--p", "2", "--r", "10", "--hidden", "cyclicxy:1,5", "--seed", "5",
+    ),
     "solve_zm_random.json": (
         "solve-zm", "--p", "3", "--r", "2", "--m", "1", "--hidden", "random", "--seed", "1",
     ),

@@ -17,7 +17,9 @@ from sdhsp.algebra import (
     lattices_equal,
 )
 from sdhsp.blackbox import BlackBox, OpaqueHandle, make_hidden_instance
+from sdhsp import qsim
 from sdhsp.qsim import (
+    AMPLITUDE_FLOOR,
     AbelianOracle,
     abelian_hsp_solve,
     draw_samples,
@@ -116,8 +118,27 @@ def test_periodicity_lattice_rejects_non_periodic():
     # F(0)'s level set {0, 2, 5} is not closed under addition mod 6
     labels = {0: 0, 1: 1, 2: 0, 3: 1, 4: 1, 5: 0}
     oracle = AbelianOracle.from_function((6,), lambda pt: labels[pt[0]])
-    with pytest.raises(ValueError):
-        oracle.periodicity_lattice()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="function is not periodic over this domain"):
+            oracle.periodicity_lattice()
+
+
+def test_periodicity_lattice_is_swept_once_per_oracle(monkeypatch):
+    calls = []
+    sweep = qsim.lattice_canonicalize
+    monkeypatch.setattr(qsim, "lattice_canonicalize", lambda L: calls.append(L) or sweep(L))
+    oracle, L = coset_oracle((9, 3), ((3, 1),))
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        draw_samples(oracle, rng, 5, "annihilator")
+    assert lattices_equal(oracle.periodicity_lattice(), L)
+    assert len(calls) == 1
+
+
+def test_oracle_grid_is_read_only():
+    oracle, _ = coset_oracle((9, 3), ((3, 1),))
+    with pytest.raises(ValueError, match="read-only"):
+        oracle.grid[1, 1] = 0
 
 
 def test_abelian_solver_on_fixtures():
@@ -174,6 +195,118 @@ def test_draw_samples_backend_dispatch():
             assert lattice_member(D, v)
     with pytest.raises(ValueError):
         draw_samples(oracle, rng, 1, "tensor-network")
+
+
+# -- the cached coset transform against the literal per-coset sampler ----------
+
+
+def reference_sample_statevector(oracle, rng, count=1):
+    """The literal sampler: one full-grid ifftn and one rng.choice(p=) per sample."""
+    moduli = oracle.moduli
+    dom = oracle.domain_size
+    out = []
+    for _ in range(count):
+        oracle.note_sample()
+        u0 = tuple(int(rng.integers(0, n)) for n in moduli)
+        support = oracle.grid == oracle.grid[u0]
+        psi = support.astype(np.complex128)
+        psi /= math.sqrt(int(support.sum()))
+        psi = np.fft.ifftn(psi, norm="ortho")
+        amp = np.abs(psi.reshape(-1))
+        amp[amp < AMPLITUDE_FLOOR] = 0.0
+        probs = amp * amp
+        probs /= probs.sum()
+        flat = int(rng.choice(dom, p=probs))
+        out.append(tuple(int(x) for x in np.unravel_index(flat, moduli)))
+    return out
+
+
+def character_oracle(moduli, rows) -> AbelianOracle:
+    """F(u) = (chi_a(u) for a in rows), chi_a(u) = sum_i a_i u_i N/n_i mod N.
+
+    Periodic, hiding the annihilator of `rows`; built on the whole grid at
+    once, so it scales to 512 x 512.
+    """
+    N = math.lcm(*moduli)
+    u = np.indices(moduli)
+    grid = np.zeros(moduli, dtype=np.int64)
+    for a in rows:
+        grid = grid * N + sum(ai * (N // n) * ui for ai, n, ui in zip(a, moduli, u)) % N
+    return AbelianOracle(moduli, grid)
+
+
+# (moduli, character rows): several hidden lattices per domain, trivial and full among them
+CHARACTER_FIXTURES = [
+    ((3, 3), ((1, 2),)),
+    ((3, 3), ((1, 0), (0, 1))),
+    ((3, 3), ()),
+    ((9, 9), ((1, 3),)),
+    ((9, 9), ((3, 0), (0, 3))),
+    ((9, 9), ((2, 7), (0, 3))),
+    ((9, 3), ((1, 1),)),
+    ((9, 3), ((3, 0),)),
+    ((9, 3), ((0, 1), (3, 0))),
+    ((4, 2), ((1, 1),)),
+    ((4, 2), ((2, 0),)),
+    ((4, 2), ((1, 0), (0, 1))),
+    ((8,), ((4,),)),
+    ((8,), ((1,),)),
+    ((3, 3, 3), ((1, 1, 1),)),
+    ((3, 3, 3), ((1, 0, 2), (0, 1, 1))),
+    ((27, 27), ((1, 5),)),
+    ((27, 27), ((9, 0), (0, 3))),
+    ((27, 27), ((3, 6),)),
+    ((512, 512), ((1, 3),)),
+    ((512, 512), ((2, 0), (0, 4))),
+    ((512, 512), ((0, 0),)),
+    ((512, 512), ((1, 0), (0, 1))),
+]
+
+
+def counting_transform(monkeypatch) -> list:
+    """Record every support handed to the literal transform helper."""
+    seen = []
+    transform = qsim._coset_probs
+
+    def spy(support):
+        seen.append(support)
+        return transform(support)
+
+    monkeypatch.setattr(qsim, "_coset_probs", spy)
+    return seen
+
+
+@pytest.mark.parametrize("moduli, rows", CHARACTER_FIXTURES, ids=str)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cached_transform_draws_what_the_literal_sampler_draws(monkeypatch, moduli, rows, seed):
+    oracle = character_oracle(moduli, rows)
+    transforms = counting_transform(monkeypatch)
+    count = 10 if oracle.domain_size > 10_000 else 300
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_statevector(oracle, got_rng, count=count // 2)
+    got += sample_statevector(oracle, got_rng, count=count - count // 2)
+    assert got == reference_sample_statevector(oracle, want_rng, count=count)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # one transform per oracle: F(0)'s coset, reused by every later call
+    assert len(transforms) == 1
+
+
+@pytest.mark.parametrize("point", [(1, 1), (3, 1)], ids=["off L", "in L"])
+def test_non_periodic_grid_falls_back_to_the_literal_transform(monkeypatch, point):
+    # one point relabelled: its coset and the coset it left are no
+    # translates of F(0)'s level set (in L: F(0)'s own level set shrinks)
+    oracle, _ = coset_oracle((9, 3), ((3, 1),))
+    grid = oracle.grid.copy()
+    grid[point] = grid.max() + 1
+    broken = AbelianOracle((9, 3), grid)
+    transforms = counting_transform(monkeypatch)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = sample_statevector(broken, got_rng, count=300)
+    assert got == reference_sample_statevector(broken, want_rng, count=300)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # F(0)'s coset once, then each sample that measured a broken coset
+    assert 1 < len(transforms) < 301
+    assert any(not np.array_equal(s, transforms[0]) for s in transforms[1:])
 
 
 class CountingStub:
