@@ -71,7 +71,10 @@ def qft_matrix(n: int) -> np.ndarray:
 class AbelianOracle:
     """F on a product of cyclic groups, pre-evaluated on the full grid.
 
-    The grid holds integer values, compared only for equality.  Cost hooks
+    The grid holds integer values, compared only for equality.  The oracle
+    takes ownership of `grid` and makes this handle read-only; a caller must
+    not write through another view of its memory, since the cached coset
+    transform assumes the grid never changes.  Cost hooks
     let an oracle built over a counted hiding function keep booking modeled
     cost even though replays hit the cache.
     """
@@ -87,10 +90,9 @@ class AbelianOracle:
         self.moduli = tuple(int(n) for n in moduli)
         if any(n < 1 for n in self.moduli):
             raise ValueError("moduli must be positive")
-        # the cached transform and lattice below are only valid for this grid
+        # the cached transform below is only valid for this grid
         grid.flags.writeable = False
         self.grid = grid
-        self._lattice: Lattice | None = None
         self._sample_cost = sample_cost
         self._single_cost = single_cost
         self._credit = first_sample_paid
@@ -154,18 +156,13 @@ class AbelianOracle:
             self._sample_cost()
 
     def periodicity_lattice(self) -> Lattice:
-        """Sweep the grid for { u : F(u) = F(0) }; must be a subgroup.
-
-        Swept once per oracle; a non-periodic F raises on every call.
-        """
-        if self._lattice is None:
-            mask = self.grid == self.f0()
-            points = [tuple(int(x) for x in idx) for idx in np.argwhere(mask)]
-            lat = lattice_canonicalize(Lattice(self.moduli, tuple(points)))
-            if lattice_size(lat) != len(points):
-                raise ValueError("function is not periodic over this domain")
-            self._lattice = lat
-        return self._lattice
+        """Sweep the grid for { u : F(u) = F(0) }; must be a subgroup."""
+        mask = self.grid == self.grid[(0,) * len(self.moduli)]
+        points = [tuple(int(x) for x in idx) for idx in np.argwhere(mask)]
+        lat = lattice_canonicalize(Lattice(self.moduli, tuple(points)))
+        if lattice_size(lat) != len(points):
+            raise ValueError("function is not periodic over this domain")
+        return lat
 
     @cached_property
     def _zero_coset(self) -> tuple[np.ndarray, np.ndarray]:
