@@ -2,16 +2,18 @@
 
 Everything here works on explicit group tables with full truth access and
 serves as the independent route the solvers are checked against.  Nothing
-in this module touches handles, oracles or counters.  Both routes run on
-element indices with the table's scalar law (``imul``), not the array law
-the oracle walk uses, and decode to elements only on return.
+in this module touches handles, oracles or counters.  The brute force runs
+on element indices with the table's scalar law (``imul``), not the array
+law the oracle walk uses; the enumeration, which only picks the subgroups
+to plant, uses that array law (``index_mul``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
+import numpy as np
 
-from .sdp_group import GroupTable, closure, greedy_generators
+from .sdp_group import GroupTable, greedy_generators
 
 BRUTE_FORCE_BOUND = 10**6
 ENUMERATION_BOUND = 10**4
@@ -47,38 +49,44 @@ def brute_force_hidden_subgroup(table: GroupTable, label_of: Callable[[Any], int
 
 
 def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:
-    """Every subgroup, found by augmentation closure.
+    """Every subgroup of a p-group by cyclic extension, smallest first.
 
-    Seed with all cyclic subgroups, then repeatedly extend each known
-    subgroup's generating set by one cyclic generator and close.  Any
-    subgroup K with a maximal proper subgroup already found is reached by
-    augmenting that subgroup with any element of K outside it, so induction
-    on order gives completeness at every rank.
+    A subgroup K > 1 of a p-group has a normal subgroup U of index p, and
+    K = U<g> for each g in K outside U, with g^p in U and g normalising U.
+    Each subgroup grows from a smaller one on the array law ``index_mul``,
+    which only picks the subgroups to plant: the brute force checks every
+    answer on ``imul``, and tests cross-check these sets with a closure
+    route and the taxonomy.  Raises ValueError unless |G| is a power of p.
     """
-    if table.order > ENUMERATION_BOUND:
-        raise ValueError(f"group of order {table.order} exceeds the enumeration bound")
-    cyc: dict[frozenset, int] = {}
-    for g in range(table.order):
-        cyc.setdefault(frozenset(closure(table.imul, 0, (g,))), g)
-    reps = [g for g in cyc.values() if g != 0]
-
-    gens_of: dict[frozenset, tuple] = {frozenset([0]): ()}
-    for S, g in cyc.items():
-        gens_of.setdefault(S, (g,))
-    queue = list(gens_of)
-    while queue:
-        H = queue.pop()
-        base = gens_of[H]
-        for g in reps:
-            if g in H:
-                continue
-            K = frozenset(closure(table.imul, 0, base + (g,)))
-            if K not in gens_of:
-                gens_of[K] = base + (g,)
-                queue.append(K)
+    n, p = table.order, table.spec.p
+    if n > ENUMERATION_BOUND:
+        raise ValueError(f"group of order {n} exceeds the enumeration bound")
+    if p**n.bit_length() % n:  # n divides a power of p only if it is one
+        raise ValueError(f"group of order {n} is not a {p}-group")
+    mul, G = table.index_mul, np.arange(n)
+    inv = np.array([table.iinv(g) for g in range(n)])
+    powers = [np.zeros(n, np.int64)]  # powers[i][g] is the index of g^i, i <= p
+    for _ in range(p):
+        powers.append(mul(powers[-1], G))
+    powers = np.array(powers)
+    queue = [(np.zeros(1, np.int64), ())]  # (sorted indices of U, generators of U)
+    seen = {queue[0][0].tobytes()}
+    for U, gens in queue:  # grows while it is read, one entry per subgroup
+        inU = np.bincount(U, minlength=n) > 0
+        ok = inU[powers[p]] & ~inU
+        for u in gens:  # g normalises U if it conjugates U's generators into U
+            ok &= inU[mul(mul(G, u), inv)]
+        for g in np.flatnonzero(ok):
+            if ok[g]:  # no K built from U holds g yet
+                cosets = mul(powers[:p, g, None], U)  # U, gU, ..., g^(p-1) U
+                K = np.flatnonzero(np.bincount(cosets.ravel(), minlength=n))
+                ok[K] = False
+                if K.tobytes() not in seen:
+                    seen.add(K.tobytes())
+                    queue.append((K, gens + (int(g),)))
     # index order is element order, so this is the order of the element sets
-    subgroups = sorted(gens_of, key=lambda s: (len(s), sorted(s)))
-    return [frozenset(table.elements[i] for i in s) for s in subgroups]
+    queue.sort(key=lambda entry: (len(entry[0]), entry[0].tolist()))
+    return [frozenset(table.elements[i] for i in K) for K, _ in queue]
 
 
 def subgroup_equal(a, b) -> bool:

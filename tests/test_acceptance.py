@@ -58,7 +58,12 @@ def test_criterion_4_classification_and_iso():
 
 
 def test_criterion_5_subgroup_structure():
-    _check(acceptance.criterion_subgroup_structure())
+    res = acceptance.criterion_subgroup_structure()
+    _check(res)
+    assert res.metrics["cells"] == [
+        (3, 2), (2, 3), (3, 3), (5, 2), (2, 10), (3, 6), (5, 4), (11, 2), (13, 2)
+    ]
+    assert res.metrics["property_cells"] == [(3, 2), (2, 3), (3, 3), (5, 2)]
 
 
 def test_criterion_6_power_closed_form():

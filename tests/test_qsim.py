@@ -168,8 +168,8 @@ def test_abelian_solver_trivial_and_full():
 
 
 def test_statevector_domain_bound():
-    oracle = AbelianOracle.from_function((2048, 1024), lambda pt: 0)
-    with pytest.raises(ValueError):
+    oracle = AbelianOracle((2048, 1024), np.zeros((2048, 1024), np.int64))
+    with pytest.raises(ValueError, match="statevector bound"):
         sample_statevector(oracle, np.random.default_rng(0), count=1)
 
 

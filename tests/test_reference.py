@@ -10,6 +10,7 @@ from sdhsp.reference import (
 )
 from sdhsp.sdp_group import (
     Element,
+    GroupSpec,
     ZmGroupSpec,
     closure,
     enumerate_subgroups,
@@ -176,12 +177,85 @@ def test_generic_enumeration_matches_the_taxonomy():
         assert set(generic) == taxonomy
 
 
+def closure_enumeration(table):
+    """Every subgroup by augmentation closure, the route cyclic extension replaced.
+
+    Seed with all cyclic subgroups, then repeatedly extend each known
+    subgroup's generating set by one cyclic generator and close, on the
+    scalar law.  Any subgroup K with a maximal proper subgroup already found
+    is reached by augmenting that subgroup with any element of K outside it,
+    so induction on order gives completeness in any finite group.
+    """
+    cyc: dict[frozenset, int] = {}
+    for g in range(table.order):
+        cyc.setdefault(frozenset(closure(table.imul, 0, (g,))), g)
+    reps = [g for g in cyc.values() if g != 0]
+    gens_of: dict[frozenset, tuple] = {frozenset([0]): ()}
+    for S, g in cyc.items():
+        gens_of.setdefault(S, (g,))
+    queue = list(gens_of)
+    while queue:
+        H = queue.pop()
+        base = gens_of[H]
+        for g in reps:
+            if g in H:
+                continue
+            K = frozenset(closure(table.imul, 0, base + (g,)))
+            if K not in gens_of:
+                gens_of[K] = base + (g,)
+                queue.append(K)
+    subgroups = sorted(gens_of, key=lambda s: (len(s), sorted(s)))
+    return [frozenset(table.elements[i] for i in s) for s in subgroups]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ZmGroupSpec(3, 2, 1),
+        ZmGroupSpec(2, 3, 1),
+        ZmGroupSpec(5, 2, 1),
+        ZmGroupSpec(3, 3, 1),
+        ZmGroupSpec(2, 3, 2),
+        modular_group_spec(3, 2),
+        modular_group_spec(2, 3),
+        modular_group_spec(3, 3),
+        modular_group_spec(5, 2),
+        modular_group_spec(2, 4),
+        # dihedral and semidihedral: unlike the groups above, they hold a g
+        # outside U with g^p in U that does not normalise U
+        modular_group_spec(2, 2),
+        GroupSpec(2, 2, 3, 7),
+        GroupSpec(2, 2, 3, 3),
+    ],
+    ids=["3,2,1", "2,3,1", "5,2,1", "3,3,1", "2,3,2"]
+    + ["3,2", "2,3", "3,3", "5,2", "2,4", "D8", "D16", "SD16"],
+)
+def test_cyclic_extension_matches_the_closure_route(spec):
+    table = vec_table(spec) if isinstance(spec, ZmGroupSpec) else sdp_table(spec)
+    assert enumerate_all_subgroups(table) == closure_enumeration(table)
+
+
 def test_vector_group_subgroup_counts():
-    # regression pins: derived by the generic enumerator itself once,
-    # then frozen (orders 1+4+4+1 over |H| in {1,3,9,27} for the first)
-    assert len(enumerate_all_subgroups(vec_table(ZmGroupSpec(3, 2, 1)))) == 10
-    assert len(enumerate_all_subgroups(vec_table(ZmGroupSpec(2, 3, 1)))) == 11
-    assert len(enumerate_all_subgroups(vec_table(ZmGroupSpec(3, 2, 2)))) == 126
+    # regression pins: derived by the closure route once, then frozen
+    # (orders 1+4+4+1 over |H| in {1,3,9,27} for the first); the closure
+    # route also gave 322 for (2,4,2), in about 20 s, and the last two
+    # come from cyclic extension alone
+    for cell, count in [
+        ((3, 2, 1), 10),
+        ((2, 3, 1), 11),
+        ((3, 2, 2), 126),
+        ((2, 4, 2), 322),
+        ((5, 2, 2), 426),
+        ((2, 5, 2), 696),
+    ]:
+        assert len(enumerate_all_subgroups(vec_table(ZmGroupSpec(*cell)))) == count, cell
+
+
+def test_enumeration_refuses_a_group_that_is_not_a_p_group():
+    # Z_7 x| Z_3, order 21: cyclic extension would find only its 7-subgroups
+    table = sdp_table(GroupSpec(7, 3, 1, 2))
+    with pytest.raises(ValueError, match="not a 7-group"):
+        enumerate_all_subgroups(table)
 
 
 def test_enumerated_sets_are_subgroups_and_complete():
