@@ -2,10 +2,9 @@
 
 Everything here works on explicit group tables with full truth access and
 serves as the independent route the solvers are checked against.  Nothing
-in this module touches handles, oracles or counters.  The brute force runs
-on element indices with the table's scalar law (``imul``), not the array
-law the oracle walk uses; the enumeration, which only picks the subgroups
-to plant, uses that array law (``index_mul``).
+in this module touches handles, oracles or counters.  The brute force uses
+the scalar law ``imul`` on element indices; the enumeration, which only
+picks the subgroups to plant, uses the oracle walk's array law ``index_mul``.
 """
 
 from __future__ import annotations
