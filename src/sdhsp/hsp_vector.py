@@ -11,9 +11,9 @@ of the abelian part A recovered from the input handles, and Y is the given
 generator of the complement with Y^p = e.  pi is a coordinate bijection but
 not a homomorphism; the twist contributes a factor that is always a power
 of an element of H whenever the operands map into H, so F = f o pi is
-exactly lattice-periodic and the abelian solver applies.  Pulling the
-recovered lattice back through pi and closing under multiplication yields
-H itself.
+exactly lattice-periodic and the abelian solver applies.  The recovered
+lattice is L = pi^-1(H), and the images under pi of the m + 1 rows of its
+echelon basis generate H: no sampling and no closure is needed.
 
 Unique encoding is required: the minimal-generating-set step compares raw
 encoding bytes to detect relations, which is only meaningful when equal
@@ -29,10 +29,7 @@ import numpy as np
 from .algebra import (
     Lattice,
     _lattice_basis,
-    closure,
     lattice_is_full,
-    lattice_sample,
-    lattice_size,
     smith_normal_form,
 )
 from .blackbox import (
@@ -47,12 +44,6 @@ from .blackbox import (
 )
 from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve
 from .sdp_group import VecElement, ZmGroupSpec, vec_table
-
-# Pullback: fresh lattice samples per round beyond the lattice's own
-# generators, and the number of rounds before giving up.
-PULLBACK_EXTRA_SAMPLES = 4
-PULLBACK_MAX_ROUNDS = 8
-
 
 @dataclass(frozen=True)
 class VecInstance:
@@ -207,37 +198,33 @@ def pullback_generators(
     vin: VecInstance,
     rmap: ReductionMap,
     lat: Lattice,
-    rng: np.random.Generator,
 ) -> tuple[list[OpaqueHandle], bool]:
-    """Map lattice points back through pi and keep what lands in H.
+    """Read generators of H off the echelon basis of the lift of L = pi^-1(H).
 
-    Starts from the canonical basis, adds uniform lattice samples, filters
-    by f, and closes under multiplication until the closure size matches
-    the lattice size (pi is a bijection, so |H| = |L|).  Returns the
-    surviving handles and whether the size check succeeded; failure means
-    the lattice itself was wrong.
+    With the v coordinate first, the basis of the lift is upper triangular
+    with k = m + 1 rows, so rows 2..k have v = 0.  The lift contains
+    (p, 0, ..., 0), so every point of L with v = 0 mod p has a lift with
+    v = 0, which is an integer combination of rows 2..k alone.  pi restricted
+    to v = 0 is a homomorphism, so the images of rows 2..k generate the
+    intersection of H with A.  Row 1 has v-pivot b in {1, p}.  If b = p, H
+    lies in A.  If b = 1, write t = pi(row 1): t^c has v coordinate c, so an
+    h in H with v coordinate c gives h t^-c in H and in A.  Either way the k
+    lifted rows generate H.
+
+    Each lifted row is kept only if f marks it as a member of H.  Returns
+    the kept handles and whether every row passed; a failure means the
+    lattice itself was wrong.
     """
     inst, bb = vin.instance, vin.blackbox
-    target = lattice_size(lat)
-    count = len(lat.gens) + PULLBACK_EXTRA_SAMPLES
+    v_first = Lattice(lat.moduli[-1:] + lat.moduli[:-1], [g[-1:] + g[:-1] for g in lat.gens])
+    basis = _lattice_basis(v_first)
     f0 = inst.f(rmap.identity)
-
-    pool: list[OpaqueHandle] = []
-    points = list(lat.gens)
-    for _ in range(PULLBACK_MAX_ROUNDS):
-        points.extend(lattice_sample(lat, rng) for _ in range(count))
-        for pt in points:
-            h = rmap.lift(bb, pt)
-            if inst.f(h) == f0:
-                pool.append(h)
-        points = []
-        # handles compare by their bytes, which is exact under unique encoding
-        found = closure(bb.oracle_mul, rmap.identity, pool, bound=target)
-        if len(found) == target:
-            return found, True
-        if len(found) > target:
-            break  # closure escaped the lattice size: the lattice is wrong
-    return pool, False
+    handles: list[OpaqueHandle] = []
+    for row in basis:
+        h = rmap.lift(bb, [x % n for x, n in zip(row[1:] + row[:1], lat.moduli)])
+        if inst.f(h) == f0:
+            handles.append(h)
+    return handles, len(handles) == len(basis)
 
 
 def solve(
@@ -249,7 +236,8 @@ def solve(
     """Recover the hidden subgroup of Z_{p^r}^m x| Z_p.
 
     Pipeline: rebase the abelian generators, solve the single reduced
-    abelian instance, pull the lattice back through the reduction map.
+    abelian instance, map the m + 1 echelon basis rows of its lattice
+    through the reduction map.
     ``confident`` requires every stage to have verified its output: the
     result is then exact under the hiding promise, and f was periodic on
     every superposed grid evaluated.  It does not detect an f relabelled
@@ -273,7 +261,7 @@ def solve(
 
     rmap, mgs_report = minimal_generating_set(vin, rng, delta=delta, backend=backend)
     res = reduce_and_solve(vin, rmap, rng, delta=delta, backend=backend)
-    handles, pulled_ok = pullback_generators(vin, rmap, res.lattice, rng)
+    handles, pulled_ok = pullback_generators(vin, rmap, res.lattice)
 
     confident = bool(mgs_report["confident"] and res.confident and pulled_ok)
     report = {

@@ -41,7 +41,7 @@ def test_criterion_2_vector_solver_sweep():
     t0 = time.monotonic()
     res = acceptance.criterion_solver_vector()
     _check(res, max_seconds=600, elapsed=time.monotonic() - t0)
-    assert res.metrics["runs"] == 175
+    assert res.metrics["runs"] == 1297
 
 
 def test_criterion_3_alpha_enumeration():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -154,6 +155,19 @@ def test_solve_zm_trivial(capsys):
     )
     assert code == 0 and rep["match"]
     assert rep["found_subgroup"] == [[[0], 0]]
+
+
+def test_solve_zm_full_pullback_is_logarithmic(capsys):
+    # the pullback lifts only the m + 1 echelon rows of pi^-1(H), so its
+    # products grow with log |G| rather than |H|, and H is never listed
+    p, r, m = 3, 2, 3
+    argv = ("solve-zm", "--p", str(p), "--r", str(r), "--m", str(m), "--seed", "1")
+    _, trivial, _ = run_json(capsys, *argv, "--hidden", "trivial")
+    code, full, _ = run_json(capsys, *argv, "--hidden", "full")
+    assert code == 0 and full["match"] and full["confident"]
+    bound = trivial["queries"]["mul"] + (m + 1) * 2 * r * math.ceil(math.log2(p))
+    assert full["queries"]["mul"] <= bound
+    assert len(full["found_generators"]) <= m + 1
 
 
 def test_solve_zm_requires_unique_encoding(capsys):

@@ -186,19 +186,41 @@ def test_solve_sampled_subgroups_m2():
 def test_pullback_generators_close_to_the_subgroup():
     from sdhsp.algebra import lattices_equal
 
+    cases = [
+        # <x^3 y> meets A trivially; it reads off as <(3, 1)> over (9, 3)
+        (S321, [VecElement((3,), 1)], Lattice((9, 3), ((3, 1),))),
+        # <x_1 y, x_2^2> meets A in more than <(x_1 y)^2>
+        (ZmGroupSpec(2, 3, 2), [VecElement((1, 0), 1), VecElement((0, 2), 0)], None),
+    ]
+    for spec, gens, want in cases:
+        rng = np.random.default_rng(71)
+        sub = subgroup_of(spec, gens)
+        vin = make_vec_instance(spec, sub, seed=4)
+        rmap, _ = minimal_generating_set(vin, rng)
+        res = reduce_and_solve(vin, rmap, rng)
+        assert res.confident
+        assert want is None or lattices_equal(res.lattice, want)
+        # H lies outside A: some lattice point has v != 0, so the v-pivot b is 1
+        assert any(g[-1] for g in res.lattice.gens)
+        handles, ok = pullback_generators(vin, rmap, res.lattice)
+        assert ok
+        assert len(handles) <= spec.m + 1
+        bb = vin.blackbox
+        found = [bb.reveal(h) for h in handles]
+        assert frozenset(subgroup_of(spec, found)) == frozenset(sub)
+
+
+def test_pullback_filter_drops_rows_outside_the_subgroup():
     rng = np.random.default_rng(71)
-    sub = subgroup_of(S321, [VecElement((3,), 1)])
+    sub = subgroup_of(S321, [VecElement((3,), 0)])
     vin = make_vec_instance(S321, sub, seed=4)
     rmap, _ = minimal_generating_set(vin, rng)
-    res = reduce_and_solve(vin, rmap, rng)
-    assert res.confident
-    # hidden <x^3 y> reads off as the coordinate line <(3, 1)> over (9, 3)
-    assert lattices_equal(res.lattice, Lattice((9, 3), ((3, 1),)))
-    handles, ok = pullback_generators(vin, rmap, res.lattice, rng)
-    assert ok
+    # a wrong lattice: the echelon rows of <(3, 0), (0, 1)> lift to y, outside
+    # H = <x^3>, and to x^3, inside it
+    handles, ok = pullback_generators(vin, rmap, Lattice((9, 3), ((3, 0), (0, 1))))
+    assert not ok
     bb = vin.blackbox
-    gens = [bb.reveal(h) for h in handles]
-    assert frozenset(subgroup_of(S321, gens)) == frozenset(sub)
+    assert [bb.reveal(h) for h in handles] == [VecElement((3,), 0)]
 
 
 def test_solver_requires_commuting_vector_handles():
