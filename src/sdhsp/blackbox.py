@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .algebra import closure, square_and_multiply
-from .sdp_group import GroupTable, generates, is_subgroup
+from .sdp_group import GroupTable, generates, greedy_generators
 
 HANDLE_BYTES = 8
 TABLE_BOUND = 2**24  # |G| * S must stay under this
@@ -58,17 +58,25 @@ class OpaqueHandle:
         return int.from_bytes(self.data, "big")
 
 
+def draw_distinct(draw: Callable[[int], Iterable], k: int) -> list:
+    """k distinct values from ``draw(n)``, which returns n values: repeats are
+    dropped in order and only the shortfall is redrawn.  When ``draw(n)`` uses
+    the stream of n single draws, so does this, redrawing on a repeat."""
+    drawn: dict = {}
+    while len(drawn) < k:
+        drawn.update(dict.fromkeys(draw(k - len(drawn))))
+    return list(drawn)
+
+
 class BlackBox:
     """Encoding table plus the three counted group oracles.
 
     ``codes`` holds every handle as a uint64, one row per element index and
     one column per salt; ``encode`` and the oracles read their results from
-    it.  The table is drawn from ``rng`` in one call, with repeated handles
-    dropped and only the shortfall redrawn: the same handles, and the same
-    final generator state, as one 8-byte draw per (element, salt) in row
-    order, redrawn on a repeat.  ``_walk`` is the batched oracle walk over
-    a grid of products; it books what the per-point ``oracle_mul`` walk
-    would.
+    it.  ``draw_distinct`` draws the table from ``rng`` in row order: the
+    handles and end state of one 8-byte draw per (element, salt).  ``_walk``
+    is the batched oracle walk over a grid of products; it books what the
+    per-point ``oracle_mul`` walk would.
     """
 
     def __init__(
@@ -99,14 +107,12 @@ class BlackBox:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.counters = {"mul": 0, "inv": 0, "eq": 0}
         # Keyed pseudorandom injection: no two handles collide.  Draws of
-        # whole 8-byte chunks concatenate, so dropping repeats in order and
-        # redrawing the shortfall consumes the per-handle stream exactly.
-        n = table.order * salts
-        drawn: dict[bytes, None] = {}
-        while len(drawn) < n:
-            blob = self._rng.bytes(HANDLE_BYTES * (n - len(drawn)))
-            chunks = (blob[k : k + HANDLE_BYTES] for k in range(0, len(blob), HANDLE_BYTES))
-            drawn.update(dict.fromkeys(chunks))
+        # whole 8-byte chunks concatenate, so they consume the per-handle stream.
+        def chunks(k: int):
+            blob = self._rng.bytes(HANDLE_BYTES * k)
+            return (blob[i : i + HANDLE_BYTES] for i in range(0, len(blob), HANDLE_BYTES))
+
+        drawn = draw_distinct(chunks, table.order * salts)
         # handle bytes -> element index; codes[i, s] is the handle of index i under salt s
         self._decode_map: dict[bytes, int] = {h: k // salts for k, h in enumerate(drawn)}
         flat = np.frombuffer(b"".join(drawn), dtype=">u8").astype(np.uint64)
@@ -264,7 +270,8 @@ class HiddenInstance:
 
     f maps any valid encoding of g to a 64-bit label constant on the left
     coset g*H and distinct across cosets.  ``labels`` is the label of every
-    element index; the truth is the planted subgroup's elements, which only
+    element index, kept as an array for ``f_walk`` and as a list for single
+    reads; the truth is the planted subgroup's elements, which only
     ``truth_elements`` hands back.  ``f_walk`` evaluates f over a whole grid
     of products in one oracle invocation; the counters track both the
     number of pointwise evaluations ('f') and the number of batched
@@ -281,11 +288,12 @@ class HiddenInstance:
         self.blackbox = bb
         self._truth = truth_elements
         self._label_array = np.asarray(labels, dtype=np.int64)
+        self._labels = self._label_array.tolist()
         self.counters = {"f": 0, "superposed_calls": 0}
 
     def f(self, h: OpaqueHandle) -> int:
         self.counters["f"] += 1
-        return int(self._label_array[self.blackbox._decode_index(h)])
+        return self._labels[self.blackbox._decode_index(h)]
 
     def f_walk(self, moduli, identity: OpaqueHandle, gen_handles) -> np.ndarray:
         """Labels of g_1^{u_1} ... g_k^{u_k} over the grid; one superposed call."""
@@ -306,7 +314,7 @@ class HiddenInstance:
 
     def label_of_element(self, g: Any) -> int:
         """Direct label lookup for the reference layer (not counted)."""
-        return int(self._label_array[self.blackbox.table.index(g)])
+        return self._labels[self.blackbox.table.index(g)]
 
     def query_stats(self) -> dict[str, int]:
         stats = dict(self.blackbox.counters)
@@ -328,31 +336,33 @@ def make_hidden_instance(
     Returns (instance, generator_handles); the handles encode either the
     standard generators ('canonical') or 2..4 random elements verified to
     generate the whole group ('scrambled').  Only these handles leak out of
-    the construction; everything else must come from the oracles.
+    the construction; everything else must come from the oracles.  Coset
+    labels are drawn per coset in order of least members, which come from
+    doubling hops on index arrays, O(|G| log |H|) per pass over H's generators.
     """
     H = frozenset(subgroup)
-    members = sorted(map(table.index, H))
-    if not is_subgroup(table, frozenset(members)):
+    members = frozenset(map(table.index, H))
+    if (hidden_gens := greedy_generators(table, members)) is None:
         raise ValueError("the hidden set is not a subgroup")
     ss = np.random.SeedSequence(seed)
     table_rng, label_rng, gen_rng = (np.random.default_rng(c) for c in ss.spawn(3))
     bb = BlackBox(table, mode=mode, salts=salts, salt_policy=salt_policy, rng=table_rng)
 
-    # Label each left coset g*H in order of its least member, which is the
-    # first index of the coset reached (index order is element order).
-    labels: list[int | None] = [None] * table.order
-    used_labels: set[int] = set()
-    for g in range(table.order):
-        if labels[g] is not None:
-            continue
-        lab = int(label_rng.integers(0, 2**63))
-        while lab in used_labels:
-            lab = int(label_rng.integers(0, 2**63))
-        used_labels.add(lab)
-        for h in members:
-            labels[table.imul(g, h)] = lab
-
-    inst = HiddenInstance(bb, H, labels)
+    # least[g] becomes the least member of gH: min over g h^0 .. g h^(2^t - 1)
+    # after t doubling hops per generator h, repeated until nothing moves.
+    everything = np.arange(table.order)
+    least, before = everything, None
+    while not np.array_equal(least, before):
+        before = least
+        for h in hidden_gens:
+            step = table.index_mul(everything, h)
+            for _ in range((len(members) - 1).bit_length()):
+                least, step = np.minimum(least, least[step]), step[step]
+    # one label per coset, drawn in order of least members
+    reps = np.flatnonzero(least == everything)
+    labels = np.zeros(table.order, dtype=np.int64)
+    labels[reps] = draw_distinct(lambda n: label_rng.integers(0, 2**63, size=n).tolist(), reps.size)
+    inst = HiddenInstance(bb, H, labels[least])
 
     if generator_policy == "canonical":
         gens = [table.index(g) for g in table.standard_generators]

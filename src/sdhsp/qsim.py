@@ -166,12 +166,13 @@ class AbelianOracle:
 
     @cached_property
     def _zero_coset(self) -> tuple[np.ndarray, np.ndarray]:
-        """The support of F(0) and the CDF of its coset state's outcomes,
+        """F(0)'s support tiled twice per axis, whose window [n - u, 2n - u)
+        is ``np.roll(support, u)``, and the CDF of its coset state's outcomes,
         made with ``Generator.choice``'s own steps on ``p``."""
         support = self.grid == self.f0()
         cdf = _coset_probs(support).cumsum()
         cdf /= cdf[-1]
-        return support, cdf
+        return np.tile(support, (2,) * support.ndim), cdf
 
 
 def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
@@ -217,15 +218,15 @@ def sample_statevector(
         raise ValueError(
             f"domain size {dom} exceeds the statevector bound {STATEVECTOR_BOUND}"
         )
-    support0, cdf = oracle._zero_coset
-    axes = tuple(range(len(moduli)))
+    tiled, cdf = oracle._zero_coset
     out: list[tuple[int, ...]] = []
     for _ in range(count):
         oracle.note_sample()
         # measuring the value register collapses to a uniform coset state
         u0 = tuple(int(rng.integers(0, n)) for n in moduli)
         support = oracle.grid == oracle.grid[u0]
-        if np.array_equal(support, np.roll(support0, u0, axis=axes)):
+        shifted = tiled[tuple(slice(n - u, 2 * n - u) for n, u in zip(moduli, u0))]
+        if np.array_equal(support, shifted):
             flat = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             flat = int(rng.choice(dom, p=_coset_probs(support)))

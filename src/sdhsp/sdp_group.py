@@ -232,23 +232,23 @@ def _scalar_law(n: int, m: int, q: int, pw: tuple[int, ...]) -> tuple[Callable, 
         a2, b2 = divmod(j, q)
         s = pw[b1]
         a, place = 0, 1
-        for _ in range(m):
+        for _ in range(m - 1):
             a1, c1 = divmod(a1, n)
             a2, c2 = divmod(a2, n)
             a += (c1 + s * c2) % n * place
             place *= n
-        return a * q + (b1 + b2) % q
+        return (a + (a1 + s * a2) % n * place) * q + (b1 + b2) % q
 
     def iinv(i: int) -> int:
         rest, b = divmod(i, q)
         b = -b % q
         s = pw[b]
         a, place = 0, 1
-        for _ in range(m):
+        for _ in range(m - 1):
             rest, c = divmod(rest, n)
             a += -s * c % n * place
             place *= n
-        return a * q + b
+        return (a + -s * rest % n * place) * q + b
 
     return imul, iinv
 
@@ -379,11 +379,6 @@ def greedy_generators(table: GroupTable, elems: frozenset) -> list | None:
     return gens
 
 
-def is_subgroup(table: GroupTable, elems: frozenset) -> bool:
-    """Exact subgroup test on a set of element indices (see ``greedy_generators``)."""
-    return greedy_generators(table, elems) is not None
-
-
 def enumerate_alphas(p: int, q: int, r: int) -> set[int]:
     """All alpha != 1 of multiplicative order exactly q mod p^r.
 
@@ -512,11 +507,10 @@ class SubgroupProperties:
 
 
 def subgroup_properties(G: GroupSpec, S: SubgroupDesc) -> SubgroupProperties:
-    """Order, commutativity and normality, decided by direct enumeration."""
-    elems = subgroup_elements(G, S)
-    elem_set = set(elems)
-    abelian = all(
-        compose(G, g, h) == compose(G, h, g) for i, g in enumerate(elems) for h in elems[i + 1 :]
+    """Order; abelian if H's generators commute, normal if G's conjugate them into H."""
+    elems = set(subgroup_elements(G, S))
+    abelian = all(compose(G, g, h) == compose(G, h, g) for g in S.gens for h in S.gens)
+    normal = all(
+        conjugate(G, g, s) in elems for g in sdp_table(G).standard_generators for s in S.gens
     )
-    normal = all(conjugate(G, g, s) in elem_set for g in elements(G) for s in S.gens)
     return SubgroupProperties(order=len(elems), abelian=abelian, normal=normal)

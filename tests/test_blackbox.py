@@ -5,12 +5,15 @@ import pytest
 
 from sdhsp.blackbox import (
     BlackBox,
+    draw_distinct,
     make_hidden_instance,
     oracle_identity,
     oracle_pow,
 )
+from sdhsp.reference import enumerate_all_subgroups
 from sdhsp.sdp_group import (
     Element,
+    GroupSpec,
     ZmGroupSpec,
     closure,
     compose,
@@ -91,6 +94,90 @@ def test_repeated_handles_are_topped_up_like_the_per_handle_loop():
     assert list(bb._decode_map.items()) == list(decode.items())
     assert bb.codes[:, 0].tolist() == list(range(1, 28))
     assert stub.pos == ref.pos == len(stub.stream)
+
+
+class ScriptedIntegers:
+    """A generator stub whose ``integers`` hands out a fixed value stream and logs each draw."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.pos = 0
+        self.draws = []
+
+    def integers(self, low, high, size=None):
+        n = 1 if size is None else size
+        self.draws.append(n)
+        self.pos += n
+        if self.pos > len(self.values):
+            raise RuntimeError("scripted value stream exhausted")
+        out = self.values[self.pos - n : self.pos]
+        return out[0] if size is None else np.array(out)
+
+
+def test_distinct_draws_redraw_only_the_shortfall_like_the_per_value_loop():
+    # 5 values wanted: the first draw repeats 5 and 7, the top-up repeats 7
+    values = [5, 7, 5, 9, 7, 7, 11, 12]
+    stub, ref = ScriptedIntegers(values), ScriptedIntegers(values)
+    got = draw_distinct(lambda n: stub.integers(0, 2**63, size=n).tolist(), 5)
+    want: list = []
+    for _ in range(5):
+        value = ref.integers(0, 2**63)
+        while value in want:
+            value = ref.integers(0, 2**63)
+        want.append(value)
+    assert got == want == [5, 7, 9, 11, 12]
+    assert stub.draws == [5, 2, 1]
+    assert stub.pos == ref.pos == len(values)
+
+
+def reference_labels(table, H, seed):
+    """The per-coset loop the orbit-minimum labelling replaced.
+
+    Returns the label of every element index and the label generator after
+    the loop: one draw per coset in order of least members, redrawn on a
+    repeat, and each coset g*H labelled by multiplying g by every member.
+    """
+    label_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
+    members = sorted(map(table.index, H))
+    labels = [None] * table.order
+    used = set()
+    for g in range(table.order):
+        if labels[g] is not None:
+            continue
+        lab = int(label_rng.integers(0, 2**63))
+        while lab in used:
+            lab = int(label_rng.integers(0, 2**63))
+        used.add(lab)
+        for h in members:
+            labels[table.imul(g, h)] = lab
+    return labels, label_rng
+
+
+LABEL_TABLES = [
+    sdp_table(modular_group_spec(3, 2)),
+    sdp_table(modular_group_spec(2, 4)),
+    vec_table(ZmGroupSpec(3, 2, 2)),
+    sdp_table(GroupSpec(2, 2, 3, 7)),  # D16, whose subgroups are not all abelian
+]
+
+
+@pytest.mark.parametrize("table", LABEL_TABLES, ids=["3,2", "2,4", "3,2,2", "D16"])
+def test_orbit_minimum_labels_match_the_per_coset_loop(table, monkeypatch):
+    made = []
+
+    def spy(seed=None):
+        made.append(np.random.Generator(np.random.PCG64(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    subgroups = enumerate_all_subgroups(table)
+    assert frozenset(table.elements) in subgroups  # H = G, not abelian
+    for seed, H in enumerate(subgroups):
+        want, want_rng = reference_labels(table, H, seed)
+        made.clear()
+        inst, _ = make_hidden_instance(table, H, seed=seed)
+        assert [inst.label_of_element(g) for g in table.elements] == want
+        assert made[1].bit_generator.state == want_rng.bit_generator.state
 
 
 def test_unique_encoding_is_injective_and_stable():

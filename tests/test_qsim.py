@@ -278,6 +278,18 @@ def test_cached_transform_draws_what_the_literal_sampler_draws(monkeypatch, modu
     assert len(transforms) == 1
 
 
+@pytest.mark.parametrize("moduli", [(9, 3), (4, 2, 2), (8,)], ids=str)
+def test_tiled_support_windows_are_the_rolled_support(moduli):
+    grid = np.random.default_rng(4).integers(0, 3, size=moduli)
+    oracle = AbelianOracle(moduli, grid)
+    tiled, _ = oracle._zero_coset
+    support0 = grid == oracle.f0()
+    axes = tuple(range(len(moduli)))
+    for u0 in np.ndindex(*moduli):
+        window = tiled[tuple(slice(n - u, 2 * n - u) for n, u in zip(moduli, u0))]
+        assert np.array_equal(window, np.roll(support0, u0, axis=axes))
+
+
 @pytest.mark.parametrize("point", [(1, 1), (3, 1)], ids=["off L", "in L"])
 def test_non_periodic_grid_falls_back_to_the_literal_transform(monkeypatch, point):
     # one point relabelled: its coset and the coset it left are no

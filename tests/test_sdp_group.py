@@ -25,9 +25,9 @@ from sdhsp.sdp_group import (
     enumerate_alphas,
     enumerate_subgroups,
     generates,
+    greedy_generators,
     invert,
     is_prime,
-    is_subgroup,
     iso_map,
     modular_group_spec,
     power,
@@ -257,6 +257,15 @@ def test_normality_flag_against_definition():
         assert subgroup_properties(spec, desc).normal == brute_normal
 
 
+def test_abelian_flag_against_definition():
+    for (p, r) in [(3, 2), (2, 3), (3, 3), (5, 2)]:
+        spec = modular_group_spec(p, r)
+        for desc in enumerate_subgroups(spec):
+            H = subgroup_elements(spec, desc)
+            brute_abelian = all(compose(spec, g, h) == compose(spec, h, g) for g in H for h in H)
+            assert subgroup_properties(spec, desc).abelian == brute_abelian
+
+
 def test_from_generators_canonicalizes():
     d1 = SubgroupDesc("gens", (Element(3, 1),))
     d2 = SubgroupDesc("gens", (Element(6, 2), Element(3, 1)))
@@ -317,6 +326,11 @@ def all_pairs_subgroup(table, elems):
 
 
 P32_TABLE = sdp_table(P32)
+
+
+def is_subgroup(table, elems: frozenset) -> bool:
+    """Exact subgroup test on a set of element indices (see ``greedy_generators``)."""
+    return greedy_generators(table, elems) is not None
 
 
 @given(st.sets(st.sampled_from(P32_TABLE.elements)), st.booleans())
