@@ -1,5 +1,7 @@
 """Opaque encodings, oracle bookkeeping, and instance construction."""
 
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from sdhsp.reference import enumerate_all_subgroups
 from sdhsp.sdp_group import (
     Element,
     GroupSpec,
+    GroupTable,
     ZmGroupSpec,
     closure,
     compose,
@@ -153,16 +156,45 @@ def reference_labels(table, H, seed):
     return labels, label_rng
 
 
-LABEL_TABLES = [
-    sdp_table(modular_group_spec(3, 2)),
-    sdp_table(modular_group_spec(2, 4)),
-    vec_table(ZmGroupSpec(3, 2, 2)),
-    sdp_table(GroupSpec(2, 2, 3, 7)),  # D16, whose subgroups are not all abelian
+def symmetric_group_table(n):
+    """S_n on a product table of its permutations, a group outside both families.
+
+    On S_3 itself one pass of doubling hops over the greedy generators
+    reaches only part of each coset, so the labelling must pass again.
+    """
+    perms = sorted(permutations(range(n)))
+    index = {g: i for i, g in enumerate(perms)}
+    products = np.array([[index[tuple(g[k] for k in h)] for h in perms] for g in perms])
+    inverses = [index[tuple(np.argsort(g).tolist())] for g in perms]
+    return GroupTable(
+        name=f"S{n}",
+        spec=None,
+        elements=tuple(perms),
+        standard_generators=(perms[1], perms[-1]),
+        imul=lambda i, j: int(products[i, j]),
+        iinv=inverses.__getitem__,
+        index_mul=lambda i, j: products[i, j],
+        positions=index,
+    )
+
+
+def subgroups_by_closure(table):
+    pairs = combinations(table.elements, 2)
+    subgroups = {frozenset(closure(table.mul, table.identity, pair)) for pair in pairs}
+    return sorted(subgroups, key=lambda H: sorted(map(table.index, H)))
+
+
+LABEL_CASES = [
+    (sdp_table(modular_group_spec(3, 2)), enumerate_all_subgroups),
+    (sdp_table(modular_group_spec(2, 4)), enumerate_all_subgroups),
+    (vec_table(ZmGroupSpec(3, 2, 2)), enumerate_all_subgroups),
+    (sdp_table(GroupSpec(2, 2, 3, 7)), enumerate_all_subgroups),  # D16
+    (symmetric_group_table(3), subgroups_by_closure),
 ]
 
 
-@pytest.mark.parametrize("table", LABEL_TABLES, ids=["3,2", "2,4", "3,2,2", "D16"])
-def test_orbit_minimum_labels_match_the_per_coset_loop(table, monkeypatch):
+@pytest.mark.parametrize("table, subgroups_of", LABEL_CASES, ids=["3,2", "2,4", "3,2,2", "D16", "S3"])
+def test_orbit_minimum_labels_match_the_per_coset_loop(table, subgroups_of, monkeypatch):
     made = []
 
     def spy(seed=None):
@@ -170,7 +202,7 @@ def test_orbit_minimum_labels_match_the_per_coset_loop(table, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(np.random, "default_rng", spy)
-    subgroups = enumerate_all_subgroups(table)
+    subgroups = subgroups_of(table)
     assert frozenset(table.elements) in subgroups  # H = G, not abelian
     for seed, H in enumerate(subgroups):
         want, want_rng = reference_labels(table, H, seed)
