@@ -13,12 +13,16 @@ from the annihilator L^perp.  Two interchangeable backends:
 Translating a coset state changes only the phases of its Fourier
 transform, so every coset whose level set is a translate of F(0)'s has
 the outcome distribution of F(0)'s coset.  The statevector backend
-transforms F(0)'s coset state once per oracle and keeps its CDF; each
-sample checks that its measured coset is such a translate, and otherwise
-(F not periodic there) transforms that coset literally.  The cached CDF
-equals a coset's own CDF only up to rounding, so draws identical to the
-literal per-coset simulation are measured (tests, pinned reports), not
-guaranteed.
+transforms F(0)'s coset state once per oracle and keeps the CDF over its
+nonzero outcomes; each sample checks that its measured coset is such a
+translate, and otherwise (F not periodic there) transforms that coset
+literally.  A coset state is real, so its transform's magnitudes satisfy
+|F(-k)| = |F(k)|: a real-input FFT gives half the spectrum and the rest is
+its mirror.  Dropping the zero outcomes changes no draw (a sequential
+cumsum is unchanged by zero terms), but the real-input magnitudes equal
+a coset's own complex transform only up to rounding, so draws identical
+to the literal per-coset simulation are measured (tests, pinned reports),
+not guaranteed.
 
 Both backends book the same modeled query cost: one superposed evaluation
 of F over the whole domain per sample.  Pointwise evaluations are booked
@@ -165,14 +169,19 @@ class AbelianOracle:
         return lat
 
     @cached_property
-    def _zero_coset(self) -> tuple[np.ndarray, np.ndarray]:
+    def _zero_coset(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """F(0)'s support tiled twice per axis, whose window [n - u, 2n - u)
-        is ``np.roll(support, u)``, and the CDF of its coset state's outcomes,
-        made with ``Generator.choice``'s own steps on ``p``."""
+        is ``np.roll(support, u)``; the row-major indices of its coset
+        state's nonzero outcomes; and their CDF, made with
+        ``Generator.choice``'s own steps on ``p``.  A sequential cumsum is
+        unchanged by zero terms, so a search of this CDF draws bitwise what
+        a search of the full one would."""
         support = self.grid == self.f0()
-        cdf = _coset_probs(support).cumsum()
+        probs = _coset_probs(support)
+        outcomes = np.flatnonzero(probs)
+        cdf = probs[outcomes].cumsum()
         cdf /= cdf[-1]
-        return np.tile(support, (2,) * support.ndim), cdf
+        return np.tile(support, (2,) * support.ndim), outcomes, cdf
 
 
 def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
@@ -188,14 +197,27 @@ def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
 
 
 def _coset_probs(support: np.ndarray) -> np.ndarray:
-    """Row-major outcome probabilities of the uniform coset state on `support`."""
-    psi = support.astype(np.complex128)
-    psi /= math.sqrt(int(support.sum()))
-    # the unitary DFT of every axis, qft_matrix's e^{+2 pi i jk/n} convention
-    psi = np.fft.ifftn(psi, norm="ortho")
-    amp = np.abs(psi.reshape(-1))
-    amp[amp < AMPLITUDE_FLOOR] = 0.0
-    probs = amp * amp
+    """Row-major outcome probabilities of the uniform coset state on `support`.
+
+    The state is real, so its unitary DFT has the same magnitudes under
+    either sign convention (``qft_matrix``'s e^{+2 pi i jk/n} among them)
+    and |F(-k)| = |F(k)|.  A real-input FFT gives the half spectrum with
+    last index k <= n // 2; the rest is its mirror, read with the last axis
+    reversed and every leading axis wrap-negated.
+    """
+    shape = support.shape
+    n = shape[-1]
+    half = n // 2 + 1
+    amp = np.empty(shape)
+    psi = support / math.sqrt(np.count_nonzero(support))
+    np.abs(np.fft.rfftn(psi, norm="ortho"), out=amp[..., :half])
+    mirror = amp[..., (n - 1) // 2 : 0 : -1]
+    for axis, m in enumerate(shape[:-1]):
+        mirror = mirror.take(-np.arange(m), axis)
+    amp[..., half:] = mirror
+    probs = amp.reshape(-1)
+    probs[probs < AMPLITUDE_FLOOR] = 0.0
+    np.square(probs, out=probs)
     probs /= probs.sum()
     return probs
 
@@ -207,10 +229,11 @@ def sample_statevector(
 
     A measured coset whose support is the translate of F(0)'s by u0 has
     the outcome distribution of F(0)'s coset (a translation only moves
-    phases), so it draws from the oracle's cached CDF with one uniform,
-    as ``rng.choice(p=)`` would.  Any other coset (F not periodic there)
-    is transformed literally.  The cached CDF matches each coset's own up
-    to rounding, so identical draws are measured, not guaranteed.
+    phases), so it draws from the oracle's cached CDF over nonzero outcomes
+    with one uniform, as ``rng.choice(p=)`` would.  Any other coset (F not
+    periodic there) is transformed literally.  The cached CDF matches each
+    coset's own up to rounding, so identical draws are measured, not
+    guaranteed.
     """
     moduli = oracle.moduli
     dom = oracle.domain_size
@@ -218,19 +241,21 @@ def sample_statevector(
         raise ValueError(
             f"domain size {dom} exceeds the statevector bound {STATEVECTOR_BOUND}"
         )
-    tiled, cdf = oracle._zero_coset
+    tiled, outcomes, cdf = oracle._zero_coset
+    grid = oracle.grid
+    strides = tuple(math.prod(moduli[i + 1 :]) for i in range(len(moduli)))
     out: list[tuple[int, ...]] = []
     for _ in range(count):
         oracle.note_sample()
         # measuring the value register collapses to a uniform coset state
         u0 = tuple(int(rng.integers(0, n)) for n in moduli)
-        support = oracle.grid == oracle.grid[u0]
+        support = grid == grid[u0]
         shifted = tiled[tuple(slice(n - u, 2 * n - u) for n, u in zip(moduli, u0))]
-        if np.array_equal(support, shifted):
-            flat = int(cdf.searchsorted(rng.random(), side="right"))
+        if (support == shifted).all():
+            flat = int(outcomes[cdf.searchsorted(rng.random(), side="right")])
         else:
             flat = int(rng.choice(dom, p=_coset_probs(support)))
-        out.append(tuple(int(x) for x in np.unravel_index(flat, moduli)))
+        out.append(tuple(flat // s % n for s, n in zip(strides, moduli)))
     return out
 
 
@@ -296,7 +321,12 @@ def abelian_hsp_solve(
         want = base * (2 ** (rounds - 1))
         pooled.extend(draw_samples(oracle, rng, want - len(pooled), backend))
         lat = solve_kernel(tuple(pooled), oracle.moduli)
-        if all(oracle.evaluate(g) == f0 for g in lat.gens):
+        if rounds < MAX_ROUNDS:
+            held = (oracle.evaluate(g) == f0 for g in lat.gens)
+        else:
+            # the unconfident tail needs every generator: evaluate each once
+            held = [oracle.evaluate(g) == f0 for g in lat.gens]
+        if all(held):
             axes = tuple(range(k))
             if np.count_nonzero(oracle.grid == f0) != lattice_size(lat) or any(
                 not np.array_equal(np.roll(oracle.grid, g, axis=axes), oracle.grid)
@@ -305,7 +335,7 @@ def abelian_hsp_solve(
                 raise ValueError("function is not periodic over this domain")
             return AbelianSolveResult(lat, True, rounds, len(pooled))
     # keep the generators that do satisfy the periodicity check
-    good = tuple(g for g in lat.gens if oracle.evaluate(g) == f0)
+    good = tuple(g for g, ok in zip(lat.gens, held) if ok)
     return AbelianSolveResult(
         lattice_canonicalize(Lattice(oracle.moduli, good)),
         False,

@@ -57,15 +57,41 @@ def test_qft_first_row_uniform():
     assert np.allclose(F[0], np.full(5, 1 / np.sqrt(5)))
 
 
+def per_axis_qft(psi):
+    """The unitary DFT of every axis of `psi` as dense ``qft_matrix`` products."""
+    for axis, n in enumerate(psi.shape):
+        psi = np.moveaxis(np.tensordot(qft_matrix(n), psi, axes=([1], [axis])), 0, axis)
+    return psi
+
+
 def test_fft_equals_the_per_axis_qft_product():
-    # the sampler transforms with np.fft.ifftn; qft_matrix is its oracle
+    # the literal reference sampler transforms with np.fft.ifftn; qft_matrix is its oracle
     rng = np.random.default_rng(7)
     moduli = (4, 3, 5)
     psi = rng.normal(size=moduli) + 1j * rng.normal(size=moduli)
-    want = psi
-    for axis, n in enumerate(moduli):
-        want = np.moveaxis(np.tensordot(qft_matrix(n), want, axes=([1], [axis])), 0, axis)
-    assert np.allclose(np.fft.ifftn(psi, norm="ortho"), want, atol=1e-12)
+    assert np.allclose(np.fft.ifftn(psi, norm="ortho"), per_axis_qft(psi), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1,), (2,), (7,), (8,), (5, 1), (4, 2), (3, 1, 2), (3, 4, 5), (2, 3, 2, 3)],
+    ids=str,
+)
+@pytest.mark.parametrize("density", [0.0, 0.3, 0.7, 1.0])
+def test_coset_probs_equal_the_dense_qft_on_arbitrary_masks(shape, density):
+    # arbitrary supports, not only lattice cosets: the mirrored half spectrum
+    # of the real-input transform must be |(x) QFT psi|^2 everywhere
+    rng = np.random.default_rng(int(density * 10) + len(shape))
+    for _ in range(5):
+        mask = rng.random(shape) < density
+        mask.flat[rng.integers(mask.size)] = True
+        psi = mask / math.sqrt(np.count_nonzero(mask))
+        amp = np.abs(per_axis_qft(psi.astype(np.complex128))).reshape(-1)
+        amp[amp < AMPLITUDE_FLOOR] = 0.0
+        want = amp * amp / (amp * amp).sum()
+        got = qsim._coset_probs(mask)
+        assert got.shape == (mask.size,)
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_statevector_samples_live_in_the_dual():
@@ -167,6 +193,20 @@ def test_abelian_solver_trivial_and_full():
     assert res2.confident and lattices_equal(res2.lattice, full_lattice((9, 3)))
 
 
+def test_unconfident_tail_evaluates_each_final_generator_once(monkeypatch):
+    # zero samples leave the whole group as the candidate in every round;
+    # its generators (0,0,1), (0,1,0), (1,0,0) hold, fail, hold against L
+    monkeypatch.setattr(qsim, "draw_samples", lambda oracle, rng, count, backend: [(0, 0, 0)] * count)
+    plain, L = coset_oracle((3, 3, 3), ((0, 0, 1), (1, 0, 0)))
+    calls = []
+    oracle = AbelianOracle(plain.moduli, plain.grid, single_cost=lambda: calls.append(1))
+    res = abelian_hsp_solve(oracle, np.random.default_rng(0))
+    assert not res.confident and res.rounds == qsim.MAX_ROUNDS
+    assert lattices_equal(res.lattice, L)
+    # rounds 1 and 2 stop at the failing generator (2 each), round 3 evaluates all 3
+    assert len(calls) == 2 + 2 + 3
+
+
 def test_statevector_domain_bound():
     oracle = AbelianOracle((2048, 1024), np.zeros((2048, 1024), np.int64))
     with pytest.raises(ValueError, match="statevector bound"):
@@ -247,6 +287,19 @@ CHARACTER_FIXTURES = [
     ((512, 512), ((2, 0), (0, 4))),
     ((512, 512), ((0, 0),)),
     ((512, 512), ((1, 0), (0, 1))),
+    # the shapes the benchmark's oracles reach
+    ((243, 243), ((1, 3),)),
+    ((243, 243), ((9, 0), (0, 27))),
+    ((125, 125), ((1, 7),)),
+    ((125, 125), ((5, 0), (0, 25))),
+    ((256, 2), ((1, 1),)),
+    ((256, 2), ((2, 0), (0, 1))),
+    ((81, 3), ((1, 1),)),
+    ((81, 3), ((27, 0),)),
+    ((8, 8, 2), ((1, 2, 1),)),
+    ((8, 8, 2), ((2, 0, 0), (0, 4, 1))),
+    ((9, 9, 3), ((1, 3, 1),)),
+    ((9, 9, 3), ((3, 0, 0), (0, 0, 1))),
 ]
 
 
@@ -276,13 +329,16 @@ def test_cached_transform_draws_what_the_literal_sampler_draws(monkeypatch, modu
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     # one transform per oracle: F(0)'s coset, reused by every later call
     assert len(transforms) == 1
+    # the floored outcomes are exactly the annihilator, |L^perp| = |G| / |L|
+    _, outcomes, _ = oracle._zero_coset
+    assert outcomes.size * np.count_nonzero(transforms[0]) == oracle.domain_size
 
 
 @pytest.mark.parametrize("moduli", [(9, 3), (4, 2, 2), (8,)], ids=str)
 def test_tiled_support_windows_are_the_rolled_support(moduli):
     grid = np.random.default_rng(4).integers(0, 3, size=moduli)
     oracle = AbelianOracle(moduli, grid)
-    tiled, _ = oracle._zero_coset
+    tiled, _, _ = oracle._zero_coset
     support0 = grid == oracle.f0()
     axes = tuple(range(len(moduli)))
     for u0 in np.ndindex(*moduli):
