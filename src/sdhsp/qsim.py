@@ -203,7 +203,8 @@ def _coset_probs(support: np.ndarray) -> np.ndarray:
     either sign convention (``qft_matrix``'s e^{+2 pi i jk/n} among them)
     and |F(-k)| = |F(k)|.  A real-input FFT gives the half spectrum with
     last index k <= n // 2; the rest is its mirror, read with the last axis
-    reversed and every leading axis wrap-negated.
+    reversed and every leading axis wrap-negated.  These magnitudes equal
+    a complex transform's only up to rounding.
     """
     shape = support.shape
     n = shape[-1]
