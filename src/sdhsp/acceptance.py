@@ -58,7 +58,8 @@ PRIMES_13 = (2, 3, 5, 7, 11, 13)
 
 MODULAR_GRID = ((3, 2), (3, 3), (5, 2), (7, 2), (2, 3), (2, 4))
 MODULAR_GRID_QUICK = ((3, 2), (2, 3))
-VECTOR_GRID = ((3, 2, 1), (3, 2, 2), (5, 2, 1), (2, 3, 1), (3, 3, 1), (5, 2, 2), (2, 5, 2))
+VECTOR_GRID = ((3, 2, 1), (3, 2, 2), (5, 2, 1), (2, 3, 1), (3, 3, 1), (5, 2, 2), (2, 5, 2),
+               (2, 3, 2), (2, 4, 2), (3, 3, 2), (7, 2, 1))
 VECTOR_GRID_QUICK = ((3, 2, 1), (2, 3, 1))
 SEEDS = (7, 11, 13)
 ENCODINGS = (

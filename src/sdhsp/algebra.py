@@ -216,16 +216,6 @@ def lattice_is_full(L: Lattice) -> bool:
     return lattice_size(L) == total
 
 
-def full_lattice(moduli: Sequence[int]) -> Lattice:
-    k = len(moduli)
-    rows = []
-    for j in range(k):
-        row = [0] * k
-        row[j] = 1
-        rows.append(tuple(row))
-    return lattice_canonicalize(Lattice(tuple(moduli), tuple(rows)))
-
-
 def lattice_coset_rep(L: Lattice, v: Sequence[int]) -> tuple[int, ...]:
     """Canonical representative of v + L (reduction against the basis)."""
     k = len(L.moduli)

@@ -2,8 +2,9 @@
 
 Everything here works on explicit group tables with full truth access and
 serves as the independent route the solvers are checked against.  Nothing
-in this module touches handles, oracles or counters.  The brute force uses
-the scalar law ``imul`` on element indices; the enumeration, which only
+in this module touches handles, oracles or counters.  The brute force
+builds right multiplication by each standard generator on the scalar law
+``imul`` and composes all others from those; the enumeration, which only
 picks the subgroups to plant, uses the oracle walk's array law ``index_mul``.
 """
 
@@ -12,10 +13,12 @@ from __future__ import annotations
 from typing import Any, Callable
 import numpy as np
 
-from .sdp_group import GroupTable, greedy_generators
+from .algebra import square_and_multiply
+from .sdp_group import GroupSpec, GroupTable, ZmGroupSpec, greedy_generators
 
 BRUTE_FORCE_BOUND = 10**6
 ENUMERATION_BOUND = 10**4
+_GENERATOR_PERMUTATIONS: dict = {}  # table.spec -> [R_s for each standard generator s]
 
 
 def brute_force_hidden_subgroup(table: GroupTable, label_of: Callable[[Any], int]) -> frozenset:
@@ -27,24 +30,44 @@ def brute_force_hidden_subgroup(table: GroupTable, label_of: Callable[[Any], int
     level set of f(e), must close as a subgroup under at most log2 |H|
     greedily picked generators.  Labels constant under right multiplication
     by each generator are constant on every left coset gH, and then a label
-    count of |G|/|H| makes them distinct across cosets.  That costs
-    O(|G| log |H|) products of the scalar law, one permutation of the
-    element indices per generator.
+    count of |G|/|H| makes them distinct across cosets.  Each right
+    multiplication is an index permutation, composed in O(log |G|) array
+    passes from the standard generators' m + 1, built once per group on the
+    scalar law; ``index_mul``, the instance builder's and walk's law, is unused.
     """
     if table.order > BRUTE_FORCE_BOUND:
         raise ValueError(f"group of order {table.order} exceeds the brute-force bound")
-    labels = [label_of(g) for g in table.elements]
-    H = frozenset(h for h, lab in enumerate(labels) if lab == labels[0])
-    gens = greedy_generators(table, H)
+    if not isinstance(table.spec, (GroupSpec, ZmGroupSpec)):
+        raise ValueError(f"{table.name} is in neither group family")
+    labels = np.fromiter(map(label_of, table.elements), np.int64, table.order)
+    H = np.flatnonzero(labels == labels[0]).tolist()
+    gens = greedy_generators(table, frozenset(H))
     if gens is None:
         raise ValueError("f is not H-periodic: the level set of f(e) is no subgroup")
     for h in gens:
-        perm = [table.imul(g, h) for g in range(table.order)]
-        if any(labels[gh] != lab for gh, lab in zip(perm, labels)):
+        if not np.array_equal(labels[_right_multiplication(table, h)], labels):
             raise ValueError("f is not H-periodic: it changes within a left coset of H")
-    if len(set(labels)) * len(H) != table.order:
+    if (1 + np.count_nonzero(np.diff(np.sort(labels)))) * len(H) != table.order:
         raise ValueError("f is not H-periodic: two cosets of H share a label")
     return frozenset(table.elements[h] for h in H)
+
+
+def _right_multiplication(table: GroupTable, h: int) -> np.ndarray:
+    """R_h[g] = g h for h = x_1^a_1 ... x_m^a_m y^b: R_x1^a_1, ..., then R_y^b.
+
+    The m + 1 generator permutations R_s are built on the scalar law once
+    per group, kept by ``table.spec``: it hashes in O(1), unlike the table.
+    """
+    if table.spec not in _GENERATOR_PERMUTATIONS:
+        _GENERATOR_PERMUTATIONS[table.spec] = [
+            np.array([table.imul(g, s) for g in range(table.order)])
+            for s in map(table.index, table.standard_generators)
+        ]
+    e = table.elements[h]
+    R = identity = np.arange(table.order)
+    for R_s, k in zip(_GENERATOR_PERMUTATIONS[table.spec], (*np.atleast_1d(e.a), e.b)):
+        R = square_and_multiply(lambda u, v: u[v], None, identity, R_s, k)[R]
+    return R
 
 
 def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:

@@ -152,10 +152,6 @@ def power_closed_form(G: GroupSpec, e: Element, c: int) -> Element:
     return Element(exp % G.modulus, (e.b * c) % G.q)
 
 
-def element_order(G: GroupSpec, e: Element) -> int:
-    return len(closure(partial(compose, G), IDENTITY, (e,)))
-
-
 def conjugate(G: GroupSpec, g: Element, h: Element) -> Element:
     """g h g^-1."""
     return compose(G, compose(G, g, h), invert(G, g))

@@ -42,7 +42,7 @@ def test_criterion_2_vector_solver_sweep():
     t0 = time.monotonic()
     res = acceptance.criterion_solver_vector()
     _check(res, max_seconds=600, elapsed=time.monotonic() - t0)
-    assert res.metrics["runs"] == 1297
+    assert res.metrics["runs"] == 2217
     assert res.metrics["unconfident"] == 0
 
 
@@ -120,11 +120,12 @@ def test_budget_gate_fits_only_superposed_counts_that_differ():
 
 def test_gates_detect_a_corrupted_dual(monkeypatch):
     # mutation probe: a broken dual computation must turn the lattice gate red
-    from sdhsp.algebra import full_lattice
+    from sdhsp.algebra import Lattice
 
     real = acceptance.dual_lattice
+    # a nonzero lattice gets the dual of the zero lattice: everything
     monkeypatch.setattr(
-        acceptance, "dual_lattice", lambda L: full_lattice(L.moduli) if L.gens else real(L)
+        acceptance, "dual_lattice", lambda L: real(Lattice(L.moduli, ()) if L.gens else L)
     )
     res = acceptance.criterion_lattice_laws(quick=True)
     assert not res.passed

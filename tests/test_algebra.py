@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from sdhsp.algebra import (
     Lattice,
     dual_lattice,
-    full_lattice,
     lattice_canonicalize,
     lattice_coset_rep,
     lattice_elements,
@@ -26,6 +25,12 @@ from sdhsp.algebra import (
 )
 
 MODULI_POOL = [1, 2, 3, 4, 5, 6, 8, 9, 27]
+
+
+def full_lattice(moduli):
+    """All of Z_{n_1} x ... x Z_{n_k}, spanned by the unit vectors."""
+    rows = [tuple(int(i == j) for j in range(len(moduli))) for i in range(len(moduli))]
+    return lattice_canonicalize(Lattice(tuple(moduli), tuple(rows)))
 
 
 def brute_dual(L: Lattice) -> set:

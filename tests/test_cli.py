@@ -52,6 +52,9 @@ PINNED_REPORTS = {
     "solve_zm_random.json": (
         "solve-zm", "--p", "3", "--r", "2", "--m", "1", "--hidden", "random", "--seed", "1",
     ),
+    "solve_zm_3_3_2.json": (
+        "solve-zm", "--p", "3", "--r", "3", "--m", "2", "--hidden", "random", "--seed", "2",
+    ),
     "bench_mixed.csv": ("bench", "--grid", "3,2;2,3;3,2,1", "--seed", "7"),
 }
 
@@ -347,11 +350,12 @@ def test_selftest_quick_passes_fast(capsys):
 
 def test_selftest_fails_under_mutation(capsys, monkeypatch):
     from sdhsp import acceptance
-    from sdhsp.algebra import full_lattice
+    from sdhsp.algebra import Lattice
 
     real = acceptance.dual_lattice
+    # a nonzero lattice gets the dual of the zero lattice: everything
     monkeypatch.setattr(
-        acceptance, "dual_lattice", lambda L: full_lattice(L.moduli) if L.gens else real(L)
+        acceptance, "dual_lattice", lambda L: real(Lattice(L.moduli, ()) if L.gens else L)
     )
     code, out, err = run(capsys, "selftest", "--quick")
     assert code != 0

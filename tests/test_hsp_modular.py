@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdhsp.algebra import Lattice, lattices_equal
+from sdhsp.algebra import Lattice, closure, lattices_equal
 from sdhsp.blackbox import make_hidden_instance
 from sdhsp.hsp_modular import (
     SpecialPair,
@@ -17,7 +17,6 @@ from sdhsp.sdp_group import (
     Element,
     GroupSpec,
     SubgroupDesc,
-    element_order,
     enumerate_subgroups,
     modular_group_spec,
     sdp_table,
@@ -25,6 +24,10 @@ from sdhsp.sdp_group import (
 )
 
 P32 = modular_group_spec(3, 2)
+
+
+def element_order(spec, e):
+    return len(closure(sdp_table(spec).mul, Element(0, 0), (e,)))
 
 
 def instance_for(spec, desc, **kw):

@@ -1,7 +1,12 @@
 """Brute-force reference routes.  These must stay independent of the solvers."""
 
-import pytest
+import dataclasses
 
+import numpy as np
+import pytest
+from test_blackbox import symmetric_group_table
+
+from sdhsp import reference
 from sdhsp.blackbox import make_hidden_instance
 from sdhsp.reference import (
     brute_force_hidden_subgroup,
@@ -14,11 +19,16 @@ from sdhsp.sdp_group import (
     ZmGroupSpec,
     closure,
     enumerate_subgroups,
+    greedy_generators,
     modular_group_spec,
     sdp_table,
     subgroup_elements,
     vec_table,
 )
+
+
+def table_of(spec):
+    return vec_table(spec) if isinstance(spec, ZmGroupSpec) else sdp_table(spec)
 
 
 def test_brute_force_recovers_planted_subgroup():
@@ -63,8 +73,24 @@ def reference_brute_force(table, label_of):
     return frozenset(table.elements[h] for h in H)
 
 
+def per_generator_brute_force(table, label_of):
+    """The route the derived permutations replaced: |G| scalar products per generator."""
+    labels = [label_of(g) for g in table.elements]
+    H = frozenset(h for h, lab in enumerate(labels) if lab == labels[0])
+    gens = greedy_generators(table, H)
+    if gens is None:
+        raise ValueError("f is not H-periodic: the level set of f(e) is no subgroup")
+    for h in gens:
+        perm = [table.imul(g, h) for g in range(table.order)]
+        if any(labels[gh] != lab for gh, lab in zip(perm, labels)):
+            raise ValueError("f is not H-periodic: it changes within a left coset of H")
+    if len(set(labels)) * len(H) != table.order:
+        raise ValueError("f is not H-periodic: two cosets of H share a label")
+    return frozenset(table.elements[h] for h in H)
+
+
 def every_subgroup(spec, table):
-    if isinstance(spec, ZmGroupSpec):
+    if isinstance(spec, ZmGroupSpec) or not spec.is_modular:
         return enumerate_all_subgroups(table)
     return [frozenset(subgroup_elements(spec, d)) for d in enumerate_subgroups(spec)]
 
@@ -113,20 +139,27 @@ def outcome(route, table, labels):
         modular_group_spec(2, 3),
         modular_group_spec(3, 3),
         ZmGroupSpec(2, 3, 1),
+        GroupSpec(2, 2, 3, 7),
+        ZmGroupSpec(3, 2, 2),
     ],
-    ids=["3,2", "2,3", "3,3", "2,3,1"],
+    ids=["3,2", "2,3", "3,3", "2,3,1", "D16", "3,2,2"],
 )
 def test_brute_force_matches_the_all_products_loop(spec):
-    table = vec_table(spec) if isinstance(spec, ZmGroupSpec) else sdp_table(spec)
+    table = table_of(spec)
     raised = set()
+    seen = set()  # the stray mutations are the same for every H: each runs once
     for H in every_subgroup(spec, table):
         inst, _ = make_hidden_instance(table, H, seed=5)
         labels = [inst.label_of_element(g) for g in table.elements]
         assert brute_force_hidden_subgroup(table, inst.label_of_element) == H
         assert reference_brute_force(table, inst.label_of_element) == H
         for name, broken in mutations(table, H, labels):
+            if tuple(broken) in seen:
+                continue
+            seen.add(tuple(broken))
             new = outcome(brute_force_hidden_subgroup, table, broken)
             assert new == outcome(reference_brute_force, table, broken), (H, name)
+            assert new == outcome(per_generator_brute_force, table, broken), (H, name)
             if isinstance(new, str):
                 raised.add(name)
     assert raised == {
@@ -163,6 +196,59 @@ def test_each_check_of_the_brute_force_catches_its_own_fault():
         run("fresh label")
     with pytest.raises(ValueError, match="no subgroup"):
         run("stray {e, x}")
+
+
+# every element h of groups with q != p (S3 and Z_7 x| Z_3), alpha = -1 (S3
+# and D16) and m = 2; then random h of the largest cells of both families,
+# m = 3 among them
+EVERY_H = [
+    modular_group_spec(3, 2),
+    GroupSpec(3, 2, 1, 2),
+    GroupSpec(2, 2, 3, 7),
+    GroupSpec(7, 3, 1, 2),
+    ZmGroupSpec(3, 2, 2),
+]
+RANDOM_H = [modular_group_spec(2, 10), modular_group_spec(5, 4), ZmGroupSpec(3, 2, 3), ZmGroupSpec(2, 5, 2)]
+
+
+@pytest.mark.parametrize(
+    "spec, draws",
+    [(spec, None) for spec in EVERY_H] + [(spec, 100) for spec in RANDOM_H],
+    ids=["3,2", "S3", "D16", "7:3", "3,2,2", "2,10", "5,4", "3,2,3", "2,5,2"],
+)
+def test_derived_right_multiplication_is_the_scalar_law(spec, draws):
+    table = table_of(spec)
+    G = range(table.order)
+    hs = G if draws is None else np.random.default_rng(16).integers(0, table.order, draws).tolist()
+    for h in hs:
+        want = [table.imul(g, h) for g in G]
+        assert reference._right_multiplication(table, h).tolist() == want, table.elements[h]
+
+
+@pytest.mark.parametrize("spec", [modular_group_spec(3, 3), ZmGroupSpec(3, 2, 2)], ids=["3,3", "3,2,2"])
+def test_brute_force_never_calls_the_array_law(spec, monkeypatch):
+    table = table_of(spec)
+
+    def generator_count(S):
+        return len(greedy_generators(table, frozenset(map(table.index, S))))
+
+    proper = [S for S in every_subgroup(spec, table) if len(S) < table.order]
+    H = max(proper, key=generator_count)
+    inst, _ = make_hidden_instance(table, H, seed=2)
+
+    def refuse(i, j):
+        raise AssertionError("index_mul was called")
+
+    monkeypatch.setattr(reference, "_GENERATOR_PERMUTATIONS", {})  # built on the blind table
+    blind = dataclasses.replace(table, index_mul=refuse)
+    assert brute_force_hidden_subgroup(blind, inst.label_of_element) == H
+
+
+def test_a_table_outside_both_families_is_refused():
+    table = symmetric_group_table(3)
+    for label_of in (lambda g: 0, table.index):  # hidden by G, and by the trivial subgroup
+        with pytest.raises(ValueError, match="neither group family"):
+            brute_force_hidden_subgroup(table, label_of)
 
 
 def test_generic_enumeration_matches_the_taxonomy():

@@ -3,6 +3,8 @@
 Reference group throughout: p=3, r=2, alpha=4, i.e. Z_9 twisted by the unit 4.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from sdhsp.sdp_group import (
     closure,
     compose,
     conjugate,
-    element_order,
     elements,
     enumerate_alphas,
     enumerate_subgroups,
@@ -39,6 +40,10 @@ from sdhsp.sdp_group import (
 )
 
 P32 = GroupSpec(3, 3, 2, 4)
+
+
+def element_order(G, e):
+    return len(closure(partial(compose, G), IDENTITY, (e,)))
 
 
 def test_worked_products():
