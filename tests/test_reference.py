@@ -317,8 +317,7 @@ def closure_enumeration(table):
     + ["3,2", "2,3", "3,3", "5,2", "2,4", "D8", "D16", "SD16"],
 )
 def test_cyclic_extension_matches_the_closure_route(spec):
-    table = vec_table(spec) if isinstance(spec, ZmGroupSpec) else sdp_table(spec)
-    assert enumerate_all_subgroups(table) == closure_enumeration(table)
+    assert enumerate_all_subgroups(table_of(spec)) == closure_enumeration(table_of(spec))
 
 
 def test_vector_group_subgroup_counts():
