@@ -32,7 +32,7 @@ from .hsp_modular import SpecialPair, find_special_pair
 from .hsp_modular import solve as solve_modular
 from .hsp_vector import VecInstance, make_vec_instance
 from .hsp_vector import solve as solve_vector
-from .qsim import AbelianOracle, abelian_hsp_solve, qft_matrix
+from .qsim import AbelianOracle, abelian_hsp_solve
 from .sdp_group import (
     Element,
     GroupSpec,
@@ -44,10 +44,8 @@ from .sdp_group import (
     compose,
     enumerate_alphas,
     enumerate_subgroups,
-    invert,
     iso_map,
     modular_group_spec,
-    power,
     power_closed_form,
     sdp_table,
 )

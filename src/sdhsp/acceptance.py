@@ -34,7 +34,7 @@ from .algebra import (
 )
 from .blackbox import SolveOutcome, make_hidden_instance
 from .hsp_vector import make_vec_instance
-from .qsim import AbelianOracle, backend_for, sample_annihilator, sample_statevector
+from .qsim import AbelianOracle, sample_annihilator, sample_statevector
 from .sdp_group import (
     Element,
     GroupSpec,
@@ -117,10 +117,9 @@ def query_budget(p: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """How a case is handed to a solver: instance seed, encoding, sampler."""
+    """How a case is handed to a solver: instance seed, encoding, generators."""
 
     seed: int = 0
-    backend: str = "statevector"
     mode: str = "unique"
     salts: int = 1
     salt_policy: str = "zero"
@@ -148,7 +147,7 @@ def run_case(table: GroupTable, truth, cfg: RunConfig, rng: np.random.Generator)
         )
         inst = vin.instance
         start = time.monotonic()
-        out = hsp_vector.solve(vin, rng, delta=cfg.delta, backend=cfg.backend)
+        out = hsp_vector.solve(vin, rng, delta=cfg.delta)
     else:
         inst, handles = make_hidden_instance(
             table,
@@ -160,7 +159,7 @@ def run_case(table: GroupTable, truth, cfg: RunConfig, rng: np.random.Generator)
             seed=cfg.seed,
         )
         start = time.monotonic()
-        out = hsp_modular.solve(inst, handles, rng=rng, delta=cfg.delta, backend=cfg.backend)
+        out = hsp_modular.solve(inst, handles, rng=rng, delta=cfg.delta)
     wall_ms = 1000.0 * (time.monotonic() - start)
     brute = reference.brute_force_hidden_subgroup(table, inst.label_of_element)
     return CaseResult(out, wall_ms, frozenset(out.subgroup) == brute == frozenset(truth))
@@ -236,11 +235,8 @@ def criterion_solver_modular(quick: bool = False) -> CriterionResult:
     seeds = (7,) if quick else SEEDS
 
     def configs_of(cell):
-        p, r = cell
-        # the largest internal oracle domain is (p^{r-1})^2
-        backend = backend_for((p ** (r - 1)) ** 2)
         return [
-            (RunConfig(seed, backend, mode, salts, salt_policy, gpol), (ei, gi))
+            (RunConfig(seed, mode, salts, salt_policy, gpol), (ei, gi))
             for ei, (mode, salts, salt_policy) in enumerate(encodings)
             for gi, gpol in enumerate(GENERATOR_POLICIES)
             for seed in seeds

@@ -27,7 +27,6 @@ import numpy as np
 from . import acceptance
 from .acceptance import GENERATOR_POLICIES, RunConfig, run_case, run_grid
 from .blackbox import SALT_POLICIES
-from .qsim import BACKENDS
 from .sdp_group import (
     CLASS_NAMES,
     Element,
@@ -72,7 +71,6 @@ def _config_from_args(args) -> RunConfig:
         raise ValueError("delta must be in (0, 0.5]")
     return RunConfig(
         seed=seed,
-        backend=args.backend,
         mode=mode,
         salts=salts,
         salt_policy=args.salt_policy,
@@ -201,7 +199,7 @@ def _solve(command: str, args, cfg: RunConfig, table, keys: tuple[int, int]) -> 
         "hidden_spec": args.hidden,
         "encoding": {"mode": cfg.mode, "salts": cfg.salts, "salt_policy": cfg.salt_policy},
         "generator_policy": cfg.generator_policy,
-        "backend": cfg.backend,
+        "backend": out.report["backend"],
         "delta": cfg.delta,
         "seed": cfg.seed,
         # (a, b) pairs; a vector group's a is a tuple, which dumps as a list
@@ -284,7 +282,7 @@ def _bench_row(cell: tuple, table, label: str, cfg: RunConfig, res, timings: boo
         "group_order": table.order,
         "subgroup": label,
         "seed": cfg.seed,
-        "backend": cfg.backend,
+        "backend": res.outcome.report["backend"],
         "encoding": cfg.mode if cfg.mode == "unique" else f"salted:{cfg.salts}",
         "salt_policy": cfg.salt_policy,
         "generator_policy": cfg.generator_policy,
@@ -332,7 +330,6 @@ def cmd_selftest(args) -> int:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=None, help=f"default: ${SEED_ENV_VAR} or 0")
-    sp.add_argument("--backend", default="statevector", choices=BACKENDS)
     sp.add_argument("--encoding", default="unique", help="unique | salted:S (S <= 16)")
     sp.add_argument("--salt-policy", default="zero", choices=SALT_POLICIES)
     sp.add_argument("--generators", default="canonical", choices=GENERATOR_POLICIES)

@@ -43,7 +43,7 @@ from .blackbox import (
     oracle_pow,
     reveal_answer,
 )
-from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve
+from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve, backend_for
 from .sdp_group import GroupSpec
 
 
@@ -129,7 +129,6 @@ def find_shift(
     pair: SpecialPair,
     rng: np.random.Generator,
     delta: float = 0.01,
-    backend: str = "statevector",
 ) -> tuple[int | None, AbelianSolveResult]:
     """Relate the p-th powers of the special pair through the hiding function.
 
@@ -150,7 +149,7 @@ def find_shift(
     xp = oracle_pow(bb, pair.x, p, e)
     yp = oracle_pow(bb, pair.y, p, e)
     oracle = AbelianOracle.from_handles((n1, n1), inst, e, (xp, yp))
-    res = abelian_hsp_solve(oracle, rng, delta=delta, backend=backend)
+    res = abelian_hsp_solve(oracle, rng, delta=delta)
     if lattice_is_full(res.lattice):
         return None, res
     for u, v in res.lattice.gens:
@@ -205,11 +204,10 @@ def _run_branch(
     extras: tuple[OpaqueHandle, ...],
     rng: np.random.Generator,
     delta: float,
-    backend: str,
 ) -> tuple[list[OpaqueHandle], BranchReport]:
     bb = inst.blackbox
     oracle = AbelianOracle.from_handles(moduli, inst, e, gens)
-    res = abelian_hsp_solve(oracle, rng, delta=delta, backend=backend)
+    res = abelian_hsp_solve(oracle, rng, delta=delta)
     cands = [oracle_lift(bb, e, gens, g) for g in res.lattice.gens]
     cands.extend(extras)
     report = BranchReport(
@@ -227,7 +225,6 @@ def solve(
     gen_handles,
     rng: np.random.Generator | None = None,
     delta: float = 0.01,
-    backend: str = "statevector",
 ) -> SolveOutcome:
     """Recover the hidden subgroup of a modular maximal-cyclic group.
 
@@ -254,12 +251,12 @@ def solve(
     f0 = inst.f(e)
     xp = oracle_pow(bb, pair.x, p, e)
 
-    shift, shift_solve = find_shift(inst, pair, rng, delta=delta, backend=backend)
+    shift, shift_solve = find_shift(inst, pair, rng, delta=delta)
     branches: list[BranchReport] = []
     candidates: list[OpaqueHandle] = []
 
     def run_branch(name, moduli, gens, extras) -> None:
-        cands, rep = _run_branch(name, inst, e, moduli, gens, extras, rng, delta, backend)
+        cands, rep = _run_branch(name, inst, e, moduli, gens, extras, rng, delta)
         candidates.extend(cands)
         branches.append(rep)
 
@@ -292,7 +289,8 @@ def solve(
     confident = shift_solve.confident and all(b.confident for b in branches if b.ran)
     report = {
         "group": {"p": p, "q": spec.q, "r": r, "alpha": spec.alpha},
-        "backend": backend,
+        # the shift oracle, over (p^{r-1})^2, is the largest of the solve
+        "backend": backend_for((p ** (r - 1)) ** 2),
         "delta": delta,
         "shift": {
             "value": shift,

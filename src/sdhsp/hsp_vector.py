@@ -42,7 +42,7 @@ from .blackbox import (
     oracle_lift,
     reveal_answer,
 )
-from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve
+from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve, backend_for
 from .sdp_group import VecElement, ZmGroupSpec, vec_table
 
 @dataclass(frozen=True)
@@ -126,7 +126,6 @@ def minimal_generating_set(
     vin: VecInstance,
     rng: np.random.Generator,
     delta: float = 0.01,
-    backend: str = "statevector",
 ) -> tuple[ReductionMap, dict]:
     """Distill the A-generator handles into m independent order-p^r generators.
 
@@ -146,7 +145,7 @@ def minimal_generating_set(
     oracle = AbelianOracle.from_products(
         (n,) * s, bb, e, vin.a_handles, charge=lambda: inst.charge(0, 1)
     )
-    res = abelian_hsp_solve(oracle, rng, delta=delta, backend=backend)
+    res = abelian_hsp_solve(oracle, rng, delta=delta)
 
     basis = _lattice_basis(res.lattice)  # rows span the relation lattice
     cols = [list(col) for col in zip(*basis)]
@@ -182,7 +181,6 @@ def reduce_and_solve(
     rmap: ReductionMap,
     rng: np.random.Generator,
     delta: float = 0.01,
-    backend: str = "statevector",
 ) -> AbelianSolveResult:
     """Solve the abelian problem F = f o pi over Z_{p^r}^m x Z_p."""
     oracle = AbelianOracle.from_handles(
@@ -191,7 +189,7 @@ def reduce_and_solve(
         rmap.identity,
         rmap.gen_handles + (rmap.y_handle,),
     )
-    return abelian_hsp_solve(oracle, rng, delta=delta, backend=backend)
+    return abelian_hsp_solve(oracle, rng, delta=delta)
 
 
 def pullback_generators(
@@ -231,7 +229,6 @@ def solve(
     vin: VecInstance,
     rng: np.random.Generator | None = None,
     delta: float = 0.01,
-    backend: str = "statevector",
 ) -> SolveOutcome:
     """Recover the hidden subgroup of Z_{p^r}^m x| Z_p.
 
@@ -252,6 +249,7 @@ def solve(
     if bb.salts != 1:
         raise ValueError("the vector-group solver requires unique encoding")
     spec = vin.spec
+    n, s = spec.modulus, len(vin.a_handles)
 
     # input-promise smoke check: the abelian handles must commute
     for i, h1 in enumerate(vin.a_handles):
@@ -259,14 +257,15 @@ def solve(
             if not bb.oracle_eq(bb.oracle_mul(h1, h2), bb.oracle_mul(h2, h1)):
                 raise ValueError("the abelian generator handles do not commute")
 
-    rmap, mgs_report = minimal_generating_set(vin, rng, delta=delta, backend=backend)
-    res = reduce_and_solve(vin, rmap, rng, delta=delta, backend=backend)
+    rmap, mgs_report = minimal_generating_set(vin, rng, delta=delta)
+    res = reduce_and_solve(vin, rmap, rng, delta=delta)
     handles, pulled_ok = pullback_generators(vin, rmap, res.lattice)
 
     confident = bool(mgs_report["confident"] and res.confident and pulled_ok)
     report = {
         "group": {"p": spec.p, "r": spec.r, "m": spec.m},
-        "backend": backend,
+        # the larger of the relation oracle, over n^s, and the reduced one
+        "backend": backend_for(max(n**s, n**spec.m * spec.p)),
         "delta": delta,
         "minimal_generating_set": mgs_report,
         "reduced_lattice_gens": [list(g) for g in res.lattice.gens],

@@ -4,15 +4,16 @@ A periodic function F on Z_{n_1} x ... x Z_{n_k} hides a lattice
 L = { u : F(u) = F(0) }.  One round of the standard coset-state experiment
 prepares a uniform superposition, evaluates F, measures the value register,
 Fourier-transforms each axis, and measures.  The outcome is a uniform draw
-from the annihilator L^perp.  Two interchangeable backends:
+from the annihilator L^perp.  Two samplers; ``draw_samples`` picks by domain size:
 
   'statevector'   dense simulation of the experiment (domain <= 2**20),
   'annihilator'   algebraic shortcut: uniform draws from the dual of the
-                  swept periodicity lattice; same output distribution.
+                  swept periodicity lattice; same output distribution,
+                  and the only one that runs above the bound.
 
 Translating a coset state changes only the phases of its Fourier
 transform, so every coset whose level set is a translate of F(0)'s has
-the outcome distribution of F(0)'s coset.  The statevector backend
+the outcome distribution of F(0)'s coset.  The statevector sampler
 transforms F(0)'s coset state once per oracle and keeps the CDF over its
 nonzero outcomes; each sample checks that its measured coset is such a
 translate, and otherwise (F not periodic there) transforms that coset
@@ -24,7 +25,7 @@ a coset's own complex transform only up to rounding, so draws identical
 to the literal per-coset simulation are measured (tests, pinned reports),
 not guaranteed.
 
-Both backends book the same modeled query cost: one superposed evaluation
+Both samplers book the same modeled query cost: one superposed evaluation
 of F over the whole domain per sample.  Pointwise evaluations are booked
 as single classical queries.
 
@@ -57,19 +58,12 @@ from .algebra import (
 
 STATEVECTOR_BOUND = 2**20
 AMPLITUDE_FLOOR = 1e-9
-BACKENDS = ("statevector", "annihilator")
 MAX_ROUNDS = 3  # abelian_hsp_solve doubles its sample pool at most twice
 
 
 def backend_for(domain_size: int) -> str:
     """The dense simulation while the domain fits its bound, else the shortcut."""
     return "statevector" if domain_size <= STATEVECTOR_BOUND else "annihilator"
-
-
-def qft_matrix(n: int) -> np.ndarray:
-    """Unitary DFT on Z_n with the e^{+2 pi i jk/n} convention."""
-    j = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
 
 
 class AbelianOracle:
@@ -193,14 +187,14 @@ def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
     return flat.reshape(moduli)
 
 
-# -- sampling backends ----------------------------------------------------------
+# -- samplers ------------------------------------------------------------------
 
 
 def _coset_probs(support: np.ndarray) -> np.ndarray:
     """Row-major outcome probabilities of the uniform coset state on `support`.
 
     The state is real, so its unitary DFT has the same magnitudes under
-    either sign convention (``qft_matrix``'s e^{+2 pi i jk/n} among them)
+    either sign convention (the e^{+2 pi i jk/n} QFT's among them)
     and |F(-k)| = |F(k)|.  A real-input FFT gives the half spectrum with
     last index k <= n // 2; the rest is its mirror, read with the last axis
     reversed and every leading axis wrap-negated.  These magnitudes equal
@@ -272,17 +266,15 @@ def sample_annihilator(
     return [lattice_sample(dual, rng) for _ in range(count)]
 
 
-def draw_samples(oracle, rng, count: int, backend: str) -> list[tuple[int, ...]]:
-    if backend == "statevector":
+def draw_samples(oracle, rng, count: int) -> list[tuple[int, ...]]:
+    """`count` samples from the sampler ``backend_for`` picks, once per call."""
+    if backend_for(oracle.domain_size) == "statevector":
         return sample_statevector(oracle, rng, count)
-    if backend == "annihilator":
-        # derive the truth by sweeping the oracle's own grid, then draw;
-        # books the same modeled cost per sample as the statevector path
-        truth = oracle.periodicity_lattice()
-        for _ in range(count):
-            oracle.note_sample()
-        return sample_annihilator(truth, rng, count)
-    raise ValueError(f"unknown backend {backend!r}")
+    # derive the truth by sweeping the oracle's own grid, then draw
+    truth = oracle.periodicity_lattice()
+    for _ in range(count):
+        oracle.note_sample()
+    return sample_annihilator(truth, rng, count)
 
 
 # -- the hidden-lattice solver ---------------------------------------------------
@@ -300,7 +292,6 @@ def abelian_hsp_solve(
     oracle: AbelianOracle,
     rng: np.random.Generator,
     delta: float = 0.01,
-    backend: str = "statevector",
 ) -> AbelianSolveResult:
     """Recover the hidden lattice of a periodic F from annihilator samples.
 
@@ -309,7 +300,7 @@ def abelian_hsp_solve(
     satisfies F(g) = F(0); since that containment makes acceptance imply
     equality, a confident result is exact.  A confident lattice that is not
     F's period and F(0) level set on the pre-evaluated grid (no query is
-    booked) means F is not periodic: ValueError under either backend.
+    booked) means F is not periodic: ValueError under either sampler.
     Each round doubles the pool.
     """
     k = len(oracle.moduli)
@@ -320,7 +311,7 @@ def abelian_hsp_solve(
     lat = None
     for rounds in range(1, MAX_ROUNDS + 1):
         want = base * (2 ** (rounds - 1))
-        pooled.extend(draw_samples(oracle, rng, want - len(pooled), backend))
+        pooled.extend(draw_samples(oracle, rng, want - len(pooled)))
         lat = solve_kernel(tuple(pooled), oracle.moduli)
         if rounds < MAX_ROUNDS:
             held = (oracle.evaluate(g) == f0 for g in lat.gens)

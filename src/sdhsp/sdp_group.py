@@ -22,7 +22,7 @@ order of the elements.  A ``GroupTable`` carries the one law of both
 families on indices twice: as a scalar law (``imul``, ``iinv``) and
 vectorized over numpy arrays (``index_mul``).  Everything that takes or
 returns ``Element``/``VecElement`` values (``GroupTable.mul``/``inv``,
-``compose``, ``invert``) only decodes, calls the scalar law and encodes.
+``compose``) only decodes, calls the scalar law and encodes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .algebra import closure, square_and_multiply
+from .algebra import closure
 
 
 def is_prime(n: int) -> bool:
@@ -128,15 +128,6 @@ def compose(G: GroupSpec, e1: Element, e2: Element) -> Element:
     return sdp_table(G).mul(e1, e2)
 
 
-def invert(G: GroupSpec, e: Element) -> Element:
-    return sdp_table(G).inv(e)
-
-
-def power(G: GroupSpec, e: Element, c: int) -> Element:
-    """e^c by square-and-multiply; negative c goes through the inverse."""
-    return square_and_multiply(partial(compose, G), partial(invert, G), IDENTITY, e, c)
-
-
 def power_closed_form(G: GroupSpec, e: Element, c: int) -> Element:
     """(x^a y^b)^c = x^(a(c + C(c,2) b p^(r-1))) y^(bc), modular groups only.
 
@@ -150,11 +141,6 @@ def power_closed_form(G: GroupSpec, e: Element, c: int) -> Element:
     half = c * (c - 1) // 2
     exp = e.a * (c + half * e.b * G.p ** (G.r - 1))
     return Element(exp % G.modulus, (e.b * c) % G.q)
-
-
-def conjugate(G: GroupSpec, g: Element, h: Element) -> Element:
-    """g h g^-1."""
-    return compose(G, compose(G, g, h), invert(G, g))
 
 
 def elements(G: GroupSpec) -> list[Element]:
@@ -505,8 +491,10 @@ class SubgroupProperties:
 def subgroup_properties(G: GroupSpec, S: SubgroupDesc) -> SubgroupProperties:
     """Order; abelian if H's generators commute, normal if G's conjugate them into H."""
     elems = set(subgroup_elements(G, S))
-    abelian = all(compose(G, g, h) == compose(G, h, g) for g in S.gens for h in S.gens)
+    table = sdp_table(G)
+    mul = table.mul
+    abelian = all(mul(g, h) == mul(h, g) for g in S.gens for h in S.gens)
     normal = all(
-        conjugate(G, g, s) in elems for g in sdp_table(G).standard_generators for s in S.gens
+        mul(mul(g, s), table.inv(g)) in elems for g in table.standard_generators for s in S.gens
     )
     return SubgroupProperties(order=len(elems), abelian=abelian, normal=normal)

@@ -22,12 +22,15 @@ from sdhsp.sdp_group import (
     compose,
     enumerate_subgroups,
     generates,
-    invert,
     modular_group_spec,
     sdp_table,
     subgroup_elements,
     vec_table,
 )
+
+
+def invert(spec, g):
+    return sdp_table(spec).inv(g)
 
 
 def fresh_box(mode="unique", salts=1, salt_policy="zero", seed=0):

@@ -9,6 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from sdhsp import qsim
 from sdhsp.cli import SEED_ENV_VAR, main, parse_hidden
 from sdhsp.sdp_group import (
     IDENTITY,
@@ -120,13 +121,21 @@ def test_solve_p_rejects_the_excluded_group(capsys):
     assert "excluded" in err
 
 
-def test_solve_p_random_spec_and_backend(capsys):
+def test_solve_p_reports_the_sampler_its_domain_chose(capsys, monkeypatch):
+    # (2,3)'s shift oracle has 4 x 4 points, its largest domain
+    monkeypatch.setattr(qsim, "STATEVECTOR_BOUND", 15)
     code, rep, _ = run_json(
-        capsys, "solve-p", "--p", "2", "--r", "3", "--hidden", "random",
-        "--seed", "5", "--backend", "annihilator",
+        capsys, "solve-p", "--p", "2", "--r", "3", "--hidden", "random", "--seed", "5"
     )
-    assert code == 0 and rep["match"]
+    assert code == 0 and rep["match"] is True
     assert rep["solver"]["backend"] == "annihilator"
+    assert rep["backend"] == rep["solver"]["backend"]
+
+
+def test_solve_p_has_no_backend_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-p", "--p", "2", "--r", "3", "--seed", "5", "--backend", "annihilator"])
+    assert exc.value.code == 2
 
 
 def test_solve_p_is_deterministic(capsys):

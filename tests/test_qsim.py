@@ -23,7 +23,6 @@ from sdhsp.qsim import (
     AbelianOracle,
     abelian_hsp_solve,
     draw_samples,
-    qft_matrix,
     sample_annihilator,
     sample_statevector,
 )
@@ -38,6 +37,12 @@ FIXTURES = [
     ((8,), ((2,),)),
     ((3, 3, 3), ((1, 0, 2), (0, 1, 1))),
 ]
+
+
+def qft_matrix(n: int) -> np.ndarray:
+    """Unitary DFT on Z_n with the e^{+2 pi i jk/n} convention."""
+    j = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
 
 
 def coset_oracle(moduli, gens) -> AbelianOracle:
@@ -163,12 +168,15 @@ def test_abelian_solver_on_fixtures():
         assert lattices_equal(res.lattice, L)
 
 
-def test_abelian_solver_both_backends():
+def test_abelian_solver_both_backends(monkeypatch):
     rng = np.random.default_rng(505)
     oracle, L = coset_oracle((9, 3), ((3, 1),))
-    for backend in ("statevector", "annihilator"):
-        res = abelian_hsp_solve(oracle, rng, backend=backend)
-        assert res.confident and lattices_equal(res.lattice, L)
+    res = abelian_hsp_solve(oracle, rng)
+    assert res.confident and lattices_equal(res.lattice, L)
+    # a bound below the 27-point domain sends the same solve to the annihilator
+    monkeypatch.setattr(qsim, "STATEVECTOR_BOUND", 26)
+    res = abelian_hsp_solve(oracle, rng)
+    assert res.confident and lattices_equal(res.lattice, L)
 
 
 def test_abelian_solver_success_rate():
@@ -196,7 +204,7 @@ def test_abelian_solver_trivial_and_full():
 def test_unconfident_tail_evaluates_each_final_generator_once(monkeypatch):
     # zero samples leave the whole group as the candidate in every round;
     # its generators (0,0,1), (0,1,0), (1,0,0) hold, fail, hold against L
-    monkeypatch.setattr(qsim, "draw_samples", lambda oracle, rng, count, backend: [(0, 0, 0)] * count)
+    monkeypatch.setattr(qsim, "draw_samples", lambda oracle, rng, count: [(0, 0, 0)] * count)
     plain, L = coset_oracle((3, 3, 3), ((0, 0, 1), (1, 0, 0)))
     calls = []
     oracle = AbelianOracle(plain.moduli, plain.grid, single_cost=lambda: calls.append(1))
@@ -213,15 +221,38 @@ def test_statevector_domain_bound():
         sample_statevector(oracle, np.random.default_rng(0), count=1)
 
 
-def test_draw_samples_backend_dispatch():
+def test_draw_samples_backend_dispatch(monkeypatch):
     rng = np.random.default_rng(808)
     oracle, L = coset_oracle((9, 3), ((3, 1),))
     D = dual_lattice(L)
-    for backend in ("statevector", "annihilator"):
-        for v in draw_samples(oracle, rng, 50, backend):
+    for bound in (qsim.STATEVECTOR_BOUND, 26):  # statevector, then annihilator
+        monkeypatch.setattr(qsim, "STATEVECTOR_BOUND", bound)
+        for v in draw_samples(oracle, rng, 50):
             assert lattice_member(D, v)
-    with pytest.raises(ValueError):
-        draw_samples(oracle, rng, 1, "tensor-network")
+
+
+class _SizedDomain:
+    """Just enough of an oracle for ``draw_samples`` to pick a sampler."""
+
+    def __init__(self, domain_size):
+        self.domain_size = domain_size
+
+    def periodicity_lattice(self):
+        return None
+
+    def note_sample(self):
+        pass
+
+
+def test_sampler_follows_the_domain_size_at_the_bound(monkeypatch):
+    ran = []
+    monkeypatch.setattr(qsim, "sample_statevector", lambda o, rng, count: ran.append("sv") or [])
+    monkeypatch.setattr(qsim, "sample_annihilator", lambda L, rng, count: ran.append("an") or [])
+    rng = np.random.default_rng(0)
+    draw_samples(_SizedDomain(qsim.STATEVECTOR_BOUND), rng, 3)
+    draw_samples(_SizedDomain(qsim.STATEVECTOR_BOUND + 1), rng, 3)
+    # one choice per call, never per sample
+    assert ran == ["sv", "an"]
 
 
 # -- the cached coset transform against the literal per-coset sampler ----------

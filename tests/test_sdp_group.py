@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdhsp.algebra import square_and_multiply
+
 from sdhsp.sdp_group import (
     CLASS_NAMES,
     Element,
@@ -21,17 +23,14 @@ from sdhsp.sdp_group import (
     classify,
     closure,
     compose,
-    conjugate,
     elements,
     enumerate_alphas,
     enumerate_subgroups,
     generates,
     greedy_generators,
-    invert,
     is_prime,
     iso_map,
     modular_group_spec,
-    power,
     power_closed_form,
     sdp_table,
     subgroup_elements,
@@ -44,6 +43,20 @@ P32 = GroupSpec(3, 3, 2, 4)
 
 def element_order(G, e):
     return len(closure(partial(compose, G), IDENTITY, (e,)))
+
+
+def invert(G, e):
+    return sdp_table(G).inv(e)
+
+
+def power(G, e, c):
+    """e^c by square-and-multiply; negative c goes through the inverse."""
+    return square_and_multiply(partial(compose, G), partial(invert, G), IDENTITY, e, c)
+
+
+def conjugate(G, g, h):
+    """g h g^-1."""
+    return compose(G, compose(G, g, h), invert(G, g))
 
 
 def test_worked_products():
