@@ -13,17 +13,13 @@ from the annihilator L^perp.  Two samplers; ``draw_samples`` picks by domain siz
 
 Translating a coset state changes only the phases of its Fourier
 transform, so every coset whose level set is a translate of F(0)'s has
-the outcome distribution of F(0)'s coset.  The statevector sampler
-transforms F(0)'s coset state once per oracle and keeps the CDF over its
-nonzero outcomes; each sample checks that its measured coset is such a
-translate, and otherwise (F not periodic there) transforms that coset
-literally.  A coset state is real, so its transform's magnitudes satisfy
-|F(-k)| = |F(k)|: a real-input FFT gives half the spectrum and the rest is
-its mirror.  Dropping the zero outcomes changes no draw (a sequential
-cumsum is unchanged by zero terms), but the real-input magnitudes equal
-a coset's own complex transform only up to rounding, so draws identical
-to the literal per-coset simulation are measured (tests, pinned reports),
-not guaranteed.
+the outcome distribution of F(0)'s coset.  The statevector sampler keeps
+that distribution's CDF over its nonzero outcomes, found once per oracle:
+uniform on L^perp, with no transform, when F(0)'s level set is a subgroup
+L.  Any other coset (F not periodic there) is transformed literally, by a
+real-input FFT.  Either CDF equals a coset's own complex transform only up
+to rounding, so draws identical to the literal per-coset simulation are
+measured (tests, pinned reports), not guaranteed.
 
 Both samplers book the same modeled query cost: one superposed evaluation
 of F over the whole domain per sample.  Pointwise evaluations are booked
@@ -154,28 +150,26 @@ class AbelianOracle:
             self._sample_cost()
 
     def periodicity_lattice(self) -> Lattice:
-        """Sweep the grid for { u : F(u) = F(0) }; must be a subgroup."""
-        mask = self.grid == self.grid[(0,) * len(self.moduli)]
-        points = [tuple(int(x) for x in idx) for idx in np.argwhere(mask)]
-        lat = lattice_canonicalize(Lattice(self.moduli, tuple(points)))
-        if lattice_size(lat) != len(points):
+        """{ u : F(u) = F(0) } read off the grid; must be a subgroup."""
+        support = self.grid == self.f0()
+        gens = _subgroup_gens(support, np.tile(support, (2,) * support.ndim))
+        if gens is None:
             raise ValueError("function is not periodic over this domain")
-        return lat
+        return lattice_canonicalize(Lattice(self.moduli, tuple(gens)))
 
     @cached_property
     def _zero_coset(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """F(0)'s support tiled twice per axis, whose window [n - u, 2n - u)
-        is ``np.roll(support, u)``; the row-major indices of its coset
-        state's nonzero outcomes; and their CDF, made with
-        ``Generator.choice``'s own steps on ``p``.  A sequential cumsum is
-        unchanged by zero terms, so a search of this CDF draws bitwise what
-        a search of the full one would."""
+        """F(0)'s support tiled twice per axis (``_window`` reads its rolls),
+        its coset state's nonzero outcomes in row-major order (L^perp for a
+        subgroup support L, else from ``_coset_probs``), and their CDF by
+        ``Generator.choice``'s steps, which no zero outcome would change."""
         support = self.grid == self.f0()
-        probs = _coset_probs(support)
+        tiled = np.tile(support, (2,) * support.ndim)
+        gens = _subgroup_gens(support, tiled)
+        probs = _coset_probs(support) if gens is None else _dual_mask(self.moduli, gens)
         outcomes = np.flatnonzero(probs)
         cdf = probs[outcomes].cumsum()
-        cdf /= cdf[-1]
-        return np.tile(support, (2,) * support.ndim), outcomes, cdf
+        return tiled, outcomes, cdf / cdf[-1]
 
 
 def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
@@ -190,15 +184,54 @@ def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
 # -- samplers ------------------------------------------------------------------
 
 
+def _window(tiled: np.ndarray, u: Sequence[int]) -> np.ndarray:
+    """The view of a support tiled twice per axis that is its roll by u."""
+    return tiled[tuple(slice(m // 2 - x, m - x) for m, x in zip(tiled.shape, u))]
+
+
+def _subgroup_gens(support: np.ndarray, tiled: np.ndarray) -> list | None:
+    """Generators of `support` (holding 0) if it is a subgroup, else None.
+
+    g_d is the first point with earlier coordinates 0 and least positive u_d
+    on axis d: in row-major order, the first point from stride s_d on, if it
+    is below n_d s_d.  The support is <g_d> iff each roll by g_d (a window of
+    `tiled`) equals it, as u_d is least; u_d not dividing n_d, or a size other
+    than prod n_d / u_d, rules it out before any roll."""
+    shape, pts = support.shape, np.flatnonzero(support)
+    strides = [math.prod(shape[d + 1 :]) for d in range(len(shape))]
+    gens, order = [], 1
+    for n, s in zip(shape, strides):
+        first = int(pts[pts.searchsorted(s)]) if pts[-1] >= s else n * s
+        u = min(first // s, n)
+        order *= 0 if n % u else n // u
+        if u < n:
+            gens.append(tuple(first // t % m for t, m in zip(strides, shape)))
+    if pts.size != order:
+        return None
+    return gens if all((_window(tiled, g) == support).all() for g in gens) else None
+
+
+def _dual_mask(moduli: tuple[int, ...], gens: list) -> np.ndarray:
+    """Row-major L^perp indicator, L = <gens>: per g, the phases sum_i k_i g_i N / n_i
+    mod N of the leading axes against minus the last's, in the narrowest type."""
+    k, N = len(moduli), math.lcm(*moduli)
+    w = np.array(gens, np.int64).reshape(-1, k) * (N // np.array(moduli))
+    lead = w[:, :-1] @ np.indices(moduli[:-1]).reshape(k - 1, math.prod(moduli[:-1])) % N
+    last = w[:, -1:] * -np.arange(moduli[-1]) % N
+    dt = np.min_scalar_type(N)
+    return (lead.astype(dt)[:, :, None] == last.astype(dt)[:, None, :]).all(axis=0).reshape(-1)
+
+
 def _coset_probs(support: np.ndarray) -> np.ndarray:
     """Row-major outcome probabilities of the uniform coset state on `support`.
 
-    The state is real, so its unitary DFT has the same magnitudes under
-    either sign convention (the e^{+2 pi i jk/n} QFT's among them)
-    and |F(-k)| = |F(k)|.  A real-input FFT gives the half spectrum with
-    last index k <= n // 2; the rest is its mirror, read with the last axis
-    reversed and every leading axis wrap-negated.  These magnitudes equal
-    a complex transform's only up to rounding.
+    Only F(0)'s level set when it is no subgroup, and a level set that is
+    not its translate, come here.  The state is real, so its unitary DFT has
+    the same magnitudes under either sign convention (the e^{+2 pi i jk/n}
+    QFT's among them) and |F(-k)| = |F(k)|.  A real-input FFT gives the half
+    spectrum with last index k <= n // 2; the rest is its mirror, read with
+    the last axis reversed and every leading axis wrap-negated, equal to a
+    complex transform's magnitudes up to rounding.
     """
     shape = support.shape
     n = shape[-1]
@@ -220,16 +253,9 @@ def _coset_probs(support: np.ndarray) -> np.ndarray:
 def sample_statevector(
     oracle: AbelianOracle, rng: np.random.Generator, count: int = 1
 ) -> list[tuple[int, ...]]:
-    """Dense simulation of `count` independent coset-state rounds.
-
-    A measured coset whose support is the translate of F(0)'s by u0 has
-    the outcome distribution of F(0)'s coset (a translation only moves
-    phases), so it draws from the oracle's cached CDF over nonzero outcomes
-    with one uniform, as ``rng.choice(p=)`` would.  Any other coset (F not
-    periodic there) is transformed literally.  The cached CDF matches each
-    coset's own up to rounding, so identical draws are measured, not
-    guaranteed.
-    """
+    """Dense simulation of `count` independent coset-state rounds: a coset
+    that translates F(0)'s draws from the oracle's cached CDF with one
+    uniform, as ``rng.choice(p=)`` would, and any other is transformed."""
     moduli = oracle.moduli
     dom = oracle.domain_size
     if dom > STATEVECTOR_BOUND:
@@ -245,8 +271,7 @@ def sample_statevector(
         # measuring the value register collapses to a uniform coset state
         u0 = tuple(int(rng.integers(0, n)) for n in moduli)
         support = grid == grid[u0]
-        shifted = tiled[tuple(slice(n - u, 2 * n - u) for n, u in zip(moduli, u0))]
-        if (support == shifted).all():
+        if (support == _window(tiled, u0)).all():
             flat = int(outcomes[cdf.searchsorted(rng.random(), side="right")])
         else:
             flat = int(rng.choice(dom, p=_coset_probs(support)))
@@ -270,7 +295,7 @@ def draw_samples(oracle, rng, count: int) -> list[tuple[int, ...]]:
     """`count` samples from the sampler ``backend_for`` picks, once per call."""
     if backend_for(oracle.domain_size) == "statevector":
         return sample_statevector(oracle, rng, count)
-    # derive the truth by sweeping the oracle's own grid, then draw
+    # read the truth off the oracle's own grid, then draw
     truth = oracle.periodicity_lattice()
     for _ in range(count):
         oracle.note_sample()

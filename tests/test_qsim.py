@@ -1,6 +1,7 @@
 """Simulated quantum layer: QFT sampling, dual-lattice draws, abelian solver, batched oracle walk."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from sdhsp.algebra import (
     Lattice,
     dual_lattice,
+    lattice_canonicalize,
     lattice_coset_rep,
     lattice_elements,
     lattice_is_full,
     lattice_member,
+    lattice_size,
     lattices_equal,
 )
 from sdhsp.blackbox import BlackBox, OpaqueHandle, make_hidden_instance
@@ -143,6 +146,87 @@ def test_periodicity_lattice_roundtrip():
     for moduli, gens in FIXTURES:
         oracle, L = coset_oracle(moduli, gens)
         assert lattices_equal(oracle.periodicity_lattice(), L)
+
+
+def reference_periodicity_lattice(oracle) -> Lattice:
+    """The per-point span route: canonicalise every point of F(0)'s level set."""
+    points = [tuple(int(x) for x in idx) for idx in np.argwhere(oracle.grid == oracle.f0())]
+    lat = lattice_canonicalize(Lattice(oracle.moduli, tuple(points)))
+    if lattice_size(lat) != len(points):
+        raise ValueError("function is not periodic over this domain")
+    return lat
+
+
+def closed_under_addition(support) -> bool:
+    pts = np.argwhere(support)
+    sums = (pts[:, None, :] + pts[None, :, :]) % support.shape
+    return bool(support[tuple(sums.reshape(-1, support.ndim).T)].all())
+
+
+def random_supports(seed, count=60):
+    """Supports holding 0 on 1-3 axes: random subgroups, some with up to two
+    other points toggled (which may or may not leave a subgroup)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        moduli = tuple(int(n) for n in rng.choice([2, 3, 4, 5, 6, 8, 9], size=rng.integers(1, 4)))
+        gens = tuple(tuple(int(rng.integers(n)) for n in moduli) for _ in range(rng.integers(3)))
+        support = np.zeros(moduli, dtype=bool)
+        for pt in lattice_elements(Lattice(moduli, gens)):
+            support[pt] = True
+        for _ in range(rng.integers(3)):
+            support.flat[rng.integers(1, support.size)] ^= True
+        yield support
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subgroup_reader_on_random_supports(seed):
+    kinds = set()
+    for support in random_supports(seed):
+        gens = qsim._subgroup_gens(support, np.tile(support, (2,) * support.ndim))
+        kinds.add(gens is not None)
+        assert (gens is not None) == closed_under_addition(support)
+        if gens is not None:
+            mask = qsim._dual_mask(support.shape, gens)
+            assert np.array_equal(np.flatnonzero(mask), np.flatnonzero(qsim._coset_probs(support)))
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize(
+    "moduli, points, rolls",
+    [
+        # u = 3 does not divide 7, though 2 points = 7 // 3 would pass the count
+        ((7,), [(0,), (3,)], 0),
+        # u = 2 divides 4, but 3 points are not 4 / 2
+        ((4,), [(0,), (2,), (3,)], 0),
+        # g_0 = (1, 1), 4 points = 4 / 1 * 2 / 2, but (3, 0) + (1, 1) is missing
+        ((4, 2), [(0, 0), (1, 1), (2, 0), (3, 0)], 1),
+    ],
+    ids=["u does not divide n", "wrong count", "not invariant"],
+)
+def test_subgroup_reader_rules_out_each_failure(monkeypatch, moduli, points, rolls):
+    support = np.zeros(moduli, dtype=bool)
+    for pt in points:
+        support[pt] = True
+    assert not closed_under_addition(support)
+    windows = []
+    window = qsim._window
+    monkeypatch.setattr(qsim, "_window", lambda tiled, u: windows.append(u) or window(tiled, u))
+    assert qsim._subgroup_gens(support, np.tile(support, (2,) * support.ndim)) is None
+    # divisibility and size rule a support out before any rolled comparison
+    assert len(windows) == rolls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_periodicity_lattice_matches_the_per_point_span(seed):
+    for support in random_supports(seed):
+        oracle = AbelianOracle(support.shape, (~support).astype(np.int64))
+        try:
+            want = reference_periodicity_lattice(oracle)
+        except ValueError:
+            with pytest.raises(ValueError, match="function is not periodic over this domain"):
+                oracle.periodicity_lattice()
+        else:
+            assert oracle.periodicity_lattice().gens == want.gens
 
 
 def test_periodicity_lattice_rejects_non_periodic():
@@ -347,6 +431,14 @@ def counting_transform(monkeypatch) -> list:
     return seen
 
 
+@lru_cache(maxsize=None)
+def annihilator_indices(moduli, rows) -> np.ndarray:
+    """Row-major indices of L^perp, for the L that ``character_oracle`` hides."""
+    hidden = dual_lattice(Lattice(moduli, rows))
+    dual = np.array(lattice_elements(dual_lattice(hidden))).reshape(-1, len(moduli))
+    return np.ravel_multi_index(tuple(dual.T), moduli)
+
+
 @pytest.mark.parametrize("moduli, rows", CHARACTER_FIXTURES, ids=str)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cached_transform_draws_what_the_literal_sampler_draws(monkeypatch, moduli, rows, seed):
@@ -358,11 +450,11 @@ def test_cached_transform_draws_what_the_literal_sampler_draws(monkeypatch, modu
     got += sample_statevector(oracle, got_rng, count=count - count // 2)
     assert got == reference_sample_statevector(oracle, want_rng, count=count)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    # one transform per oracle: F(0)'s coset, reused by every later call
-    assert len(transforms) == 1
-    # the floored outcomes are exactly the annihilator, |L^perp| = |G| / |L|
+    # F(0)'s level set is a subgroup, 512 x 512 ones among them: no literal
+    # transform, and its outcomes are exactly L^perp in row-major order
+    assert transforms == []
     _, outcomes, _ = oracle._zero_coset
-    assert outcomes.size * np.count_nonzero(transforms[0]) == oracle.domain_size
+    assert np.array_equal(outcomes, annihilator_indices(moduli, rows))
 
 
 @pytest.mark.parametrize("moduli", [(9, 3), (4, 2, 2), (8,)], ids=str)
@@ -390,9 +482,17 @@ def test_non_periodic_grid_falls_back_to_the_literal_transform(monkeypatch, poin
     got = sample_statevector(broken, got_rng, count=300)
     assert got == reference_sample_statevector(broken, want_rng, count=300)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    # F(0)'s coset once, then each sample that measured a broken coset
-    assert 1 < len(transforms) < 301
-    assert any(not np.array_equal(s, transforms[0]) for s in transforms[1:])
+    zero = broken.grid == broken.f0()
+    if point == (1, 1):
+        # F(0)'s level set is still the subgroup L (closed form): only the
+        # broken cosets, {(1, 1)} and the one it left, are transformed
+        assert transforms and all(np.count_nonzero(s) < 3 for s in transforms)
+    else:
+        # F(0)'s level set lost (3, 1) and is no subgroup: it is transformed
+        # first, then each measured coset that is not its translate
+        assert np.array_equal(transforms[0], zero)
+        assert any(not np.array_equal(s, zero) for s in transforms[1:])
+    assert len(transforms) < 301
 
 
 class CountingStub:
