@@ -34,7 +34,7 @@ from .algebra import (
 )
 from .blackbox import SolveOutcome, make_hidden_instance
 from .hsp_vector import make_vec_instance
-from .qsim import AbelianOracle, sample_annihilator, sample_statevector
+from .qsim import AbelianOracle, draw_samples
 from .sdp_group import (
     Element,
     GroupSpec,
@@ -462,8 +462,8 @@ def criterion_backend_equivalence(quick: bool = False) -> CriterionResult:
         oracle = AbelianOracle.from_function(moduli, lambda pt, L=L: lattice_coset_rep(L, pt))
         rng1 = np.random.default_rng([1, *moduli])
         rng2 = np.random.default_rng([2, *moduli])
-        sv = sample_statevector(oracle, rng1, n_samples)
-        an = sample_annihilator(L, rng2, n_samples)
+        sv = draw_samples(oracle, rng1, n_samples)
+        an = reference.sample_annihilator(L, rng2, n_samples)
         dual = dual_lattice(L)
         bad = [s for s in sv if not lattice_member(dual, s)]
         if bad:

@@ -43,7 +43,7 @@ from .blackbox import (
     oracle_pow,
     reveal_answer,
 )
-from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve, backend_for
+from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve
 from .sdp_group import GroupSpec
 
 
@@ -289,8 +289,8 @@ def solve(
     confident = shift_solve.confident and all(b.confident for b in branches if b.ran)
     report = {
         "group": {"p": p, "q": spec.q, "r": r, "alpha": spec.alpha},
-        # the shift oracle, over (p^{r-1})^2, is the largest of the solve
-        "backend": backend_for((p ** (r - 1)) ** 2),
+        # the only sampler; report v2 retires the field
+        "backend": "statevector",
         "delta": delta,
         "shift": {
             "value": shift,

@@ -42,7 +42,7 @@ from .blackbox import (
     oracle_lift,
     reveal_answer,
 )
-from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve, backend_for
+from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve
 from .sdp_group import VecElement, ZmGroupSpec, vec_table
 
 @dataclass(frozen=True)
@@ -249,7 +249,6 @@ def solve(
     if bb.salts != 1:
         raise ValueError("the vector-group solver requires unique encoding")
     spec = vin.spec
-    n, s = spec.modulus, len(vin.a_handles)
 
     # input-promise smoke check: the abelian handles must commute
     for i, h1 in enumerate(vin.a_handles):
@@ -264,8 +263,8 @@ def solve(
     confident = bool(mgs_report["confident"] and res.confident and pulled_ok)
     report = {
         "group": {"p": spec.p, "r": spec.r, "m": spec.m},
-        # the larger of the relation oracle, over n^s, and the reduced one
-        "backend": backend_for(max(n**s, n**spec.m * spec.p)),
+        # the only sampler; report v2 retires the field
+        "backend": "statevector",
         "delta": delta,
         "minimal_generating_set": mgs_report,
         "reduced_lattice_gens": [list(g) for g in res.lattice.gens],

@@ -4,26 +4,23 @@ A periodic function F on Z_{n_1} x ... x Z_{n_k} hides a lattice
 L = { u : F(u) = F(0) }.  One round of the standard coset-state experiment
 prepares a uniform superposition, evaluates F, measures the value register,
 Fourier-transforms each axis, and measures.  The outcome is a uniform draw
-from the annihilator L^perp.  Two samplers; ``draw_samples`` picks by domain size:
-
-  'statevector'   dense simulation of the experiment (domain <= 2**20),
-  'annihilator'   algebraic shortcut: uniform draws from the dual of the
-                  swept periodicity lattice; same output distribution,
-                  and the only one that runs above the bound.
+from the annihilator L^perp.  ``draw_samples`` simulates that experiment
+densely, at every domain size.
 
 Translating a coset state changes only the phases of its Fourier
 transform, so every coset whose level set is a translate of F(0)'s has
-the outcome distribution of F(0)'s coset.  The statevector sampler keeps
-that distribution's CDF over its nonzero outcomes, found once per oracle:
+the outcome distribution of F(0)'s coset.  The sampler keeps that
+distribution's CDF over its nonzero outcomes, found once per oracle:
 uniform on L^perp, with no transform, when F(0)'s level set is a subgroup
-L.  Any other coset (F not periodic there) is transformed literally, by a
-real-input FFT.  Either CDF equals a coset's own complex transform only up
-to rounding, so draws identical to the literal per-coset simulation are
-measured (tests, pinned reports), not guaranteed.
+L.  Any other coset (F not periodic there) is transformed literally, by
+the same ``ifftn`` as the per-coset simulation.  The closed-form CDF equals
+a coset's own complex transform only up to rounding, so draws identical to
+the literal per-coset simulation are measured (tests, pinned reports), not
+guaranteed.
 
-Both samplers book the same modeled query cost: one superposed evaluation
-of F over the whole domain per sample.  Pointwise evaluations are booked
-as single classical queries.
+Each sample books one superposed evaluation of F over the whole domain as
+its modeled query cost.  Pointwise evaluations are booked as single
+classical queries.
 
 Oracles over a black box are built in one batched pass inside the black
 box: ``HiddenInstance.f_walk`` labels g_1^{u_1}...g_k^{u_k} over the whole
@@ -43,23 +40,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (
-    Lattice,
-    dual_lattice,
-    lattice_canonicalize,
-    lattice_sample,
-    lattice_size,
-    solve_kernel,
-)
+from .algebra import Lattice, lattice_canonicalize, lattice_size, solve_kernel
 
-STATEVECTOR_BOUND = 2**20
 AMPLITUDE_FLOOR = 1e-9
 MAX_ROUNDS = 3  # abelian_hsp_solve doubles its sample pool at most twice
-
-
-def backend_for(domain_size: int) -> str:
-    """The dense simulation while the domain fits its bound, else the shortcut."""
-    return "statevector" if domain_size <= STATEVECTOR_BOUND else "annihilator"
 
 
 class AbelianOracle:
@@ -149,14 +133,6 @@ class AbelianOracle:
         if self._sample_cost is not None:
             self._sample_cost()
 
-    def periodicity_lattice(self) -> Lattice:
-        """{ u : F(u) = F(0) } read off the grid; must be a subgroup."""
-        support = self.grid == self.f0()
-        gens = _subgroup_gens(support, np.tile(support, (2,) * support.ndim))
-        if gens is None:
-            raise ValueError("function is not periodic over this domain")
-        return lattice_canonicalize(Lattice(self.moduli, tuple(gens)))
-
     @cached_property
     def _zero_coset(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """F(0)'s support tiled twice per axis (``_window`` reads its rolls),
@@ -181,7 +157,7 @@ def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
     return flat.reshape(moduli)
 
 
-# -- samplers ------------------------------------------------------------------
+# -- sampling -------------------------------------------------------------------
 
 
 def _window(tiled: np.ndarray, u: Sequence[int]) -> np.ndarray:
@@ -223,45 +199,25 @@ def _dual_mask(moduli: tuple[int, ...], gens: list) -> np.ndarray:
 
 
 def _coset_probs(support: np.ndarray) -> np.ndarray:
-    """Row-major outcome probabilities of the uniform coset state on `support`.
-
-    Only F(0)'s level set when it is no subgroup, and a level set that is
-    not its translate, come here.  The state is real, so its unitary DFT has
-    the same magnitudes under either sign convention (the e^{+2 pi i jk/n}
-    QFT's among them) and |F(-k)| = |F(k)|.  A real-input FFT gives the half
-    spectrum with last index k <= n // 2; the rest is its mirror, read with
-    the last axis reversed and every leading axis wrap-negated, equal to a
-    complex transform's magnitudes up to rounding.
-    """
-    shape = support.shape
-    n = shape[-1]
-    half = n // 2 + 1
-    amp = np.empty(shape)
+    """Row-major outcome probabilities of the uniform coset state on `support`,
+    by the literal per-coset simulation's steps: ``ifftn`` of the normalised
+    support, its magnitudes floored at ``AMPLITUDE_FLOOR``, squared and
+    normalised.  Only a level set that is no translate of a subgroup comes here."""
     psi = support / math.sqrt(np.count_nonzero(support))
-    np.abs(np.fft.rfftn(psi, norm="ortho"), out=amp[..., :half])
-    mirror = amp[..., (n - 1) // 2 : 0 : -1]
-    for axis, m in enumerate(shape[:-1]):
-        mirror = mirror.take(-np.arange(m), axis)
-    amp[..., half:] = mirror
-    probs = amp.reshape(-1)
+    probs = np.abs(np.fft.ifftn(psi, norm="ortho")).reshape(-1)
     probs[probs < AMPLITUDE_FLOOR] = 0.0
     np.square(probs, out=probs)
     probs /= probs.sum()
     return probs
 
 
-def sample_statevector(
-    oracle: AbelianOracle, rng: np.random.Generator, count: int = 1
+def draw_samples(
+    oracle: AbelianOracle, rng: np.random.Generator, count: int
 ) -> list[tuple[int, ...]]:
     """Dense simulation of `count` independent coset-state rounds: a coset
     that translates F(0)'s draws from the oracle's cached CDF with one
     uniform, as ``rng.choice(p=)`` would, and any other is transformed."""
     moduli = oracle.moduli
-    dom = oracle.domain_size
-    if dom > STATEVECTOR_BOUND:
-        raise ValueError(
-            f"domain size {dom} exceeds the statevector bound {STATEVECTOR_BOUND}"
-        )
     tiled, outcomes, cdf = oracle._zero_coset
     grid = oracle.grid
     strides = tuple(math.prod(moduli[i + 1 :]) for i in range(len(moduli)))
@@ -274,32 +230,9 @@ def sample_statevector(
         if (support == _window(tiled, u0)).all():
             flat = int(outcomes[cdf.searchsorted(rng.random(), side="right")])
         else:
-            flat = int(rng.choice(dom, p=_coset_probs(support)))
+            flat = int(rng.choice(oracle.domain_size, p=_coset_probs(support)))
         out.append(tuple(flat // s % n for s, n in zip(strides, moduli)))
     return out
-
-
-def sample_annihilator(
-    truth: Lattice, rng: np.random.Generator, count: int = 1
-) -> list[tuple[int, ...]]:
-    """Exact sampler given a known lattice: uniform draws from its annihilator.
-
-    Harness-side shortcut with the same output distribution as the
-    statevector experiment; usable beyond the statevector domain bound.
-    """
-    dual = dual_lattice(truth)
-    return [lattice_sample(dual, rng) for _ in range(count)]
-
-
-def draw_samples(oracle, rng, count: int) -> list[tuple[int, ...]]:
-    """`count` samples from the sampler ``backend_for`` picks, once per call."""
-    if backend_for(oracle.domain_size) == "statevector":
-        return sample_statevector(oracle, rng, count)
-    # read the truth off the oracle's own grid, then draw
-    truth = oracle.periodicity_lattice()
-    for _ in range(count):
-        oracle.note_sample()
-    return sample_annihilator(truth, rng, count)
 
 
 # -- the hidden-lattice solver ---------------------------------------------------
@@ -325,7 +258,7 @@ def abelian_hsp_solve(
     satisfies F(g) = F(0); since that containment makes acceptance imply
     equality, a confident result is exact.  A confident lattice that is not
     F's period and F(0) level set on the pre-evaluated grid (no query is
-    booked) means F is not periodic: ValueError under either sampler.
+    booked) means F is not periodic: ValueError.
     Each round doubles the pool.
     """
     k = len(oracle.moduli)

@@ -1,11 +1,14 @@
 """Brute-force reference implementations.
 
-Everything here works on explicit group tables with full truth access and
-serves as the independent route the solvers are checked against.  Nothing
-in this module touches handles, oracles or counters.  The brute force
-builds right multiplication by each standard generator on the scalar law
-``imul`` and composes all others from those; the enumeration, which only
-picks the subgroups to plant, uses the oracle walk's array law ``index_mul``.
+Everything here works on explicit group tables or known lattices with full
+truth access and serves as the independent route the solvers are checked
+against.  Nothing in this module touches handles, oracles or counters.  The
+brute force builds right multiplication by each standard generator on the
+scalar law ``imul`` and composes all others from those; the enumeration,
+which only picks the subgroups to plant, uses the oracle walk's array law
+``index_mul``.  ``sample_annihilator`` draws uniformly from a known
+lattice's annihilator, the distribution the simulated quantum sampler is
+checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Callable
 import numpy as np
 
-from .algebra import square_and_multiply
+from .algebra import Lattice, dual_lattice, lattice_sample, square_and_multiply
 from .sdp_group import GroupSpec, GroupTable, ZmGroupSpec, greedy_generators
 
 BRUTE_FORCE_BOUND = 10**6
@@ -113,3 +116,12 @@ def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:
 
 def subgroup_equal(a, b) -> bool:
     return frozenset(a) == frozenset(b)
+
+
+def sample_annihilator(
+    truth: Lattice, rng: np.random.Generator, count: int = 1
+) -> list[tuple[int, ...]]:
+    """Exact sampler given a known lattice: uniform draws from its annihilator,
+    the output distribution of the coset-state experiment that hides it."""
+    dual = dual_lattice(truth)
+    return [lattice_sample(dual, rng) for _ in range(count)]

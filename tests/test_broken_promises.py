@@ -15,7 +15,6 @@ from sdhsp.blackbox import HiddenInstance, OpaqueHandle, make_hidden_instance
 from sdhsp.hsp_modular import solve as solve_modular
 from sdhsp.hsp_vector import VecInstance, make_vec_instance
 from sdhsp.hsp_vector import solve as solve_vector
-from sdhsp import qsim
 from sdhsp.qsim import AbelianOracle
 from sdhsp.sdp_group import (
     Element,
@@ -107,12 +106,9 @@ def test_salted_instance_given_to_the_vector_solver():
         solve_vector(vin, rng=np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("backend", ("statevector", "annihilator"))
-def test_non_periodic_f_raises_under_both_backends(backend, monkeypatch):
+def test_non_periodic_f_raises():
     # every element but x is relabelled with f(e): the f(e) level set has
     # 26 of 27 elements and is not a subgroup
-    if backend == "annihilator":  # a bound of 0 sends every oracle there
-        monkeypatch.setattr(qsim, "STATEVECTOR_BOUND", 0)
     table = sdp_table(P32)
     desc = next(d for d in enumerate_subgroups(P32) if d.label() == "cyclicxy:1,1")
     inst, handles = make_hidden_instance(table, subgroup_elements(P32, desc), seed=7)

@@ -50,6 +50,9 @@ PINNED_REPORTS = {
     "solve_p_2_10_cyclicxy.json": (
         "solve-p", "--p", "2", "--r", "10", "--hidden", "cyclicxy:1,5", "--seed", "5",
     ),
+    "solve_p_2_12_cyclicxy.json": (
+        "solve-p", "--p", "2", "--r", "12", "--hidden", "cyclicxy:1,5", "--seed", "5",
+    ),
     "solve_zm_random.json": (
         "solve-zm", "--p", "3", "--r", "2", "--m", "1", "--hidden", "random", "--seed", "1",
     ),
@@ -121,15 +124,18 @@ def test_solve_p_rejects_the_excluded_group(capsys):
     assert "excluded" in err
 
 
-def test_solve_p_reports_the_sampler_its_domain_chose(capsys, monkeypatch):
-    # (2,3)'s shift oracle has 4 x 4 points, its largest domain
-    monkeypatch.setattr(qsim, "STATEVECTOR_BOUND", 15)
+def test_solve_p_samples_a_domain_of_2_22_points_in_closed_form(capsys, monkeypatch):
+    # (2,12)'s shift oracle has 2^11 x 2^11 points; a periodic F never
+    # reaches the literal transform, at this size or any other
+    def no_transform(support):
+        raise AssertionError("literal coset transform on a periodic oracle")
+
+    monkeypatch.setattr(qsim, "_coset_probs", no_transform)
     code, rep, _ = run_json(
-        capsys, "solve-p", "--p", "2", "--r", "3", "--hidden", "random", "--seed", "5"
+        capsys, "solve-p", "--p", "2", "--r", "12", "--hidden", "cyclicxy:1,5", "--seed", "5"
     )
-    assert code == 0 and rep["match"] is True
-    assert rep["solver"]["backend"] == "annihilator"
-    assert rep["backend"] == rep["solver"]["backend"]
+    assert code == 0 and rep["match"] is True and rep["confident"] is True
+    assert rep["backend"] == rep["solver"]["backend"] == "statevector"
 
 
 def test_solve_p_has_no_backend_option(capsys):

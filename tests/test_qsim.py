@@ -26,9 +26,8 @@ from sdhsp.qsim import (
     AbelianOracle,
     abelian_hsp_solve,
     draw_samples,
-    sample_annihilator,
-    sample_statevector,
 )
+from sdhsp.reference import sample_annihilator
 from sdhsp.sdp_group import ZmGroupSpec, modular_group_spec, sdp_table, vec_table
 
 # (moduli, lattice generators) pairs used throughout
@@ -87,8 +86,8 @@ def test_fft_equals_the_per_axis_qft_product():
 )
 @pytest.mark.parametrize("density", [0.0, 0.3, 0.7, 1.0])
 def test_coset_probs_equal_the_dense_qft_on_arbitrary_masks(shape, density):
-    # arbitrary supports, not only lattice cosets: the mirrored half spectrum
-    # of the real-input transform must be |(x) QFT psi|^2 everywhere
+    # arbitrary supports, not only lattice cosets: the literal transform
+    # must be |(x) QFT psi|^2 everywhere
     rng = np.random.default_rng(int(density * 10) + len(shape))
     for _ in range(5):
         mask = rng.random(shape) < density
@@ -107,7 +106,7 @@ def test_statevector_samples_live_in_the_dual():
     for moduli, gens in FIXTURES:
         oracle, L = coset_oracle(moduli, gens)
         D = dual_lattice(L)
-        for v in sample_statevector(oracle, rng, count=200):
+        for v in draw_samples(oracle, rng, count=200):
             assert lattice_member(D, v)
 
 
@@ -118,7 +117,7 @@ def test_statevector_distribution_uniform_over_dual():
     D = dual_lattice(L)
     support = set(lattice_elements(D))
     counts = dict.fromkeys(support, 0)
-    for v in sample_statevector(oracle, rng, count=10_000):
+    for v in draw_samples(oracle, rng, count=10_000):
         counts[v] += 1
     assert set(counts) == support
     for c in counts.values():
@@ -131,7 +130,7 @@ def test_annihilator_sampler_agrees_with_statevector():
         oracle, L = coset_oracle(moduli, gens)
         D = dual_lattice(L)
         n = 4000
-        sv = sample_statevector(oracle, rng, count=n)
+        sv = draw_samples(oracle, rng, count=n)
         an = sample_annihilator(L, rng, count=n)
         assert all(lattice_member(D, v) for v in an)
         # total variation over the dual support
@@ -142,10 +141,19 @@ def test_annihilator_sampler_agrees_with_statevector():
         assert tv < 0.08
 
 
+def subgroup_lattice(oracle) -> Lattice:
+    """F(0)'s level set as the sampler's subgroup reader sees it, canonicalised."""
+    support = oracle.grid == oracle.f0()
+    gens = qsim._subgroup_gens(support, np.tile(support, (2,) * support.ndim))
+    if gens is None:
+        raise ValueError("function is not periodic over this domain")
+    return lattice_canonicalize(Lattice(oracle.moduli, tuple(gens)))
+
+
 def test_periodicity_lattice_roundtrip():
     for moduli, gens in FIXTURES:
         oracle, L = coset_oracle(moduli, gens)
-        assert lattices_equal(oracle.periodicity_lattice(), L)
+        assert lattices_equal(subgroup_lattice(oracle), L)
 
 
 def reference_periodicity_lattice(oracle) -> Lattice:
@@ -224,9 +232,9 @@ def test_periodicity_lattice_matches_the_per_point_span(seed):
             want = reference_periodicity_lattice(oracle)
         except ValueError:
             with pytest.raises(ValueError, match="function is not periodic over this domain"):
-                oracle.periodicity_lattice()
+                subgroup_lattice(oracle)
         else:
-            assert oracle.periodicity_lattice().gens == want.gens
+            assert subgroup_lattice(oracle).gens == want.gens
 
 
 def test_periodicity_lattice_rejects_non_periodic():
@@ -234,7 +242,7 @@ def test_periodicity_lattice_rejects_non_periodic():
     labels = {0: 0, 1: 1, 2: 0, 3: 1, 4: 1, 5: 0}
     oracle = AbelianOracle.from_function((6,), lambda pt: labels[pt[0]])
     with pytest.raises(ValueError):
-        oracle.periodicity_lattice()
+        subgroup_lattice(oracle)
 
 
 def test_oracle_grid_is_read_only():
@@ -257,8 +265,8 @@ def test_abelian_solver_both_backends(monkeypatch):
     oracle, L = coset_oracle((9, 3), ((3, 1),))
     res = abelian_hsp_solve(oracle, rng)
     assert res.confident and lattices_equal(res.lattice, L)
-    # a bound below the 27-point domain sends the same solve to the annihilator
-    monkeypatch.setattr(qsim, "STATEVECTOR_BOUND", 26)
+    # exact draws from L^perp, the reference distribution, recover L as well
+    monkeypatch.setattr(qsim, "draw_samples", lambda o, rng, count: sample_annihilator(L, rng, count))
     res = abelian_hsp_solve(oracle, rng)
     assert res.confident and lattices_equal(res.lattice, L)
 
@@ -299,50 +307,10 @@ def test_unconfident_tail_evaluates_each_final_generator_once(monkeypatch):
     assert len(calls) == 2 + 2 + 3
 
 
-def test_statevector_domain_bound():
-    oracle = AbelianOracle((2048, 1024), np.zeros((2048, 1024), np.int64))
-    with pytest.raises(ValueError, match="statevector bound"):
-        sample_statevector(oracle, np.random.default_rng(0), count=1)
-
-
-def test_draw_samples_backend_dispatch(monkeypatch):
-    rng = np.random.default_rng(808)
-    oracle, L = coset_oracle((9, 3), ((3, 1),))
-    D = dual_lattice(L)
-    for bound in (qsim.STATEVECTOR_BOUND, 26):  # statevector, then annihilator
-        monkeypatch.setattr(qsim, "STATEVECTOR_BOUND", bound)
-        for v in draw_samples(oracle, rng, 50):
-            assert lattice_member(D, v)
-
-
-class _SizedDomain:
-    """Just enough of an oracle for ``draw_samples`` to pick a sampler."""
-
-    def __init__(self, domain_size):
-        self.domain_size = domain_size
-
-    def periodicity_lattice(self):
-        return None
-
-    def note_sample(self):
-        pass
-
-
-def test_sampler_follows_the_domain_size_at_the_bound(monkeypatch):
-    ran = []
-    monkeypatch.setattr(qsim, "sample_statevector", lambda o, rng, count: ran.append("sv") or [])
-    monkeypatch.setattr(qsim, "sample_annihilator", lambda L, rng, count: ran.append("an") or [])
-    rng = np.random.default_rng(0)
-    draw_samples(_SizedDomain(qsim.STATEVECTOR_BOUND), rng, 3)
-    draw_samples(_SizedDomain(qsim.STATEVECTOR_BOUND + 1), rng, 3)
-    # one choice per call, never per sample
-    assert ran == ["sv", "an"]
-
-
 # -- the cached coset transform against the literal per-coset sampler ----------
 
 
-def reference_sample_statevector(oracle, rng, count=1):
+def reference_draw_samples(oracle, rng, count=1):
     """The literal sampler: one full-grid ifftn and one rng.choice(p=) per sample."""
     moduli = oracle.moduli
     dom = oracle.domain_size
@@ -446,9 +414,9 @@ def test_cached_transform_draws_what_the_literal_sampler_draws(monkeypatch, modu
     transforms = counting_transform(monkeypatch)
     count = 10 if oracle.domain_size > 10_000 else 300
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = sample_statevector(oracle, got_rng, count=count // 2)
-    got += sample_statevector(oracle, got_rng, count=count - count // 2)
-    assert got == reference_sample_statevector(oracle, want_rng, count=count)
+    got = draw_samples(oracle, got_rng, count=count // 2)
+    got += draw_samples(oracle, got_rng, count=count - count // 2)
+    assert got == reference_draw_samples(oracle, want_rng, count=count)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     # F(0)'s level set is a subgroup, 512 x 512 ones among them: no literal
     # transform, and its outcomes are exactly L^perp in row-major order
@@ -479,8 +447,8 @@ def test_non_periodic_grid_falls_back_to_the_literal_transform(monkeypatch, poin
     broken = AbelianOracle((9, 3), grid)
     transforms = counting_transform(monkeypatch)
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = sample_statevector(broken, got_rng, count=300)
-    assert got == reference_sample_statevector(broken, want_rng, count=300)
+    got = draw_samples(broken, got_rng, count=300)
+    assert got == reference_draw_samples(broken, want_rng, count=300)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     zero = broken.grid == broken.f0()
     if point == (1, 1):
@@ -517,7 +485,7 @@ def test_sampling_cost_model():
         first_sample_paid=True,
     )
     rng = np.random.default_rng(909)
-    sample_statevector(counted, rng, count=3)
+    draw_samples(counted, rng, count=3)
     # first sample rides on the build; the next two pay 27 evals each
     assert stub.counters == {"f": 54, "superposed_calls": 2}
     counted.evaluate((1, 1))
