@@ -8,15 +8,14 @@ from the annihilator L^perp.  ``draw_samples`` simulates that experiment
 densely, at every domain size.
 
 Translating a coset state changes only the phases of its Fourier
-transform, so every coset whose level set is a translate of F(0)'s has
-the outcome distribution of F(0)'s coset.  The sampler keeps that
-distribution's CDF over its nonzero outcomes, found once per oracle:
-uniform on L^perp, with no transform, when F(0)'s level set is a subgroup
-L.  Any other coset (F not periodic there) is transformed literally, by
-the same ``ifftn`` as the per-coset simulation.  The closed-form CDF equals
-a coset's own complex transform only up to rounding, so draws identical to
-the literal per-coset simulation are measured (tests, pinned reports), not
-guaranteed.
+transform, so when every level set of F translates F(0)'s, a subgroup L,
+every round is a uniform draw from L^perp.  Each oracle is certified once:
+L is a subgroup, F is L-periodic and F is injective on G/L.  A certified
+oracle's rounds draw from the cached L^perp CDF with no transform and no
+grid pass; that CDF is exact, and draws identical to the literal per-coset
+simulation's rounded transform are measured (tests, pinned reports), not
+guaranteed.  Any other oracle's rounds transform their measured coset by
+the literal simulation's own steps, so they draw what it draws.
 
 Each sample books one superposed evaluation of F over the whole domain as
 its modeled query cost.  Pointwise evaluations are booked as single
@@ -40,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Lattice, lattice_canonicalize, lattice_size, solve_kernel
+from .algebra import Lattice, _lattice_basis, lattice_canonicalize, lattice_size, solve_kernel
 
 AMPLITUDE_FLOOR = 1e-9
 MAX_ROUNDS = 3  # abelian_hsp_solve doubles its sample pool at most twice
@@ -51,8 +50,8 @@ class AbelianOracle:
 
     The grid holds integer values, compared only for equality.  The oracle
     takes ownership of `grid` and makes this handle read-only; a caller must
-    not write through another view of its memory, since the cached coset
-    transform assumes the grid never changes.  Cost hooks
+    not write through another view of its memory, since the cached
+    certificate assumes the grid never changes.  Cost hooks
     let an oracle built over a counted hiding function keep booking modeled
     cost even though replays hit the cache.
     """
@@ -68,7 +67,7 @@ class AbelianOracle:
         self.moduli = tuple(int(n) for n in moduli)
         if any(n < 1 for n in self.moduli):
             raise ValueError("moduli must be positive")
-        # the cached transform below is only valid for this grid
+        # the cached certificate below is only valid for this grid
         grid.flags.writeable = False
         self.grid = grid
         self._sample_cost = sample_cost
@@ -134,18 +133,23 @@ class AbelianOracle:
             self._sample_cost()
 
     @cached_property
-    def _zero_coset(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """F(0)'s support tiled twice per axis (``_window`` reads its rolls),
-        its coset state's nonzero outcomes in row-major order (L^perp for a
-        subgroup support L, else from ``_coset_probs``), and their CDF by
-        ``Generator.choice``'s steps, which no zero outcome would change."""
-        support = self.grid == self.f0()
-        tiled = np.tile(support, (2,) * support.ndim)
-        gens = _subgroup_gens(support, tiled)
-        probs = _coset_probs(support) if gens is None else _dual_mask(self.moduli, gens)
-        outcomes = np.flatnonzero(probs)
-        cdf = probs[outcomes].cumsum()
-        return tiled, outcomes, cdf / cdf[-1]
+    def _certificate(self) -> tuple[int, np.ndarray, np.ndarray] | None:
+        """|L|, L^perp's row-major indices and their CDF by ``Generator.choice``'s
+        steps if every level set of F translates F(0)'s, a subgroup L, else None:
+        iff L's generators leave the grid unchanged (F is L-periodic) and the box
+        prod [0, d_i), d_i the diagonal of L's echelon basis, a transversal of
+        G/L, holds prod d_i values (F is injective on G/L)."""
+        gens = _subgroup_gens(self.grid)
+        if gens is None:
+            return None
+        basis = _lattice_basis(Lattice(self.moduli, tuple(gens)))
+        box = np.sort(self.grid[tuple(slice(row[i]) for i, row in enumerate(basis))], axis=None)
+        if 1 + np.count_nonzero(np.diff(box)) != box.size:
+            return None
+        mask = _dual_mask(self.moduli, gens)
+        outcomes = np.flatnonzero(mask)
+        cdf = mask[outcomes].cumsum()
+        return self.domain_size // box.size, outcomes, cdf / cdf[-1]
 
 
 def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
@@ -160,20 +164,22 @@ def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
 # -- sampling -------------------------------------------------------------------
 
 
-def _window(tiled: np.ndarray, u: Sequence[int]) -> np.ndarray:
-    """The view of a support tiled twice per axis that is its roll by u."""
-    return tiled[tuple(slice(m // 2 - x, m - x) for m, x in zip(tiled.shape, u))]
+def _invariant(grid: np.ndarray, shifts) -> bool:
+    """Whether `grid` equals its roll by every shift."""
+    axes = tuple(range(grid.ndim))
+    return all(np.array_equal(np.roll(grid, g, axis=axes), grid) for g in shifts)
 
 
-def _subgroup_gens(support: np.ndarray, tiled: np.ndarray) -> list | None:
-    """Generators of `support` (holding 0) if it is a subgroup, else None.
+def _subgroup_gens(grid: np.ndarray) -> list | None:
+    """Generators of F(0)'s level set S if S is a subgroup L and F is
+    L-periodic (`grid` equals its roll by each), else None.
 
-    g_d is the first point with earlier coordinates 0 and least positive u_d
-    on axis d: in row-major order, the first point from stride s_d on, if it
-    is below n_d s_d.  The support is <g_d> iff each roll by g_d (a window of
-    `tiled`) equals it, as u_d is least; u_d not dividing n_d, or a size other
-    than prod n_d / u_d, rules it out before any roll."""
-    shape, pts = support.shape, np.flatnonzero(support)
+    g_d is the first point of S with earlier coordinates 0 and least positive
+    u_d on axis d: in row-major order, the first point from stride s_d on, if
+    it is below n_d s_d.  S is <g_d> and F is <g_d>-periodic iff the grid
+    equals its roll by each g_d, as u_d is least; u_d not dividing n_d, or a
+    size other than prod n_d / u_d, rules S out before any roll."""
+    shape, pts = grid.shape, np.flatnonzero(grid == grid.flat[0])
     strides = [math.prod(shape[d + 1 :]) for d in range(len(shape))]
     gens, order = [], 1
     for n, s in zip(shape, strides):
@@ -182,9 +188,7 @@ def _subgroup_gens(support: np.ndarray, tiled: np.ndarray) -> list | None:
         order *= 0 if n % u else n // u
         if u < n:
             gens.append(tuple(first // t % m for t, m in zip(strides, shape)))
-    if pts.size != order:
-        return None
-    return gens if all((_window(tiled, g) == support).all() for g in gens) else None
+    return gens if pts.size == order and _invariant(grid, gens) else None
 
 
 def _dual_mask(moduli: tuple[int, ...], gens: list) -> np.ndarray:
@@ -214,22 +218,23 @@ def _coset_probs(support: np.ndarray) -> np.ndarray:
 def draw_samples(
     oracle: AbelianOracle, rng: np.random.Generator, count: int
 ) -> list[tuple[int, ...]]:
-    """Dense simulation of `count` independent coset-state rounds: a coset
-    that translates F(0)'s draws from the oracle's cached CDF with one
-    uniform, as ``rng.choice(p=)`` would, and any other is transformed."""
+    """Dense simulation of `count` independent coset-state rounds.  Every
+    coset of a certified oracle translates F(0)'s, so a round draws one
+    uniform from the cached L^perp CDF, as ``rng.choice(p=)`` would, and
+    reads no grid; any other oracle's measured coset is transformed."""
     moduli = oracle.moduli
-    tiled, outcomes, cdf = oracle._zero_coset
-    grid = oracle.grid
+    cert = oracle._certificate
     strides = tuple(math.prod(moduli[i + 1 :]) for i in range(len(moduli)))
     out: list[tuple[int, ...]] = []
     for _ in range(count):
         oracle.note_sample()
         # measuring the value register collapses to a uniform coset state
         u0 = tuple(int(rng.integers(0, n)) for n in moduli)
-        support = grid == grid[u0]
-        if (support == _window(tiled, u0)).all():
+        if cert is not None:
+            _, outcomes, cdf = cert
             flat = int(outcomes[cdf.searchsorted(rng.random(), side="right")])
         else:
+            support = oracle.grid == oracle.grid[u0]
             flat = int(rng.choice(oracle.domain_size, p=_coset_probs(support)))
         out.append(tuple(flat // s % n for s, n in zip(strides, moduli)))
     return out
@@ -258,7 +263,8 @@ def abelian_hsp_solve(
     satisfies F(g) = F(0); since that containment makes acceptance imply
     equality, a confident result is exact.  A confident lattice that is not
     F's period and F(0) level set on the pre-evaluated grid (no query is
-    booked) means F is not periodic: ValueError.
+    booked; for a certified oracle, whose period is L, a lattice of |L|
+    points) means F is not periodic: ValueError.
     Each round doubles the pool.
     """
     k = len(oracle.moduli)
@@ -277,11 +283,10 @@ def abelian_hsp_solve(
             # the unconfident tail needs every generator: evaluate each once
             held = [oracle.evaluate(g) == f0 for g in lat.gens]
         if all(held):
-            axes = tuple(range(k))
-            if np.count_nonzero(oracle.grid == f0) != lattice_size(lat) or any(
-                not np.array_equal(np.roll(oracle.grid, g, axis=axes), oracle.grid)
-                for g in lat.gens
-            ):
+            cert = oracle._certificate
+            # certified, F is L-periodic and lat lies in L: equal sizes suffice
+            order = np.count_nonzero(oracle.grid == f0) if cert is None else cert[0]
+            if lattice_size(lat) != order or cert is None and not _invariant(oracle.grid, lat.gens):
                 raise ValueError("function is not periodic over this domain")
             return AbelianSolveResult(lat, True, rounds, len(pooled))
     # keep the generators that do satisfy the periodicity check

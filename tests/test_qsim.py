@@ -143,8 +143,7 @@ def test_annihilator_sampler_agrees_with_statevector():
 
 def subgroup_lattice(oracle) -> Lattice:
     """F(0)'s level set as the sampler's subgroup reader sees it, canonicalised."""
-    support = oracle.grid == oracle.f0()
-    gens = qsim._subgroup_gens(support, np.tile(support, (2,) * support.ndim))
+    gens = qsim._subgroup_gens(oracle.grid == oracle.f0())
     if gens is None:
         raise ValueError("function is not periodic over this domain")
     return lattice_canonicalize(Lattice(oracle.moduli, tuple(gens)))
@@ -190,7 +189,7 @@ def random_supports(seed, count=60):
 def test_subgroup_reader_on_random_supports(seed):
     kinds = set()
     for support in random_supports(seed):
-        gens = qsim._subgroup_gens(support, np.tile(support, (2,) * support.ndim))
+        gens = qsim._subgroup_gens(support)
         kinds.add(gens is not None)
         assert (gens is not None) == closed_under_addition(support)
         if gens is not None:
@@ -216,12 +215,12 @@ def test_subgroup_reader_rules_out_each_failure(monkeypatch, moduli, points, rol
     for pt in points:
         support[pt] = True
     assert not closed_under_addition(support)
-    windows = []
-    window = qsim._window
-    monkeypatch.setattr(qsim, "_window", lambda tiled, u: windows.append(u) or window(tiled, u))
-    assert qsim._subgroup_gens(support, np.tile(support, (2,) * support.ndim)) is None
-    # divisibility and size rule a support out before any rolled comparison
-    assert len(windows) == rolls
+    shifts = []
+    roll = np.roll
+    monkeypatch.setattr(qsim.np, "roll", lambda a, g, axis: shifts.append(g) or roll(a, g, axis))
+    assert qsim._subgroup_gens(support) is None
+    # divisibility and size rule a support out before any roll
+    assert len(shifts) == rolls
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -421,20 +420,9 @@ def test_cached_transform_draws_what_the_literal_sampler_draws(monkeypatch, modu
     # F(0)'s level set is a subgroup, 512 x 512 ones among them: no literal
     # transform, and its outcomes are exactly L^perp in row-major order
     assert transforms == []
-    _, outcomes, _ = oracle._zero_coset
+    order, outcomes, _ = oracle._certificate
     assert np.array_equal(outcomes, annihilator_indices(moduli, rows))
-
-
-@pytest.mark.parametrize("moduli", [(9, 3), (4, 2, 2), (8,)], ids=str)
-def test_tiled_support_windows_are_the_rolled_support(moduli):
-    grid = np.random.default_rng(4).integers(0, 3, size=moduli)
-    oracle = AbelianOracle(moduli, grid)
-    tiled, _, _ = oracle._zero_coset
-    support0 = grid == oracle.f0()
-    axes = tuple(range(len(moduli)))
-    for u0 in np.ndindex(*moduli):
-        window = tiled[tuple(slice(n - u, 2 * n - u) for n, u in zip(moduli, u0))]
-        assert np.array_equal(window, np.roll(support0, u0, axis=axes))
+    assert order * outcomes.size == oracle.domain_size
 
 
 @pytest.mark.parametrize("point", [(1, 1), (3, 1)], ids=["off L", "in L"])
@@ -445,22 +433,132 @@ def test_non_periodic_grid_falls_back_to_the_literal_transform(monkeypatch, poin
     grid = oracle.grid.copy()
     grid[point] = grid.max() + 1
     broken = AbelianOracle((9, 3), grid)
+    assert broken._certificate is None
     transforms = counting_transform(monkeypatch)
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
     got = draw_samples(broken, got_rng, count=300)
     assert got == reference_draw_samples(broken, want_rng, count=300)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    zero = broken.grid == broken.f0()
-    if point == (1, 1):
-        # F(0)'s level set is still the subgroup L (closed form): only the
-        # broken cosets, {(1, 1)} and the one it left, are transformed
-        assert transforms and all(np.count_nonzero(s) < 3 for s in transforms)
-    else:
-        # F(0)'s level set lost (3, 1) and is no subgroup: it is transformed
-        # first, then each measured coset that is not its translate
-        assert np.array_equal(transforms[0], zero)
-        assert any(not np.array_equal(s, zero) for s in transforms[1:])
-    assert len(transforms) < 301
+    # an uncertified oracle caches no route: every round transforms its own
+    # measured level set, the broken ones (under 3 points) among them
+    assert len(transforms) == 300
+    assert any(np.count_nonzero(s) < 3 for s in transforms)
+
+
+# -- the oracle certificate against its definition ------------------------------
+
+
+def random_grids(seed, count=60):
+    """Grids over ``random_supports``.  A subgroup L gives its coset labels
+    (periodic, injective on G/L), them with two other cosets sharing a label
+    (periodic, not injective) and them with one point relabelled (not
+    periodic unless L is trivial); any other support is F(0)'s level set of
+    a grid that is injective elsewhere."""
+    rng = np.random.default_rng(seed)
+    for support in random_supports(seed, count):
+        if not closed_under_addition(support):
+            yield np.where(support, -1, np.arange(support.size).reshape(support.shape))
+            continue
+        # a point's label: the least row-major index of its coset
+        cosets = (np.argwhere(np.ones_like(support))[:, None] + np.argwhere(support)) % support.shape
+        flat = np.ravel_multi_index(tuple(np.moveaxis(cosets, -1, 0)), support.shape)
+        labels = flat.min(axis=1).reshape(support.shape)
+        yield labels
+        others = np.unique(labels[labels != 0])
+        if others.size >= 2:
+            a, b = rng.choice(others, size=2, replace=False)
+            yield np.where(labels == a, b, labels)
+        broken = labels.copy()
+        broken.flat[rng.integers(support.size)] = support.size
+        yield broken
+
+
+def translates_everywhere(grid) -> bool:
+    """The definition: every level set of `grid` is u0 + L, L = F(0)'s level set."""
+    zero = np.argwhere(grid == grid.flat[0])
+    for value in np.unique(grid):
+        u0 = np.argwhere(grid == value)[0]
+        coset = np.zeros(grid.shape, dtype=bool)
+        coset[tuple(((zero + u0) % grid.shape).T)] = True
+        if not np.array_equal(coset, grid == value):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certificate_is_every_level_set_translating_f0s(seed):
+    kinds = set()
+    for grid in random_grids(seed):
+        cert = AbelianOracle(grid.shape, grid)._certificate
+        assert (cert is not None) == translates_everywhere(grid)
+        zero = grid == grid.flat[0]
+        subgroup = closed_under_addition(zero)
+        axes = tuple(range(grid.ndim))
+        periodic = subgroup and all(
+            np.array_equal(np.roll(grid, tuple(g), axis=axes), grid) for g in np.argwhere(zero)
+        )
+        kinds.add((subgroup, periodic, cert is not None))
+        if cert is not None:
+            order, outcomes, cdf = cert
+            L = Lattice(grid.shape, tuple(tuple(int(x) for x in g) for g in np.argwhere(zero)))
+            dual = np.array(lattice_elements(dual_lattice(L))).reshape(-1, grid.ndim)
+            assert order == np.count_nonzero(zero)
+            assert np.array_equal(outcomes, np.sort(np.ravel_multi_index(tuple(dual.T), grid.shape)))
+            assert cdf[-1] == 1.0
+    # certified; periodic but not injective; subgroup but not periodic; no subgroup
+    assert kinds == {(True, True, True), (True, True, False), (True, False, False), (False, False, False)}
+
+
+class UnreadableGrid:
+    """Stands in for a grid that must not be read: any use of it fails."""
+
+    def _fail(self, *args, **kwargs):
+        raise AssertionError("the grid was read")
+
+    __getattr__ = __getitem__ = __eq__ = __array__ = _fail
+
+
+@pytest.mark.parametrize(
+    "moduli, rows",
+    [
+        ((9, 9), ((1, 3),)),
+        ((9, 9), ((2, 7), (0, 3))),
+        ((3, 3, 3), ((1, 0, 2), (0, 1, 1))),
+        ((8, 8, 2), ((1, 2, 1),)),
+        ((512, 512), ((1, 3),)),
+    ],
+    ids=str,
+)
+def test_certified_oracle_samples_without_reading_its_grid(moduli, rows):
+    oracle, twin = character_oracle(moduli, rows), character_oracle(moduli, rows)
+    assert oracle._certificate is not None
+    oracle.grid = UnreadableGrid()
+    count = 10 if oracle.domain_size > 10_000 else 300
+    got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+    assert draw_samples(oracle, got_rng, count) == reference_draw_samples(twin, want_rng, count)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_certified_final_check_agrees_with_count_and_roll(monkeypatch, seed):
+    # both solves see the same literal draws, so only their final checks can
+    # differ: a certified oracle compares |lat| with |L|, and an oracle whose
+    # certificate is withheld counts F(0)'s level set and rolls the grid
+    monkeypatch.setattr(qsim, "draw_samples", reference_draw_samples)
+    kinds = set()
+    for i, grid in enumerate(random_grids(seed, count=30)):
+        results = []
+        for withheld in (False, True):
+            oracle = AbelianOracle(grid.shape, grid.copy())
+            if withheld:
+                oracle.__dict__["_certificate"] = None
+            try:
+                results.append(abelian_hsp_solve(oracle, np.random.default_rng(i)))
+            except ValueError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        kinds.add((translates_everywhere(grid), type(results[0]).__name__))
+    assert {(True, "AbelianSolveResult"), (False, "str")} <= kinds
 
 
 class CountingStub:
