@@ -231,11 +231,11 @@ def solve(
     Returns surviving generator handles, their post-hoc revealed
     coordinates, the full subgroup closure, and a JSON-friendly report.
     ``confident`` is True when every abelian solve that contributed was
-    verified: the output is then exact under the hiding promise, and f
-    was periodic on every superposed grid evaluated.  It does not detect
-    an f relabelled off those grids.  Candidates are always filtered by
-    f-membership, so even a low-confidence result never contains an
-    element outside H.
+    verified: the output is then exact under the hiding promise.  Every
+    superposed grid evaluated was certified periodic and injective on its
+    cosets, or the solve raised ValueError; an f relabelled off those grids
+    goes unseen.  Candidates are always filtered by f-membership, so even a
+    low-confidence result never contains an element outside H.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must be in (0, 0.5]")

@@ -236,10 +236,10 @@ def solve(
     abelian instance, map the m + 1 echelon basis rows of its lattice
     through the reduction map.
     ``confident`` requires every stage to have verified its output: the
-    result is then exact under the hiding promise, and f was periodic on
-    every superposed grid evaluated.  It does not detect an f relabelled
-    off those grids.  All returned elements pass the f-membership filter
-    regardless.
+    result is then exact under the hiding promise.  Every superposed grid
+    evaluated was certified periodic and injective on its cosets, or the
+    solve raised ValueError; an f relabelled off those grids goes unseen.
+    All returned elements pass the f-membership filter regardless.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must be in (0, 0.5]")

@@ -9,13 +9,14 @@ densely, at every domain size.
 
 Translating a coset state changes only the phases of its Fourier
 transform, so when every level set of F translates F(0)'s, a subgroup L,
-every round is a uniform draw from L^perp.  Each oracle is certified once:
+every round is a uniform draw from L^perp.  That is the hidden-subgroup
+promise read on the grid, and each oracle is certified against it once:
 L is a subgroup, F is L-periodic and F is injective on G/L.  A certified
 oracle's rounds draw from the cached L^perp CDF with no transform and no
 grid pass; that CDF is exact, and draws identical to the literal per-coset
 simulation's rounded transform are measured (tests, pinned reports), not
-guaranteed.  Any other oracle's rounds transform their measured coset by
-the literal simulation's own steps, so they draw what it draws.
+guaranteed.  An oracle that cannot be certified breaks the promise: its
+first ``draw_samples`` raises ValueError before any round is booked.
 
 Each sample books one superposed evaluation of F over the whole domain as
 its modeled query cost.  Pointwise evaluations are booked as single
@@ -41,7 +42,6 @@ import numpy as np
 
 from .algebra import Lattice, _lattice_basis, lattice_canonicalize, lattice_size, solve_kernel
 
-AMPLITUDE_FLOOR = 1e-9
 MAX_ROUNDS = 3  # abelian_hsp_solve doubles its sample pool at most twice
 
 
@@ -133,19 +133,19 @@ class AbelianOracle:
             self._sample_cost()
 
     @cached_property
-    def _certificate(self) -> tuple[int, np.ndarray, np.ndarray] | None:
+    def _certificate(self) -> tuple[int, np.ndarray, np.ndarray]:
         """|L|, L^perp's row-major indices and their CDF by ``Generator.choice``'s
-        steps if every level set of F translates F(0)'s, a subgroup L, else None:
-        iff L's generators leave the grid unchanged (F is L-periodic) and the box
+        steps, when every level set of F translates F(0)'s, a subgroup L: iff
+        L's generators leave the grid unchanged (F is L-periodic) and the box
         prod [0, d_i), d_i the diagonal of L's echelon basis, a transversal of
-        G/L, holds prod d_i values (F is injective on G/L)."""
+        G/L, holds prod d_i values (F is injective on G/L).  Otherwise F hides
+        no subgroup on this grid: ValueError."""
         gens = _subgroup_gens(self.grid)
-        if gens is None:
-            return None
-        basis = _lattice_basis(Lattice(self.moduli, tuple(gens)))
-        box = np.sort(self.grid[tuple(slice(row[i]) for i, row in enumerate(basis))], axis=None)
-        if 1 + np.count_nonzero(np.diff(box)) != box.size:
-            return None
+        if gens is not None:
+            basis = _lattice_basis(Lattice(self.moduli, tuple(gens)))
+            box = np.sort(self.grid[tuple(slice(row[i]) for i, row in enumerate(basis))], axis=None)
+        if gens is None or 1 + np.count_nonzero(np.diff(box)) != box.size:
+            raise ValueError("function is not periodic over this domain")
         mask = _dual_mask(self.moduli, gens)
         outcomes = np.flatnonzero(mask)
         cdf = mask[outcomes].cumsum()
@@ -162,12 +162,6 @@ def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
 
 
 # -- sampling -------------------------------------------------------------------
-
-
-def _invariant(grid: np.ndarray, shifts) -> bool:
-    """Whether `grid` equals its roll by every shift."""
-    axes = tuple(range(grid.ndim))
-    return all(np.array_equal(np.roll(grid, g, axis=axes), grid) for g in shifts)
 
 
 def _subgroup_gens(grid: np.ndarray) -> list | None:
@@ -188,7 +182,10 @@ def _subgroup_gens(grid: np.ndarray) -> list | None:
         order *= 0 if n % u else n // u
         if u < n:
             gens.append(tuple(first // t % m for t, m in zip(strides, shape)))
-    return gens if pts.size == order and _invariant(grid, gens) else None
+    axes = tuple(range(grid.ndim))
+    if pts.size == order and all(np.array_equal(np.roll(grid, g, axis=axes), grid) for g in gens):
+        return gens
+    return None
 
 
 def _dual_mask(moduli: tuple[int, ...], gens: list) -> np.ndarray:
@@ -202,40 +199,25 @@ def _dual_mask(moduli: tuple[int, ...], gens: list) -> np.ndarray:
     return (lead.astype(dt)[:, :, None] == last.astype(dt)[:, None, :]).all(axis=0).reshape(-1)
 
 
-def _coset_probs(support: np.ndarray) -> np.ndarray:
-    """Row-major outcome probabilities of the uniform coset state on `support`,
-    by the literal per-coset simulation's steps: ``ifftn`` of the normalised
-    support, its magnitudes floored at ``AMPLITUDE_FLOOR``, squared and
-    normalised.  Only a level set that is no translate of a subgroup comes here."""
-    psi = support / math.sqrt(np.count_nonzero(support))
-    probs = np.abs(np.fft.ifftn(psi, norm="ortho")).reshape(-1)
-    probs[probs < AMPLITUDE_FLOOR] = 0.0
-    np.square(probs, out=probs)
-    probs /= probs.sum()
-    return probs
-
-
 def draw_samples(
     oracle: AbelianOracle, rng: np.random.Generator, count: int
 ) -> list[tuple[int, ...]]:
     """Dense simulation of `count` independent coset-state rounds.  Every
     coset of a certified oracle translates F(0)'s, so a round draws one
     uniform from the cached L^perp CDF, as ``rng.choice(p=)`` would, and
-    reads no grid; any other oracle's measured coset is transformed."""
+    reads no grid.  An oracle that cannot be certified raises ValueError
+    before any round is booked."""
     moduli = oracle.moduli
-    cert = oracle._certificate
+    _, outcomes, cdf = oracle._certificate
     strides = tuple(math.prod(moduli[i + 1 :]) for i in range(len(moduli)))
     out: list[tuple[int, ...]] = []
     for _ in range(count):
         oracle.note_sample()
-        # measuring the value register collapses to a uniform coset state
-        u0 = tuple(int(rng.integers(0, n)) for n in moduli)
-        if cert is not None:
-            _, outcomes, cdf = cert
-            flat = int(outcomes[cdf.searchsorted(rng.random(), side="right")])
-        else:
-            support = oracle.grid == oracle.grid[u0]
-            flat = int(rng.choice(oracle.domain_size, p=_coset_probs(support)))
+        # measuring the value register collapses to the coset of a uniform u0;
+        # u0 only changes phases, and is drawn to keep the RNG stream
+        for n in moduli:
+            rng.integers(0, n)
+        flat = int(outcomes[cdf.searchsorted(rng.random(), side="right")])
         out.append(tuple(flat // s % n for s, n in zip(strides, moduli)))
     return out
 
@@ -261,10 +243,10 @@ def abelian_hsp_solve(
     Samples lie in L^perp, so the kernel of the pooled sample span always
     contains L.  The candidate is accepted once every canonical generator g
     satisfies F(g) = F(0); since that containment makes acceptance imply
-    equality, a confident result is exact.  A confident lattice that is not
-    F's period and F(0) level set on the pre-evaluated grid (no query is
-    booked; for a certified oracle, whose period is L, a lattice of |L|
-    points) means F is not periodic: ValueError.
+    equality, a confident result is exact.  F must be certified (see
+    ``draw_samples``, which raises ValueError otherwise); a confident
+    lattice of other than |L| points would mean a draw off L^perp, and
+    raises ValueError too.
     Each round doubles the pool.
     """
     k = len(oracle.moduli)
@@ -283,10 +265,9 @@ def abelian_hsp_solve(
             # the unconfident tail needs every generator: evaluate each once
             held = [oracle.evaluate(g) == f0 for g in lat.gens]
         if all(held):
-            cert = oracle._certificate
-            # certified, F is L-periodic and lat lies in L: equal sizes suffice
-            order = np.count_nonzero(oracle.grid == f0) if cert is None else cert[0]
-            if lattice_size(lat) != order or cert is None and not _invariant(oracle.grid, lat.gens):
+            # F is L-periodic and lat lies in L, so equal sizes mean lat = L;
+            # a draw off L^perp (a sampler fault) can leave lat smaller
+            if lattice_size(lat) != oracle._certificate[0]:
                 raise ValueError("function is not periodic over this domain")
             return AbelianSolveResult(lat, True, rounds, len(pooled))
     # keep the generators that do satisfy the periodicity check

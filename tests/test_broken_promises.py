@@ -4,8 +4,9 @@ Each case hands a solver something outside its input contract: handles
 from another black box (to a solver or an oracle walk), handle sets that
 do not generate the group, abelian handles that do not form a basis, a
 salted encoding given to the vector solver, which needs unique encodings,
-or a hiding function that is not periodic.  At the element edge, an
-element outside the group or a salt outside the box raises ValueError too.
+or a hiding function that is not periodic or gives two cosets one label.
+At the element edge, an element outside the group or a salt outside the
+box raises ValueError too.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from sdhsp.blackbox import HiddenInstance, OpaqueHandle, make_hidden_instance
 from sdhsp.hsp_modular import solve as solve_modular
 from sdhsp.hsp_vector import VecInstance, make_vec_instance
 from sdhsp.hsp_vector import solve as solve_vector
-from sdhsp.qsim import AbelianOracle
+from sdhsp.qsim import AbelianOracle, draw_samples
 from sdhsp.sdp_group import (
     Element,
     VecElement,
@@ -117,6 +118,55 @@ def test_non_periodic_f_raises():
     broken = HiddenInstance(inst.blackbox, inst.truth_elements(), labels)
     with pytest.raises(ValueError, match="function is not periodic over this domain"):
         solve_modular(broken, handles, rng=np.random.default_rng(1))
+
+
+def merged(inst, source, into):
+    """`inst` with the label of `source` replaced by that of `into`."""
+    table = inst.blackbox.table
+    labels = np.array([inst.label_of_element(g) for g in table.elements], dtype=np.int64)
+    labels[table.index(source)] = inst.label_of_element(into)
+    return HiddenInstance(inst.blackbox, inst.truth_elements(), labels)
+
+
+def merged_rank_one_instance():
+    """H = 1 in (3,2), so F = f o pi is periodic on every grid, but x^6 shares
+    the label of x^3: not injective on G/L, a promise no lattice answer keeps."""
+    table = sdp_table(P32)
+    inst, handles = make_hidden_instance(table, [table.identity], seed=7)
+    return merged(inst, Element(6, 0), Element(3, 0)), handles
+
+
+def test_rank_one_f_that_merges_two_cosets_raises():
+    broken, handles = merged_rank_one_instance()
+    with pytest.raises(ValueError, match="function is not periodic over this domain"):
+        solve_modular(broken, handles, rng=np.random.default_rng(1))
+
+
+def test_vector_f_that_merges_two_cosets_raises():
+    spec = ZmGroupSpec(3, 2, 1)
+    vin = make_vec_instance(spec, [vec_table(spec).identity], seed=7)
+    broken = merged(vin.instance, VecElement((6,), 0), VecElement((3,), 0))
+    with pytest.raises(ValueError, match="function is not periodic over this domain"):
+        solve_vector(VecInstance(broken, vin.a_handles, vin.y_handle), rng=np.random.default_rng(1))
+
+
+def test_an_uncertified_oracle_books_no_sample():
+    broken, handles = merged_rank_one_instance()
+    e = broken.blackbox.encode(broken.blackbox.table.identity)
+    before = broken.query_stats()
+    oracle = AbelianOracle.from_handles((9, 3), broken, e, handles)
+    built = broken.query_stats()
+    # the build's walk is booked as usual: one superposed evaluation of f
+    assert (built["mul"] - before["mul"], built["f"] - before["f"]) == (26, 27)
+    assert built["superposed_calls"] - before["superposed_calls"] == 1
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    # refused twice: the first refusal does not use up the sample the build paid
+    for _ in range(2):
+        with pytest.raises(ValueError, match="function is not periodic over this domain"):
+            draw_samples(oracle, rng, 5)
+    assert broken.query_stats() == built
+    assert rng.bit_generator.state == state
 
 
 EDGE_CALLS = {

@@ -9,7 +9,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from sdhsp import qsim
 from sdhsp.cli import SEED_ENV_VAR, main, parse_hidden
 from sdhsp.sdp_group import (
     IDENTITY,
@@ -125,12 +124,12 @@ def test_solve_p_rejects_the_excluded_group(capsys):
 
 
 def test_solve_p_samples_a_domain_of_2_22_points_in_closed_form(capsys, monkeypatch):
-    # (2,12)'s shift oracle has 2^11 x 2^11 points; a periodic F never
-    # reaches the literal transform, at this size or any other
-    def no_transform(support):
-        raise AssertionError("literal coset transform on a periodic oracle")
+    # (2,12)'s shift oracle has 2^11 x 2^11 points; the sampler runs no
+    # Fourier transform, at this size or any other
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a Fourier transform in the sampler")
 
-    monkeypatch.setattr(qsim, "_coset_probs", no_transform)
+    monkeypatch.setattr(np.fft, "ifftn", no_transform)
     code, rep, _ = run_json(
         capsys, "solve-p", "--p", "2", "--r", "12", "--hidden", "cyclicxy:1,5", "--seed", "5"
     )

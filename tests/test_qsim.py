@@ -21,12 +21,7 @@ from sdhsp.algebra import (
 )
 from sdhsp.blackbox import BlackBox, OpaqueHandle, make_hidden_instance
 from sdhsp import qsim
-from sdhsp.qsim import (
-    AMPLITUDE_FLOOR,
-    AbelianOracle,
-    abelian_hsp_solve,
-    draw_samples,
-)
+from sdhsp.qsim import AbelianOracle, abelian_hsp_solve, draw_samples
 from sdhsp.reference import sample_annihilator
 from sdhsp.sdp_group import ZmGroupSpec, modular_group_spec, sdp_table, vec_table
 
@@ -71,6 +66,22 @@ def per_axis_qft(psi):
     return psi
 
 
+AMPLITUDE_FLOOR = 1e-9  # the literal sampler cuts rounding-level amplitudes to 0
+
+
+def literal_coset_probs(support) -> np.ndarray:
+    """Row-major outcome probabilities of the uniform coset state on `support`
+    by the literal per-coset simulation: one full-grid complex ``ifftn``, its
+    magnitudes cut at ``AMPLITUDE_FLOOR``, squared and normalised."""
+    psi = support.astype(np.complex128)
+    psi /= math.sqrt(int(support.sum()))
+    amp = np.abs(np.fft.ifftn(psi, norm="ortho").reshape(-1))
+    amp[amp < AMPLITUDE_FLOOR] = 0.0
+    probs = amp * amp
+    probs /= probs.sum()
+    return probs
+
+
 def test_fft_equals_the_per_axis_qft_product():
     # the literal reference sampler transforms with np.fft.ifftn; qft_matrix is its oracle
     rng = np.random.default_rng(7)
@@ -96,7 +107,7 @@ def test_coset_probs_equal_the_dense_qft_on_arbitrary_masks(shape, density):
         amp = np.abs(per_axis_qft(psi.astype(np.complex128))).reshape(-1)
         amp[amp < AMPLITUDE_FLOOR] = 0.0
         want = amp * amp / (amp * amp).sum()
-        got = qsim._coset_probs(mask)
+        got = literal_coset_probs(mask)
         assert got.shape == (mask.size,)
         assert np.abs(got - want).max() < 1e-12
 
@@ -194,7 +205,8 @@ def test_subgroup_reader_on_random_supports(seed):
         assert (gens is not None) == closed_under_addition(support)
         if gens is not None:
             mask = qsim._dual_mask(support.shape, gens)
-            assert np.array_equal(np.flatnonzero(mask), np.flatnonzero(qsim._coset_probs(support)))
+            want = np.flatnonzero(literal_coset_probs(support))
+            assert np.array_equal(np.flatnonzero(mask), want)
     assert kinds == {True, False}
 
 
@@ -311,22 +323,13 @@ def test_unconfident_tail_evaluates_each_final_generator_once(monkeypatch):
 
 def reference_draw_samples(oracle, rng, count=1):
     """The literal sampler: one full-grid ifftn and one rng.choice(p=) per sample."""
-    moduli = oracle.moduli
-    dom = oracle.domain_size
     out = []
     for _ in range(count):
         oracle.note_sample()
-        u0 = tuple(int(rng.integers(0, n)) for n in moduli)
-        support = oracle.grid == oracle.grid[u0]
-        psi = support.astype(np.complex128)
-        psi /= math.sqrt(int(support.sum()))
-        psi = np.fft.ifftn(psi, norm="ortho")
-        amp = np.abs(psi.reshape(-1))
-        amp[amp < AMPLITUDE_FLOOR] = 0.0
-        probs = amp * amp
-        probs /= probs.sum()
-        flat = int(rng.choice(dom, p=probs))
-        out.append(tuple(int(x) for x in np.unravel_index(flat, moduli)))
+        u0 = tuple(int(rng.integers(0, n)) for n in oracle.moduli)
+        probs = literal_coset_probs(oracle.grid == oracle.grid[u0])
+        flat = int(rng.choice(oracle.domain_size, p=probs))
+        out.append(tuple(int(x) for x in np.unravel_index(flat, oracle.moduli)))
     return out
 
 
@@ -385,19 +388,6 @@ CHARACTER_FIXTURES = [
 ]
 
 
-def counting_transform(monkeypatch) -> list:
-    """Record every support handed to the literal transform helper."""
-    seen = []
-    transform = qsim._coset_probs
-
-    def spy(support):
-        seen.append(support)
-        return transform(support)
-
-    monkeypatch.setattr(qsim, "_coset_probs", spy)
-    return seen
-
-
 @lru_cache(maxsize=None)
 def annihilator_indices(moduli, rows) -> np.ndarray:
     """Row-major indices of L^perp, for the L that ``character_oracle`` hides."""
@@ -408,41 +398,36 @@ def annihilator_indices(moduli, rows) -> np.ndarray:
 
 @pytest.mark.parametrize("moduli, rows", CHARACTER_FIXTURES, ids=str)
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_cached_transform_draws_what_the_literal_sampler_draws(monkeypatch, moduli, rows, seed):
+def test_cached_transform_draws_what_the_literal_sampler_draws(moduli, rows, seed):
     oracle = character_oracle(moduli, rows)
-    transforms = counting_transform(monkeypatch)
     count = 10 if oracle.domain_size > 10_000 else 300
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = draw_samples(oracle, got_rng, count=count // 2)
     got += draw_samples(oracle, got_rng, count=count - count // 2)
     assert got == reference_draw_samples(oracle, want_rng, count=count)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    # F(0)'s level set is a subgroup, 512 x 512 ones among them: no literal
-    # transform, and its outcomes are exactly L^perp in row-major order
-    assert transforms == []
+    # the certificate's outcomes are exactly L^perp in row-major order
     order, outcomes, _ = oracle._certificate
     assert np.array_equal(outcomes, annihilator_indices(moduli, rows))
     assert order * outcomes.size == oracle.domain_size
 
 
 @pytest.mark.parametrize("point", [(1, 1), (3, 1)], ids=["off L", "in L"])
-def test_non_periodic_grid_falls_back_to_the_literal_transform(monkeypatch, point):
+def test_non_periodic_grid_is_refused_before_any_round(point):
     # one point relabelled: its coset and the coset it left are no
     # translates of F(0)'s level set (in L: F(0)'s own level set shrinks)
     oracle, _ = coset_oracle((9, 3), ((3, 1),))
     grid = oracle.grid.copy()
     grid[point] = grid.max() + 1
-    broken = AbelianOracle((9, 3), grid)
-    assert broken._certificate is None
-    transforms = counting_transform(monkeypatch)
-    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = draw_samples(broken, got_rng, count=300)
-    assert got == reference_draw_samples(broken, want_rng, count=300)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    # an uncertified oracle caches no route: every round transforms its own
-    # measured level set, the broken ones (under 3 points) among them
-    assert len(transforms) == 300
-    assert any(np.count_nonzero(s) < 3 for s in transforms)
+    booked = []
+    broken = AbelianOracle((9, 3), grid, sample_cost=lambda: booked.append(1))
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    for count in (0, 300):
+        with pytest.raises(ValueError, match="function is not periodic over this domain"):
+            draw_samples(broken, rng, count=count)
+    assert booked == []
+    assert rng.bit_generator.state == state
 
 
 # -- the oracle certificate against its definition ------------------------------
@@ -473,6 +458,15 @@ def random_grids(seed, count=60):
         yield broken
 
 
+def periodic_on_subgroup(grid) -> bool:
+    """F(0)'s level set is a subgroup L and `grid` equals its roll by each point of L."""
+    zero = grid == grid.flat[0]
+    axes = tuple(range(grid.ndim))
+    return closed_under_addition(zero) and all(
+        np.array_equal(np.roll(grid, tuple(g), axis=axes), grid) for g in np.argwhere(zero)
+    )
+
+
 def translates_everywhere(grid) -> bool:
     """The definition: every level set of `grid` is u0 + L, L = F(0)'s level set."""
     zero = np.argwhere(grid == grid.flat[0])
@@ -489,17 +483,15 @@ def translates_everywhere(grid) -> bool:
 def test_certificate_is_every_level_set_translating_f0s(seed):
     kinds = set()
     for grid in random_grids(seed):
-        cert = AbelianOracle(grid.shape, grid)._certificate
-        assert (cert is not None) == translates_everywhere(grid)
+        oracle = AbelianOracle(grid.shape, grid)
+        certified = translates_everywhere(grid)
         zero = grid == grid.flat[0]
-        subgroup = closed_under_addition(zero)
-        axes = tuple(range(grid.ndim))
-        periodic = subgroup and all(
-            np.array_equal(np.roll(grid, tuple(g), axis=axes), grid) for g in np.argwhere(zero)
-        )
-        kinds.add((subgroup, periodic, cert is not None))
-        if cert is not None:
-            order, outcomes, cdf = cert
+        kinds.add((closed_under_addition(zero), periodic_on_subgroup(grid), certified))
+        if not certified:
+            with pytest.raises(ValueError, match="function is not periodic over this domain"):
+                oracle._certificate
+        else:
+            order, outcomes, cdf = oracle._certificate
             L = Lattice(grid.shape, tuple(tuple(int(x) for x in g) for g in np.argwhere(zero)))
             dual = np.array(lattice_elements(dual_lattice(L))).reshape(-1, grid.ndim)
             assert order == np.count_nonzero(zero)
@@ -539,26 +531,35 @@ def test_certified_oracle_samples_without_reading_its_grid(moduli, rows):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("seed", range(2))
-def test_certified_final_check_agrees_with_count_and_roll(monkeypatch, seed):
-    # both solves see the same literal draws, so only their final checks can
-    # differ: a certified oracle compares |lat| with |L|, and an oracle whose
-    # certificate is withheld counts F(0)'s level set and rolls the grid
-    monkeypatch.setattr(qsim, "draw_samples", reference_draw_samples)
-    kinds = set()
-    for i, grid in enumerate(random_grids(seed, count=30)):
-        results = []
-        for withheld in (False, True):
-            oracle = AbelianOracle(grid.shape, grid.copy())
-            if withheld:
-                oracle.__dict__["_certificate"] = None
-            try:
-                results.append(abelian_hsp_solve(oracle, np.random.default_rng(i)))
-            except ValueError as exc:
-                results.append(str(exc))
-        assert results[0] == results[1]
-        kinds.add((translates_everywhere(grid), type(results[0]).__name__))
-    assert {(True, "AbelianSolveResult"), (False, "str")} <= kinds
+@pytest.mark.parametrize("seed", range(4))
+def test_periodic_grid_not_injective_on_cosets_raises(seed):
+    # F is L-periodic, but two cosets of L share a value: no subgroup is hidden
+    grids = [
+        g for g in random_grids(seed) if periodic_on_subgroup(g) and not translates_everywhere(g)
+    ]
+    assert grids
+    for grid in grids:
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="function is not periodic over this domain"):
+            abelian_hsp_solve(AbelianOracle(grid.shape, grid), rng)
+        assert rng.bit_generator.state == state
+
+
+def test_final_check_catches_a_draw_off_the_dual(monkeypatch):
+    # L = <(3, 1)> in Z_9 x Z_3 has prime order, so one draw off L^perp, here
+    # (1, 0), cuts the pool's kernel down to 0: the candidate has no generator
+    # to fail F(g) = F(0), and only the size check |lat| = |L| sees the fault
+    oracle, L = coset_oracle((9, 3), ((3, 1),))
+    assert not lattice_member(dual_lattice(L), (1, 0))
+    sampler = qsim.draw_samples
+
+    def faulty(o, rng, count):
+        return [(1, 0)] + sampler(o, rng, count - 1)
+
+    monkeypatch.setattr(qsim, "draw_samples", faulty)
+    with pytest.raises(ValueError, match="function is not periodic over this domain"):
+        abelian_hsp_solve(oracle, np.random.default_rng(0))
 
 
 class CountingStub:
