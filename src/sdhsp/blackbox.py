@@ -17,11 +17,12 @@ The handles, read as big-endian integers, form a uint64 table of shape
 dict maps handle bytes back to that index.  Below ``encode``/``reveal``
 everything is an element index: the oracles decode handles to indices,
 apply the table's scalar law and read the result's handle from the table.
-The superposed walk over g_1^{u_1}...g_k^{u_k} stays on element indices:
-``HiddenInstance.f_walk`` labels them, and ``walk_codes`` (unique encodings
-only) reads their codes.  It books the ``mul`` count and, under 'fresh', the
-RNG draws of one ``oracle_mul`` per grid point; no salt of an intermediate
-product is formed, since f gives every encoding of an element one label.
+The superposed walk over h g_1^{u_1}...g_k^{u_k} stays on element indices,
+filled last axis first in contiguous blocks, each an earlier block times a
+power of h g_d h^-1 on the left: ``HiddenInstance.f_walk`` labels them, and
+``walk_codes`` (unique encodings only) reads their codes.  It books the
+``mul`` count and, under 'fresh', the RNG draws of one ``oracle_mul`` per
+point; no intermediate product gets a salt: f labels all its encodings alike.
 
 ``reveal`` decodes a handle back to coordinates.  It exists for reports and
 tests; solver code must never call it.
@@ -169,11 +170,11 @@ class BlackBox:
 
         The per-point walk this replaces visits the grid in row-major order
         and makes one ``oracle_mul(out[u - e_d], g_d)`` per point u != 0, d
-        its last nonzero digit.  Here each axis d is one sweep: the cells
-        with all digits after d zero are filled by doubling, right-multiplying
-        the first L of them by g_d^L, which is a permutation of the element
-        indices squared at each step.  Validates every handle before booking
-        ``mul += total - 1``.
+        its last nonzero digit.  Here the axes are filled last first, each by
+        doubling a contiguous prefix: as h g_d^L x = c_d^L h x, c_d = h g_d h^-1,
+        the cells with u_d in [L, L + W) and earlier digits 0 are the first W
+        of that block times c_d^L on the left, a permutation of the element
+        indices.  Validates every handle before booking ``mul += total - 1``.
         """
         moduli = tuple(int(n) for n in moduli)
         if len(gen_handles) != len(moduli):
@@ -187,15 +188,16 @@ class BlackBox:
             # RNG, and so every later handle, as that walk leaves it.
             self._rng.integers(0, self.salts, size=total - 1)
         elems = np.empty(total, dtype=np.int64)
-        elems[0] = start
-        everything = np.arange(self.table.order)
-        for d, g in enumerate(gens):
-            cells = elems.reshape(math.prod(moduli[:d]), moduli[d], -1)[:, :, 0]
-            length, right = 1, self.table.index_mul(everything, g)  # i -> i * g^length
-            while length < moduli[d]:
-                width = min(length, moduli[d] - length)
-                cells[:, length : length + width] = right[cells[:, :width]]
-                length, right = 2 * length, right[right]
+        elems[0], done = start, 1  # cells [0, done) are filled: the block u_d = 0
+        everything, h_inv = np.arange(self.table.order), self.table.iinv(start)
+        for d in reversed(range(len(moduli))):
+            conj = self.table.imul(self.table.imul(start, gens[d]), h_inv)  # c_d
+            left, end = self.table.index_mul(conj, everything), done * moduli[d]
+            while done < end:
+                width = min(done, end - done)
+                # every index is in range; 'clip' gathers straight into out, unbuffered
+                left.take(elems[:width], out=elems[done : done + width], mode="clip")
+                done, left = min(2 * done, end), left[left]
         return elems.reshape(moduli)
 
     def walk_codes(self, moduli, identity: OpaqueHandle, gen_handles) -> np.ndarray:

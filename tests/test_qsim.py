@@ -25,6 +25,11 @@ from sdhsp.qsim import AbelianOracle, abelian_hsp_solve, draw_samples
 from sdhsp.reference import sample_annihilator
 from sdhsp.sdp_group import ZmGroupSpec, modular_group_spec, sdp_table, vec_table
 
+# the certificate's two refusals, and the final check's
+NOT_PERIODIC = "function is not periodic over this domain"
+MERGES_COSETS = "function gives two cosets of its period lattice one value"
+OFF_DUAL = "a sample lies off the dual of the function's period lattice"
+
 # (moduli, lattice generators) pairs used throughout
 FIXTURES = [
     ((3, 3), ((1, 1),)),
@@ -156,7 +161,7 @@ def subgroup_lattice(oracle) -> Lattice:
     """F(0)'s level set as the sampler's subgroup reader sees it, canonicalised."""
     gens = qsim._subgroup_gens(oracle.grid == oracle.f0())
     if gens is None:
-        raise ValueError("function is not periodic over this domain")
+        raise ValueError(NOT_PERIODIC)
     return lattice_canonicalize(Lattice(oracle.moduli, tuple(gens)))
 
 
@@ -171,7 +176,7 @@ def reference_periodicity_lattice(oracle) -> Lattice:
     points = [tuple(int(x) for x in idx) for idx in np.argwhere(oracle.grid == oracle.f0())]
     lat = lattice_canonicalize(Lattice(oracle.moduli, tuple(points)))
     if lattice_size(lat) != len(points):
-        raise ValueError("function is not periodic over this domain")
+        raise ValueError(NOT_PERIODIC)
     return lat
 
 
@@ -211,7 +216,7 @@ def test_subgroup_reader_on_random_supports(seed):
 
 
 @pytest.mark.parametrize(
-    "moduli, points, rolls",
+    "moduli, points, checks",
     [
         # u = 3 does not divide 7, though 2 points = 7 // 3 would pass the count
         ((7,), [(0,), (3,)], 0),
@@ -222,17 +227,44 @@ def test_subgroup_reader_on_random_supports(seed):
     ],
     ids=["u does not divide n", "wrong count", "not invariant"],
 )
-def test_subgroup_reader_rules_out_each_failure(monkeypatch, moduli, points, rolls):
+def test_subgroup_reader_rules_out_each_failure(monkeypatch, moduli, points, checks):
     support = np.zeros(moduli, dtype=bool)
     for pt in points:
         support[pt] = True
     assert not closed_under_addition(support)
     shifts = []
-    roll = np.roll
-    monkeypatch.setattr(qsim.np, "roll", lambda a, g, axis: shifts.append(g) or roll(a, g, axis))
+    periodic = qsim._periodic
+    monkeypatch.setattr(qsim, "_periodic", lambda grid, g: shifts.append(g) or periodic(grid, g))
     assert qsim._subgroup_gens(support) is None
-    # divisibility and size rule a support out before any roll
-    assert len(shifts) == rolls
+    # divisibility and size rule a support out before any periodicity check
+    assert len(shifts) == checks
+
+
+@given(
+    moduli=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    shift=st.lists(st.integers(-13, 13), min_size=4, max_size=4),
+    periodic=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example([4, 1, 6, 3], [-1, 0, 8, 3], True, 0)  # negative, zero and >= n shifts
+@example([4, 1, 6, 3], [-1, 0, 8, 3], False, 0)
+@example([5, 3], [0, 0, 0, 0], False, 1)  # the zero shift leaves every grid as it is
+@example([3, 3], [-1, 1, 0, 0], True, 0)  # periodic by (2, 1), not by (1, 1)
+@settings(max_examples=200, deadline=None)
+def test_in_place_periodicity_check_agrees_with_np_roll(moduli, shift, periodic, seed):
+    g, axes = tuple(shift[: len(moduli)]), tuple(range(len(moduli)))
+    rng = np.random.default_rng(seed)
+    # each point's least flat index over its orbit u + <g>; a grid constant
+    # on orbits is g-periodic, and one point changed usually breaks that
+    orbit = np.arange(math.prod(moduli)).reshape(moduli)
+    for _ in range(math.lcm(*moduli)):
+        orbit = np.minimum(orbit, np.roll(orbit, g, axis=axes))
+    grid = rng.integers(0, 3, size=orbit.size)[orbit]
+    if not periodic:
+        grid.flat[rng.integers(grid.size)] = 3
+    want = np.array_equal(np.roll(grid, g, axis=axes), grid)
+    assert want or not periodic
+    assert qsim._periodic(grid, g) == want
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -242,7 +274,7 @@ def test_periodicity_lattice_matches_the_per_point_span(seed):
         try:
             want = reference_periodicity_lattice(oracle)
         except ValueError:
-            with pytest.raises(ValueError, match="function is not periodic over this domain"):
+            with pytest.raises(ValueError, match=NOT_PERIODIC):
                 subgroup_lattice(oracle)
         else:
             assert subgroup_lattice(oracle).gens == want.gens
@@ -424,7 +456,7 @@ def test_non_periodic_grid_is_refused_before_any_round(point):
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
     for count in (0, 300):
-        with pytest.raises(ValueError, match="function is not periodic over this domain"):
+        with pytest.raises(ValueError, match=NOT_PERIODIC):
             draw_samples(broken, rng, count=count)
     assert booked == []
     assert rng.bit_generator.state == state
@@ -488,7 +520,8 @@ def test_certificate_is_every_level_set_translating_f0s(seed):
         zero = grid == grid.flat[0]
         kinds.add((closed_under_addition(zero), periodic_on_subgroup(grid), certified))
         if not certified:
-            with pytest.raises(ValueError, match="function is not periodic over this domain"):
+            message = MERGES_COSETS if periodic_on_subgroup(grid) else NOT_PERIODIC
+            with pytest.raises(ValueError, match=message):
                 oracle._certificate
         else:
             order, outcomes, cdf = oracle._certificate
@@ -541,7 +574,7 @@ def test_periodic_grid_not_injective_on_cosets_raises(seed):
     for grid in grids:
         rng = np.random.default_rng(seed)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="function is not periodic over this domain"):
+        with pytest.raises(ValueError, match=MERGES_COSETS):
             abelian_hsp_solve(AbelianOracle(grid.shape, grid), rng)
         assert rng.bit_generator.state == state
 
@@ -558,7 +591,7 @@ def test_final_check_catches_a_draw_off_the_dual(monkeypatch):
         return [(1, 0)] + sampler(o, rng, count - 1)
 
     monkeypatch.setattr(qsim, "draw_samples", faulty)
-    with pytest.raises(ValueError, match="function is not periodic over this domain"):
+    with pytest.raises(ValueError, match=OFF_DUAL):
         abelian_hsp_solve(oracle, np.random.default_rng(0))
 
 
@@ -626,6 +659,7 @@ WALK_TABLES = [
     sdp_table(modular_group_spec(2, 3)),
     vec_table(ZmGroupSpec(3, 2, 1)),
     vec_table(ZmGroupSpec(2, 3, 1)),
+    vec_table(ZmGroupSpec(2, 3, 2)),
 ]
 WALK_ENCODINGS = [
     ("unique", 1, "zero"),
@@ -638,11 +672,14 @@ WALK_ENCODINGS = [
 @given(
     table=st.sampled_from(WALK_TABLES),
     encoding=st.sampled_from(WALK_ENCODINGS),
-    moduli=st.lists(st.integers(1, 6), min_size=1, max_size=3),
-    picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), min_size=4, max_size=4),
+    moduli=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), min_size=5, max_size=5),
     seed=st.integers(0, 2**16),
 )
-@example(WALK_TABLES[2], WALK_ENCODINGS[3], [3, 1, 4], [(5, 1), (7, 2), (1, 3), (2, 0)], 0)
+@example(WALK_TABLES[2], WALK_ENCODINGS[3], [3, 1, 4], [(5, 1), (7, 2), (1, 3), (2, 0), (0, 0)], 0)
+# start (0, 2; 1) is not central: it conjugates g_1 = (0, 3; 1) and g_3 = (0, 1; 0)
+# to other elements, so the walk must left-multiply by h g_d h^-1, not by g_d
+@example(WALK_TABLES[4], WALK_ENCODINGS[0], [9, 2, 7, 3], [(5, 1), (7, 2), (1, 3), (2, 0), (4, 1)], 3)
 @settings(max_examples=150, deadline=None)
 def test_batched_walk_matches_the_per_point_walk(table, encoding, moduli, picks, seed):
     mode, salts, policy = encoding
