@@ -165,11 +165,11 @@ def run_case(table: GroupTable, truth, cfg: RunConfig, rng: np.random.Generator)
     return CaseResult(out, wall_ms, frozenset(out.subgroup) == brute == frozenset(truth))
 
 
-def run_grid(grid, configs_of):
+def run_grid(grid, configs):
     """Run every labelled subgroup of every grid cell, in grid order.
 
-    A cell is rank-one (p, r) or vector (p, r, m).  ``configs_of(cell)``
-    lists the ``(RunConfig, key)`` runs for a cell; the solver's rng is
+    A cell is rank-one (p, r) or vector (p, r, m).  ``configs`` lists the
+    ``(RunConfig, key)`` runs of each subgroup; the solver's rng is
     ``[seed, *cell, subgroup index, *key]``.  Yields
     ``(cell, table, label, truth, cfg, result)`` per run.
     """
@@ -183,21 +183,20 @@ def run_grid(grid, configs_of):
             table = vec_table(ZmGroupSpec(*cell))
             subs = reference.enumerate_all_subgroups(table)
             subs = [(f"sub{si}:order{len(sub)}", sub) for si, sub in enumerate(subs)]
-        configs = configs_of(cell)
         for si, (label, truth) in enumerate(subs):
             for cfg, key in configs:
                 rng = np.random.default_rng([cfg.seed, *cell, si, *key])
                 yield cell, table, label, truth, cfg, run_case(table, truth, cfg, rng)
 
 
-def _sweep(name: str, grid, configs_of) -> CriterionResult:
+def _sweep(name: str, grid, configs) -> CriterionResult:
     """A gate over run_grid that every run must match, confidently; per cell it
     records the worst classical and the mean superposed query count."""
     t0 = time.monotonic()
     failures: list[str] = []
     mismatches = unconfident = 0
     cells: dict[tuple, tuple[int, list, list]] = {}  # cell -> (|G|, classical, superposed)
-    for cell, table, label, truth, cfg, res in run_grid(grid, configs_of):
+    for cell, table, label, truth, cfg, res in run_grid(grid, configs):
         _, classical, superposed = cells.setdefault(cell, (table.order, [], []))
         q = res.outcome.report["queries"]
         classical.append(q["mul"] + q["inv"] + q["eq"] + q["f"])
@@ -234,22 +233,20 @@ def criterion_solver_modular(quick: bool = False) -> CriterionResult:
     encodings = (ENCODINGS[0], ENCODINGS[3]) if quick else ENCODINGS
     seeds = (7,) if quick else SEEDS
 
-    def configs_of(cell):
-        return [
-            (RunConfig(seed, mode, salts, salt_policy, gpol), (ei, gi))
-            for ei, (mode, salts, salt_policy) in enumerate(encodings)
-            for gi, gpol in enumerate(GENERATOR_POLICIES)
-            for seed in seeds
-        ]
-
+    configs = [
+        (RunConfig(seed, mode, salts, salt_policy, gpol), (ei, gi))
+        for ei, (mode, salts, salt_policy) in enumerate(encodings)
+        for gi, gpol in enumerate(GENERATOR_POLICIES)
+        for seed in seeds
+    ]
     grid = MODULAR_GRID_QUICK if quick else MODULAR_GRID
-    return _sweep("solver sweep, rank-one groups", grid, configs_of)
+    return _sweep("solver sweep, rank-one groups", grid, configs)
 
 
 def criterion_solver_vector(quick: bool = False) -> CriterionResult:
     """Full solver sweep over the vector grid against brute force."""
     grid = VECTOR_GRID_QUICK if quick else VECTOR_GRID
-    return _sweep("solver sweep, vector groups", grid, lambda cell: [(RunConfig(seed=7), ())])
+    return _sweep("solver sweep, vector groups", grid, [(RunConfig(seed=7), ())])
 
 
 def criterion_alpha_enumeration() -> CriterionResult:

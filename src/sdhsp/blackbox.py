@@ -102,7 +102,6 @@ class BlackBox:
                 f"over the bound {TABLE_BOUND}"
             )
         self.table = table
-        self.mode = mode
         self.salts = salts
         self.salt_policy = salt_policy
         self._rng = rng if rng is not None else np.random.default_rng(0)
@@ -299,7 +298,9 @@ class HiddenInstance:
 
     def f_walk(self, moduli, identity: OpaqueHandle, gen_handles) -> np.ndarray:
         """Labels of g_1^{u_1} ... g_k^{u_k} over the grid; one superposed call."""
-        labels = self._label_array[self.blackbox._walk(moduli, identity, gen_handles)]
+        walk = self.blackbox._walk(moduli, identity, gen_handles)
+        # every index is in range; 'clip' gathers into the index grid, unbuffered
+        labels = self._label_array.take(walk, out=walk, mode="clip")
         self.counters["f"] += labels.size
         self.counters["superposed_calls"] += 1
         return labels

@@ -299,7 +299,7 @@ def _bench_row(cell: tuple, table, label: str, cfg: RunConfig, res, timings: boo
 
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
-    runs = run_grid(_parse_grid(args.grid), lambda cell: [(cfg, ())])
+    runs = run_grid(_parse_grid(args.grid), [(cfg, ())])
     rows = [
         _bench_row(cell, table, label, cfg, res, args.timings)
         for cell, table, label, _, _, res in runs

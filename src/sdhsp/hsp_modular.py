@@ -60,26 +60,6 @@ class SpecialPair:
     identity: OpaqueHandle
 
 
-@dataclass
-class BranchReport:
-    name: str
-    ran: bool
-    confident: bool | None = None
-    samples_used: int = 0
-    lattice_gens: tuple = ()
-    note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ran": self.ran,
-            "confident": self.confident,
-            "samples_used": self.samples_used,
-            "lattice_gens": [list(g) for g in self.lattice_gens],
-            "note": self.note,
-        }
-
-
 def _require_solver_group(spec) -> None:
     if not isinstance(spec, GroupSpec) or not spec.is_modular:
         raise ValueError("the solver requires the modular maximal-cyclic presentation")
@@ -204,20 +184,27 @@ def _run_branch(
     extras: tuple[OpaqueHandle, ...],
     rng: np.random.Generator,
     delta: float,
-) -> tuple[list[OpaqueHandle], BranchReport]:
+) -> tuple[list[OpaqueHandle], dict]:
+    """Solve one reduction's grid; its candidates and its report record."""
     bb = inst.blackbox
     oracle = AbelianOracle.from_handles(moduli, inst, e, gens)
     res = abelian_hsp_solve(oracle, rng, delta=delta)
     cands = [oracle_lift(bb, e, gens, g) for g in res.lattice.gens]
     cands.extend(extras)
-    report = BranchReport(
-        name=name,
-        ran=True,
-        confident=res.confident,
-        samples_used=res.samples_used,
-        lattice_gens=res.lattice.gens,
-    )
-    return cands, report
+    record = {
+        "name": name,
+        "ran": True,
+        "confident": res.confident,
+        "samples_used": res.samples_used,
+        "lattice_gens": [list(g) for g in res.lattice.gens],
+        "note": "",
+    }
+    return cands, record
+
+
+def _skipped(name: str, note: str) -> dict:
+    """The report record of a branch whose precondition failed."""
+    return dict(name=name, ran=False, confident=None, samples_used=0, lattice_gens=[], note=note)
 
 
 def solve(
@@ -242,17 +229,15 @@ def solve(
     if rng is None:
         rng = np.random.default_rng(0)
     bb = inst.blackbox
+    pair = find_special_pair(bb, gen_handles)  # rejects groups outside the family first
     spec = bb.table.spec
-    _require_solver_group(spec)
     p, r = spec.p, spec.r
-
-    pair = find_special_pair(bb, gen_handles)
     e = pair.identity
     f0 = inst.f(e)
     xp = oracle_pow(bb, pair.x, p, e)
 
     shift, shift_solve = find_shift(inst, pair, rng, delta=delta)
-    branches: list[BranchReport] = []
+    branches: list[dict] = []
     candidates: list[OpaqueHandle] = []
 
     def run_branch(name, moduli, gens, extras) -> None:
@@ -264,7 +249,7 @@ def solve(
     if inst.f(xp) == f0:
         run_branch("quotient", (p, p), (pair.x, pair.y), (xp,))
     else:
-        branches.append(BranchReport("quotient", False, note="x^p lies outside the hidden subgroup"))
+        branches.append(_skipped("quotient", "x^p lies outside the hidden subgroup"))
 
     if shift is not None:
         yprime = shifted_generator(bb, pair, shift)
@@ -272,21 +257,19 @@ def solve(
         if inst.f(ypp) == f0:
             run_branch("inner", (p ** (r - 1), p), (xp, yprime), (ypp,))
         else:
-            branches.append(
-                BranchReport("inner", False, note="corrected generator's p-th power is outside H")
-            )
+            branches.append(_skipped("inner", "corrected generator's p-th power is outside H"))
             if p == 2:
                 w = find_involution_partner(bb, pair, yprime)
                 if w is None:
-                    branches.append(BranchReport("involution", False, note="no involution found"))
+                    branches.append(_skipped("involution", "no involution found"))
                 else:
                     x4 = oracle_pow(bb, pair.x, 2 ** (r - 2), e)
                     run_branch("involution", (4, 2), (x4, w), ())
     else:
-        branches.append(BranchReport("inner", False, note="shift unavailable (full relation lattice)"))
+        branches.append(_skipped("inner", "shift unavailable (full relation lattice)"))
 
     survivors = [h for h in candidates if inst.f(h) == f0]
-    confident = shift_solve.confident and all(b.confident for b in branches if b.ran)
+    confident = shift_solve.confident and all(b["confident"] for b in branches if b["ran"])
     report = {
         "group": {"p": p, "q": spec.q, "r": r, "alpha": spec.alpha},
         # the only sampler; report v2 retires the field
@@ -298,7 +281,7 @@ def solve(
             "confident": shift_solve.confident,
             "samples_used": shift_solve.samples_used,
         },
-        "branches": [b.as_dict() for b in branches],
+        "branches": branches,
         "candidates_kept": len(survivors),
         "confident": confident,
         "queries": inst.query_stats(),

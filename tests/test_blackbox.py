@@ -1,5 +1,6 @@
 """Opaque encodings, oracle bookkeeping, and instance construction."""
 
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -356,6 +357,24 @@ def test_f_goes_through_the_query_counter():
     stats = inst.query_stats()
     assert stats["f"] == 14
     assert stats["superposed_calls"] == 3
+
+
+def test_f_walk_gathers_labels_into_the_walk_grid():
+    # The labels overwrite the walk's element indices in place, so one
+    # superposed call holds one grid, not an index grid and a label grid.
+    table = sdp_table(modular_group_spec(2, 12))
+    inst, _ = make_hidden_instance(table, frozenset({Element(0, 0)}), seed=0)
+    bb = inst.blackbox
+    gens = [bb.encode(Element(2, 0)), bb.encode(Element(6, 1))]
+    walk = ((2048, 2048), bb.encode(Element(0, 0)), gens)
+    tracemalloc.start()
+    try:
+        labels = inst.f_walk(*walk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * labels.nbytes
+    np.testing.assert_array_equal(labels, inst._label_array[bb._walk(*walk)])
 
 
 def test_generator_policies():

@@ -1,5 +1,7 @@
 """Solver for the rank-one modular groups, against the brute-force route."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from sdhsp.sdp_group import (
 )
 
 P32 = modular_group_spec(3, 2)
+GENERATORS = ("canonical", "scrambled")
 
 
 def element_order(spec, e):
@@ -214,3 +217,46 @@ def test_salted_fresh_encoding_end_to_end():
         )
         out = solve(inst, handles, rng=np.random.default_rng(78))
         assert frozenset(out.subgroup) == truth
+
+
+
+RECORD_KEYS = ["name", "ran", "confident", "samples_used", "lattice_gens", "note"]
+SKIP_NOTES = {
+    "quotient": {"x^p lies outside the hidden subgroup"},
+    "inner": {
+        "corrected generator's p-th power is outside H",
+        "shift unavailable (full relation lattice)",
+    },
+    "involution": {"no involution found"},
+}
+
+
+def test_every_branch_record_has_the_six_report_keys():
+    kinds = set()  # (branch, "ran") or (branch, the note it was skipped with)
+    for p, r in ((2, 3), (2, 4), (3, 2), (3, 3)):
+        spec = modular_group_spec(p, r)
+        for desc, policy, seed in product(enumerate_subgroups(spec), GENERATORS, range(3)):
+            _, truth, inst, handles = instance_for(spec, desc, generator_policy=policy, seed=seed)
+            out = solve(inst, handles, rng=np.random.default_rng(seed))
+            assert frozenset(out.subgroup) == truth
+            for b in out.report["branches"]:
+                assert list(b) == RECORD_KEYS
+                if b["ran"]:
+                    assert isinstance(b["confident"], bool)
+                    assert b["samples_used"] > 0
+                    kinds.add((b["name"], "ran"))
+                else:
+                    assert b["confident"] is None
+                    assert b["samples_used"] == 0
+                    assert b["lattice_gens"] == []
+                    assert b["note"] in SKIP_NOTES[b["name"]]
+                    kinds.add((b["name"], b["note"]))
+    # "no involution found" does not occur on these grids, so it is not required
+    assert kinds >= {
+        ("quotient", "ran"),
+        ("quotient", "x^p lies outside the hidden subgroup"),
+        ("inner", "ran"),
+        ("inner", "corrected generator's p-th power is outside H"),
+        ("inner", "shift unavailable (full relation lattice)"),
+        ("involution", "ran"),
+    }

@@ -3,8 +3,8 @@
 perfbench/ traces functions by module path and builds its cases through
 package exports; a moved or renamed definition would only show up in the
 slow traced benchmark run.  This test reads perfbench/tracing.py without
-installing anything and checks every trace point and every call signature
-that perfbench/cases.py relies on.
+installing anything and checks every trace point, every call signature
+that perfbench/cases.py relies on, and the argument branch spans are named by.
 """
 
 import importlib
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import sdhsp
-from sdhsp import hsp_vector, reference, sdp_group
+from sdhsp import hsp_modular, hsp_vector, reference, sdp_group
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -94,3 +94,34 @@ def test_call_signatures_the_cases_use():
     inspect.signature(reference.brute_force_hidden_subgroup).bind(table, len)
     outcome_fields = set(inspect.signature(sdhsp.SolveOutcome).parameters)
     assert {"subgroup", "confident", "report"} <= outcome_fields
+
+
+def test_branch_spans_take_their_name_from_the_first_argument(monkeypatch):
+    # tracing.py names each hsp_modular.branch span by args[0] of _run_branch
+    assert next(iter(inspect.signature(hsp_modular._run_branch).parameters)) == "name"
+    real, names = hsp_modular._run_branch, []
+
+    def spy(*args, **kwargs):
+        assert not kwargs
+        names.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hsp_modular, "_run_branch", spy)
+    # quotient runs for xpower:1 of (3,2), inner for cyclicxy:1,1; the skewed
+    # pair (x, x*y) sends xpowery:4 of (2,4) to the involution branch
+    cases = (
+        ((3, 2), "xpower:1", False),
+        ((3, 2), "cyclicxy:1,1", False),
+        ((2, 4), "xpowery:4", True),
+    )
+    for (p, r), label, skewed in cases:
+        spec = sdhsp.modular_group_spec(p, r)
+        table = sdhsp.sdp_table(spec)
+        desc = next(d for d in sdhsp.enumerate_subgroups(spec) if d.label() == label)
+        truth = frozenset(sdp_group.subgroup_elements(spec, desc))
+        inst, handles = sdhsp.make_hidden_instance(table, truth, seed=0)
+        if skewed:
+            x, y = table.standard_generators
+            handles = [inst.blackbox.encode(x), inst.blackbox.encode(table.mul(x, y))]
+        sdhsp.solve_modular(inst, handles, rng=np.random.default_rng(0))
+    assert set(names) == {"quotient", "inner", "involution"}
