@@ -13,10 +13,11 @@ The salt of an oracle result is chosen by policy:
   'fresh'     drawn from the instance RNG on every call.
 
 The handles, read as big-endian integers, form a uint64 table of shape
-(order, salts) whose row is the element's index in ``table.elements``; a
-dict maps handle bytes back to that index.  Below ``encode``/``reveal``
-everything is an element index: the oracles decode handles to indices,
-apply the table's scalar law and read the result's handle from the table.
+(order, salts), drawn as one array, whose row is the element's index in
+``table.elements``; a dict built in one pass maps handle bytes back to that
+index.  Below ``encode``/``reveal`` everything is an element index: the
+oracles decode handles to indices, apply the table's scalar law and read
+the result's handle from the table.
 The superposed walk over h g_1^{u_1}...g_k^{u_k} stays on element indices,
 filled last axis first in contiguous blocks, each an earlier block times a
 power of h g_d h^-1 on the left: ``HiddenInstance.f_walk`` labels them, and
@@ -59,14 +60,19 @@ class OpaqueHandle:
         return int.from_bytes(self.data, "big")
 
 
-def draw_distinct(draw: Callable[[int], Iterable], k: int) -> list:
-    """k distinct values from ``draw(n)``, which returns n values: repeats are
-    dropped in order and only the shortfall is redrawn.  When ``draw(n)`` uses
-    the stream of n single draws, so does this, redrawing on a repeat."""
-    drawn: dict = {}
-    while len(drawn) < k:
-        drawn.update(dict.fromkeys(draw(k - len(drawn))))
-    return list(drawn)
+def draw_distinct(draw: Callable[[int], np.ndarray], k: int) -> np.ndarray:
+    """k >= 1 distinct values from ``draw(n)``, which returns an array of n
+    values: repeats, which one sort usually rules out, are dropped in draw
+    order and only the shortfall is redrawn.  When ``draw(n)`` uses the
+    stream of n single draws, so does this, redrawing on a repeat."""
+    drawn = draw(k)
+    while True:
+        ordered = np.sort(drawn)
+        if (ordered[1:] == ordered[:-1]).any():  # keep first occurrences
+            drawn = drawn[np.sort(np.unique(drawn, return_index=True)[1])]
+        if drawn.size == k:
+            return drawn
+        drawn = np.concatenate((drawn, draw(k - drawn.size)))
 
 
 class BlackBox:
@@ -74,10 +80,10 @@ class BlackBox:
 
     ``codes`` holds every handle as a uint64, one row per element index and
     one column per salt; ``encode`` and the oracles read their results from
-    it.  ``draw_distinct`` draws the table from ``rng`` in row order: the
-    handles and end state of one 8-byte draw per (element, salt).  ``_walk``
-    is the batched oracle walk over a grid of products; it books what the
-    per-point ``oracle_mul`` walk would.
+    it.  ``draw_distinct`` draws the table from ``rng`` as one array in row
+    order: the handles and end state of one 8-byte draw per (element, salt).
+    ``_walk`` is the batched oracle walk over a grid of products; it books
+    what the per-point ``oracle_mul`` walk would.
     """
 
     def __init__(
@@ -108,15 +114,14 @@ class BlackBox:
         self.counters = {"mul": 0, "inv": 0, "eq": 0}
         # Keyed pseudorandom injection: no two handles collide.  Draws of
         # whole 8-byte chunks concatenate, so they consume the per-handle stream.
-        def chunks(k: int):
-            blob = self._rng.bytes(HANDLE_BYTES * k)
-            return (blob[i : i + HANDLE_BYTES] for i in range(0, len(blob), HANDLE_BYTES))
-
-        drawn = draw_distinct(chunks, table.order * salts)
-        # handle bytes -> element index; codes[i, s] is the handle of index i under salt s
-        self._decode_map: dict[bytes, int] = {h: k // salts for k, h in enumerate(drawn)}
-        flat = np.frombuffer(b"".join(drawn), dtype=">u8").astype(np.uint64)
+        flat = draw_distinct(
+            lambda k: np.frombuffer(self._rng.bytes(HANDLE_BYTES * k), ">u8"), table.order * salts
+        ).astype(np.uint64)
         self.codes = flat.reshape(table.order, salts)
+        # handle bytes -> element index; unlike 'S8', 'V8' keeps trailing zero bytes
+        self._decode_map: dict[bytes, int] = dict(
+            zip(flat.astype(">u8").view("V8").tolist(), (np.arange(flat.size) // salts).tolist())
+        )
 
     # -- construction-side access (not part of the solver surface) ---------
 
@@ -364,7 +369,7 @@ def make_hidden_instance(
     # one label per coset, drawn in order of least members
     reps = np.flatnonzero(least == everything)
     labels = np.zeros(table.order, dtype=np.int64)
-    labels[reps] = draw_distinct(lambda n: label_rng.integers(0, 2**63, size=n).tolist(), reps.size)
+    labels[reps] = draw_distinct(lambda n: label_rng.integers(0, 2**63, size=n), reps.size)
     inst = HiddenInstance(bb, H, labels[least])
 
     if generator_policy == "canonical":

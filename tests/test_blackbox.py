@@ -5,6 +5,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdhsp.blackbox import (
     BlackBox,
@@ -121,20 +123,61 @@ class ScriptedIntegers:
         return out[0] if size is None else np.array(out)
 
 
+def per_value_draws(rng, k):
+    """The per-value loop ``draw_distinct`` stands for: one draw per value,
+    redrawn while it repeats an earlier one."""
+    want: list = []
+    for _ in range(k):
+        value = rng.integers(0, 2**63)
+        while value in want:
+            value = rng.integers(0, 2**63)
+        want.append(value)
+    return want
+
+
 def test_distinct_draws_redraw_only_the_shortfall_like_the_per_value_loop():
     # 5 values wanted: the first draw repeats 5 and 7, the top-up repeats 7
     values = [5, 7, 5, 9, 7, 7, 11, 12]
     stub, ref = ScriptedIntegers(values), ScriptedIntegers(values)
-    got = draw_distinct(lambda n: stub.integers(0, 2**63, size=n).tolist(), 5)
-    want: list = []
-    for _ in range(5):
-        value = ref.integers(0, 2**63)
-        while value in want:
-            value = ref.integers(0, 2**63)
-        want.append(value)
-    assert got == want == [5, 7, 9, 11, 12]
+    got = draw_distinct(lambda n: stub.integers(0, 2**63, size=n), 5)
+    assert got.tolist() == per_value_draws(ref, 5) == [5, 7, 9, 11, 12]
     assert stub.draws == [5, 2, 1]
     assert stub.pos == ref.pos == len(values)
+
+
+@given(st.integers(1, 12), st.lists(st.integers(0, 7), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_distinct_draws_match_the_per_value_loop(k, head):
+    # values from 0..7 repeat often, also between a top-up and earlier
+    # draws; the fresh tail makes k distinct values reachable
+    values = head + list(range(8, 8 + k))
+    stub, ref = ScriptedIntegers(values), ScriptedIntegers(values)
+    got = draw_distinct(lambda n: stub.integers(0, 2**63, size=n), k)
+    assert got.tolist() == per_value_draws(ref, k)
+    # each draw asks for exactly the shortfall left by the ones before it
+    sizes, pos = [], 0
+    while (distinct := len(set(values[:pos]))) < k:
+        sizes.append(k - distinct)
+        pos += sizes[-1]
+    assert stub.draws == sizes
+    assert stub.pos == ref.pos == pos
+
+
+@pytest.mark.parametrize("salts", [1, 2])
+def test_handles_ending_in_zero_bytes_round_trip(salts):
+    # every scripted code ends in a zero byte; 0x01 << 56 and 0 end in seven and eight
+    table = sdp_table(modular_group_spec(3, 2))
+    rest = [v << 8 for v in range(3, table.order * salts)]
+    half = len(rest) // 2
+    values = [0x0100000000000000, *rest[:half], 0x0000000000000100, *rest[half:], 0]
+    bb = BlackBox(table, mode="salted", salts=salts, rng=ScriptedBytes(values))
+    assert bb.codes.ravel().tolist() == values
+    for i, g in enumerate(table.elements):
+        for salt in range(salts):
+            h = bb.encode(g, salt)
+            assert h.data == values[i * salts + salt].to_bytes(8, "big")
+            assert bb._decode_index(h) == i
+            assert bb.reveal(h) == g
 
 
 def reference_labels(table, H, seed):

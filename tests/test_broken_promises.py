@@ -6,7 +6,8 @@ do not generate the group, abelian handles that do not form a basis, a
 salted encoding given to the vector solver, which needs unique encodings,
 or a hiding function that is not periodic or gives two cosets one label.
 At the element edge, an element outside the group or a salt outside the
-box raises ValueError too.
+box raises ValueError too, and so does a handle one byte too long or too
+short, or eight bytes the box never issued, at the decode boundary.
 """
 
 import numpy as np
@@ -51,6 +52,35 @@ def _stranger(kind):
         return OpaqueHandle(bytes(8))
     _, other_handles = rank_one_instance(seed=1)
     return other_handles[0]
+
+
+def _malformed(kind, bb, valid):
+    """A handle that is not in ``bb``'s table, built from ``valid``'s bytes."""
+    if kind == "9 bytes":
+        return OpaqueHandle(b"\x00" + valid.data)
+    if kind == "7 bytes":
+        return OpaqueHandle(valid.data[1:])
+    issued = set(bb.codes.ravel().tolist())
+    # the least code the box never issued
+    return OpaqueHandle(min(set(range(len(issued) + 1)) - issued).to_bytes(8, "big"))
+
+
+@pytest.mark.parametrize("kind", ["9 bytes", "7 bytes", "8 bytes not issued"])
+@pytest.mark.parametrize("call", ["mul left", "mul right", "eq left", "eq right", "reveal"])
+def test_malformed_handle_at_the_decode_boundary(call, kind):
+    inst, handles = rank_one_instance(seed=0)
+    bb = inst.blackbox
+    valid = handles[0]
+    bad = _malformed(kind, bb, valid)
+    calls = {
+        "mul left": lambda: bb.oracle_mul(bad, valid),
+        "mul right": lambda: bb.oracle_mul(valid, bad),
+        "eq left": lambda: bb.oracle_eq(bad, valid),
+        "eq right": lambda: bb.oracle_eq(valid, bad),
+        "reveal": lambda: bb.reveal(bad),
+    }
+    with pytest.raises(ValueError, match="^unknown encoding$"):
+        calls[call]()
 
 
 @pytest.mark.parametrize("kind", ["foreign", "other instance"])

@@ -43,6 +43,10 @@ PINNED_REPORTS = {
         "solve-p", "--p", "2", "--r", "4", "--hidden", "random", "--encoding", "salted:4",
         "--salt-policy", "operands", "--generators", "scrambled", "--seed", "3",
     ),
+    "solve_p_3_6_salted16_fresh.json": (
+        "solve-p", "--p", "3", "--r", "6", "--hidden", "random", "--encoding", "salted:16",
+        "--salt-policy", "fresh", "--generators", "scrambled", "--seed", "11",
+    ),
     "solve_p_large_cyclicxy.json": (
         "solve-p", "--p", "2", "--r", "8", "--hidden", "cyclicxy:1,3", "--seed", "5",
     ),
