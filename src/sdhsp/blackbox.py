@@ -22,8 +22,8 @@ The superposed walk over h g_1^{u_1}...g_k^{u_k} stays on element indices,
 filled last axis first in contiguous blocks, each an earlier block times a
 power of h g_d h^-1 on the left: ``HiddenInstance.f_walk`` labels them, and
 ``walk_codes`` (unique encodings only) reads their codes.  It books the
-``mul`` count and, under 'fresh', the RNG draws of one ``oracle_mul`` per
-point; no intermediate product gets a salt: f labels all its encodings alike.
+``mul`` count of one ``oracle_mul`` per point and draws nothing: no
+intermediate product gets a salt, as f labels all its encodings alike.
 
 ``reveal`` decodes a handle back to coordinates.  It exists for reports and
 tests; solver code must never call it.
@@ -83,7 +83,7 @@ class BlackBox:
     it.  ``draw_distinct`` draws the table from ``rng`` as one array in row
     order: the handles and end state of one 8-byte draw per (element, salt).
     ``_walk`` is the batched oracle walk over a grid of products; it books
-    what the per-point ``oracle_mul`` walk would.
+    the ``mul`` count of the per-point ``oracle_mul`` walk, and no RNG draw.
     """
 
     def __init__(
@@ -178,7 +178,8 @@ class BlackBox:
         doubling a contiguous prefix: as h g_d^L x = c_d^L h x, c_d = h g_d h^-1,
         the cells with u_d in [L, L + W) and earlier digits 0 are the first W
         of that block times c_d^L on the left, a permutation of the element
-        indices.  Validates every handle before booking ``mul += total - 1``.
+        indices.  Validates every handle before booking ``mul += total - 1``;
+        draws no salt, as no intermediate product reaches a caller.
         """
         moduli = tuple(int(n) for n in moduli)
         if len(gen_handles) != len(moduli):
@@ -186,11 +187,6 @@ class BlackBox:
         start, *gens = (self._decode_index(h) for h in (identity, *gen_handles))
         total = math.prod(moduli)
         self.counters["mul"] += total - 1
-        if self.salts > 1 and self.salt_policy == "fresh":
-            # The salts of intermediate products never reach a caller, but the
-            # per-point walk drew one per step; drawing them keeps the instance
-            # RNG, and so every later handle, as that walk leaves it.
-            self._rng.integers(0, self.salts, size=total - 1)
         elems = np.empty(total, dtype=np.int64)
         elems[0], done = start, 1  # cells [0, done) are filled: the block u_d = 0
         everything, h_inv = np.arange(self.table.order), self.table.iinv(start)

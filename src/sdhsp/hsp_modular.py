@@ -218,10 +218,12 @@ def solve(
     Returns surviving generator handles, their post-hoc revealed
     coordinates, the full subgroup closure, and a JSON-friendly report.
     ``confident`` is True when every abelian solve that contributed was
-    verified: the output is then exact under the hiding promise.  Every
-    superposed grid evaluated was certified periodic and injective on its
-    cosets, or the solve raised ValueError; an f relabelled off those grids
-    goes unseen.  Candidates are always filtered by f-membership, so even a
+    verified: the output is then exact under the hiding promise.  Without
+    the promise it certifies the evidence: a confident answer K hides f on
+    the set E of elements the solve evaluated, pointwise or on a superposed
+    grid (f(x) = f(y) iff xK = yK for x, y in E).  Every superposed grid
+    evaluated was certified periodic and injective on its cosets, or the
+    solve raised ValueError; an f relabelled off E goes unseen.  Candidates are always filtered by f-membership, so even a
     low-confidence result never contains an element outside H.
     """
     if not 0.0 < delta <= 0.5:

@@ -236,9 +236,13 @@ def solve(
     abelian instance, map the m + 1 echelon basis rows of its lattice
     through the reduction map.
     ``confident`` requires every stage to have verified its output: the
-    result is then exact under the hiding promise.  Every superposed grid
-    evaluated was certified periodic and injective on its cosets, or the
-    solve raised ValueError; an f relabelled off those grids goes unseen.
+    result is then exact under the hiding promise.  Without the promise it
+    certifies the evidence: a confident answer K hides f on the set E of
+    elements the solve evaluated, pointwise or on a superposed grid (f(x) =
+    f(y) iff xK = yK for x, y in E; handle-code grids are not f values).
+    Every superposed grid evaluated was certified periodic and injective on
+    its cosets, or the solve raised ValueError; an f relabelled off E goes
+    unseen.
     All returned elements pass the f-membership filter regardless.
     """
     if not 0.0 < delta <= 0.5:

@@ -4,8 +4,9 @@ A periodic function F on Z_{n_1} x ... x Z_{n_k} hides a lattice
 L = { u : F(u) = F(0) }.  One round of the standard coset-state experiment
 prepares a uniform superposition, evaluates F, measures the value register,
 Fourier-transforms each axis, and measures.  The outcome is a uniform draw
-from the annihilator L^perp.  ``draw_samples`` simulates that experiment
-densely, at every domain size.
+from the annihilator L^perp, whatever the measured value.  ``draw_samples``
+simulates that experiment densely, at every domain size, with one uniform
+draw per round.
 
 Translating a coset state changes only the phases of its Fourier
 transform, so when every level set of F translates F(0)'s, a subgroup L,
@@ -25,10 +26,9 @@ classical queries.
 Oracles over a black box are built in one batched pass inside the black
 box: ``HiddenInstance.f_walk`` labels g_1^{u_1}...g_k^{u_k} over the whole
 grid, and ``BlackBox.walk_codes`` gives their handle codes under a unique
-encoding.  The walk books the ``mul`` calls and RNG draws of one
-``oracle_mul`` per grid point in row-major order, so counters and answers
-match a point-by-point walk.  Grid values are labels or codes, compared only
-for equality.
+encoding.  The walk books the ``mul`` calls of one ``oracle_mul`` per grid
+point and draws no salt, so counters and answers match a point-by-point
+walk.  Grid values are labels or codes, compared only for equality.
 """
 
 from __future__ import annotations
@@ -213,23 +213,16 @@ def draw_samples(
     oracle: AbelianOracle, rng: np.random.Generator, count: int
 ) -> list[tuple[int, ...]]:
     """Dense simulation of `count` independent coset-state rounds.  Every
-    coset of a certified oracle translates F(0)'s, so a round draws one
-    uniform from the cached L^perp CDF, as ``rng.choice(p=)`` would, and
-    reads no grid.  An oracle that cannot be certified raises ValueError
-    before any round is booked."""
-    moduli = oracle.moduli
+    coset of a certified oracle translates F(0)'s, so the measured value
+    only changes phases and each round is a uniform draw from the cached
+    L^perp CDF; the rounds take one ``rng.random(count)``, as
+    ``rng.choice(size=count, p=)`` would, and read no grid.  An oracle that
+    cannot be certified raises ValueError before any round is booked."""
     _, outcomes, cdf = oracle._certificate
-    strides = tuple(math.prod(moduli[i + 1 :]) for i in range(len(moduli)))
-    out: list[tuple[int, ...]] = []
     for _ in range(count):
         oracle.note_sample()
-        # measuring the value register collapses to the coset of a uniform u0;
-        # u0 only changes phases, and is drawn to keep the RNG stream
-        for n in moduli:
-            rng.integers(0, n)
-        flat = int(outcomes[cdf.searchsorted(rng.random(), side="right")])
-        out.append(tuple(flat // s % n for s, n in zip(strides, moduli)))
-    return out
+    flat = outcomes[cdf.searchsorted(rng.random(count), side="right")]
+    return list(zip(*(axis.tolist() for axis in np.unravel_index(flat, oracle.moduli))))
 
 
 # -- the hidden-lattice solver ---------------------------------------------------

@@ -5,6 +5,8 @@ from another black box (to a solver or an oracle walk), handle sets that
 do not generate the group, abelian handles that do not form a basis, a
 salted encoding given to the vector solver, which needs unique encodings,
 or a hiding function that is not periodic or gives two cosets one label.
+A hiding function with a few elements relabelled may still be answered,
+but a confident answer must hide f on every element the solve evaluated.
 At the element edge, an element outside the group or a salt outside the
 box raises ValueError too, and so does a handle one byte too long or too
 short, or eight bytes the box never issued, at the decode boundary.
@@ -13,11 +15,12 @@ short, or eight bytes the box never issued, at the decode boundary.
 import numpy as np
 import pytest
 
-from sdhsp.blackbox import HiddenInstance, OpaqueHandle, make_hidden_instance
+from sdhsp.blackbox import BlackBox, HiddenInstance, OpaqueHandle, make_hidden_instance
 from sdhsp.hsp_modular import solve as solve_modular
 from sdhsp.hsp_vector import VecInstance, make_vec_instance
 from sdhsp.hsp_vector import solve as solve_vector
 from sdhsp.qsim import AbelianOracle, draw_samples
+from sdhsp.reference import enumerate_all_subgroups
 from sdhsp.sdp_group import (
     Element,
     VecElement,
@@ -217,3 +220,137 @@ def test_the_element_edge_raises_a_typed_error(call):
     )
     with pytest.raises(ValueError, match="is not in|out of range"):
         call(inst)
+
+
+# -- relabelled f: what a confident answer certifies ----------------------------
+
+RELABEL_RUNS = 25  # instances per cell and encoding
+
+
+def planted(subgroups, seed):
+    """From `subgroups`, smallest first: the trivial one for a third of the
+    seeds, where a relabel onto another element's label merges two one-point
+    cosets, which only the certificate's injectivity check refuses; otherwise
+    any subgroup."""
+    return subgroups[0] if seed % 3 == 0 else subgroups[seed * 7 % len(subgroups)]
+
+
+def rank_one_builds(p, r, mode, salts, policy):
+    spec = modular_group_spec(p, r)
+    table = sdp_table(spec)
+    subgroups = sorted((subgroup_elements(spec, d) for d in enumerate_subgroups(spec)), key=len)
+
+    def build(seed):
+        inst, handles = make_hidden_instance(
+            table, planted(subgroups, seed), mode=mode, salts=salts, salt_policy=policy,
+            generator_policy="scrambled", seed=seed,
+        )
+        return inst, lambda f, rng: solve_modular(f, handles, rng=rng)
+
+    return build
+
+
+def vector_builds(p, r, m):
+    spec = ZmGroupSpec(p, r, m)
+    subgroups = enumerate_all_subgroups(vec_table(spec))
+
+    def build(seed):
+        vin = make_vec_instance(
+            spec, planted(subgroups, seed), generator_policy="scrambled", seed=seed
+        )
+        return vin.instance, lambda f, rng: solve_vector(
+            VecInstance(f, vin.a_handles, vin.y_handle), rng=rng
+        )
+
+    return build
+
+
+RELABEL_CELLS = {
+    **{
+        f"({p},{r}) {mode}:{salts}:{policy}": (rank_one_builds, (p, r, mode, salts, policy))
+        for p, r in ((3, 2), (2, 3), (3, 3), (5, 2))
+        for mode, salts, policy in (("unique", 1, "zero"), ("salted", 4, "fresh"))
+    },
+    **{f"({p},{r},{m})": (vector_builds, (p, r, m)) for p, r, m in ((3, 2, 1), (2, 3, 1), (2, 3, 2))},
+}
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The element indices at which f is evaluated, pointwise or on a
+    superposed grid; ``walk_codes`` grids hold handle codes, not f values,
+    and stay out."""
+    seen: set[int] = set()
+    in_f_walk = []
+    walk, f, f_walk = BlackBox._walk, HiddenInstance.f, HiddenInstance.f_walk
+
+    def spy_walk(bb, *args):
+        grid = walk(bb, *args)
+        if in_f_walk:
+            seen.update(np.unique(grid).tolist())
+        return grid
+
+    def spy_f_walk(inst, *args):
+        in_f_walk.append(True)
+        try:
+            return f_walk(inst, *args)
+        finally:
+            in_f_walk.pop()
+
+    def spy_f(inst, h):
+        seen.add(inst.blackbox._decode_index(h))
+        return f(inst, h)
+
+    monkeypatch.setattr(BlackBox, "_walk", spy_walk)
+    monkeypatch.setattr(HiddenInstance, "f_walk", spy_f_walk)
+    monkeypatch.setattr(HiddenInstance, "f", spy_f)
+    return seen
+
+
+def relabelled(inst, rng):
+    """`inst` with 1-3 non-identity elements relabelled, each to the label of
+    an element of another coset or to a fresh label; and their indices."""
+    labels = inst._label_array.copy()
+    moved = rng.choice(np.arange(1, labels.size), size=int(rng.integers(1, 4)), replace=False)
+    for i in moved:
+        others = np.flatnonzero(labels != labels[i])
+        fresh = others.size == 0 or rng.random() < 0.5
+        labels[i] = labels.max() + 1 if fresh else labels[rng.choice(others)]
+    return HiddenInstance(inst.blackbox, inst.truth_elements(), labels), set(moved.tolist())
+
+
+def hides_on(table, labels, seen, subgroup) -> bool:
+    """Whether f(x) = f(y) iff xK = yK for all x, y in `seen`, K = `subgroup`."""
+    xs = np.array(sorted(seen))
+    ks = np.array([table.index(g) for g in subgroup])
+    coset = table.index_mul(xs[:, None], ks[None, :]).min(axis=1)  # xK's least index
+    values = labels[xs].tolist()
+    return len(set(zip(values, coset.tolist()))) == len(set(values)) == len(set(coset.tolist()))
+
+
+@pytest.mark.parametrize("cell", RELABEL_CELLS)
+def test_a_confident_answer_hides_f_on_every_evaluated_element(evaluated, cell):
+    make, args = RELABEL_CELLS[cell]
+    build = make(*args)
+    kinds = set()
+    for seed in range(RELABEL_RUNS):
+        intact, solve = build(seed)
+        twin, solve_twin = build(seed)  # the same instance, its own black box
+        broken, moved = relabelled(twin, np.random.default_rng([seed, 1]))
+        evaluated.clear()
+        try:
+            out = solve_twin(broken, np.random.default_rng(seed))
+        except ValueError:
+            out = None
+        seen = set(evaluated)
+        saw_relabel = bool(seen & moved)
+        kinds.add((saw_relabel, "error" if out is None else out.confident))
+        if out is not None and out.confident:
+            assert hides_on(intact.blackbox.table, broken._label_array, seen, out.subgroup)
+        if not saw_relabel:
+            # nothing the solve read changed: it is the solve on the intact f
+            assert out == solve(intact, np.random.default_rng(seed))
+    # relabels seen and refused, seen and still answered, and (rank-one only:
+    # the vector solver's reduced grid is the whole group) missed altogether
+    assert {(True, "error"), (True, True)} <= kinds
+    assert (False, True) in kinds or make is vector_builds

@@ -63,6 +63,10 @@ PINNED_REPORTS = {
         "solve-zm", "--p", "3", "--r", "3", "--m", "2", "--hidden", "random", "--seed", "2",
     ),
     "bench_mixed.csv": ("bench", "--grid", "3,2;2,3;3,2,1", "--seed", "7"),
+    "bench_salted_fresh.csv": (
+        "bench", "--grid", "3,3;2,4", "--encoding", "salted:4", "--salt-policy", "fresh",
+        "--generators", "scrambled", "--seed", "7",
+    ),
 }
 
 

@@ -354,15 +354,13 @@ def test_unconfident_tail_evaluates_each_final_generator_once(monkeypatch):
 
 
 def reference_draw_samples(oracle, rng, count=1):
-    """The literal sampler: one full-grid ifftn and one rng.choice(p=) per sample."""
-    out = []
+    """The literal sampler: F(0)'s level set transformed by one full-grid
+    ifftn, and one rng.choice(size=count, p=) for all the rounds."""
     for _ in range(count):
         oracle.note_sample()
-        u0 = tuple(int(rng.integers(0, n)) for n in oracle.moduli)
-        probs = literal_coset_probs(oracle.grid == oracle.grid[u0])
-        flat = int(rng.choice(oracle.domain_size, p=probs))
-        out.append(tuple(int(x) for x in np.unravel_index(flat, oracle.moduli)))
-    return out
+    probs = literal_coset_probs(oracle.grid == oracle.f0())
+    flat = rng.choice(oracle.domain_size, size=count, p=probs)
+    return [tuple(int(x) for x in np.unravel_index(i, oracle.moduli)) for i in flat]
 
 
 def character_oracle(moduli, rows) -> AbelianOracle:
@@ -442,6 +440,29 @@ def test_cached_transform_draws_what_the_literal_sampler_draws(moduli, rows, see
     order, outcomes, _ = oracle._certificate
     assert np.array_equal(outcomes, annihilator_indices(moduli, rows))
     assert order * outcomes.size == oracle.domain_size
+
+
+@pytest.mark.parametrize(
+    "moduli, rows",
+    [(m, rows) for m, rows in CHARACTER_FIXTURES if math.prod(m) <= 10_000],
+    ids=str,
+)
+def test_every_coset_state_measures_like_f0s(moduli, rows):
+    # a coset u0 + L transforms to F(0)'s coset's amplitudes times phases, so
+    # the measured value of F changes nothing and a round need not draw u0
+    oracle = character_oracle(moduli, rows)
+    want = literal_coset_probs(oracle.grid == oracle.f0())
+    for value in np.unique(oracle.grid):
+        assert np.allclose(literal_coset_probs(oracle.grid == value), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 300])
+def test_a_round_draws_one_random_per_sample(count):
+    oracle = character_oracle((9, 9, 3), ((1, 3, 1),))
+    rng, twin = np.random.default_rng(count), np.random.default_rng(count)
+    assert len(draw_samples(oracle, rng, count)) == count
+    twin.random(count)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("point", [(1, 1), (3, 1)], ids=["off L", "in L"])
@@ -698,8 +719,8 @@ def test_batched_walk_matches_the_per_point_walk(table, encoding, moduli, picks,
     assert got.shape == tuple(moduli)
     assert got.ravel().tolist() == [ref_bb._decode_index(h) for h in want]
     assert walk_bb.counters == ref_bb.counters == {"mul": total - 1, "inv": 0, "eq": 0}
-    # under 'fresh' both consumed total - 1 salt draws; otherwise none
-    assert walk_bb._rng.bit_generator.state == ref_bb._rng.bit_generator.state
+    # no intermediate product reaches a caller, so the walk draws no salt
+    assert walk_bb._rng.bit_generator.state == blackbox()._rng.bit_generator.state
     if mode == "unique":
         codes_bb = blackbox()
         codes = codes_bb.walk_codes(moduli, start, gens)
@@ -737,9 +758,11 @@ def test_oracle_from_handles_books_one_superposed_evaluation(encoding):
     bb = inst.blackbox
     e = bb.encode(table.identity)
     moduli = (9, 3)
-    before = inst.query_stats()
+    before, state = inst.query_stats(), bb._rng.bit_generator.state
     oracle = AbelianOracle.from_handles(moduli, inst, e, handles)
     after = inst.query_stats()
+    # f_walk draws no salt, under any policy
+    assert bb._rng.bit_generator.state == state
     assert after["mul"] - before["mul"] == 26
     assert after["f"] - before["f"] == 27
     assert after["superposed_calls"] - before["superposed_calls"] == 1
