@@ -317,8 +317,12 @@ class HiddenInstance:
         return self._truth
 
     def label_of_element(self, g: Any) -> int:
-        """Direct label lookup for the reference layer (not counted)."""
-        return self._labels[self.blackbox.table.index(g)]
+        """Direct label lookup for the reference layer (not counted), in one
+        dict lookup; outside the group, ``GroupTable.index``'s ValueError."""
+        try:
+            return self._labels[self.blackbox.table.positions[g]]
+        except KeyError:  # g is not in the group: index raises its ValueError
+            return self._labels[self.blackbox.table.index(g)]
 
     def query_stats(self) -> dict[str, int]:
         stats = dict(self.blackbox.counters)

@@ -15,14 +15,14 @@ group of order p^(r+1); those are the groups the hidden-subgroup solver in
 vector family (``ZmGroupSpec``, solved by ``hsp_vector``) fixes q = p and
 that twist, with elements (a_1..a_m, b) and the same law coordinate-wise.
 
-Below the element dataclasses a group element is its integer index, its
-position in ``table.elements``: mixed radix over the coordinates, then b,
-i.e. ``a*q + b`` in the rank-one family.  Index order is the lexicographic
-order of the elements.  A ``GroupTable`` carries the one law of both
-families on indices twice: as a scalar law (``imul``, ``iinv``) and
-vectorized over numpy arrays (``index_mul``).  Everything that takes or
-returns ``Element``/``VecElement`` values (``GroupTable.mul``/``inv``,
-``compose``) only decodes, calls the scalar law and encodes.
+Elements are named tuples (a, b), hashed, compared and ordered in C.
+Below them a group element is its index in ``table.elements``: mixed
+radix over the coordinates, then b (``a*q + b`` in the rank-one family),
+so index order is the elements' order.  A ``GroupTable`` carries the one
+law of both families on indices twice: as a scalar law (``imul``,
+``iinv``) and vectorized over numpy arrays (``index_mul``).  Everything
+that takes or returns elements (``GroupTable.mul``/``inv``, ``compose``)
+only decodes, calls the scalar law and encodes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -48,9 +48,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class Element:
-    """x^a y^b as the pair (a, b)."""
+class Element(NamedTuple):
+    """x^a y^b as the pair (a, b): hashes as the tuple (a, b), and orders by a, then b."""
 
     a: int
     b: int
@@ -151,9 +150,8 @@ def elements(G: GroupSpec) -> list[Element]:
 # The vector family Z_{p^r}^m x| Z_p with the near-identity twist
 
 
-@dataclass(frozen=True, order=True)
-class VecElement:
-    """(a, b) with a an m-vector of exponents mod p^r and b mod p."""
+class VecElement(NamedTuple):
+    """(a, b) with a an m-vector of exponents mod p^r and b mod p; a tuple, as Element."""
 
     a: tuple[int, ...]
     b: int
@@ -264,7 +262,8 @@ class GroupTable:
     ``imul``/``iinv`` is the scalar law and ``index_mul`` the same product
     over numpy arrays.  ``index``, ``mul``, ``inv`` and ``identity`` are the
     element-typed edge: ``index`` raises ValueError for an element outside
-    the group.
+    the group.  A plain tuple of an element's fields names that element,
+    as elements are tuples: ``index((1, 0)) == index(Element(1, 0))``.
     """
 
     name: str

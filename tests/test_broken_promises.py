@@ -209,16 +209,20 @@ EDGE_CALLS = {
     "encode salt == salts": lambda inst: inst.blackbox.encode(Element(1, 0), 2),
     "encode salt == -1": lambda inst: inst.blackbox.encode(Element(1, 0), -1),
     "label of a foreign element": lambda inst: inst.label_of_element(Element(99, 0)),
+    "label of another family's element": lambda inst: inst.label_of_element(VecElement((1,), 0)),
+    "label of a wrong-width tuple": lambda inst: inst.label_of_element((1, 0, 0)),
+    "label of an out-of-range coordinate": lambda inst: inst.label_of_element(Element(0, 9)),
+    "encode a wrong-width tuple": lambda inst: inst.blackbox.encode((1, 0, 0)),
 }
 
 
-@pytest.mark.parametrize("call", EDGE_CALLS.values(), ids=EDGE_CALLS.keys())
-def test_the_element_edge_raises_a_typed_error(call):
+@pytest.mark.parametrize("name, call", EDGE_CALLS.items(), ids=EDGE_CALLS.keys())
+def test_the_element_edge_raises_a_typed_error(name, call):
     table = sdp_table(P32)
     inst, _ = make_hidden_instance(
         table, frozenset({table.identity}), mode="salted", salts=2, seed=0
     )
-    with pytest.raises(ValueError, match="is not in|out of range"):
+    with pytest.raises(ValueError, match="out of range" if "salt" in name else "is not in"):
         call(inst)
 
 

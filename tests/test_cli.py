@@ -67,6 +67,9 @@ PINNED_REPORTS = {
         "bench", "--grid", "3,3;2,4", "--encoding", "salted:4", "--salt-policy", "fresh",
         "--generators", "scrambled", "--seed", "7",
     ),
+    "bench_vector_scrambled.csv": (
+        "bench", "--grid", "2,3,2;3,2,2", "--generators", "scrambled", "--seed", "7",
+    ),
 }
 
 

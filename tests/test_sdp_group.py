@@ -512,3 +512,36 @@ def test_scalar_inverse_on_every_index(table):
 def test_index_order_is_element_order(table):
     # coset labelling and the subgroup order rely on this
     assert list(table.elements) == sorted(table.elements)
+
+
+ELEMENT_CONTRACT_TABLES = [
+    sdp_table(modular_group_spec(3, 2)),
+    sdp_table(modular_group_spec(2, 4)),
+    vec_table(ZmGroupSpec(3, 2, 2)),
+    vec_table(ZmGroupSpec(2, 3, 2)),
+]
+
+
+@pytest.mark.parametrize("table", ELEMENT_CONTRACT_TABLES, ids=lambda t: t.name)
+def test_elements_hash_print_and_order_as_field_tuples(table):
+    # hash((a, b)) is also what a frozen dataclass of (a, b) hashes to, so
+    # set and frozenset orders, and the reports built from them, stay fixed
+    kind = type(table.identity)
+    for i, e in enumerate(table.elements):
+        assert type(e) is kind
+        assert hash(e) == hash((e.a, e.b))
+        assert repr(e) == f"{kind.__name__}(a={e.a!r}, b={e.b!r})"
+        # a plain tuple of the fields names the element
+        assert table.index((e.a, e.b)) == i
+        with pytest.raises(AttributeError):
+            e.a = e.b
+    assert sorted(table.elements) == list(table.elements)
+
+
+def test_a_plain_tuple_names_the_element_of_its_fields():
+    table = sdp_table(modular_group_spec(3, 2))
+    assert table.index((1, 0)) == table.index(Element(1, 0)) == 3
+    assert repr(Element(1, 0)) == "Element(a=1, b=0)"
+    vec = vec_table(ZmGroupSpec(3, 2, 2))
+    assert vec.index(((1, 0), 1)) == vec.index(VecElement((1, 0), 1))
+    assert repr(VecElement((1, 0), 1)) == "VecElement(a=(1, 0), b=1)"
