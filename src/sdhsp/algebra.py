@@ -1,9 +1,10 @@
 """Exact lattice algebra over products of residue rings.
 
 A ``Lattice`` describes a subgroup of Z_{n_1} x ... x Z_{n_k} by generator
-rows.  All computations lift to the integers, with the moduli appended as
-extra relation rows, so canonical forms, membership tests, duals and sizes
-are exact (no floating point, no overflow: Python integers).
+rows.  All computations lift to the integers: the lift of a lattice is its
+preimage in Z^k, which contains diag(moduli), and its Hermite basis makes
+canonical forms, membership tests, duals and sizes exact (no floating
+point, no overflow: Python integers).
 
 The dual ``L*`` of a lattice L is the annihilator under the pairing
     <c, h> = sum_j c_j * h_j * (N / n_j)  mod N,      N = lcm(n_1..n_k),
@@ -119,59 +120,55 @@ class Lattice:
         object.__setattr__(self, "gens", tuple(rows))
 
 
-def _echelon(rows: Iterable[Sequence[int]], width: int) -> list[list[int]]:
-    """Hermite-style row echelon form of an integer row span.
-
-    Pivots positive, entries above each pivot reduced into [0, pivot).
-    Rows come back ordered by pivot column.
-    """
-    mat = [list(map(int, r)) for r in rows if any(r)]
-    out: list[list[int]] = []
-    for col in range(width):
-        pivot = None
-        rest: list[list[int]] = []
-        for r in mat:
-            if r[col] == 0:
-                rest.append(r)
-                continue
-            if pivot is None:
-                pivot = r
-                continue
-            g, s, t = _xgcd(pivot[col], r[col])
-            pa, ra = pivot[col] // g, r[col] // g
-            combined = [s * x + t * y for x, y in zip(pivot, r)]
-            reduced = [pa * y - ra * x for x, y in zip(pivot, r)]
-            pivot = combined
-            if any(reduced):
-                rest.append(reduced)
-        if pivot is not None:
-            if pivot[col] < 0:
-                pivot = [-x for x in pivot]
-            out.append(pivot)
-        mat = rest
-    for i in range(len(out)):
-        c = next(j for j, x in enumerate(out[i]) if x)
-        for above in range(i):
-            q = out[above][c] // out[i][c]
-            if q:
-                out[above] = [x - q * y for x, y in zip(out[above], out[i])]
-    return out
-
-
 def _lattice_basis(L: Lattice) -> list[list[int]]:
-    """Square upper-triangular integer basis of the lift of L.
+    """Hermite basis of the lift of L: the preimage of L in Z^k.
 
-    The lift is the preimage of L in Z^k; it contains diag(moduli), so the
-    echelon form has exactly one pivot per column: basis[i][i] > 0.
+    Square and upper triangular, basis[i][i] > 0 divides n_i, and every
+    entry above a pivot lies in [0, pivot); the Hermite form of a full-rank
+    lattice is unique.  The lift contains diag(moduli), which is already
+    such a basis, so each generator row is inserted into it column by
+    column (Hermite form modulo the determinant: Domich, Kannan and
+    Trotter, 1987).  Entries right of column i are kept mod their modulus,
+    which leaves the span unchanged: n_j * e_j lies in the span of the rows
+    with pivots >= j, and row i is not among them.
     """
-    k = len(L.moduli)
-    rows = [list(r) for r in L.gens]
-    for j, n in enumerate(L.moduli):
-        row = [0] * k
-        row[j] = n
-        rows.append(row)
-    basis = _echelon(rows, k)
-    assert len(basis) == k
+    mods = L.moduli
+    k = len(mods)
+    basis = [[0] * k for _ in range(k)]
+    for i, n in enumerate(mods):
+        basis[i][i] = n
+    for row in L.gens:
+        row = list(row)
+        for i in range(k):
+            x = row[i]
+            if not x:
+                continue
+            pivot = basis[i]
+            p = pivot[i]
+            if x % p:
+                # one gcd step: the combination becomes the pivot row and
+                # the row carries on with the remainder
+                g, s, t = _xgcd(p, x)
+                pa, ra = p // g, x // g
+                for j in range(i + 1, k):
+                    a, b, n = pivot[j], row[j], mods[j]
+                    pivot[j] = (s * a + t * b) % n
+                    row[j] = (pa * b - ra * a) % n
+                pivot[i] = g
+            else:
+                q = x // p
+                for j in range(i + 1, k):
+                    row[j] = (row[j] - q * pivot[j]) % mods[j]
+            row[i] = 0
+            if not any(row):
+                break
+    for i in range(k):
+        p = basis[i][i]
+        for above in basis[:i]:
+            q = above[i] // p
+            if q:
+                for j in range(i, k):
+                    above[j] -= q * basis[i][j]
     return basis
 
 

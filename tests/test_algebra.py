@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdhsp.algebra import (
+    MAX_MODULUS,
     Lattice,
+    _lattice_basis,
+    _xgcd,
     dual_lattice,
     lattice_canonicalize,
     lattice_coset_rep,
@@ -25,6 +28,7 @@ from sdhsp.algebra import (
 )
 
 MODULI_POOL = [1, 2, 3, 4, 5, 6, 8, 9, 27]
+HUGE_MODULI = [2**61 - 1, 2**62, 3**39, MAX_MODULUS]
 
 
 def full_lattice(moduli):
@@ -57,6 +61,73 @@ def random_lattice(rng, k_max=3) -> Lattice:
         tuple(int(rng.integers(0, n)) for n in moduli) for _ in range(ngens)
     )
     return Lattice(moduli, gens)
+
+
+def reference_basis(L: Lattice) -> list[list[int]]:
+    """Hermite basis of the lift of L by plain elimination.
+
+    Stacks the modulus rows under the generator rows and eliminates column
+    by column across the whole stack with unreduced entries, then reduces
+    the entries above each pivot into [0, pivot).
+    """
+    k = len(L.moduli)
+    stack = [list(r) for r in L.gens]
+    stack += [[n * (i == j) for j in range(k)] for i, n in enumerate(L.moduli)]
+    mat = [r for r in stack if any(r)]
+    out: list[list[int]] = []
+    for col in range(k):
+        pivot = None
+        rest: list[list[int]] = []
+        for r in mat:
+            if r[col] == 0:
+                rest.append(r)
+                continue
+            if pivot is None:
+                pivot = r
+                continue
+            g, s, t = _xgcd(pivot[col], r[col])
+            pa, ra = pivot[col] // g, r[col] // g
+            combined = [s * x + t * y for x, y in zip(pivot, r)]
+            reduced = [pa * y - ra * x for x, y in zip(pivot, r)]
+            pivot = combined
+            if any(reduced):
+                rest.append(reduced)
+        if pivot is not None:
+            if pivot[col] < 0:
+                pivot = [-x for x in pivot]
+            out.append(pivot)
+        mat = rest
+    for i in range(len(out)):
+        c = next(j for j, x in enumerate(out[i]) if x)
+        for above in range(i):
+            q = out[above][c] // out[i][c]
+            if q:
+                out[above] = [x - q * y for x, y in zip(out[above], out[i])]
+    return out
+
+
+@st.composite
+def lattices_with_repeats(draw):
+    """Up to 30 rows over 1-5 moduli, drawn from a few distinct rows and the
+    zero row, so that repeated and zero rows are common."""
+    moduli = draw(st.lists(st.sampled_from(MODULI_POOL + HUGE_MODULI), min_size=1, max_size=5))
+    row = st.tuples(*(st.integers(0, n - 1) for n in moduli))
+    distinct = draw(st.lists(row, min_size=1, max_size=6)) + [(0,) * len(moduli)]
+    return Lattice(tuple(moduli), tuple(draw(st.lists(st.sampled_from(distinct), max_size=30))))
+
+
+@given(lattices_with_repeats())
+@settings(max_examples=300, deadline=None)
+def test_the_basis_is_the_hermite_form_of_the_stacked_rows(L):
+    basis = _lattice_basis(L)
+    assert basis == reference_basis(L)
+    k = len(L.moduli)
+    assert len(basis) == k
+    for i, (row, n) in enumerate(zip(basis, L.moduli)):
+        assert not any(row[:i])  # upper triangular
+        assert row[i] > 0 and n % row[i] == 0
+        for above in basis[:i]:
+            assert 0 <= above[i] < row[i]
 
 
 def test_dual_of_known_line():

@@ -62,6 +62,10 @@ PINNED_REPORTS = {
     "solve_zm_3_3_2.json": (
         "solve-zm", "--p", "3", "--r", "3", "--m", "2", "--hidden", "random", "--seed", "2",
     ),
+    "solve_zm_2_3_3_scrambled.json": (
+        "solve-zm", "--p", "2", "--r", "3", "--m", "3", "--hidden", "random",
+        "--generators", "scrambled", "--seed", "4",
+    ),
     "bench_mixed.csv": ("bench", "--grid", "3,2;2,3;3,2,1", "--seed", "7"),
     "bench_salted_fresh.csv": (
         "bench", "--grid", "3,3;2,4", "--encoding", "salted:4", "--salt-policy", "fresh",
