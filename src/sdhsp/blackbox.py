@@ -22,8 +22,9 @@ The superposed walk over h g_1^{u_1}...g_k^{u_k} stays on element indices,
 filled last axis first in contiguous blocks, each an earlier block times a
 power of h g_d h^-1 on the left: ``HiddenInstance.f_walk`` labels them, and
 ``walk_codes`` (unique encodings only) reads their codes.  It books the
-``mul`` count of one ``oracle_mul`` per point and draws nothing: no
-intermediate product gets a salt, as f labels all its encodings alike.
+products of one ``oracle_mul`` per point as ``walk_mul``, apart from the
+pointwise ``mul``, and draws nothing: no intermediate product gets a salt,
+as f labels all its encodings alike.
 
 ``reveal`` decodes a handle back to coordinates.  It exists for reports and
 tests; solver code must never call it.
@@ -83,21 +84,17 @@ class BlackBox:
     it.  ``draw_distinct`` draws the table from ``rng`` as one array in row
     order: the handles and end state of one 8-byte draw per (element, salt).
     ``_walk`` is the batched oracle walk over a grid of products; it books
-    the ``mul`` count of the per-point ``oracle_mul`` walk, and no RNG draw.
+    the products of the per-point ``oracle_mul`` walk as ``walk_mul``, and
+    no RNG draw.  ``mul``, ``inv`` and ``eq`` count pointwise calls only.
     """
 
     def __init__(
         self,
         table: GroupTable,
-        mode: str = "unique",
         salts: int = 1,
         salt_policy: str = "zero",
         rng: np.random.Generator | None = None,
     ) -> None:
-        if mode == "unique":
-            salts = 1
-        elif mode != "salted":
-            raise ValueError(f"unknown encoding mode {mode!r}")
         if salts < 1 or salts > 16:
             raise ValueError(f"salt count {salts} out of range (1..16)")
         if salt_policy not in SALT_POLICIES:
@@ -111,7 +108,7 @@ class BlackBox:
         self.salts = salts
         self.salt_policy = salt_policy
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self.counters = {"mul": 0, "inv": 0, "eq": 0}
+        self.counters = {"mul": 0, "inv": 0, "eq": 0, "walk_mul": 0}
         # Keyed pseudorandom injection: no two handles collide.  Draws of
         # whole 8-byte chunks concatenate, so they consume the per-handle stream.
         flat = draw_distinct(
@@ -178,7 +175,7 @@ class BlackBox:
         doubling a contiguous prefix: as h g_d^L x = c_d^L h x, c_d = h g_d h^-1,
         the cells with u_d in [L, L + W) and earlier digits 0 are the first W
         of that block times c_d^L on the left, a permutation of the element
-        indices.  Validates every handle before booking ``mul += total - 1``;
+        indices.  Validates every handle before booking ``walk_mul += total - 1``;
         draws no salt, as no intermediate product reaches a caller.
         """
         moduli = tuple(int(n) for n in moduli)
@@ -186,7 +183,7 @@ class BlackBox:
             raise ValueError("one generator handle per modulus is required")
         start, *gens = (self._decode_index(h) for h in (identity, *gen_handles))
         total = math.prod(moduli)
-        self.counters["mul"] += total - 1
+        self.counters["walk_mul"] += total - 1
         elems = np.empty(total, dtype=np.int64)
         elems[0], done = start, 1  # cells [0, done) are filled: the block u_d = 0
         everything, h_inv = np.arange(self.table.order), self.table.iinv(start)
@@ -244,12 +241,40 @@ class SolveOutcome:
     report: dict = field(hash=False)
 
 
-def reveal_answer(bb: BlackBox, handles, confident: bool, report: dict) -> SolveOutcome:
+def record_stage(
+    report: dict, inst: HiddenInstance, name: str, res=None, *, ran=True, note="", confident=None
+) -> None:
+    """Append one solver step's record to ``report["stages"]``.
+
+    ``res``, the step's abelian solve if it made one, gives ``confident``,
+    ``rounds``, ``samples_used`` and ``lattice_gens``.  The record's
+    ``queries`` is what the instance's counters moved since the previous
+    record; ``report["queries"]`` becomes the counters now, so the records
+    of a solve sum to its totals.
+    """
+    now = inst.query_stats()
+    before = report.get("queries", dict.fromkeys(now, 0))
+    report["queries"] = now
+    report["stages"].append({
+        "name": name,
+        "ran": ran,
+        "note": note,
+        "confident": res.confident if res else confident,
+        "rounds": res.rounds if res else 0,
+        "samples_used": res.samples_used if res else 0,
+        "lattice_gens": [list(g) for g in res.lattice.gens] if res else [],
+        "queries": {key: n - before[key] for key, n in now.items()},
+    })
+
+
+def reveal_answer(bb: BlackBox, handles, report: dict) -> SolveOutcome:
     """The shared tail of both solvers: decode the surviving handles.
 
+    The solve is confident unless a stage record says ``confident: false``.
     Drops the identity and repeats, keeping handles and elements aligned and
     in order, and closes the elements into the sorted subgroup they generate.
     """
+    report["confident"] = all(stage["confident"] is not False for stage in report["stages"])
     handles_out: list[OpaqueHandle] = []
     found: list[int] = []
     for h in handles:
@@ -262,7 +287,7 @@ def reveal_answer(bb: BlackBox, handles, confident: bool, report: dict) -> Solve
         tuple(handles_out),
         tuple(elements[i] for i in found),
         tuple(elements[i] for i in sorted(closure(bb.table.imul, 0, found))),
-        confident,
+        report["confident"],
         report,
     )
 
@@ -275,10 +300,10 @@ class HiddenInstance:
     element index, kept as an array for ``f_walk`` and as a list for single
     reads; the truth is the planted subgroup's elements, which only
     ``truth_elements`` hands back.  ``f_walk`` evaluates f over a whole grid
-    of products in one oracle invocation; the counters track both the
-    number of pointwise evaluations ('f') and the number of batched
-    invocations ('superposed_calls'), which is the quantum-query figure of
-    merit.
+    of products in one oracle invocation; the counters track pointwise
+    evaluations ('f') apart from batched invocations ('superposed_calls',
+    the quantum-query figure of merit) and the grid points they cover
+    ('domain_points').
     """
 
     def __init__(
@@ -291,7 +316,7 @@ class HiddenInstance:
         self._truth = truth_elements
         self._label_array = np.asarray(labels, dtype=np.int64)
         self._labels = self._label_array.tolist()
-        self.counters = {"f": 0, "superposed_calls": 0}
+        self.counters = {"f": 0, "superposed_calls": 0, "domain_points": 0}
 
     def f(self, h: OpaqueHandle) -> int:
         self.counters["f"] += 1
@@ -302,14 +327,15 @@ class HiddenInstance:
         walk = self.blackbox._walk(moduli, identity, gen_handles)
         # every index is in range; 'clip' gathers into the index grid, unbuffered
         labels = self._label_array.take(walk, out=walk, mode="clip")
-        self.counters["f"] += labels.size
+        self.counters["domain_points"] += labels.size
         self.counters["superposed_calls"] += 1
         return labels
 
-    def charge(self, evals: int, calls: int) -> None:
-        """Book modeled query cost for replayed (cached) evaluations."""
-        self.counters["f"] += evals
-        self.counters["superposed_calls"] += calls
+    def charge(self, **counts: int) -> None:
+        """Book modeled query cost, by counter name, for evaluations
+        replayed from a cached grid."""
+        for key, n in counts.items():
+            self.counters[key] += n
 
     # -- harness-side access ------------------------------------------------
 
@@ -347,14 +373,18 @@ def make_hidden_instance(
     the construction; everything else must come from the oracles.  Coset
     labels are drawn per coset in order of least members, which come from
     doubling hops on index arrays, O(|G| log |H|) per pass over H's generators.
+    The 'unique' encoding ``mode`` ignores ``salts``; 'salted' keeps it.
     """
+    if mode not in ("unique", "salted"):
+        raise ValueError(f"unknown encoding mode {mode!r}")
+    salts = 1 if mode == "unique" else salts
     H = frozenset(subgroup)
     members = frozenset(map(table.index, H))
     if (hidden_gens := greedy_generators(table, members)) is None:
         raise ValueError("the hidden set is not a subgroup")
     ss = np.random.SeedSequence(seed)
     table_rng, label_rng, gen_rng = (np.random.default_rng(c) for c in ss.spawn(3))
-    bb = BlackBox(table, mode=mode, salts=salts, salt_policy=salt_policy, rng=table_rng)
+    bb = BlackBox(table, salts=salts, salt_policy=salt_policy, rng=table_rng)
 
     # least[g] becomes the least member of gH: min over g h^0 .. g h^(2^t - 1)
     # after t doubling hops per generator h, repeated until nothing moves.

@@ -44,19 +44,20 @@ from .sdp_group import (
     vec_table,
 )
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 SEED_ENV_VAR = "SDHSP_SEED"
 
 
-def _parse_encoding(text: str) -> tuple[str, int]:
+def _parse_encoding(text: str) -> int:
+    """The salt count of ``unique`` (one) or ``salted:S``."""
     if text == "unique":
-        return "unique", 1
+        return 1
     m = re.fullmatch(r"salted:(\d+)", text)
     if m:
         s = int(m.group(1))
         if not 1 <= s <= 16:
             raise ValueError(f"salt count {s} out of range (1..16)")
-        return "salted", s
+        return s
     raise ValueError(f"unknown encoding {text!r} (use 'unique' or 'salted:S')")
 
 
@@ -66,12 +67,11 @@ def _config_from_args(args) -> RunConfig:
         seed = int(os.environ.get(SEED_ENV_VAR, "0"))
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
-    mode, salts = _parse_encoding(args.encoding)
+    salts = _parse_encoding(args.encoding)
     if not 0.0 < args.delta <= 0.5:
         raise ValueError("delta must be in (0, 0.5]")
     return RunConfig(
         seed=seed,
-        mode=mode,
         salts=salts,
         salt_policy=args.salt_policy,
         generator_policy=args.generators,
@@ -197,9 +197,8 @@ def _solve(command: str, args, cfg: RunConfig, table, keys: tuple[int, int]) -> 
         "command": command,
         "group": out.report["group"],
         "hidden_spec": args.hidden,
-        "encoding": {"mode": cfg.mode, "salts": cfg.salts, "salt_policy": cfg.salt_policy},
+        "encoding": {"salts": cfg.salts, "salt_policy": cfg.salt_policy},
         "generator_policy": cfg.generator_policy,
-        "backend": out.report["backend"],
         "delta": cfg.delta,
         "seed": cfg.seed,
         # (a, b) pairs; a vector group's a is a tuple, which dumps as a list
@@ -244,7 +243,6 @@ BENCH_COLUMNS = (
     "group_order",
     "subgroup",
     "seed",
-    "backend",
     "encoding",
     "salt_policy",
     "generator_policy",
@@ -255,6 +253,8 @@ BENCH_COLUMNS = (
     "eq",
     "f",
     "superposed_calls",
+    "walk_mul",
+    "domain_points",
     "wall_ms",
 )
 
@@ -274,7 +274,6 @@ def _parse_grid(text: str) -> list[tuple[int, ...]]:
 
 
 def _bench_row(cell: tuple, table, label: str, cfg: RunConfig, res, timings: bool) -> dict:
-    q = res.outcome.report["queries"]
     return {
         "p": cell[0],
         "r": cell[1],
@@ -282,17 +281,12 @@ def _bench_row(cell: tuple, table, label: str, cfg: RunConfig, res, timings: boo
         "group_order": table.order,
         "subgroup": label,
         "seed": cfg.seed,
-        "backend": res.outcome.report["backend"],
-        "encoding": cfg.mode if cfg.mode == "unique" else f"salted:{cfg.salts}",
+        "encoding": "unique" if cfg.salts == 1 else f"salted:{cfg.salts}",
         "salt_policy": cfg.salt_policy,
         "generator_policy": cfg.generator_policy,
         "match": res.match,
         "confident": res.outcome.confident,
-        "mul": q["mul"],
-        "inv": q["inv"],
-        "eq": q["eq"],
-        "f": q["f"],
-        "superposed_calls": q["superposed_calls"],
+        **res.outcome.report["queries"],
         "wall_ms": round(res.wall_ms, 3) if timings else "",
     }
 

@@ -41,6 +41,7 @@ from .blackbox import (
     oracle_identity,
     oracle_lift,
     oracle_pow,
+    record_stage,
     reveal_answer,
 )
 from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve
@@ -107,12 +108,13 @@ def find_special_pair(bb: BlackBox, gen_handles) -> SpecialPair:
 def find_shift(
     inst: HiddenInstance,
     pair: SpecialPair,
+    xp: OpaqueHandle,
     rng: np.random.Generator,
     delta: float = 0.01,
 ) -> tuple[int | None, AbelianSolveResult]:
     """Relate the p-th powers of the special pair through the hiding function.
 
-    Both X^p and Y^p are central powers of x, so
+    Both X^p (``xp``, passed in) and Y^p are central powers of x, so
     F(u, v) = f((X^p)^u (Y^p)^v) is an exact homomorphism pullback over
     Z_{p^{r-1}} x Z_{p^{r-1}} and its periodicity lattice is a congruence
     a u + a' v = 0 (mod p^{i-1}) with a invertible.  Any basis of a proper
@@ -126,7 +128,6 @@ def find_shift(
     p, r = spec.p, spec.r
     n1 = p ** (r - 1)
     e = pair.identity
-    xp = oracle_pow(bb, pair.x, p, e)
     yp = oracle_pow(bb, pair.y, p, e)
     oracle = AbelianOracle.from_handles((n1, n1), inst, e, (xp, yp))
     res = abelian_hsp_solve(oracle, rng, delta=delta)
@@ -154,20 +155,17 @@ def shifted_generator(bb: BlackBox, pair: SpecialPair, shift: int | None) -> Opa
 
 
 def find_involution_partner(
-    bb: BlackBox, pair: SpecialPair, yprime: OpaqueHandle
+    bb: BlackBox, pair: SpecialPair, x4: OpaqueHandle, yprime: OpaqueHandle
 ) -> OpaqueHandle | None:
-    """p = 2 only: an involution of the form (X^{2^{r-2}})^{-k} Y'.
+    """p = 2 only: an involution of the form x4^{-k} Y', x4 = X^{2^{r-2}}.
 
     Searches k in 0..3 for a W with W^2 = e.  When the hidden subgroup
-    meets <x> trivially such a W exists and <X^{2^{r-2}}, W> is an abelian
+    meets <x> trivially such a W exists and <x4, W> is an abelian
     group of order 8 containing every candidate subgroup.
     """
-    spec = bb.table.spec
-    p, r = spec.p, spec.r
-    if p != 2:
+    if bb.table.spec.p != 2:
         raise ValueError("the involution construction applies only to p = 2")
     e = pair.identity
-    x4 = oracle_pow(bb, pair.x, 2 ** (r - 2), e)
     for k in range(4):
         w = bb.oracle_mul(oracle_pow(bb, x4, -k, e), yprime)
         if bb.oracle_eq(bb.oracle_mul(w, w), e):
@@ -184,27 +182,15 @@ def _run_branch(
     extras: tuple[OpaqueHandle, ...],
     rng: np.random.Generator,
     delta: float,
-) -> tuple[list[OpaqueHandle], dict]:
-    """Solve one reduction's grid; its candidates and its report record."""
+) -> tuple[list[OpaqueHandle], AbelianSolveResult]:
+    """Solve one reduction's grid; its candidates and its abelian solve.
+    ``name`` is unread here: perfbench names the branch's span by it."""
     bb = inst.blackbox
     oracle = AbelianOracle.from_handles(moduli, inst, e, gens)
     res = abelian_hsp_solve(oracle, rng, delta=delta)
     cands = [oracle_lift(bb, e, gens, g) for g in res.lattice.gens]
     cands.extend(extras)
-    record = {
-        "name": name,
-        "ran": True,
-        "confident": res.confident,
-        "samples_used": res.samples_used,
-        "lattice_gens": [list(g) for g in res.lattice.gens],
-        "note": "",
-    }
-    return cands, record
-
-
-def _skipped(name: str, note: str) -> dict:
-    """The report record of a branch whose precondition failed."""
-    return dict(name=name, ran=False, confident=None, samples_used=0, lattice_gens=[], note=note)
+    return cands, res
 
 
 def solve(
@@ -216,15 +202,19 @@ def solve(
     """Recover the hidden subgroup of a modular maximal-cyclic group.
 
     Returns surviving generator handles, their post-hoc revealed
-    coordinates, the full subgroup closure, and a JSON-friendly report.
-    ``confident`` is True when every abelian solve that contributed was
-    verified: the output is then exact under the hiding promise.  Without
-    the promise it certifies the evidence: a confident answer K hides f on
-    the set E of elements the solve evaluated, pointwise or on a superposed
-    grid (f(x) = f(y) iff xK = yK for x, y in E).  Every superposed grid
-    evaluated was certified periodic and injective on its cosets, or the
-    solve raised ValueError; an f relabelled off E goes unseen.  Candidates are always filtered by f-membership, so even a
-    low-confidence result never contains an element outside H.
+    coordinates, the full subgroup closure, and a JSON-friendly report
+    whose ``stages`` hold one record per step, in order: ``special_pair``,
+    ``shift``, ``quotient``, ``inner``, ``involution`` (p = 2, after a
+    failed inner gate) and ``filter``.  ``confident`` is True when every
+    abelian solve that contributed was verified: the output is then exact
+    under the hiding promise.  Without the promise it certifies the
+    evidence: a confident answer K hides f on the set E of elements the
+    solve evaluated, pointwise or on a superposed grid (f(x) = f(y) iff
+    xK = yK for x, y in E).  Every superposed grid evaluated was certified
+    periodic and injective on its cosets, or the solve raised ValueError;
+    an f relabelled off E goes unseen.  Candidates are always filtered by
+    f-membership, so even a low-confidence result never contains an
+    element outside H.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must be in (0, 0.5]")
@@ -234,24 +224,29 @@ def solve(
     pair = find_special_pair(bb, gen_handles)  # rejects groups outside the family first
     spec = bb.table.spec
     p, r = spec.p, spec.r
+    group = {"p": p, "q": spec.q, "r": r, "alpha": spec.alpha}
+    report: dict = {"group": group, "delta": delta, "stages": []}
+    record_stage(report, inst, "special_pair")
     e = pair.identity
-    f0 = inst.f(e)
     xp = oracle_pow(bb, pair.x, p, e)
-
-    shift, shift_solve = find_shift(inst, pair, rng, delta=delta)
-    branches: list[dict] = []
+    shift, shift_solve = find_shift(inst, pair, xp, rng, delta=delta)
+    record_stage(report, inst, "shift", shift_solve)
     candidates: list[OpaqueHandle] = []
 
     def run_branch(name, moduli, gens, extras) -> None:
-        cands, rep = _run_branch(name, inst, e, moduli, gens, extras, rng, delta)
+        cands, res = _run_branch(name, inst, e, moduli, gens, extras, rng, delta)
         candidates.extend(cands)
-        branches.append(rep)
+        record_stage(report, inst, name, res)
+
+    def skip(name, note) -> None:
+        record_stage(report, inst, name, ran=False, note=note)
 
     # quotient reduction: valid exactly when x^p lies in H
+    f0 = inst.f(e)
     if inst.f(xp) == f0:
         run_branch("quotient", (p, p), (pair.x, pair.y), (xp,))
     else:
-        branches.append(_skipped("quotient", "x^p lies outside the hidden subgroup"))
+        skip("quotient", "x^p lies outside the hidden subgroup")
 
     if shift is not None:
         yprime = shifted_generator(bb, pair, shift)
@@ -259,33 +254,18 @@ def solve(
         if inst.f(ypp) == f0:
             run_branch("inner", (p ** (r - 1), p), (xp, yprime), (ypp,))
         else:
-            branches.append(_skipped("inner", "corrected generator's p-th power is outside H"))
+            skip("inner", "corrected generator's p-th power is outside H")
             if p == 2:
-                w = find_involution_partner(bb, pair, yprime)
+                x4 = oracle_pow(bb, pair.x, 2 ** (r - 2), e)
+                w = find_involution_partner(bb, pair, x4, yprime)
                 if w is None:
-                    branches.append(_skipped("involution", "no involution found"))
+                    skip("involution", "no involution found")
                 else:
-                    x4 = oracle_pow(bb, pair.x, 2 ** (r - 2), e)
                     run_branch("involution", (4, 2), (x4, w), ())
     else:
-        branches.append(_skipped("inner", "shift unavailable (full relation lattice)"))
+        skip("inner", "shift unavailable (full relation lattice)")
 
     survivors = [h for h in candidates if inst.f(h) == f0]
-    confident = shift_solve.confident and all(b["confident"] for b in branches if b["ran"])
-    report = {
-        "group": {"p": p, "q": spec.q, "r": r, "alpha": spec.alpha},
-        # the only sampler; report v2 retires the field
-        "backend": "statevector",
-        "delta": delta,
-        "shift": {
-            "value": shift,
-            "lattice_gens": [list(g) for g in shift_solve.lattice.gens],
-            "confident": shift_solve.confident,
-            "samples_used": shift_solve.samples_used,
-        },
-        "branches": branches,
-        "candidates_kept": len(survivors),
-        "confident": confident,
-        "queries": inst.query_stats(),
-    }
-    return reveal_answer(bb, survivors, confident, report)
+    record_stage(report, inst, "filter")
+    report.update(shift=shift, candidates_kept=len(survivors))
+    return reveal_answer(bb, survivors, report)

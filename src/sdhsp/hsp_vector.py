@@ -40,6 +40,7 @@ from .blackbox import (
     make_hidden_instance,
     oracle_identity,
     oracle_lift,
+    record_stage,
     reveal_answer,
 )
 from .qsim import AbelianOracle, AbelianSolveResult, abelian_hsp_solve
@@ -126,7 +127,7 @@ def minimal_generating_set(
     vin: VecInstance,
     rng: np.random.Generator,
     delta: float = 0.01,
-) -> tuple[ReductionMap, dict]:
+) -> tuple[ReductionMap, AbelianSolveResult]:
     """Distill the A-generator handles into m independent order-p^r generators.
 
     The relation lattice R = {u : a_1^{u_1} ... a_s^{u_s} = e} is itself a
@@ -134,7 +135,8 @@ def minimal_generating_set(
     the abelian solver recovers it without touching the hiding function.
     A Smith decomposition of R then rebases the handles: the quotient
     Z^s / R must come out as m cyclic factors of order p^r exactly, or the
-    inputs were not a generating set of A.
+    inputs were not a generating set of A.  Returns the reduction map and
+    the relation lattice's abelian solve.
     """
     inst, bb = vin.instance, vin.blackbox
     spec = vin.spec
@@ -143,7 +145,7 @@ def minimal_generating_set(
     e = oracle_identity(bb, vin.y_handle)
 
     oracle = AbelianOracle.from_products(
-        (n,) * s, bb, e, vin.a_handles, charge=lambda: inst.charge(0, 1)
+        (n,) * s, bb, e, vin.a_handles, charge=lambda: inst.charge(superposed_calls=1)
     )
     res = abelian_hsp_solve(oracle, rng, delta=delta)
 
@@ -167,13 +169,7 @@ def minimal_generating_set(
         y_handle=vin.y_handle,
         identity=e,
     )
-    report = {
-        "relation_lattice_gens": [list(g) for g in res.lattice.gens],
-        "confident": res.confident,
-        "samples_used": res.samples_used,
-        "input_generators": s,
-    }
-    return rmap, report
+    return rmap, res
 
 
 def reduce_and_solve(
@@ -234,7 +230,9 @@ def solve(
 
     Pipeline: rebase the abelian generators, solve the single reduced
     abelian instance, map the m + 1 echelon basis rows of its lattice
-    through the reduction map.
+    through the reduction map.  The report's ``stages`` hold one record per
+    step, in order: ``minimal_generating_set`` (the commute check
+    included), ``reduce`` and ``pullback``.
     ``confident`` requires every stage to have verified its output: the
     result is then exact under the hiding promise.  Without the promise it
     certifies the evidence: a confident answer K hides f on the set E of
@@ -252,7 +250,8 @@ def solve(
     bb = vin.blackbox
     if bb.salts != 1:
         raise ValueError("the vector-group solver requires unique encoding")
-    spec = vin.spec
+    spec, inst = vin.spec, vin.instance
+    report: dict = {"group": {"p": spec.p, "r": spec.r, "m": spec.m}, "delta": delta, "stages": []}
 
     # input-promise smoke check: the abelian handles must commute
     for i, h1 in enumerate(vin.a_handles):
@@ -260,22 +259,11 @@ def solve(
             if not bb.oracle_eq(bb.oracle_mul(h1, h2), bb.oracle_mul(h2, h1)):
                 raise ValueError("the abelian generator handles do not commute")
 
-    rmap, mgs_report = minimal_generating_set(vin, rng, delta=delta)
+    rmap, relations = minimal_generating_set(vin, rng, delta=delta)
+    record_stage(report, inst, "minimal_generating_set", relations)
     res = reduce_and_solve(vin, rmap, rng, delta=delta)
+    record_stage(report, inst, "reduce", res)
     handles, pulled_ok = pullback_generators(vin, rmap, res.lattice)
-
-    confident = bool(mgs_report["confident"] and res.confident and pulled_ok)
-    report = {
-        "group": {"p": spec.p, "r": spec.r, "m": spec.m},
-        # the only sampler; report v2 retires the field
-        "backend": "statevector",
-        "delta": delta,
-        "minimal_generating_set": mgs_report,
-        "reduced_lattice_gens": [list(g) for g in res.lattice.gens],
-        "reduced_confident": res.confident,
-        "reduced_samples_used": res.samples_used,
-        "pullback_ok": pulled_ok,
-        "confident": confident,
-        "queries": vin.instance.query_stats(),
-    }
-    return reveal_answer(bb, handles, confident, report)
+    record_stage(report, inst, "pullback", confident=pulled_ok)
+    report["pullback_ok"] = pulled_ok
+    return reveal_answer(bb, handles, report)

@@ -20,15 +20,16 @@ guaranteed.  An oracle that cannot be certified breaks the promise: its
 first ``draw_samples`` raises ValueError before any round is booked.
 
 Each sample books one superposed evaluation of F over the whole domain as
-its modeled query cost.  Pointwise evaluations are booked as single
-classical queries.
+its modeled query cost: one superposed call and the domain's points.
+Pointwise evaluations are booked as classical work, by the cost model of
+the constructor that built the oracle.
 
 Oracles over a black box are built in one batched pass inside the black
 box: ``HiddenInstance.f_walk`` labels g_1^{u_1}...g_k^{u_k} over the whole
 grid, and ``BlackBox.walk_codes`` gives their handle codes under a unique
-encoding.  The walk books the ``mul`` calls of one ``oracle_mul`` per grid
-point and draws no salt, so counters and answers match a point-by-point
-walk.  Grid values are labels or codes, compared only for equality.
+encoding.  The walk books the products of one ``oracle_mul`` per grid
+point as ``walk_mul`` and draws no salt, so counters and answers match a
+point-by-point walk.  Grid values are labels or codes, compared only for equality.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ class AbelianOracle:
     not write through another view of its memory, since the cached
     certificate assumes the grid never changes.  Cost hooks
     let an oracle built over a counted hiding function keep booking modeled
-    cost even though replays hit the cache.
+    cost even though replays hit the cache; ``single_cost`` gets the point
+    of each ``evaluate``, reduced into the grid.
     """
 
     def __init__(
@@ -61,7 +63,7 @@ class AbelianOracle:
         moduli: Sequence[int],
         grid: np.ndarray,
         sample_cost: Callable[[], None] | None = None,
-        single_cost: Callable[[], None] | None = None,
+        single_cost: Callable[[tuple[int, ...]], None] | None = None,
         first_sample_paid: bool = False,
     ) -> None:
         self.moduli = tuple(int(n) for n in moduli)
@@ -92,15 +94,16 @@ class AbelianOracle:
         """F(u) = f(g_1^{u_1} ... g_k^{u_k}) over a hidden instance.
 
         The build performs one batched evaluation of f over the domain,
-        which pays for the first superposed sample.
+        which pays for the first superposed sample.  Each ``evaluate`` books
+        one pointwise ``f``.
         """
         labels = inst.f_walk(moduli, identity, gen_handles)
         dom = labels.size
         return cls(
             moduli,
             labels,
-            sample_cost=lambda: inst.charge(dom, 1),
-            single_cost=lambda: inst.charge(1, 0),
+            sample_cost=lambda: inst.charge(domain_points=dom, superposed_calls=1),
+            single_cost=lambda _: inst.charge(f=1),
             first_sample_paid=True,
         )
 
@@ -110,16 +113,24 @@ class AbelianOracle:
 
         Valid only when encodings are unique, so equal codes mean equal
         elements.  Samples book superposed group-operation rounds through
-        ``charge``; no hiding function is involved.
+        ``charge``; no hiding function is involved.  Each ``evaluate`` at u
+        books as ``mul`` the products ``oracle_lift`` makes to compute u's
+        element: per coordinate c, c.bit_length() + c.bit_count() for the
+        power by square-and-multiply and one to append it.
         """
-        return cls(moduli, bb.walk_codes(moduli, identity, gen_handles), sample_cost=charge)
+
+        def lift_cost(u):
+            bb.counters["mul"] += sum(c.bit_length() + c.bit_count() + 1 for c in u)
+
+        codes = bb.walk_codes(moduli, identity, gen_handles)
+        return cls(moduli, codes, sample_cost=charge, single_cost=lift_cost)
 
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, point: Sequence[int]) -> int:
-        if self._single_cost is not None:
-            self._single_cost()
         idx = tuple(int(x) % n for x, n in zip(point, self.moduli, strict=True))
+        if self._single_cost is not None:
+            self._single_cost(idx)
         return int(self.grid[idx])
 
     def f0(self) -> int:

@@ -36,11 +36,9 @@ def invert(spec, g):
     return sdp_table(spec).inv(g)
 
 
-def fresh_box(mode="unique", salts=1, salt_policy="zero", seed=0):
+def fresh_box(salts=1, salt_policy="zero", seed=0):
     table = sdp_table(modular_group_spec(3, 2))
-    return table, BlackBox(
-        table, mode=mode, salts=salts, salt_policy=salt_policy, rng=np.random.default_rng(seed)
-    )
+    return table, BlackBox(table, salts=salts, salt_policy=salt_policy, rng=np.random.default_rng(seed))
 
 
 def per_handle_draws(rng, order, salts):
@@ -68,7 +66,7 @@ def per_handle_draws(rng, order, salts):
 def test_one_draw_table_matches_the_per_handle_loop(table, salts):
     ref_rng, rng = np.random.default_rng(salts), np.random.default_rng(salts)
     decode = per_handle_draws(ref_rng, table.order, salts)
-    bb = BlackBox(table, mode="salted", salts=salts, rng=rng)
+    bb = BlackBox(table, salts=salts, rng=rng)
     assert list(bb._decode_map.items()) == list(decode.items())
     expected = np.frombuffer(b"".join(decode), dtype=">u8").reshape(table.order, salts)
     assert np.array_equal(bb.codes, expected)
@@ -170,7 +168,7 @@ def test_handles_ending_in_zero_bytes_round_trip(salts):
     rest = [v << 8 for v in range(3, table.order * salts)]
     half = len(rest) // 2
     values = [0x0100000000000000, *rest[:half], 0x0000000000000100, *rest[half:], 0]
-    bb = BlackBox(table, mode="salted", salts=salts, rng=ScriptedBytes(values))
+    bb = BlackBox(table, salts=salts, rng=ScriptedBytes(values))
     assert bb.codes.ravel().tolist() == values
     for i, g in enumerate(table.elements):
         for salt in range(salts):
@@ -269,7 +267,7 @@ def test_unique_encoding_is_injective_and_stable():
 
 
 def test_salted_handles_distinct_across_salts():
-    table, bb = fresh_box(mode="salted", salts=4)
+    table, bb = fresh_box(salts=4)
     seen = set()
     for g in table.elements:
         for s in range(4):
@@ -281,7 +279,7 @@ def test_salted_handles_distinct_across_salts():
 
 def test_oracles_match_the_table():
     spec = modular_group_spec(3, 2)
-    table, bb = fresh_box(mode="salted", salts=4, salt_policy="operands", seed=3)
+    table, bb = fresh_box(salts=4, salt_policy="operands", seed=3)
     rng = np.random.default_rng(11)
     for _ in range(300):
         g = Element(int(rng.integers(0, 9)), int(rng.integers(0, 3)))
@@ -292,7 +290,7 @@ def test_oracles_match_the_table():
 
 
 def test_handle_associativity():
-    table, bb = fresh_box(mode="salted", salts=3, salt_policy="fresh", seed=5)
+    table, bb = fresh_box(salts=3, salt_policy="fresh", seed=5)
     rng = np.random.default_rng(23)
     els = table.elements
     for _ in range(1000):
@@ -304,13 +302,13 @@ def test_handle_associativity():
 
 
 def test_fresh_salt_policy_actually_varies():
-    table, bb = fresh_box(mode="salted", salts=4, salt_policy="fresh", seed=9)
+    table, bb = fresh_box(salts=4, salt_policy="fresh", seed=9)
     g = bb.encode(Element(1, 0))
     h = bb.encode(Element(0, 1))
     outs = {bb.oracle_mul(g, h).data for _ in range(100)}
     assert len(outs) >= 2  # same product, re-salted on the way out
     # while the zero policy is deterministic
-    table2, bb2 = fresh_box(mode="salted", salts=4, salt_policy="zero", seed=9)
+    table2, bb2 = fresh_box(salts=4, salt_policy="zero", seed=9)
     g2, h2 = bb2.encode(Element(1, 0)), bb2.encode(Element(0, 1))
     assert len({bb2.oracle_mul(g2, h2).data for _ in range(100)}) == 1
 
@@ -323,7 +321,7 @@ def test_counters_track_every_call():
     bb.oracle_mul(g, g)
     bb.oracle_inv(g)
     bb.oracle_eq(g, h)
-    assert bb.counters == {"mul": 2, "inv": 1, "eq": 1}
+    assert bb.counters == {"mul": 2, "inv": 1, "eq": 1, "walk_mul": 0}
 
 
 def test_oracle_pow_uses_logarithmic_multiplies():
@@ -341,7 +339,7 @@ def test_oracle_pow_uses_logarithmic_multiplies():
 
 
 def test_oracle_identity():
-    table, bb = fresh_box(mode="salted", salts=2, seed=4)
+    table, bb = fresh_box(salts=2, seed=4)
     h = bb.encode(Element(2, 1), 1)
     assert bb.reveal(oracle_identity(bb, h)) == Element(0, 0)
 
@@ -394,12 +392,14 @@ def test_f_goes_through_the_query_counter():
     inst, handles = make_hidden_instance(table, H, seed=0)
     h = inst.blackbox.encode(Element(1, 1))
     inst.f(h)
-    # one superposed call, three evaluations
+    # one superposed call over three points, two walk products
     inst.f_walk((3,), inst.blackbox.encode(Element(0, 0)), [h])
-    inst.charge(10, 2)
+    inst.charge(domain_points=10, superposed_calls=2)
     stats = inst.query_stats()
-    assert stats["f"] == 14
+    assert stats["f"] == 1
+    assert stats["domain_points"] == 13
     assert stats["superposed_calls"] == 3
+    assert stats["walk_mul"] == 2
 
 
 def test_f_walk_gathers_labels_into_the_walk_grid():
@@ -459,9 +459,9 @@ def test_distinct_cosets_get_distinct_labels():
 def test_salt_count_bounds():
     table = sdp_table(modular_group_spec(3, 2))
     with pytest.raises(ValueError):
-        BlackBox(table, mode="salted", salts=0, rng=np.random.default_rng(0))
+        BlackBox(table, salts=0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        BlackBox(table, mode="salted", salts=17, rng=np.random.default_rng(0))
-    # unique mode ignores the salt argument rather than erroring
-    bb = BlackBox(table, mode="unique", salts=3, rng=np.random.default_rng(0))
-    assert bb.salts == 1
+        BlackBox(table, salts=17, rng=np.random.default_rng(0))
+    # the unique encoding mode ignores the salt argument rather than erroring
+    inst, _ = make_hidden_instance(table, [table.identity], mode="unique", salts=3)
+    assert inst.blackbox.salts == 1

@@ -191,7 +191,7 @@ def test_an_uncertified_oracle_books_no_sample():
     oracle = AbelianOracle.from_handles((9, 3), broken, e, handles)
     built = broken.query_stats()
     # the build's walk is booked as usual: one superposed evaluation of f
-    assert (built["mul"] - before["mul"], built["f"] - before["f"]) == (26, 27)
+    assert (built["walk_mul"] - before["walk_mul"], built["domain_points"] - before["domain_points"]) == (26, 27)
     assert built["superposed_calls"] - before["superposed_calls"] == 1
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdhsp.algebra import Lattice, closure, lattices_equal
-from sdhsp.blackbox import make_hidden_instance
+from sdhsp.blackbox import make_hidden_instance, oracle_pow
 from sdhsp.hsp_modular import (
     SpecialPair,
     find_shift,
@@ -91,7 +91,8 @@ def test_find_shift_worked_fixture():
     pair = SpecialPair(
         x=bb.encode(Element(1, 1)), y=bb.encode(Element(2, 0)), identity=bb.encode(Element(0, 0))
     )
-    shift, ares = find_shift(inst, pair, np.random.default_rng(3))
+    xp = oracle_pow(bb, pair.x, 3, pair.identity)
+    shift, ares = find_shift(inst, pair, xp, np.random.default_rng(3))
     assert ares.confident
     assert lattices_equal(ares.lattice, Lattice((3, 3), ((2, -1 % 3),)))
     assert shift == 2
@@ -107,7 +108,8 @@ def test_find_shift_full_lattice_means_no_shift():
     _, _, inst, handles = instance_for(P32, desc, seed=7)
     bb = inst.blackbox
     pair = find_special_pair(bb, handles)
-    shift, _ = find_shift(inst, pair, np.random.default_rng(5))
+    xp = oracle_pow(bb, pair.x, 3, pair.identity)
+    shift, _ = find_shift(inst, pair, xp, np.random.default_rng(5))
     assert shift is None
     with pytest.raises(ValueError):
         shifted_generator(bb, pair, None)
@@ -149,15 +151,15 @@ def test_branch_gates_in_report():
     _, truth, inst, handles = instance_for(P32, desc, seed=5)
     out = solve(inst, handles, rng=np.random.default_rng(6))
     assert frozenset(out.subgroup) == truth
-    branches = {b["name"]: b for b in out.report["branches"]}
-    assert not branches["quotient"]["ran"]
-    assert branches["inner"]["ran"]
+    stages = {b["name"]: b for b in out.report["stages"]}
+    assert not stages["quotient"]["ran"]
+    assert stages["inner"]["ran"]
     # subgroup containing x^p: quotient runs
     desc2 = next(d for d in enumerate_subgroups(P32) if d.label() == "xpower:1")
     _, truth2, inst2, handles2 = instance_for(P32, desc2, seed=5)
     out2 = solve(inst2, handles2, rng=np.random.default_rng(6))
     assert frozenset(out2.subgroup) == truth2
-    assert {b["name"] for b in out2.report["branches"] if b["ran"]} >= {"quotient"}
+    assert {b["name"] for b in out2.report["stages"] if b["ran"]} >= {"quotient"}
 
 
 def test_involution_branch_covers_the_deep_axis():
@@ -175,14 +177,14 @@ def test_involution_branch_covers_the_deep_axis():
     )
     out = solve(inst, handles, rng=np.random.default_rng(100))
     assert frozenset(out.subgroup) == truth
-    branches = {b["name"]: b for b in out.report["branches"]}
-    assert not branches["inner"]["ran"]
-    assert branches["involution"]["ran"]
+    stages = {b["name"]: b for b in out.report["stages"]}
+    assert not stages["inner"]["ran"]
+    assert stages["involution"]["ran"]
     # and for odd p the involution branch never appears at all
     desc_odd = enumerate_subgroups(P32)[0]
     _, truth_odd, inst_odd, handles_odd = instance_for(P32, desc_odd, seed=1)
     rep = solve(inst_odd, handles_odd, rng=np.random.default_rng(2)).report
-    assert "involution" not in {b["name"] for b in rep["branches"]}
+    assert "involution" not in {b["name"] for b in rep["stages"]}
 
 
 def test_group_family_guards():
@@ -220,7 +222,10 @@ def test_salted_fresh_encoding_end_to_end():
 
 
 
-RECORD_KEYS = ["name", "ran", "confident", "samples_used", "lattice_gens", "note"]
+RECORD_KEYS = [
+    "name", "ran", "note", "confident", "rounds", "samples_used", "lattice_gens", "queries"
+]
+BRANCHES = ("quotient", "inner", "involution")
 SKIP_NOTES = {
     "quotient": {"x^p lies outside the hidden subgroup"},
     "inner": {
@@ -231,7 +236,7 @@ SKIP_NOTES = {
 }
 
 
-def test_every_branch_record_has_the_six_report_keys():
+def test_every_stage_record_has_the_eight_report_keys():
     kinds = set()  # (branch, "ran") or (branch, the note it was skipped with)
     for p, r in ((2, 3), (2, 4), (3, 2), (3, 3)):
         spec = modular_group_spec(p, r)
@@ -239,15 +244,18 @@ def test_every_branch_record_has_the_six_report_keys():
             _, truth, inst, handles = instance_for(spec, desc, generator_policy=policy, seed=seed)
             out = solve(inst, handles, rng=np.random.default_rng(seed))
             assert frozenset(out.subgroup) == truth
-            for b in out.report["branches"]:
+            for b in out.report["stages"]:
                 assert list(b) == RECORD_KEYS
-                if b["ran"]:
+                if b["name"] not in BRANCHES:
+                    assert b["ran"] and b["note"] == ""
+                elif b["ran"]:
                     assert isinstance(b["confident"], bool)
-                    assert b["samples_used"] > 0
+                    assert b["samples_used"] > 0 and b["rounds"] > 0
+                    assert b["note"] == ""
                     kinds.add((b["name"], "ran"))
                 else:
                     assert b["confident"] is None
-                    assert b["samples_used"] == 0
+                    assert b["samples_used"] == b["rounds"] == 0
                     assert b["lattice_gens"] == []
                     assert b["note"] in SKIP_NOTES[b["name"]]
                     kinds.add((b["name"], b["note"]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdhsp.algebra import lattice_is_full, Lattice
-from sdhsp.blackbox import oracle_pow
+from sdhsp.blackbox import oracle_identity, oracle_lift, oracle_pow
 from sdhsp.hsp_vector import (
     VecInstance,
     make_vec_instance,
@@ -15,6 +15,7 @@ from sdhsp.hsp_vector import (
     reduce_and_solve,
     solve,
 )
+from sdhsp.qsim import AbelianOracle
 from sdhsp.reference import brute_force_hidden_subgroup, enumerate_all_subgroups
 from sdhsp.sdp_group import (
     VecElement,
@@ -125,8 +126,8 @@ def test_minimal_generating_set_reduces_redundant_sets():
         vin = make_vec_instance(
             S322, [vec_table(S322).identity], generator_policy="scrambled", seed=seed
         )
-        rmap, info = minimal_generating_set(vin, rng)
-        assert info["confident"]
+        rmap, res = minimal_generating_set(vin, rng)
+        assert res.confident
         assert len(rmap.gen_handles) == S322.m
         # the reduced generators hit every vector-part element exactly once
         bb = vin.blackbox
@@ -239,3 +240,49 @@ def test_solve_rejects_bad_delta():
     vin = make_vec_instance(S321, [vec_table(S321).identity], seed=0)
     with pytest.raises(ValueError):
         solve(vin, rng=np.random.default_rng(1), delta=2.0)
+
+
+def classical(inst) -> int:
+    q = inst.query_stats()
+    return q["mul"] + q["inv"] + q["eq"] + q["f"]
+
+
+def test_every_pointwise_evaluate_of_a_solve_is_booked(monkeypatch):
+    # the relation oracle of minimal_generating_set (handle codes, uint64) and
+    # the reduced oracle (labels) both evaluate points; each call is classical work
+    real, current = AbelianOracle.evaluate, {}
+    unbooked, relation_calls, calls = [], 0, 0
+
+    def watched(oracle, point):
+        nonlocal relation_calls, calls
+        before = classical(current["inst"])
+        value = real(oracle, point)
+        calls += 1
+        relation_calls += oracle.grid.dtype == np.uint64
+        if classical(current["inst"]) == before:
+            unbooked.append((oracle.moduli, tuple(point)))
+        return value
+
+    monkeypatch.setattr(AbelianOracle, "evaluate", watched)
+    for spec in (S321, ZmGroupSpec(2, 3, 1)):
+        for seed, sub in enumerate(enumerate_all_subgroups(vec_table(spec))):
+            vin = make_vec_instance(spec, sub, generator_policy="scrambled", seed=seed)
+            current["inst"] = vin.instance
+            out = solve(vin, np.random.default_rng(seed))
+            assert frozenset(out.subgroup) == sub
+    assert relation_calls > 0 and calls > relation_calls
+    assert unbooked == []
+
+
+def test_the_relation_oracle_books_the_products_of_oracle_lift():
+    vin = make_vec_instance(S322, [vec_table(S322).identity], generator_policy="scrambled", seed=3)
+    bb, gens = vin.blackbox, vin.a_handles
+    e = oracle_identity(bb, vin.y_handle)
+    oracle = AbelianOracle.from_products((9,) * len(gens), bb, e, gens)
+    for u in itertools.product(range(9), repeat=len(gens)):
+        before = bb.counters["mul"]
+        value = oracle.evaluate(u)
+        booked = bb.counters["mul"] - before
+        h = oracle_lift(bb, e, gens, u)
+        assert bb.counters["mul"] - before == 2 * booked
+        assert h.code == value

@@ -342,7 +342,7 @@ def test_unconfident_tail_evaluates_each_final_generator_once(monkeypatch):
     monkeypatch.setattr(qsim, "draw_samples", lambda oracle, rng, count: [(0, 0, 0)] * count)
     plain, L = coset_oracle((3, 3, 3), ((0, 0, 1), (1, 0, 0)))
     calls = []
-    oracle = AbelianOracle(plain.moduli, plain.grid, single_cost=lambda: calls.append(1))
+    oracle = AbelianOracle(plain.moduli, plain.grid, single_cost=calls.append)
     res = abelian_hsp_solve(oracle, np.random.default_rng(0))
     assert not res.confident and res.rounds == qsim.MAX_ROUNDS
     assert lattices_equal(res.lattice, L)
@@ -620,11 +620,11 @@ class CountingStub:
     """Stands in for a HiddenInstance: counts f evaluations and batches."""
 
     def __init__(self, table_order=27):
-        self.counters = {"f": 0, "superposed_calls": 0}
+        self.counters = {"f": 0, "superposed_calls": 0, "domain_points": 0}
 
-    def charge(self, evals, calls):
-        self.counters["f"] += evals
-        self.counters["superposed_calls"] += calls
+    def charge(self, **counts):
+        for key, n in counts.items():
+            self.counters[key] += n
 
 
 def test_sampling_cost_model():
@@ -633,16 +633,16 @@ def test_sampling_cost_model():
     counted = AbelianOracle(
         oracle.moduli,
         oracle.grid,
-        sample_cost=lambda: stub.charge(27, 1),
-        single_cost=lambda: stub.charge(1, 0),
+        sample_cost=lambda: stub.charge(domain_points=27, superposed_calls=1),
+        single_cost=lambda _: stub.charge(f=1),
         first_sample_paid=True,
     )
     rng = np.random.default_rng(909)
     draw_samples(counted, rng, count=3)
-    # first sample rides on the build; the next two pay 27 evals each
-    assert stub.counters == {"f": 54, "superposed_calls": 2}
+    # first sample rides on the build; the next two cover 27 points each
+    assert stub.counters == {"f": 0, "superposed_calls": 2, "domain_points": 54}
     counted.evaluate((1, 1))
-    assert stub.counters == {"f": 55, "superposed_calls": 2}
+    assert stub.counters == {"f": 1, "superposed_calls": 2, "domain_points": 54}
 
 
 # -- the batched oracle walk against the per-point walk it replaced -----------
@@ -706,7 +706,7 @@ def test_batched_walk_matches_the_per_point_walk(table, encoding, moduli, picks,
     mode, salts, policy = encoding
 
     def blackbox():
-        return BlackBox(table, mode, salts, policy, rng=np.random.default_rng(seed))
+        return BlackBox(table, salts, policy, rng=np.random.default_rng(seed))
 
     ref_bb, walk_bb = blackbox(), blackbox()
     start, *gens = (
@@ -718,14 +718,16 @@ def test_batched_walk_matches_the_per_point_walk(table, encoding, moduli, picks,
     total = math.prod(moduli)
     assert got.shape == tuple(moduli)
     assert got.ravel().tolist() == [ref_bb._decode_index(h) for h in want]
-    assert walk_bb.counters == ref_bb.counters == {"mul": total - 1, "inv": 0, "eq": 0}
+    # the walk books the per-point walk's products as walk_mul, not mul
+    assert ref_bb.counters == {"mul": total - 1, "inv": 0, "eq": 0, "walk_mul": 0}
+    assert walk_bb.counters == {"mul": 0, "inv": 0, "eq": 0, "walk_mul": total - 1}
     # no intermediate product reaches a caller, so the walk draws no salt
     assert walk_bb._rng.bit_generator.state == blackbox()._rng.bit_generator.state
     if mode == "unique":
         codes_bb = blackbox()
         codes = codes_bb.walk_codes(moduli, start, gens)
         assert [OpaqueHandle(int(c).to_bytes(8, "big")) for c in codes.ravel()] == want
-        assert codes_bb.counters == ref_bb.counters
+        assert codes_bb.counters == walk_bb.counters
 
 
 def test_walk_needs_one_generator_per_modulus():
@@ -733,17 +735,17 @@ def test_walk_needs_one_generator_per_modulus():
     e = bb.encode(WALK_TABLES[0].identity)
     with pytest.raises(ValueError, match="one generator handle per modulus"):
         bb.walk_codes((3, 3), e, [e])
-    assert bb.counters["mul"] == 0
+    assert bb.counters["walk_mul"] == 0
 
 
 @pytest.mark.parametrize("policy", ["zero", "operands", "fresh"])
 def test_walk_codes_refuses_a_salted_box(policy):
-    bb = BlackBox(WALK_TABLES[0], "salted", 4, policy, rng=np.random.default_rng(0))
+    bb = BlackBox(WALK_TABLES[0], 4, policy, rng=np.random.default_rng(0))
     e = bb.encode(WALK_TABLES[0].identity)
     state = bb._rng.bit_generator.state
     with pytest.raises(ValueError, match="product-valued oracles require unique encoding"):
         bb.walk_codes((3, 3), e, [e, e])
-    assert bb.counters == {"mul": 0, "inv": 0, "eq": 0}
+    assert bb.counters == {"mul": 0, "inv": 0, "eq": 0, "walk_mul": 0}
     assert bb._rng.bit_generator.state == state
 
 
@@ -763,9 +765,9 @@ def test_oracle_from_handles_books_one_superposed_evaluation(encoding):
     after = inst.query_stats()
     # f_walk draws no salt, under any policy
     assert bb._rng.bit_generator.state == state
-    assert after["mul"] - before["mul"] == 26
-    assert after["f"] - before["f"] == 27
-    assert after["superposed_calls"] - before["superposed_calls"] == 1
+    assert {k: after[k] - before[k] for k in after} == {
+        "mul": 0, "inv": 0, "eq": 0, "walk_mul": 26, "f": 0, "superposed_calls": 1, "domain_points": 27
+    }
     # equal ids exactly where the labels of the revealed products are equal
     x, y = (bb.reveal(h) for h in handles)
     labels = np.empty(moduli, dtype=np.int64)
