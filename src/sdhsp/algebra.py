@@ -43,32 +43,44 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def closure(mul: Callable, identity, gens, bound: int | None = None) -> list:
-    """Every product of `gens`, in discovery order.
-
-    The identity comes first, then each new generator in order, then what
-    a depth-first walk from the end of the stack finds; each element found
-    is multiplied on the right by every entry of `gens`.  Expansion stops
-    once more than `bound` elements are known.  Elements must hash by
-    value; opaque handles do, by their bytes.
-    """
-    gens = list(gens)
+    """Every product of `gens`, in discovery order: the identity, then each
+    generator not yet spanned adjoined coset by coset (:func:`adjoin`).
+    Expansion stops once more than `bound` elements are known.  Elements
+    must hash by value; opaque handles do, by their bytes."""
     limit = math.inf if bound is None else bound
-    seen = {identity}
-    out = [identity]
+    out, seen, used = [identity], {identity}, []
     for g in gens:
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-    stack = list(out)
-    while stack and len(out) <= limit:
-        h = stack.pop()
-        for g in gens:
-            w = mul(h, g)
-            if w not in seen:
-                seen.add(w)
-                out.append(w)
-                stack.append(w)
+        if g not in seen and len(out) <= limit:
+            used.append(g)
+            adjoin(mul, out, seen, used, limit)
     return out
+
+
+def adjoin(mul: Callable, out: list, seen: set, gens: list, limit: float = math.inf) -> None:
+    """Adjoin gens[-1] in place to `out`, the closure H' of gens[:-1] (identity first,
+    `seen` its set), by Dimino's algorithm: new elements come in whole right cosets
+    H'w, so only representatives w meet the generators.  Stops past `limit` elements."""
+    identity, sub = out[0], out[1:]
+    if not sub:  # from the trivial group, the new elements are the powers of gens[-1]
+        g = w = gens[-1]
+        while w not in seen:
+            seen.add(w)
+            out.append(w)
+            if len(out) > limit:
+                return
+            w = mul(w, g)
+        return
+    reps = [identity]
+    for r in reps:  # grows while it is walked
+        for s in gens:
+            w = s if r is identity else mul(r, s)
+            if w not in seen:
+                coset = [w] + [mul(h, w) for h in sub]
+                seen.update(coset)
+                out += coset
+                if len(out) > limit:
+                    return
+                reps.append(w)
 
 
 def square_and_multiply(mul: Callable, inv: Callable, identity, g, n: int):

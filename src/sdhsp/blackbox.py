@@ -371,8 +371,8 @@ def make_hidden_instance(
     standard generators ('canonical') or 2..4 random elements verified to
     generate the whole group ('scrambled').  Only these handles leak out of
     the construction; everything else must come from the oracles.  Coset
-    labels are drawn per coset in order of least members, which come from
-    doubling hops on index arrays, O(|G| log |H|) per pass over H's generators.
+    labels are drawn per coset in order of least members: passes of doubling
+    hops on index arrays, O(|G| log |H|) each, until an O(|G|) check finds them exact.
     The 'unique' encoding ``mode`` ignores ``salts``; 'salted' keeps it.
     """
     if mode not in ("unique", "salted"):
@@ -386,18 +386,19 @@ def make_hidden_instance(
     table_rng, label_rng, gen_rng = (np.random.default_rng(c) for c in ss.spawn(3))
     bb = BlackBox(table, salts=salts, salt_policy=salt_policy, rng=table_rng)
 
-    # least[g] becomes the least member of gH: min over g h^0 .. g h^(2^t - 1)
-    # after t doubling hops per generator h, repeated until nothing moves.
+    # least[g] -> the least member of gH: min over g h^0 .. g h^(2^t - 1) after t doubling
+    # hops per h.  Exact iff least maps onto |G|/|H| fixed points (one per coset, its least).
     everything = np.arange(table.order)
-    least, before = everything, None
-    while not np.array_equal(least, before):
-        before = least
+    least = everything
+    while True:
         for h in hidden_gens:
             step = table.index_mul(everything, h)
             for _ in range((len(members) - 1).bit_length()):
                 least, step = np.minimum(least, least[step]), step[step]
+        reps = np.flatnonzero(least == everything)
+        if reps.size * len(members) == table.order and np.array_equal(least[least], least):
+            break
     # one label per coset, drawn in order of least members
-    reps = np.flatnonzero(least == everything)
     labels = np.zeros(table.order, dtype=np.int64)
     labels[reps] = draw_distinct(lambda n: label_rng.integers(0, 2**63, size=n), reps.size)
     inst = HiddenInstance(bb, H, labels[least])

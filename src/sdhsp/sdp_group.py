@@ -34,7 +34,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import closure
+from .algebra import Lattice, adjoin, closure, lattice_is_full
 
 
 def is_prime(n: int) -> bool:
@@ -330,9 +330,17 @@ def vec_table(G: ZmGroupSpec) -> GroupTable:
 def generates(table: GroupTable, gens) -> bool:
     """Whether the element indices `gens` generate the whole group.
 
-    A proper subgroup has at most |G|/2 elements (Lagrange), so the closure
+    On a p-group (q = p, so alpha = 1 mod p) (a, b) -> (a mod p, b) maps G
+    onto F_p^(m+1) with kernel the Frattini subgroup, so by Burnside's basis
+    theorem `gens` generate G iff their images span F_p^(m+1).  Otherwise a
+    proper subgroup has at most |G|/2 elements (Lagrange), so the closure
     stops as soon as it holds more.
     """
+    p = getattr(table.spec, "p", None)
+    if p is not None and getattr(table.spec, "q", p) == p:
+        n, m = table.spec.modulus, getattr(table.spec, "m", 1)
+        rows = [[i % p] + [i // p // n**j % p for j in range(m)] for i in gens]
+        return lattice_is_full(Lattice((p,) * (m + 1), rows))
     half = table.order // 2
     return len(closure(table.imul, 0, gens, bound=half)) > half
 
@@ -340,22 +348,21 @@ def generates(table: GroupTable, gens) -> bool:
 def greedy_generators(table: GroupTable, elems: frozenset) -> list | None:
     """Generators of the set of element indices `elems`, or None if it is no subgroup.
 
-    Each element of H not yet spanned, in index order, joins the generators,
-    and the span is re-closed with bound |H|, in O(|H| log^2 |H|) products.
-    No closure leaves a subgroup, so a span that leaves H rejects; one
-    inside H is a complete closure, hence a subgroup, and at the end it
-    holds all of H.  Each generator at least doubles the span, so there
-    are at most log2 |H| of them.
+    Each element of H not yet spanned, in index order, joins the generators
+    and is adjoined to the one span (``algebra.adjoin``) with bound |H|.  No
+    closure leaves a subgroup, so a span that leaves H rejects; one inside H
+    is a complete closure, hence a subgroup, and at the end it holds all of
+    H.  Each generator at least doubles the span: at most log2 |H| of them.
     """
     if 0 not in elems:
         return None
     gens: list = []
-    span = {0}
+    span, seen = [0], {0}
     for g in sorted(elems):
-        if g not in span:
+        if g not in seen:
             gens.append(g)
-            span = set(closure(table.imul, 0, gens, bound=len(elems)))
-            if not span <= elems:
+            adjoin(table.imul, span, seen, gens, len(elems))
+            if not seen <= elems:
                 return None
     return gens
 

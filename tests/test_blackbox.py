@@ -257,6 +257,36 @@ def test_orbit_minimum_labels_match_the_per_coset_loop(table, subgroups_of, monk
         assert made[1].bit_generator.state == want_rng.bit_generator.state
 
 
+COSET_LABEL_CASES = {
+    "S3": (sdp_table(GroupSpec(3, 2, 1, 2)), subgroups_by_closure),
+    "S3 permutations": (symmetric_group_table(3), subgroups_by_closure),  # two passes
+    "D16": (sdp_table(GroupSpec(2, 2, 3, 7)), enumerate_all_subgroups),
+    "3,2": (sdp_table(modular_group_spec(3, 2)), enumerate_all_subgroups),
+    "3,2,2": (vec_table(ZmGroupSpec(3, 2, 2)), enumerate_all_subgroups),
+}
+
+
+@pytest.mark.parametrize("name", COSET_LABEL_CASES)
+def test_labels_agree_exactly_on_left_cosets_and_are_drawn_by_least_member(name):
+    # f(g) = f(k) iff g^-1 k in H: constant along each row g*H and one
+    # label per coset; the labels, read by least member, are the draws
+    table, subgroups_of = COSET_LABEL_CASES[name]
+    everything = np.arange(table.order)
+    for seed, H in enumerate(subgroups_of(table)):
+        members = np.array(sorted(map(table.index, H)))
+        inst, _ = make_hidden_instance(table, H, seed=seed)
+        labels = np.array([inst.label_of_element(g) for g in table.elements])
+        cosets = table.index_mul(everything[:, None], members[None, :])  # row g: g*H
+        assert (labels[cosets] == labels[:, None]).all()
+        least = cosets.min(axis=1)
+        reps = np.unique(least)
+        assert reps.size * members.size == table.order
+        assert np.unique(labels).size == reps.size
+        label_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
+        drawn = draw_distinct(lambda n: label_rng.integers(0, 2**63, size=n), reps.size)
+        assert labels[reps].tolist() == drawn.tolist()
+
+
 def test_unique_encoding_is_injective_and_stable():
     table, bb = fresh_box()
     h1 = {g: bb.encode(g) for g in table.elements}
@@ -435,6 +465,10 @@ def test_generator_policies():
         inst_i, hs = make_hidden_instance(table, H, generator_policy="scrambled", seed=seed)
         variants.add(tuple(inst_i.blackbox.reveal(h) for h in hs))
     assert len(variants) > 1
+    # a table outside both families draws them through the closure route
+    s3 = symmetric_group_table(3)
+    inst_p, hs = make_hidden_instance(s3, {s3.identity}, generator_policy="scrambled", seed=1)
+    assert len(closure(s3.mul, s3.identity, [inst_p.blackbox.reveal(h) for h in hs])) == 6
 
 
 def test_non_subgroup_is_rejected():

@@ -76,6 +76,10 @@ PINNED_REPORTS = {
     "bench_vector_scrambled.csv": (
         "bench", "--grid", "2,3,2;3,2,2", "--generators", "scrambled", "--seed", "7",
     ),
+    "bench_scrambled_wide.csv": (
+        "bench", "--grid", "5,3;11,2;13,2", "--encoding", "salted:4", "--salt-policy", "fresh",
+        "--generators", "scrambled", "--seed", "7",
+    ),
 }
 # diffed by the CI workflow only: the (2,13) solve holds a 2^12 x 2^12 walk
 CI_ONLY_REPORTS = {

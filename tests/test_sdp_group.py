@@ -4,6 +4,7 @@ Reference group throughout: p=3, r=2, alpha=4, i.e. Z_9 twisted by the unit 4.
 """
 
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -307,11 +308,12 @@ def test_closure_discovery_order_and_mul_count():
         return compose(P32, g, h)
 
     x = Element(1, 0)
-    # identity, then each new generator, then depth first from the stack top;
-    # every element found is multiplied by every generator, repeats included
+    # identity first; from the trivial group x adds its powers, one product
+    # each (x*x .. x^8*x, the last giving the identity back); the repeat and
+    # the identity are already spanned and make no product
     got = closure(mul, IDENTITY, [x, x, IDENTITY])
     assert got == [IDENTITY] + [Element(a, 0) for a in range(1, 9)]
-    assert len(calls) == 9 * 3
+    assert len(calls) == 8
 
 
 def test_closure_stops_expanding_past_the_bound():
@@ -392,6 +394,67 @@ GENERATES_TABLES = [
 def test_generates_matches_the_full_closure(table, picks):
     gens = [i % table.order for i in picks]
     assert generates(table, gens) == (len(closure(table.imul, 0, gens)) == table.order)
+
+
+CLOSURE_TABLES = [
+    sdp_table(GroupSpec(7, 3, 1, 2)),  # q != p
+    sdp_table(GroupSpec(2, 2, 3, 7)),  # D16
+    vec_table(ZmGroupSpec(3, 2, 1)),
+    vec_table(ZmGroupSpec(2, 3, 2)),
+]
+
+
+def span_by_search(table, gens):
+    """The plain definition: everything reachable from the identity by
+    right products with the generators."""
+    seen, todo = {0}, [0]
+    while todo:
+        h = todo.pop()
+        for g in gens:
+            if (w := table.imul(h, g)) not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+@given(
+    st.sampled_from(CLOSURE_TABLES),
+    st.lists(st.integers(0, 10**6), max_size=4),
+    st.integers(0, 3),
+    st.booleans(),
+    st.lists(st.integers(0, 10**6), max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_closure_is_the_span_and_its_bound_is_decisive(table, picks, repeats, with_identity, bounds):
+    gens = [i % table.order for i in picks]
+    gens += gens[:repeats] + [0] * with_identity
+    full = closure(table.imul, 0, gens)
+    assert full[0] == 0 and len(full) == len(set(full))
+    assert set(full) == span_by_search(table, gens)
+    n = len(full)
+    tried = {0, 1, n // 2, n - 1, n, table.order // 2} | {b % (table.order + 1) for b in bounds}
+    for b in tried:
+        assert (len(closure(table.imul, 0, gens, bound=b)) > b) == (n > b)
+
+
+# p-groups, where generates reads the Frattini quotient instead of closing
+BURNSIDE_TABLES = {
+    "D16": sdp_table(GroupSpec(2, 2, 3, 7)),
+    "quasi-dihedral": sdp_table(GroupSpec(2, 2, 4, 7)),
+    "direct": sdp_table(GroupSpec(3, 3, 2, 1)),
+    "3,2": sdp_table(modular_group_spec(3, 2)),
+    "2,3": sdp_table(modular_group_spec(2, 3)),
+    "3,2,1": vec_table(ZmGroupSpec(3, 2, 1)),
+    "2,3,2": vec_table(ZmGroupSpec(2, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", BURNSIDE_TABLES)
+def test_generates_matches_the_full_closure_on_every_single_and_pair(name):
+    table = BURNSIDE_TABLES[name]
+    everything = range(table.order)
+    for gens in [(g,) for g in everything] + list(combinations(everything, 2)):
+        assert generates(table, gens) == (len(closure(table.imul, 0, gens)) == table.order), gens
 
 
 def test_one_table_per_spec():
