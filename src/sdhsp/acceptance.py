@@ -450,7 +450,9 @@ def criterion_backend_equivalence(quick: bool = False) -> CriterionResult:
     tvs = {}
     for moduli, gens in fixtures:
         L = lattice_canonicalize(Lattice(moduli, gens))
-        oracle = AbelianOracle.from_function(moduli, lambda pt, L=L: lattice_coset_rep(L, pt))
+        reps: dict = {}  # coset ids, numbered by first appearance
+        grid = [reps.setdefault(lattice_coset_rep(L, pt), len(reps)) for pt in np.ndindex(*moduli)]
+        oracle = AbelianOracle(moduli, np.reshape(grid, moduli))
         rng1 = np.random.default_rng([1, *moduli])
         rng2 = np.random.default_rng([2, *moduli])
         sv = draw_samples(oracle, rng1, n_samples)

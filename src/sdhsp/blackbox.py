@@ -24,7 +24,7 @@ power of h g_d h^-1 on the left: ``HiddenInstance.f_walk`` labels them, and
 ``walk_codes`` (unique encodings only) reads their codes.  It books the
 products of one ``oracle_mul`` per point as ``walk_mul``, apart from the
 pointwise ``mul``, and draws nothing: no intermediate product gets a salt,
-as f labels all its encodings alike.
+as f labels all its encodings alike; ``_power_walk`` walks g_1's powers alone.
 
 ``reveal`` decodes a handle back to coordinates.  It exists for reports and
 tests; solver code must never call it.
@@ -182,9 +182,12 @@ class BlackBox:
         if len(gen_handles) != len(moduli):
             raise ValueError("one generator handle per modulus is required")
         start, *gens = (self._decode_index(h) for h in (identity, *gen_handles))
-        total = math.prod(moduli)
-        self.counters["walk_mul"] += total - 1
-        elems = np.empty(total, dtype=np.int64)
+        self.counters["walk_mul"] += math.prod(moduli) - 1
+        return self._products(moduli, start, gens)
+
+    def _products(self, moduli: tuple, start: int, gens: list) -> np.ndarray:
+        """``_walk``'s grid from element indices, unbooked."""
+        elems = np.empty(math.prod(moduli), dtype=np.int64)
         elems[0], done = start, 1  # cells [0, done) are filled: the block u_d = 0
         everything, h_inv = np.arange(self.table.order), self.table.iinv(start)
         for d in reversed(range(len(moduli))):
@@ -196,6 +199,22 @@ class BlackBox:
                 left.take(elems[:width], out=elems[done : done + width], mode="clip")
                 done, left = min(2 * done, end), left[left]
         return elems.reshape(moduli)
+
+    def _power_walk(self, moduli, identity: OpaqueHandle, gen_handles) -> tuple[np.ndarray, list]:
+        """``_walk`` on a grid of powers g_d = g_1^{w_d} with g_d^{n_d} = e, whose
+        points are all h g_1^j: h g_1^j for j < t = ord(g_1), and w, booking the
+        whole grid.  Checked first: ValueError, nothing booked, on another grid."""
+        if len(gen_handles) != len(moduli):
+            raise ValueError("one generator handle per modulus is required")
+        h, g, *rest = (self._decode_index(x) for x in (identity, *gen_handles))
+        elems = self._products((moduli[0] + 1,), h, [g])  # h g^j, j <= n_1
+        t, targets = int(np.argmax(elems[1:] == h)) + 1, [self.table.imul(h, x) for x in rest]
+        w = [1, *(int(np.argmax(elems[:t] == x)) for x in targets)]
+        bad = any(elems[i] != x or i * n % t for i, x, n in zip(w[1:], targets, moduli[1:]))
+        if elems[moduli[0]] != h or bad:
+            raise ValueError("grid generators must be powers of the first, of orders dividing n_d")
+        self.counters["walk_mul"] += math.prod(moduli) - 1
+        return elems[:t], w
 
     def walk_codes(self, moduli, identity: OpaqueHandle, gen_handles) -> np.ndarray:
         """Handle codes of the ``_walk`` grid; unique encodings only, where
@@ -330,6 +349,13 @@ class HiddenInstance:
         self.counters["domain_points"] += labels.size
         self.counters["superposed_calls"] += 1
         return labels
+
+    def f_powers(self, moduli, identity: OpaqueHandle, gen_handles) -> tuple[np.ndarray, list]:
+        """``f_walk`` over ``BlackBox._power_walk``: the labels of h g_1^j, j < t, and w."""
+        walk, weights = self.blackbox._power_walk(moduli, identity, gen_handles)
+        self.counters["domain_points"] += math.prod(moduli)
+        self.counters["superposed_calls"] += 1
+        return self._label_array[walk], weights
 
     def charge(self, **counts: int) -> None:
         """Book modeled query cost, by counter name, for evaluations

@@ -29,7 +29,8 @@ box: ``HiddenInstance.f_walk`` labels g_1^{u_1}...g_k^{u_k} over the whole
 grid, and ``BlackBox.walk_codes`` gives their handle codes under a unique
 encoding.  The walk books the products of one ``oracle_mul`` per grid
 point as ``walk_mul`` and draws no salt, so counters and answers match a
-point-by-point walk.  Grid values are labels or codes, compared only for equality.
+point-by-point walk; ``from_powers`` labels only <g_1> on a grid of its powers.
+Grid values are labels or codes, compared only for equality.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ MAX_ROUNDS = 3  # abelian_hsp_solve doubles its sample pool at most twice
 
 
 class AbelianOracle:
-    """F on a product of cyclic groups, pre-evaluated on the full grid.
+    """F on a product of cyclic groups, pre-evaluated on the full grid, or on
+    Z_t with F(u) = grid[w.u mod t], t = grid.size, given ``weights`` w, w_1 = 1.
 
     The grid holds integer values, compared only for equality.  The oracle
     takes ownership of `grid` and makes this handle read-only; a caller must
@@ -65,6 +67,7 @@ class AbelianOracle:
         sample_cost: Callable[[], None] | None = None,
         single_cost: Callable[[tuple[int, ...]], None] | None = None,
         first_sample_paid: bool = False,
+        weights: Sequence[int] | None = None,
     ) -> None:
         self.moduli = tuple(int(n) for n in moduli)
         if any(n < 1 for n in self.moduli):
@@ -75,19 +78,13 @@ class AbelianOracle:
         self._sample_cost = sample_cost
         self._single_cost = single_cost
         self._credit = first_sample_paid
+        self._weights = weights
 
     @property
     def domain_size(self) -> int:
         return math.prod(self.moduli)
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_function(cls, moduli: Sequence[int], fn: Callable) -> "AbelianOracle":
-        """Uncounted oracle from a plain callable on index tuples."""
-        moduli = tuple(int(n) for n in moduli)
-        labels = [fn(pt) for pt in np.ndindex(*moduli)]
-        return cls(moduli, _to_id_grid(labels, moduli))
 
     @classmethod
     def from_handles(cls, moduli, inst, identity, gen_handles) -> "AbelianOracle":
@@ -97,14 +94,26 @@ class AbelianOracle:
         which pays for the first superposed sample.  Each ``evaluate`` books
         one pointwise ``f``.
         """
-        labels = inst.f_walk(moduli, identity, gen_handles)
-        dom = labels.size
+        return cls._counted(moduli, inst, inst.f_walk(moduli, identity, gen_handles))
+
+    @classmethod
+    def from_powers(cls, moduli, inst, identity, gen_handles) -> "AbelianOracle":
+        """``from_handles`` on a grid of powers g_d = g_1^{w_d} with g_d^{n_d} = e:
+        its values, booking and certificate from the ord(g_1) labels of <g_1>
+        (``HiddenInstance.f_powers``); ValueError, nothing booked, on another grid."""
+        labels, weights = inst.f_powers(moduli, identity, gen_handles)
+        return cls._counted(moduli, inst, labels, weights)
+
+    @classmethod
+    def _counted(cls, moduli, inst, labels, weights=None) -> "AbelianOracle":
+        dom = math.prod(moduli)
         return cls(
             moduli,
             labels,
             sample_cost=lambda: inst.charge(domain_points=dom, superposed_calls=1),
             single_cost=lambda _: inst.charge(f=1),
             first_sample_paid=True,
+            weights=weights,
         )
 
     @classmethod
@@ -131,10 +140,12 @@ class AbelianOracle:
         idx = tuple(int(x) % n for x, n in zip(point, self.moduli, strict=True))
         if self._single_cost is not None:
             self._single_cost(idx)
+        if self._weights is not None:
+            idx = sum(w * x for w, x in zip(self._weights, idx)) % self.grid.size
         return int(self.grid[idx])
 
     def f0(self) -> int:
-        return int(self.grid[(0,) * len(self.moduli)])
+        return int(self.grid.flat[0])
 
     def note_sample(self) -> None:
         if self._credit:
@@ -150,7 +161,16 @@ class AbelianOracle:
         L's generators leave the grid unchanged (F is L-periodic) and the box
         prod [0, d_i), d_i the diagonal of L's echelon basis, a transversal of
         G/L, holds prod d_i values (F is injective on G/L).  Otherwise F hides
-        no subgroup on this grid: ValueError, naming the test that failed."""
+        no subgroup on this grid: ValueError, naming the test that failed.
+
+        F(u) = h[w.u mod t], w_1 = 1, passes iff h does, with L the preimage of
+        h's K: kappa = |Z_t/K|, and L^perp is j (w_d n_d / kappa)_d, row-major for j < kappa."""
+        if self._weights is not None:
+            kappa = self.grid.size // AbelianOracle(self.grid.shape, self.grid)._certificate[0]
+            step = np.multiply(self._weights, self.moduli) // kappa
+            dual = np.arange(kappa)[:, None] * step % self.moduli
+            outcomes = np.ravel_multi_index(tuple(dual.T), self.moduli)
+            return self.domain_size // kappa, outcomes, np.arange(1, kappa + 1) / kappa
         gens = _subgroup_gens(self.grid)
         if gens is None:
             raise ValueError("function is not periodic over this domain")
@@ -162,15 +182,6 @@ class AbelianOracle:
         outcomes = np.flatnonzero(mask)
         cdf = mask[outcomes].cumsum()
         return self.domain_size // box.size, outcomes, cdf / cdf[-1]
-
-
-def _to_id_grid(labels: list, moduli: tuple[int, ...]) -> np.ndarray:
-    """Ids of arbitrary hashable labels, numbered by first appearance."""
-    ids: dict = {}
-    flat = np.empty(math.prod(moduli), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        flat[i] = ids.setdefault(lab, len(ids))
-    return flat.reshape(moduli)
 
 
 # -- sampling -------------------------------------------------------------------

@@ -282,31 +282,39 @@ RELABEL_CELLS = {
 @pytest.fixture
 def evaluated(monkeypatch):
     """The element indices at which f is evaluated, pointwise or on a
-    superposed grid; ``walk_codes`` grids hold handle codes, not f values,
-    and stay out."""
+    superposed grid: the walk's elements under ``f_walk``, and the powers of
+    g_1 under ``f_powers`` (which stand for every point of their grid);
+    ``walk_codes`` grids hold handle codes, not f values, and stay out."""
     seen: set[int] = set()
-    in_f_walk = []
-    walk, f, f_walk = BlackBox._walk, HiddenInstance.f, HiddenInstance.f_walk
+    labelling = []
+    f = HiddenInstance.f
 
-    def spy_walk(bb, *args):
-        grid = walk(bb, *args)
-        if in_f_walk:
-            seen.update(np.unique(grid).tolist())
-        return grid
+    def spy_walk(walk):
+        def spied(bb, *args):
+            out = walk(bb, *args)
+            if labelling:
+                seen.update(np.unique(out[0] if isinstance(out, tuple) else out).tolist())
+            return out
 
-    def spy_f_walk(inst, *args):
-        in_f_walk.append(True)
-        try:
-            return f_walk(inst, *args)
-        finally:
-            in_f_walk.pop()
+        return spied
+
+    def spy_labels(f_grid):
+        def spied(inst, *args):
+            labelling.append(True)
+            try:
+                return f_grid(inst, *args)
+            finally:
+                labelling.pop()
+
+        return spied
 
     def spy_f(inst, h):
         seen.add(inst.blackbox._decode_index(h))
         return f(inst, h)
 
-    monkeypatch.setattr(BlackBox, "_walk", spy_walk)
-    monkeypatch.setattr(HiddenInstance, "f_walk", spy_f_walk)
+    for walk, f_grid in (("_walk", "f_walk"), ("_power_walk", "f_powers")):
+        monkeypatch.setattr(BlackBox, walk, spy_walk(getattr(BlackBox, walk)))
+        monkeypatch.setattr(HiddenInstance, f_grid, spy_labels(getattr(HiddenInstance, f_grid)))
     monkeypatch.setattr(HiddenInstance, "f", spy_f)
     return seen
 

@@ -58,6 +58,13 @@ PINNED_REPORTS = {
     "solve_p_2_12_cyclicxy.json": (
         "solve-p", "--p", "2", "--r", "12", "--hidden", "cyclicxy:1,5", "--seed", "5",
     ),
+    "solve_p_2_13_cyclicxy.json": (
+        "solve-p", "--p", "2", "--r", "13", "--hidden", "cyclicxy:1,5", "--seed", "5",
+    ),
+    "solve_p_2_16_scrambled.json": (
+        "solve-p", "--p", "2", "--r", "16", "--hidden", "random", "--generators", "scrambled",
+        "--seed", "3",
+    ),
     "solve_zm_random.json": (
         "solve-zm", "--p", "3", "--r", "2", "--m", "1", "--hidden", "random", "--seed", "1",
     ),
@@ -79,12 +86,6 @@ PINNED_REPORTS = {
     "bench_scrambled_wide.csv": (
         "bench", "--grid", "5,3;11,2;13,2", "--encoding", "salted:4", "--salt-policy", "fresh",
         "--generators", "scrambled", "--seed", "7",
-    ),
-}
-# diffed by the CI workflow only: the (2,13) solve holds a 2^12 x 2^12 walk
-CI_ONLY_REPORTS = {
-    "solve_p_2_13_cyclicxy.json": (
-        "solve-p", "--p", "2", "--r", "13", "--hidden", "cyclicxy:1,5", "--seed", "5",
     ),
 }
 WORKFLOW = HERE.parent / ".github" / "workflows" / "tests.yml"
@@ -430,5 +431,4 @@ def test_ci_diffs_exactly_the_pinned_reports():
             assert m, line
             assert m.group(2) not in diffed, line
             diffed[m.group(2)] = tuple(shlex.split(m.group(1)))
-    assert diffed == {**PINNED_REPORTS, **CI_ONLY_REPORTS}
-    assert (HERE / "data" / next(iter(CI_ONLY_REPORTS))).exists()
+    assert diffed == PINNED_REPORTS

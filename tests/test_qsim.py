@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sdhsp.algebra import (
     Lattice,
+    closure,
     dual_lattice,
     lattice_canonicalize,
     lattice_coset_rep,
@@ -19,7 +20,7 @@ from sdhsp.algebra import (
     lattice_size,
     lattices_equal,
 )
-from sdhsp.blackbox import BlackBox, OpaqueHandle, make_hidden_instance
+from sdhsp.blackbox import BlackBox, HiddenInstance, OpaqueHandle, make_hidden_instance
 from sdhsp import qsim
 from sdhsp.qsim import AbelianOracle, abelian_hsp_solve, draw_samples
 from sdhsp.reference import sample_annihilator
@@ -47,9 +48,17 @@ def qft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
 
 
+def oracle_from_function(moduli, fn) -> AbelianOracle:
+    """Uncounted oracle of a plain callable on index tuples; its values are
+    renumbered by first appearance, as only their equality counts."""
+    ids: dict = {}
+    grid = [ids.setdefault(fn(pt), len(ids)) for pt in np.ndindex(*moduli)]
+    return AbelianOracle(moduli, np.reshape(grid, moduli))
+
+
 def coset_oracle(moduli, gens) -> AbelianOracle:
     L = Lattice(tuple(moduli), tuple(gens))
-    return AbelianOracle.from_function(moduli, lambda pt: lattice_coset_rep(L, pt)), L
+    return oracle_from_function(moduli, lambda pt: lattice_coset_rep(L, pt)), L
 
 
 def test_qft_unitarity():
@@ -283,7 +292,7 @@ def test_periodicity_lattice_matches_the_per_point_span(seed):
 def test_periodicity_lattice_rejects_non_periodic():
     # F(0)'s level set {0, 2, 5} is not closed under addition mod 6
     labels = {0: 0, 1: 1, 2: 0, 3: 1, 4: 1, 5: 0}
-    oracle = AbelianOracle.from_function((6,), lambda pt: labels[pt[0]])
+    oracle = oracle_from_function((6,), lambda pt: labels[pt[0]])
     with pytest.raises(ValueError):
         subgroup_lattice(oracle)
 
@@ -331,7 +340,7 @@ def test_abelian_solver_trivial_and_full():
     oracle, L = coset_oracle((9, 3), ())
     res = abelian_hsp_solve(oracle, rng)
     assert res.confident and lattices_equal(res.lattice, Lattice((9, 3), ()))
-    oracle2 = AbelianOracle.from_function((9, 3), lambda pt: 0)
+    oracle2 = oracle_from_function((9, 3), lambda pt: 0)
     res2 = abelian_hsp_solve(oracle2, rng)
     assert res2.confident and lattice_is_full(res2.lattice)
 
@@ -629,7 +638,7 @@ class CountingStub:
 
 def test_sampling_cost_model():
     stub = CountingStub()
-    oracle = AbelianOracle.from_function((9, 3), lambda pt: lattice_coset_rep(Lattice((9, 3), ((3, 1),)), pt))
+    oracle = oracle_from_function((9, 3), lambda pt: lattice_coset_rep(Lattice((9, 3), ((3, 1),)), pt))
     counted = AbelianOracle(
         oracle.moduli,
         oracle.grid,
@@ -782,3 +791,163 @@ def test_oracle_from_handles_books_one_superposed_evaluation(encoding):
     assert np.array_equal(
         flat_ids[:, None] == flat_ids[None, :], flat_labels[:, None] == flat_labels[None, :]
     )
+
+
+# -- the cyclic route against the walk it stands in for -------------------------
+
+# the groups of the three benchmark workloads, and (2,13)
+POWER_TABLES = [
+    *(sdp_table(modular_group_spec(p, r)) for p, r in ((5, 4), (3, 6), (2, 10), (3, 3), (5, 2))),
+    *(sdp_table(modular_group_spec(p, r)) for p, r in ((7, 2), (3, 4), (2, 13))),
+    vec_table(ZmGroupSpec(2, 3, 2)),
+    vec_table(ZmGroupSpec(3, 2, 2)),
+]
+POWER_ENCODINGS = [("unique", 1, "zero"), ("salted", 4, "fresh")]
+
+
+def element_order(table, i: int) -> int:
+    order, acc = 1, i
+    while acc != 0:
+        acc, order = table.imul(acc, i), order + 1
+    return order
+
+
+def element_power(table, i: int, n: int) -> int:
+    acc = 0
+    for _ in range(n):
+        acc = table.imul(acc, i)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def power_instance(t: int, encoding, seed: int):
+    """A hiding instance on ``POWER_TABLES[t]`` for the span of two random elements."""
+    table, (mode, salts, policy) = POWER_TABLES[t], encoding
+    rng = np.random.default_rng([seed, t])
+    span = closure(table.imul, 0, rng.integers(0, table.order, size=2).tolist())
+    subgroup = [table.elements[i] for i in span]
+    inst, _ = make_hidden_instance(
+        table, subgroup, mode=mode, salts=salts, salt_policy=policy, seed=seed
+    )
+    return inst
+
+
+def random_cyclic_grid(table, rng, max_points=6_000):
+    """(start, moduli, generators) as element indices: g_1 of order t, n_1 a
+    multiple of t, and g_d = g_1^{w_d} with n_d a multiple of its order."""
+    a = int(rng.integers(1, table.order))
+    o = element_order(table, a)
+    t = int(rng.choice([d for d in range(1, o + 1) if o % d == 0 and d <= 81]))
+    g1 = element_power(table, a, o // t)
+    p = table.spec.p
+    moduli, gens = [t * int(rng.choice([1, p]))], [g1]
+    for _ in range(int(rng.integers(0, 3))):
+        w = int(rng.integers(0, t))
+        n = t // math.gcd(t, w) * int(rng.choice([1, p]))
+        if math.prod(moduli) * n <= max_points:
+            moduli.append(n)
+            gens.append(element_power(table, g1, w))
+    start = 0 if rng.random() < 0.5 else int(rng.integers(0, table.order))
+    return start, tuple(moduli), gens
+
+
+def handles_of(bb, rng, indices):
+    return [bb._handle(i, int(rng.integers(0, bb.salts))) for i in indices]
+
+
+def booked(inst, call):
+    """``call()``'s result, or its ValueError's message, and the counters it moved."""
+    before = inst.query_stats()
+    try:
+        out = call()
+    except ValueError as err:
+        out = str(err)
+    after = inst.query_stats()
+    return out, {k: after[k] - before[k] for k in after}
+
+
+def assert_same_certificate(inst, power, walk):
+    """Both refuse with one message, or give one |L|, L^perp and CDF, bit for bit;
+    neither books anything."""
+    (got, got_booked), (want, want_booked) = (
+        booked(inst, lambda o=o: o._certificate) for o in (power, walk)
+    )
+    assert not any(got_booked.values()) and not any(want_booked.values())
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        assert got[1].tolist() == want[1].tolist()
+        assert got[2].tobytes() == want[2].tobytes()
+    return want
+
+
+ROUTES = (AbelianOracle.from_handles, AbelianOracle.from_powers)
+
+
+@given(
+    t=st.integers(0, len(POWER_TABLES) - 1),
+    encoding=st.sampled_from(POWER_ENCODINGS),
+    hidden=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=120, deadline=None)
+def test_the_power_route_is_the_walk_route_on_cyclic_grids(t, encoding, hidden, seed):
+    inst = power_instance(t, encoding, hidden)
+    bb, rng = inst.blackbox, np.random.default_rng(seed)
+    start, moduli, gens = random_cyclic_grid(bb.table, rng)
+    start, *gens = handles_of(bb, rng, [start, *gens])
+    (walk, walk_booked), (power, power_booked) = (
+        booked(inst, lambda r=r: r(moduli, inst, start, gens)) for r in ROUTES
+    )
+    assert power_booked == walk_booked
+    assert walk_booked["domain_points"] == math.prod(moduli)
+    assert power.f0() == walk.f0()
+    if not isinstance(assert_same_certificate(inst, power, walk), str):
+
+        def draws(oracle):  # the same draws, booking and RNG end state
+            r = np.random.default_rng(seed)
+            return *booked(inst, lambda: draw_samples(oracle, r, 40)), r.bit_generator.state
+
+        assert draws(power) == draws(walk)
+    for point in rng.integers(-100, 100, size=(20, len(moduli))).tolist():
+        got, want = (booked(inst, lambda o=o: o.evaluate(point)) for o in (power, walk))
+        assert got == want
+
+    # relabel 1-3 elements the grid reaches: both routes refuse alike or certify alike
+    labels = inst._label_array.copy()
+    reached = np.unique(bb._walk(moduli, start, gens))
+    for i in rng.choice(reached, size=min(reached.size, int(rng.integers(1, 4))), replace=False):
+        labels[i] = labels.max() + 1 if rng.random() < 0.5 else labels[rng.choice(reached)]
+    twin = HiddenInstance(bb, inst.truth_elements(), labels)
+    walk, power = (r(moduli, twin, start, gens) for r in ROUTES)
+    assert_same_certificate(twin, power, walk)
+
+
+@pytest.mark.parametrize("t", range(len(POWER_TABLES)))
+def test_the_power_route_refuses_other_grids_before_booking(t):
+    inst = power_instance(t, POWER_ENCODINGS[0], 0)
+    bb, table, rng = inst.blackbox, inst.blackbox.table, np.random.default_rng(t)
+    gens = [0]
+    while gens[0] == 0:  # a g_1 other than the identity
+        _, moduli, gens = random_cyclic_grid(table, rng)
+    g1 = gens[0]
+    powers = {element_power(table, g1, j) for j in range(element_order(table, g1))}
+    outside = next(i for i in rng.permutation(table.order).tolist() if i not in powers)
+    foreign = BlackBox(table, rng=np.random.default_rng(99))._handle(g1, 0)
+    e, g1h, out_h = handles_of(bb, rng, [0, g1, outside])
+    n1 = moduli[0]
+    cases = [
+        ("unknown encoding", (n1,), foreign, [g1h]),
+        ("unknown encoding", (n1, n1), e, [g1h, foreign]),
+        ("one generator handle per modulus", (n1, 2), e, [g1h]),
+        ("powers of the first", (n1, n1), e, [g1h, out_h]),
+        ("powers of the first", (n1, 1), e, [g1h, g1h]),  # g_2 = g_1, g_2^1 != e
+        ("powers of the first", (n1 - 1,), e, [g1h]),  # g_1^{n_1 - 1} != e
+    ]
+    for match, mod, start_h, gen_h in cases:
+        before, state = inst.query_stats(), bb._rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            AbelianOracle.from_powers(mod, inst, start_h, gen_h)
+        assert inst.query_stats() == before
+        assert bb._rng.bit_generator.state == state
