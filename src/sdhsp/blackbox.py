@@ -43,6 +43,7 @@ from .sdp_group import GroupTable, generates, greedy_generators
 
 HANDLE_BYTES = 8
 TABLE_BOUND = 2**24  # |G| * S must stay under this
+WALK_BOUND = 2**26  # the most grid points one walk builds
 SALT_POLICIES = ("zero", "operands", "fresh")
 MIX_MASK = 0xFFFFFFFF  # the 'operands' salt mixes operand bytes modulo 2^32
 MIX_FACTOR = 1000003
@@ -175,14 +176,17 @@ class BlackBox:
         doubling a contiguous prefix: as h g_d^L x = c_d^L h x, c_d = h g_d h^-1,
         the cells with u_d in [L, L + W) and earlier digits 0 are the first W
         of that block times c_d^L on the left, a permutation of the element
-        indices.  Validates every handle before booking ``walk_mul += total - 1``;
+        indices.  Validates every handle, and refuses a grid of more than
+        ``WALK_BOUND`` points, before booking ``walk_mul += total - 1``;
         draws no salt, as no intermediate product reaches a caller.
         """
         moduli = tuple(int(n) for n in moduli)
         if len(gen_handles) != len(moduli):
             raise ValueError("one generator handle per modulus is required")
+        if (total := math.prod(moduli)) > WALK_BOUND:
+            raise ValueError(f"a grid of {total} points exceeds the walk bound {WALK_BOUND}")
         start, *gens = (self._decode_index(h) for h in (identity, *gen_handles))
-        self.counters["walk_mul"] += math.prod(moduli) - 1
+        self.counters["walk_mul"] += total - 1
         return self._products(moduli, start, gens)
 
     def _products(self, moduli: tuple, start: int, gens: list) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 from . import acceptance
 from .acceptance import GENERATOR_POLICIES, RunConfig, run_case, run_grid
 from .blackbox import SALT_POLICIES
+from .reference import BRUTE_FORCE_BOUND
 from .sdp_group import (
     CLASS_NAMES,
     Element,
@@ -44,7 +45,7 @@ from .sdp_group import (
     vec_table,
 )
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 SEED_ENV_VAR = "SDHSP_SEED"
 
 
@@ -195,25 +196,27 @@ def _solve(command: str, args, cfg: RunConfig, table, keys: tuple[int, int]) -> 
     report = {
         "report_version": REPORT_VERSION,
         "command": command,
-        "group": out.report["group"],
         "hidden_spec": args.hidden,
         "encoding": {"salts": cfg.salts, "salt_policy": cfg.salt_policy},
         "generator_policy": cfg.generator_policy,
-        "delta": cfg.delta,
         "seed": cfg.seed,
         # (a, b) pairs; a vector group's a is a tuple, which dumps as a list
         "truth": [[g.a, g.b] for g in truth],
         "found_generators": [[g.a, g.b] for g in out.generators],
         "found_subgroup": [[g.a, g.b] for g in out.subgroup],
         "match": res.match,
-        "confident": out.confident,
-        "queries": out.report["queries"],
         "solver": out.report,
     }
     if args.timings:
         report["wall_ms"] = round(res.wall_ms, 3)
     _emit(report)
     return 0 if res.match else 1
+
+
+def _check_order(spec) -> None:
+    """Refuse a group the brute force would refuse, before building its table."""
+    if spec.order > BRUTE_FORCE_BOUND:
+        raise ValueError(f"group order {spec.order} exceeds the brute-force bound {BRUTE_FORCE_BOUND}")
 
 
 def cmd_solve_p(args) -> int:
@@ -223,6 +226,7 @@ def cmd_solve_p(args) -> int:
         raise ValueError(
             "p = r = 2 is excluded: that group is dihedral, outside this solver's class"
         )
+    _check_order(spec)
     return _solve("solve-p", args, cfg, sdp_table(spec), (101, 202))
 
 
@@ -293,7 +297,10 @@ def _bench_row(cell: tuple, table, label: str, cfg: RunConfig, res, timings: boo
 
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
-    runs = run_grid(_parse_grid(args.grid), [(cfg, ())])
+    grid = _parse_grid(args.grid)
+    for cell in grid:
+        _check_order(modular_group_spec(*cell) if len(cell) == 2 else ZmGroupSpec(*cell))
+    runs = run_grid(grid, [(cfg, ())])
     rows = [
         _bench_row(cell, table, label, cfg, res, args.timings)
         for cell, table, label, _, _, res in runs

@@ -265,5 +265,4 @@ def solve(
     record_stage(report, inst, "reduce", res)
     handles, pulled_ok = pullback_generators(vin, rmap, res.lattice)
     record_stage(report, inst, "pullback", confident=pulled_ok)
-    report["pullback_ok"] = pulled_ok
     return reveal_answer(bb, handles, report)

@@ -34,7 +34,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import Lattice, adjoin, closure, lattice_is_full
+from .algebra import ENUM_BOUND, Lattice, adjoin, closure, lattice_is_full
 
 
 def is_prime(n: int) -> bool:
@@ -372,7 +372,7 @@ def enumerate_alphas(p: int, q: int, r: int) -> set[int]:
 
     Straight search: q is prime, so alpha^q = 1 with alpha != 1 means order
     exactly q.  The classification layer asserts the case counts against
-    this set, not the other way around.
+    this set, not the other way around.  Refuses p^r above ENUM_BOUND.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -381,6 +381,8 @@ def enumerate_alphas(p: int, q: int, r: int) -> set[int]:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     m = p**r
+    if m > ENUM_BOUND:
+        raise ValueError(f"p^r = {m} exceeds the twist-search bound {ENUM_BOUND}")
     return {a for a in range(2, m) if pow(a, q, m) == 1}
 
 

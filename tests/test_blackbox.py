@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdhsp.blackbox import (
+    WALK_BOUND,
     BlackBox,
     draw_distinct,
     make_hidden_instance,
@@ -448,6 +449,25 @@ def test_f_walk_gathers_labels_into_the_walk_grid():
         tracemalloc.stop()
     assert peak <= 1.25 * labels.nbytes
     np.testing.assert_array_equal(labels, inst._label_array[bb._walk(*walk)])
+
+
+def test_a_walk_over_the_bound_is_refused_before_anything_is_booked(monkeypatch):
+    table = sdp_table(modular_group_spec(3, 2))
+    inst, _ = make_hidden_instance(table, frozenset({Element(0, 0)}), seed=0)
+    bb = inst.blackbox
+    e, g = bb.encode(Element(0, 0)), bb.encode(Element(1, 0))
+    built = []
+    monkeypatch.setattr(BlackBox, "_products", lambda self, moduli, *_: built.append(moduli))
+    before, state = inst.query_stats(), bb._rng.bit_generator.state
+    for walk in (inst.f_walk, bb.walk_codes):
+        with pytest.raises(ValueError, match="exceeds the walk bound"):
+            walk((2**13, 2**13 + 1), e, [g, g])
+    assert built == [] and inst.query_stats() == before
+    assert bb._rng.bit_generator.state == state
+    # a grid of exactly WALK_BOUND points is walked and booked
+    bb._walk((2**13, 2**13), e, [g, g])
+    assert built == [(2**13, 2**13)]
+    assert bb.counters["walk_mul"] == before["walk_mul"] + WALK_BOUND - 1
 
 
 def test_generator_policies():

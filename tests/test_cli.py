@@ -152,6 +152,43 @@ def test_solve_p_rejects_the_excluded_group(capsys):
     assert "excluded" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--p", "2", "--q", "2", "--r", "30"),
+        ("solve-p", "--p", "1009", "--r", "2"),
+        ("solve-p", "--p", "2", "--r", "19"),
+        ("bench", "--grid", "1009,2"),
+        ("bench", "--grid", "3,2,9"),
+        ("bench", "--grid", "3,2;2,19"),
+    ],
+    ids=" ".join,
+)
+def test_oversized_inputs_exit_2_before_any_table_is_built(capsys, monkeypatch, argv):
+    from sdhsp import acceptance, cli
+
+    def no_table(spec):
+        raise AssertionError(f"a table of {spec} was built")
+
+    for module in (cli, acceptance):
+        monkeypatch.setattr(module, "sdp_table", no_table)
+        monkeypatch.setattr(module, "vec_table", no_table)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bound" in err
+
+
+def test_a_walk_over_the_bound_exits_2(capsys):
+    # seed 1 draws two A-handles, so the relation grid is (2^14)^2 points
+    code, out, err = run(
+        capsys, "solve-zm", "--p", "2", "--r", "14", "--m", "1", "--hidden", "trivial",
+        "--generators", "scrambled", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: a grid of 268435456 points exceeds the walk bound 67108864\n"
+
+
 def test_solve_p_samples_a_domain_of_2_22_points_in_closed_form(capsys, monkeypatch):
     # (2,12)'s shift oracle has 2^11 x 2^11 points; the sampler runs no
     # Fourier transform, at this size or any other
@@ -162,7 +199,7 @@ def test_solve_p_samples_a_domain_of_2_22_points_in_closed_form(capsys, monkeypa
     code, rep, _ = run_json(
         capsys, "solve-p", "--p", "2", "--r", "12", "--hidden", "cyclicxy:1,5", "--seed", "5"
     )
-    assert code == 0 and rep["match"] is True and rep["confident"] is True
+    assert code == 0 and rep["match"] is True and rep["solver"]["confident"] is True
     assert "backend" not in rep and "backend" not in rep["solver"]
 
 
@@ -210,9 +247,9 @@ def test_solve_zm_full_pullback_is_logarithmic(capsys):
     argv = ("solve-zm", "--p", str(p), "--r", str(r), "--m", str(m), "--seed", "1")
     _, trivial, _ = run_json(capsys, *argv, "--hidden", "trivial")
     code, full, _ = run_json(capsys, *argv, "--hidden", "full")
-    assert code == 0 and full["match"] and full["confident"]
-    bound = trivial["queries"]["mul"] + (m + 1) * 2 * r * math.ceil(math.log2(p))
-    assert full["queries"]["mul"] <= bound
+    assert code == 0 and full["match"] and full["solver"]["confident"]
+    bound = trivial["solver"]["queries"]["mul"] + (m + 1) * 2 * r * math.ceil(math.log2(p))
+    assert full["solver"]["queries"]["mul"] <= bound
     assert len(full["found_generators"]) <= m + 1
 
 
@@ -369,9 +406,13 @@ def test_bench_reruns_are_byte_identical(capsys):
 
 
 def test_bench_json_mode_validates(capsys):
-    code, rep, _ = run_json(capsys, "bench", "--grid", "3,2", "--seed", "7", "--output", "json")
+    code, rep, _ = run_json(
+        capsys, "bench", "--grid", "3,2;3,2,1", "--seed", "7", "--output", "json"
+    )
     assert code == 0
-    assert len(rep["rows"]) == 10
+    assert len(rep["rows"]) == 20
+    for row in rep["rows"]:
+        assert not set(rep) & set(row) and "pullback_ok" not in row
 
 
 def test_output_is_a_bench_option_only(capsys):
@@ -419,7 +460,22 @@ def test_reports_match_the_pinned_bytes(capsys, name):
     assert code == 0
     assert out == (HERE / "data" / name).read_text()
     if name.endswith(".json"):
-        jsonschema.validate(json.loads(out), SCHEMA)
+        rep = json.loads(out)
+        jsonschema.validate(rep, SCHEMA)
+        # each fact once: what the solver knows lives under solver only
+        assert not set(rep) & set(rep["solver"]) and "pullback_ok" not in rep["solver"]
+
+
+@pytest.mark.parametrize("name", ["solve_p_cyclicxy.json", "solve_zm_random.json"])
+def test_the_schema_refuses_a_copied_solver_fact(name):
+    rep = json.loads((HERE / "data" / name).read_text())
+    jsonschema.validate(rep, SCHEMA)
+    for key in ("group", "delta", "confident", "queries"):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**rep, key: rep["solver"][key]}, SCHEMA)
+    if "zm" in name:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**rep, "solver": {**rep["solver"], "pullback_ok": True}}, SCHEMA)
 
 
 def test_ci_diffs_exactly_the_pinned_reports():

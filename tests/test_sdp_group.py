@@ -131,6 +131,13 @@ def test_alpha_sets_small():
     assert enumerate_alphas(7, 3, 1) == frozenset({2, 4})
 
 
+def test_alpha_search_refuses_moduli_over_the_enumeration_bound():
+    assert enumerate_alphas(2, 2, 19) == {2**19 - 1, 2**18 - 1, 2**18 + 1}
+    for p, q, r in ((2, 2, 20), (2, 2, 30), (1009, 2, 2)):
+        with pytest.raises(ValueError, match="twist-search bound"):
+            enumerate_alphas(p, q, r)
+
+
 def test_alpha_defining_property():
     for (p, q, r) in [(3, 3, 2), (3, 3, 3), (5, 5, 2), (2, 2, 4), (13, 3, 2), (7, 2, 3)]:
         n = p**r
