@@ -1,16 +1,18 @@
 """Acceptance harness: the gates this package must pass.
 
 Each criterion_* function runs one gate end to end and returns a
-CriterionResult built by _mk, which also times the gate; run_all chains
-them (the query-budget gate consumes the rank-one sweep's measurements).
-The same runners back both the pytest acceptance suite and the CLI
-selftest, so there is exactly one definition of "passing".
+CriterionResult built by _mk, which also times the gate; run_all runs the
+eight gates in turn.  The same runners back both the pytest acceptance
+suite and the CLI selftest, so there is exactly one definition of "passing".
 
 run_case is the one "build instance, solve, compare" path: a case matches
 when the answer, the brute-force level set of f(e) (never the solver's own
 bookkeeping) and the planted subgroup coincide.  The solver commands call
 it; run_grid runs it over every labelled subgroup of every grid cell, for
-bench and for the two solver gates (one _sweep each).
+bench and for the two solver gates.  Their _sweep checks every solve: it
+must match, be confident, make at most QUERY_CONSTANT * (log2 |G|)^2
+classical queries, and book per stage one superposed call per sample, in a
+pool no larger than abelian_hsp_solve's last.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field as _field
+from itertools import chain
+
 import numpy as np
 
 from . import hsp_modular, hsp_vector, reference
@@ -34,7 +38,7 @@ from .algebra import (
 )
 from .blackbox import SolveOutcome, make_hidden_instance
 from .hsp_vector import make_vec_instance
-from .qsim import AbelianOracle, draw_samples
+from .qsim import MAX_ROUNDS, AbelianOracle, draw_samples
 from .sdp_group import (
     Element,
     GroupSpec,
@@ -58,6 +62,9 @@ PRIMES_13 = (2, 3, 5, 7, 11, 13)
 
 MODULAR_GRID = ((3, 2), (3, 3), (5, 2), (7, 2), (2, 3), (2, 4))
 MODULAR_GRID_QUICK = ((3, 2), (2, 3))
+# every subgroup up to |G| = 28,561, scrambled, seed 7, unique and salted:4/fresh
+MODULAR_GRID_WIDE = ((2, 10), (3, 6), (5, 4), (11, 2), (13, 2), (3, 7), (11, 3), (7, 4), (5, 5),
+                     (13, 3))
 VECTOR_GRID = ((3, 2, 1), (3, 2, 2), (5, 2, 1), (2, 3, 1), (3, 3, 1), (5, 2, 2), (2, 5, 2),
                (2, 3, 2), (2, 4, 2), (3, 3, 2), (7, 2, 1))
 VECTOR_GRID_QUICK = ((3, 2, 1), (2, 3, 1))
@@ -65,12 +72,9 @@ SEEDS = (7, 11, 13)
 ENCODINGS = ((1, "zero"), (4, "zero"), (4, "operands"), (4, "fresh"))  # (salts, salt policy)
 GENERATOR_POLICIES = ("canonical", "scrambled")
 
-# query budget: classical (pointwise mul, inv, eq, f) queries per solve must
-# stay below BUDGET_CONSTANT * p^2 * r^3 * max(1, log2 p)^2.  Pinned when the
-# count still held the superposed walk (worst ratio 0.289, 1185 against 4096
-# at (p,r)=(2,4)); counting pointwise work only, the full sweep's 1944 runs
-# read a worst ratio of 0.035 at (2,3): 60 queries against 1728.
-BUDGET_CONSTANT = 16
+# classical (pointwise mul, inv, eq, f) queries per solve stay within
+# QUERY_CONSTANT * (log2 |G|)^2; both full sweeps read at most 3.75, at (2,3)
+QUERY_CONSTANT = 8
 
 MAX_REPORTED_FAILURES = 12
 
@@ -104,10 +108,6 @@ def _mk(name: str, failures: list[str], details: str, metrics: dict, t0: float) 
         failures=failures,
         metrics=metrics,
     )
-
-
-def query_budget(p: int, r: int) -> int:
-    return int(BUDGET_CONSTANT * p * p * r**3 * max(1.0, math.log2(p)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -183,41 +183,44 @@ def run_grid(grid, configs):
                 yield cell, table, label, truth, cfg, run_case(table, truth, cfg, rng)
 
 
-def _sweep(name: str, grid, configs) -> CriterionResult:
-    """A gate over run_grid that every run must match, confidently; per cell it
-    records the worst classical and the mean superposed query count."""
+def _sweep(name: str, runs) -> CriterionResult:
+    """A gate checking each of run_grid's runs as the module says; counts the
+    solves per (cell, config) and per total of superposed calls."""
     t0 = time.monotonic()
     failures: list[str] = []
-    mismatches = unconfident = 0
-    cells: dict[tuple, tuple[int, list, list]] = {}  # cell -> (|G|, classical, superposed)
-    for cell, table, label, truth, cfg, res in run_grid(grid, configs):
-        _, classical, superposed = cells.setdefault(cell, (table.order, [], []))
-        q = res.outcome.report["queries"]
-        classical.append(q["mul"] + q["inv"] + q["eq"] + q["f"])
-        superposed.append(q["superposed_calls"])
-        mismatches += not res.match
-        unconfident += not res.outcome.confident
-        if not (res.match and res.outcome.confident):
-            failures.append(
-                f"{cell} {label} salts={cfg.salts}/{cfg.salt_policy} "
-                f"gen={cfg.generator_policy} seed={cfg.seed}: got order "
-                f"{len(res.outcome.subgroup)}, want {len(truth)}, confident={res.outcome.confident}"
-            )
-    runs = sum(len(classical) for _, classical, _ in cells.values())
-    per_grid = {
-        ",".join(map(str, cell)): {
-            "max_classical": max(classical),
-            "mean_superposed": float(np.mean(superposed)),
-            "group_order": order,
-        }
-        for cell, (order, classical, superposed) in cells.items()
-    }
+    counts, superposed = Counter(), Counter()
+    unconfident, worst = 0, (0.0, ())  # worst: classical queries per (log2 |G|)^2, cell
+    for cell, table, label, truth, cfg, res in runs:
+        config = f"salts={cfg.salts}/{cfg.salt_policy} gen={cfg.generator_policy} seed={cfg.seed}"
+        counts[cell, config] += 1
+        out, q = res.outcome, res.outcome.report["queries"]
+        superposed[q["superposed_calls"]] += 1
+        unconfident += not out.confident
+        classical, log_order = q["mul"] + q["inv"] + q["eq"] + q["f"], math.log2(table.order)
+        worst = max(worst, (classical / log_order**2, cell))
+        # abelian_hsp_solve's last pool on a grid of rank k: 2 rank-one, at most m + 1 vector
+        k = cell[2] + 1 if len(cell) == 3 else 2
+        pool = 2 ** (MAX_ROUNDS - 1) * (k + math.ceil(math.log2(1 / cfg.delta)) + 4)
+        faults = [f"got order {len(out.subgroup)}, want {len(truth)}"] * (not res.match)
+        faults += ["unconfident"] * (not out.confident)
+        if classical > QUERY_CONSTANT * log_order**2:
+            faults.append(f"{classical} classical queries over {QUERY_CONSTANT}*log2(|G|)^2")
+        for stage in out.report["stages"]:
+            calls, samples = stage["queries"]["superposed_calls"], stage["samples_used"]
+            if calls != samples:
+                faults.append(f"{stage['name']}: {calls} superposed calls for {samples} samples")
+            if samples > pool:
+                faults.append(f"{stage['name']}: a pool of {samples} samples over {pool}")
+        if faults:
+            failures.append(f"{cell} {label} {config}: " + "; ".join(faults))
     return _mk(
         name,
         failures,
-        f"{runs} solves across {len(grid)} groups, {mismatches} mismatches, "
-        f"{unconfident} unconfident",
-        {"runs": runs, "unconfident": unconfident, "per_grid": per_grid},
+        f"{counts.total()} solves across {len({cell for cell, _ in counts})} groups, "
+        f"{len(failures)} failing, {unconfident} unconfident, worst classical queries "
+        f"{worst[0]:.2f}*log2(|G|)^2 at {worst[1]}",
+        {"runs": dict(counts), "unconfident": unconfident, "superposed_calls": dict(superposed),
+         "worst_ratio": worst},
         t0,
     )
 
@@ -233,14 +236,17 @@ def criterion_solver_modular(quick: bool = False) -> CriterionResult:
         for gi, gpol in enumerate(GENERATOR_POLICIES)
         for seed in seeds
     ]
-    grid = MODULAR_GRID_QUICK if quick else MODULAR_GRID
-    return _sweep("solver sweep, rank-one groups", grid, configs)
+    runs = run_grid(MODULAR_GRID_QUICK if quick else MODULAR_GRID, configs)
+    if not quick:  # the wide cells: unique and salted:4/fresh, scrambled, seed 7
+        wide = [(cfg, key) for cfg, key in configs if cfg.seed == 7 and key in ((0, 1), (3, 1))]
+        runs = chain(runs, run_grid(MODULAR_GRID_WIDE, wide))
+    return _sweep("solver sweep, rank-one groups", runs)
 
 
 def criterion_solver_vector(quick: bool = False) -> CriterionResult:
     """Full solver sweep over the vector grid against brute force."""
     grid = VECTOR_GRID_QUICK if quick else VECTOR_GRID
-    return _sweep("solver sweep, vector groups", grid, [(RunConfig(seed=7), ())])
+    return _sweep("solver sweep, vector groups", run_grid(grid, [(RunConfig(seed=7), ())]))
 
 
 def criterion_alpha_enumeration() -> CriterionResult:
@@ -508,63 +514,9 @@ def criterion_lattice_laws(quick: bool = False) -> CriterionResult:
     )
 
 
-def criterion_query_budget(sweep: CriterionResult) -> CriterionResult:
-    """Classical query budget (gating) and superposed scaling fit (informational).
-
-    Reads the per-cell query counts of a criterion_solver_modular result and
-    reports the worst ratio of classical queries to the budget, with its cell.
-    The superposed counts are fitted to a power of log2 |G| only when they
-    differ between cells; a constant count is reported as such.
-    """
-    t0 = time.monotonic()
-    failures: list[str] = []
-    xs, ys = [], []
-    budgets = {}
-    worst, worst_key = 0.0, None
-    for key, cell in sweep.metrics["per_grid"].items():
-        p, r = (int(v) for v in key.split(","))
-        budget = query_budget(p, r)
-        budgets[key] = {
-            "max_classical": cell["max_classical"],
-            "budget": budget,
-            "mean_superposed": round(cell["mean_superposed"], 1),
-        }
-        if cell["max_classical"] > budget:
-            failures.append(
-                f"(p={p},r={r}): max classical queries {cell['max_classical']} "
-                f"over budget {budget}"
-            )
-        if cell["max_classical"] / budget > worst:
-            worst, worst_key = cell["max_classical"] / budget, key
-        xs.append(math.log2(cell["group_order"]))
-        ys.append(cell["mean_superposed"])
-    exponent = None
-    details = f"budget constant {BUDGET_CONSTANT}, worst ratio {worst:.3f} at (p,r)=({worst_key}); "
-    if len(xs) < 2 or min(ys) <= 0:
-        details += "fit skipped"
-    elif len(set(ys)) == 1:  # a power law fitted to a constant shows nothing
-        details += f"superposed calls constant at {ys[0]:g} per solve over {len(ys)} cells"
-    else:
-        exponent = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
-        details += f"superposed fit exponent {exponent:.2f} (informational, threshold 3.5)"
-    return _mk(
-        "query budget",
-        failures,
-        details,
-        {
-            "budget_constant": BUDGET_CONSTANT,
-            "per_grid": budgets,
-            "worst_ratio": worst,
-            "superposed_fit_exponent": exponent,
-        },
-        t0,
-    )
-
-
 def run_all(quick: bool = False) -> list[CriterionResult]:
-    sweep = criterion_solver_modular(quick=quick)
     return [
-        sweep,
+        criterion_solver_modular(quick=quick),
         criterion_solver_vector(quick=quick),
         criterion_alpha_enumeration(),
         criterion_classification_iso(quick=quick),
@@ -572,5 +524,4 @@ def run_all(quick: bool = False) -> list[CriterionResult]:
         criterion_power_closed_form(quick=quick),
         criterion_backend_equivalence(quick=quick),
         criterion_lattice_laws(quick=quick),
-        criterion_query_budget(sweep=sweep),
     ]

@@ -34,7 +34,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import ENUM_BOUND, Lattice, adjoin, closure, lattice_is_full
+from .algebra import ENUM_BOUND, MAX_MODULUS, Lattice, adjoin, closure, lattice_is_full
 
 
 def is_prime(n: int) -> bool:
@@ -56,6 +56,13 @@ class Element(NamedTuple):
 
 
 IDENTITY = Element(0, 0)
+
+
+def _bounded_power(p: int, e: int, what: str) -> int:
+    """p^e for p >= 2; ValueError above MAX_MODULUS = 2^63 (any e > 63) before it is formed."""
+    if e > 63 or p**e > MAX_MODULUS:
+        raise ValueError(f"{what} exceeds the bound 2^63")
+    return p**e
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ class GroupSpec:
             raise ValueError(f"q = {self.q} is not prime")
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
-        m = self.p**self.r
+        m = _bounded_power(self.p, self.r, "the modulus p^r")
         if not 0 <= self.alpha < m:
             raise ValueError(f"alpha = {self.alpha} out of range for modulus {m}")
         if self.alpha % self.p == 0:
@@ -112,7 +119,7 @@ def modular_group_spec(p: int, r: int) -> GroupSpec:
     """The modular maximal-cyclic group: q = p, alpha = p^(r-1) + 1."""
     if r < 2:
         raise ValueError("the modular maximal-cyclic family needs r >= 2")
-    return GroupSpec(p=p, q=p, r=r, alpha=p ** (r - 1) + 1)
+    return GroupSpec(p=p, q=p, r=r, alpha=_bounded_power(p, r - 1, "the modulus p^r") + 1)
 
 
 @lru_cache(maxsize=None)
@@ -176,6 +183,7 @@ class ZmGroupSpec:
             raise ValueError(
                 "p = r = 2 is excluded: the twist collapses to a dihedral action"
             )
+        _bounded_power(self.p, self.r * self.m + 1, "the group order p^(rm+1)")
 
     @property
     def modulus(self) -> int:
@@ -380,7 +388,7 @@ def enumerate_alphas(p: int, q: int, r: int) -> set[int]:
         raise ValueError(f"q = {q} is not prime")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    m = p**r
+    m = _bounded_power(p, r, "the modulus p^r")
     if m > ENUM_BOUND:
         raise ValueError(f"p^r = {m} exceeds the twist-search bound {ENUM_BOUND}")
     return {a for a in range(2, m) if pow(a, q, m) == 1}

@@ -1,17 +1,19 @@
 """The acceptance gates, run in full.
 
 Each test drives one gate from sdhsp.acceptance at its stated scale and
-tolerance.  The two solver sweeps also enforce their wall-clock budgets.
-The rank-one sweep runs once per test run; the query-budget gate reads its
-measurements.  Failure output carries the per-case details collected by the
-runner.
+tolerance.  The two solver sweeps also enforce their wall-clock budgets and
+name the solves they ran per cell and config.  Mutation tests on the quick
+grids show that each per-solve check of a sweep can fail.  Failure output
+carries the per-case details collected by the runner.
 """
 
+import math
 import time
 
 import pytest
 
-from sdhsp import acceptance
+from sdhsp import acceptance, qsim
+from sdhsp.blackbox import HiddenInstance
 
 
 def _check(result, max_seconds=None, elapsed=None):
@@ -24,26 +26,123 @@ def _check(result, max_seconds=None, elapsed=None):
         assert elapsed <= max_seconds, f"{result.name}: {elapsed:.1f}s over the {max_seconds}s budget"
 
 
-@pytest.fixture(scope="module")
-def modular_sweep():
+def _rank_one_subgroups(p, r):
+    return 2 * (r + 1) + r * (p - 1)
+
+
+ENCODINGS = ("salts=1/zero", "salts=4/zero", "salts=4/operands", "salts=4/fresh")
+
+
+def test_criterion_1_modular_solver_sweep():
     t0 = time.monotonic()
     res = acceptance.criterion_solver_modular()
-    return res, time.monotonic() - t0
-
-
-def test_criterion_1_modular_solver_sweep(modular_sweep):
-    res, elapsed = modular_sweep
-    _check(res, max_seconds=600, elapsed=elapsed)
-    assert res.metrics["runs"] == 1944
+    _check(res, max_seconds=600, elapsed=time.monotonic() - t0)
+    want = {
+        (cell, f"{enc} gen={gen} seed={seed}"): _rank_one_subgroups(*cell)
+        for cell in [(3, 2), (3, 3), (5, 2), (7, 2), (2, 3), (2, 4)]
+        for enc in ENCODINGS
+        for gen in ("canonical", "scrambled")
+        for seed in (7, 11, 13)
+    }
+    wide = [(2, 10), (3, 6), (5, 4), (11, 2), (13, 2), (3, 7), (11, 3), (7, 4), (5, 5), (13, 3)]
+    want |= {
+        (cell, f"{enc} gen=scrambled seed=7"): _rank_one_subgroups(*cell)
+        for cell in wide
+        for enc in ("salts=1/zero", "salts=4/fresh")
+    }
+    assert res.metrics["runs"] == want
+    assert sum(want.values()) == 2580
     assert res.metrics["unconfident"] == 0
+    # every rank-one solve makes exactly 26 superposed calls
+    assert res.metrics["superposed_calls"] == {26: 2580}
+    assert res.metrics["worst_ratio"] == (3.75, (2, 3))
 
 
 def test_criterion_2_vector_solver_sweep():
     t0 = time.monotonic()
     res = acceptance.criterion_solver_vector()
     _check(res, max_seconds=600, elapsed=time.monotonic() - t0)
-    assert res.metrics["runs"] == 2217
+    subgroups = {
+        (3, 2, 1): 10, (3, 2, 2): 126, (5, 2, 1): 14, (2, 3, 1): 11, (3, 3, 1): 14,
+        (5, 2, 2): 426, (2, 5, 2): 696, (2, 3, 2): 140, (2, 4, 2): 322, (3, 3, 2): 440,
+        (7, 2, 1): 18,
+    }
+    want = {(cell, "salts=1/zero gen=canonical seed=7"): n for cell, n in subgroups.items()}
+    assert res.metrics["runs"] == want
+    assert sum(want.values()) == 2217
     assert res.metrics["unconfident"] == 0
+    assert res.metrics["worst_ratio"] == (1.375, (2, 3, 1))
+
+
+QUICK_SWEEPS = pytest.mark.parametrize(
+    "sweep",
+    [acceptance.criterion_solver_modular, acceptance.criterion_solver_vector],
+    ids=["rank-one", "vector"],
+)
+
+
+def _first_call_only(monkeypatch, owner, name, mutate):
+    """Patch owner.name so that its first call in the sweep goes through ``mutate``."""
+    real, seen = getattr(owner, name), []
+
+    def patched(*args, **kwargs):
+        if seen:
+            return real(*args, **kwargs)
+        seen.append(True)
+        return mutate(real, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+@QUICK_SWEEPS
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_solve_over_its_classical_query_bound_fails_its_sweep(monkeypatch, sweep, extra):
+    # the first solve is booked floor(8 (log2 |G|)^2) + extra classical queries
+    def over(run_case, table, truth, cfg, rng):
+        res = run_case(table, truth, cfg, rng)
+        q = res.outcome.report["queries"]
+        bound = math.floor(8 * math.log2(table.order) ** 2)
+        q["mul"] += bound + extra - (q["mul"] + q["inv"] + q["eq"] + q["f"])
+        return res
+
+    _first_call_only(monkeypatch, acceptance, "run_case", over)
+    res = sweep(quick=True)
+    assert res.passed == (not extra)
+    if extra:
+        assert len(res.failures) == 1
+        assert res.failures[0].endswith(" classical queries over 8*log2(|G|)^2")
+
+
+@QUICK_SWEEPS
+def test_one_unbooked_superposed_call_fails_its_sweep(monkeypatch, sweep):
+    # the sweep's first superposed charge books two calls for one sample
+    def twice(charge, inst, **counts):
+        counts["superposed_calls"] = counts.get("superposed_calls", 0) + 1
+        return charge(inst, **counts)
+
+    _first_call_only(monkeypatch, HiddenInstance, "charge", twice)
+    res = sweep(quick=True)
+    assert len(res.failures) == 1
+    assert "superposed calls for" in res.failures[0] and "classical" not in res.failures[0]
+
+
+@QUICK_SWEEPS
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_pool_over_its_limit_fails_its_sweep(monkeypatch, sweep, extra):
+    # the sweep's first draw fills its pool to abelian_hsp_solve's largest,
+    # 2^(MAX_ROUNDS-1) (k + ceil(log2 1/delta) + 4) with k = 2 on both quick
+    # grids and delta = 0.01, plus extra
+    limit = 2 ** (qsim.MAX_ROUNDS - 1) * (2 + 7 + 4)
+
+    def fill(draw_samples, oracle, rng, count):
+        return draw_samples(oracle, rng, limit + extra)
+
+    _first_call_only(monkeypatch, qsim, "draw_samples", fill)
+    res = sweep(quick=True)
+    assert res.passed == (not extra)
+    if extra:
+        assert len(res.failures) == 1
+        assert res.failures[0].endswith(f": a pool of {limit + 1} samples over {limit}")
 
 
 def test_criterion_3_alpha_enumeration():
@@ -84,38 +183,6 @@ def test_criterion_8_lattice_duality_laws():
     res = acceptance.criterion_lattice_laws()
     _check(res)
     assert res.metrics["lattices"] == 1000
-
-
-def test_criterion_9_query_budget(modular_sweep):
-    res, _ = modular_sweep
-    assert res.metrics["runs"] == 1944
-    budget = acceptance.criterion_query_budget(res)
-    _check(budget)
-    worst = max(c["max_classical"] / c["budget"] for c in budget.metrics["per_grid"].values())
-    assert budget.metrics["worst_ratio"] == worst
-    assert f"worst ratio {worst:.3f} at (p,r)=(" in budget.details
-    # every rank-one solve makes 26 superposed calls, so no power law is fitted
-    superposed = {c["mean_superposed"] for c in budget.metrics["per_grid"].values()}
-    assert superposed == {26.0}
-    cells = len(budget.metrics["per_grid"])
-    assert f"superposed calls constant at 26 per solve over {cells} cells" in budget.details
-    assert budget.metrics["superposed_fit_exponent"] is None
-
-
-def test_budget_gate_fits_only_superposed_counts_that_differ():
-    def sweep(superposed):
-        per_grid = {
-            "3,2": {"max_classical": 10, "mean_superposed": superposed[0], "group_order": 27},
-            "3,3": {"max_classical": 10, "mean_superposed": superposed[1], "group_order": 81},
-        }
-        return acceptance.CriterionResult("sweep", True, "", metrics={"per_grid": per_grid})
-
-    flat = acceptance.criterion_query_budget(sweep((26.0, 26.0)))
-    assert "superposed calls constant at 26 per solve over 2 cells" in flat.details
-    assert flat.metrics["superposed_fit_exponent"] is None
-    rising = acceptance.criterion_query_budget(sweep((26.0, 39.0)))
-    assert "superposed fit exponent " in rising.details
-    assert rising.metrics["superposed_fit_exponent"] > 0
 
 
 def test_gates_detect_a_corrupted_dual(monkeypatch):

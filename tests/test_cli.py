@@ -7,6 +7,7 @@ import math
 import pathlib
 import re
 import shlex
+import time
 
 import numpy as np
 import pytest
@@ -161,6 +162,13 @@ def test_solve_p_rejects_the_excluded_group(capsys):
         ("bench", "--grid", "1009,2"),
         ("bench", "--grid", "3,2,9"),
         ("bench", "--grid", "3,2;2,19"),
+        # exponents whose power alone would take minutes, or print as a
+        # number too long for str()
+        ("solve-p", "--p", "2", "--r", "10000000"),
+        ("bench", "--grid", "2,10000000"),
+        ("solve-zm", "--p", "3", "--r", "1000000", "--m", "1000"),
+        ("classify", "--p", "2", "--q", "2", "--r", "10000000"),
+        ("solve-zm", "--p", "2", "--r", "3", "--m", "10000000"),
     ],
     ids=" ".join,
 )
@@ -173,10 +181,12 @@ def test_oversized_inputs_exit_2_before_any_table_is_built(capsys, monkeypatch, 
     for module in (cli, acceptance):
         monkeypatch.setattr(module, "sdp_table", no_table)
         monkeypatch.setattr(module, "vec_table", no_table)
+    t0 = time.monotonic()
     code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 2
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "bound" in err
+    assert "bound" in err and len(err) < 200
 
 
 def test_a_walk_over_the_bound_exits_2(capsys):

@@ -3,6 +3,7 @@
 Reference group throughout: p=3, r=2, alpha=4, i.e. Z_9 twisted by the unit 4.
 """
 
+import time
 from functools import partial
 from itertools import combinations
 
@@ -343,6 +344,31 @@ def test_spec_validation():
         GroupSpec(3, 3, 2, 5)  # 5^3 != 1 mod 9
     with pytest.raises(ValueError):
         modular_group_spec(3, 1)  # r >= 2 needed for the near-identity unit
+
+
+# the CLI's exit-2 tests cover the huge exponents of each command; these are
+# the constructors on their own, and just past 2^63
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GroupSpec(2, 2, 10**7, 3),
+        lambda: modular_group_spec(3, 10**6),
+        lambda: modular_group_spec(2, 64),
+        lambda: ZmGroupSpec(2, 32, 2),
+    ],
+    ids=["GroupSpec", "modular_3", "modular_2^64", "Zm_2^65"],
+)
+def test_a_power_over_2_63_is_refused_before_it_is_formed(build):
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="exceeds the bound 2\\^63$"):
+        build()
+    assert time.monotonic() - t0 < 2
+
+
+def test_powers_up_to_2_63_are_accepted():
+    assert modular_group_spec(2, 63).modulus == 2**63
+    assert ZmGroupSpec(2, 31, 2).order == 2**63
+    assert modular_group_spec(3, 39).modulus == 3**39
 
 
 def all_pairs_subgroup(table, elems):
