@@ -20,11 +20,11 @@ oracles decode handles to indices, apply the table's scalar law and read
 the result's handle from the table.
 The superposed walk over h g_1^{u_1}...g_k^{u_k} stays on element indices,
 filled last axis first in contiguous blocks, each an earlier block times a
-power of h g_d h^-1 on the left: ``HiddenInstance.f_walk`` labels them, and
-``walk_codes`` (unique encodings only) reads their codes.  It books the
-products of one ``oracle_mul`` per point as ``walk_mul``, apart from the
-pointwise ``mul``, and draws nothing: no intermediate product gets a salt,
-as f labels all its encodings alike; ``_power_walk`` walks g_1's powers alone.
+power of h g_d h^-1 on the left; ``qsim.AbelianOracle`` reads labels or
+codes at them.  It books the products of one ``oracle_mul`` per point as
+``walk_mul``, apart from the pointwise ``mul``, and draws nothing: no
+intermediate product gets a salt, as f labels all its encodings alike;
+``_power_walk`` walks g_1's powers alone.
 
 ``reveal`` decodes a handle back to coordinates.  It exists for reports and
 tests; solver code must never call it.
@@ -220,13 +220,6 @@ class BlackBox:
         self.counters["walk_mul"] += math.prod(moduli) - 1
         return elems[:t], w
 
-    def walk_codes(self, moduli, identity: OpaqueHandle, gen_handles) -> np.ndarray:
-        """Handle codes of the ``_walk`` grid; unique encodings only, where
-        equal codes mean equal elements."""
-        if self.salts != 1:
-            raise ValueError("product-valued oracles require unique encoding")
-        return self.codes[self._walk(moduli, identity, gen_handles), 0]
-
 
 def oracle_identity(bb: BlackBox, some_handle: OpaqueHandle) -> OpaqueHandle:
     """The identity handle, obtained as g * g^-1 (two oracle calls)."""
@@ -320,12 +313,12 @@ class HiddenInstance:
 
     f maps any valid encoding of g to a 64-bit label constant on the left
     coset g*H and distinct across cosets.  ``labels`` is the label of every
-    element index, kept as an array for ``f_walk`` and as a list for single
-    reads; the truth is the planted subgroup's elements, which only
-    ``truth_elements`` hands back.  ``f_walk`` evaluates f over a whole grid
-    of products in one oracle invocation; the counters track pointwise
-    evaluations ('f') apart from batched invocations ('superposed_calls',
-    the quantum-query figure of merit) and the grid points they cover
+    element index as a read-only array, which superposed oracles read
+    (``qsim.AbelianOracle``), and is kept as a list for single reads; the
+    truth is the planted subgroup's elements, which only ``truth_elements``
+    hands back.  The counters track pointwise evaluations ('f') apart from
+    superposed calls ('superposed_calls', the quantum-query figure of merit,
+    booked by ``qsim.draw_samples``) and the grid points they cover
     ('domain_points').
     """
 
@@ -337,33 +330,18 @@ class HiddenInstance:
     ) -> None:
         self.blackbox = bb
         self._truth = truth_elements
-        self._label_array = np.asarray(labels, dtype=np.int64)
-        self._labels = self._label_array.tolist()
+        self.labels = np.array(labels, dtype=np.int64)
+        self.labels.flags.writeable = False
+        self._labels = self.labels.tolist()
         self.counters = {"f": 0, "superposed_calls": 0, "domain_points": 0}
 
     def f(self, h: OpaqueHandle) -> int:
         self.counters["f"] += 1
         return self._labels[self.blackbox._decode_index(h)]
 
-    def f_walk(self, moduli, identity: OpaqueHandle, gen_handles) -> np.ndarray:
-        """Labels of g_1^{u_1} ... g_k^{u_k} over the grid; one superposed call."""
-        walk = self.blackbox._walk(moduli, identity, gen_handles)
-        # every index is in range; 'clip' gathers into the index grid, unbuffered
-        labels = self._label_array.take(walk, out=walk, mode="clip")
-        self.counters["domain_points"] += labels.size
-        self.counters["superposed_calls"] += 1
-        return labels
-
-    def f_powers(self, moduli, identity: OpaqueHandle, gen_handles) -> tuple[np.ndarray, list]:
-        """``f_walk`` over ``BlackBox._power_walk``: the labels of h g_1^j, j < t, and w."""
-        walk, weights = self.blackbox._power_walk(moduli, identity, gen_handles)
-        self.counters["domain_points"] += math.prod(moduli)
-        self.counters["superposed_calls"] += 1
-        return self._label_array[walk], weights
-
     def charge(self, **counts: int) -> None:
-        """Book modeled query cost, by counter name, for evaluations
-        replayed from a cached grid."""
+        """Book modeled query cost, by counter name: a pointwise ``f`` replayed
+        from an oracle's grid, or ``qsim.draw_samples``'s superposed rounds."""
         for key, n in counts.items():
             self.counters[key] += n
 

@@ -233,8 +233,7 @@ def cmd_solve_p(args) -> int:
 def cmd_solve_zm(args) -> int:
     cfg = _config_from_args(args)
     spec = ZmGroupSpec(args.p, args.r, args.m)
-    if spec.order > 3**12:
-        raise ValueError(f"group order {spec.order} too large for the desk-scale table")
+    _check_order(spec)
     return _solve("solve-zm", args, cfg, vec_table(spec), (303, 404))
 
 

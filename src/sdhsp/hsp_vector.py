@@ -144,9 +144,7 @@ def minimal_generating_set(
     s = len(vin.a_handles)
     e = oracle_identity(bb, vin.y_handle)
 
-    oracle = AbelianOracle.from_products(
-        (n,) * s, bb, e, vin.a_handles, charge=lambda: inst.charge(superposed_calls=1)
-    )
+    oracle = AbelianOracle.from_products((n,) * s, inst, e, vin.a_handles)
     res = abelian_hsp_solve(oracle, rng, delta=delta)
 
     basis = _lattice_basis(res.lattice)  # rows span the relation lattice

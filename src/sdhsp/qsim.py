@@ -19,18 +19,20 @@ simulation's rounded transform are measured (tests, pinned reports), not
 guaranteed.  An oracle that cannot be certified breaks the promise: its
 first ``draw_samples`` raises ValueError before any round is booked.
 
-Each sample books one superposed evaluation of F over the whole domain as
-its modeled query cost: one superposed call and the domain's points.
-Pointwise evaluations are booked as classical work, by the cost model of
-the constructor that built the oracle.
+Each round is one superposed evaluation of F over the whole domain, and
+``draw_samples`` alone books it, on the instance of an oracle built over
+one: a superposed call and the domain's points per round.  A build books
+only its walk's products; pointwise evaluations are classical work, booked
+by the cost model of the constructor that built the oracle.
 
-Oracles over a black box are built in one batched pass inside the black
-box: ``HiddenInstance.f_walk`` labels g_1^{u_1}...g_k^{u_k} over the whole
-grid, and ``BlackBox.walk_codes`` gives their handle codes under a unique
-encoding.  The walk books the products of one ``oracle_mul`` per grid
-point as ``walk_mul`` and draws no salt, so counters and answers match a
-point-by-point walk; ``from_powers`` labels only <g_1> on a grid of its powers.
-Grid values are labels or codes, compared only for equality.
+Oracles over a black box are built in one batched pass: ``BlackBox._walk``
+gives the element indices of g_1^{u_1}...g_k^{u_k} over the grid, which
+``from_handles`` reads as labels in place and ``from_products`` as handle
+codes under a unique encoding; ``from_powers`` labels only <g_1> on a grid
+of its powers.  The walk books one ``oracle_mul`` per grid point as
+``walk_mul`` and draws no salt, so counters and answers match a
+point-by-point walk.  Grid values are labels or codes, compared only for
+equality.
 """
 
 from __future__ import annotations
@@ -54,19 +56,18 @@ class AbelianOracle:
     The grid holds integer values, compared only for equality.  The oracle
     takes ownership of `grid` and makes this handle read-only; a caller must
     not write through another view of its memory, since the cached
-    certificate assumes the grid never changes.  Cost hooks
-    let an oracle built over a counted hiding function keep booking modeled
-    cost even though replays hit the cache; ``single_cost`` gets the point
-    of each ``evaluate``, reduced into the grid.
+    certificate assumes the grid never changes.  ``draw_samples`` books its
+    rounds on ``inst``, the hidden instance the oracle was built over, if
+    any; ``single_cost`` gets the point of each ``evaluate``, reduced into
+    the grid.  A plain ``AbelianOracle(moduli, grid)`` books nothing.
     """
 
     def __init__(
         self,
         moduli: Sequence[int],
         grid: np.ndarray,
-        sample_cost: Callable[[], None] | None = None,
+        inst=None,
         single_cost: Callable[[tuple[int, ...]], None] | None = None,
-        first_sample_paid: bool = False,
         weights: Sequence[int] | None = None,
     ) -> None:
         self.moduli = tuple(int(n) for n in moduli)
@@ -75,9 +76,8 @@ class AbelianOracle:
         # the cached certificate below is only valid for this grid
         grid.flags.writeable = False
         self.grid = grid
-        self._sample_cost = sample_cost
+        self.inst = inst
         self._single_cost = single_cost
-        self._credit = first_sample_paid
         self._weights = weights
 
     @property
@@ -88,51 +88,42 @@ class AbelianOracle:
 
     @classmethod
     def from_handles(cls, moduli, inst, identity, gen_handles) -> "AbelianOracle":
-        """F(u) = f(g_1^{u_1} ... g_k^{u_k}) over a hidden instance.
-
-        The build performs one batched evaluation of f over the domain,
-        which pays for the first superposed sample.  Each ``evaluate`` books
-        one pointwise ``f``.
-        """
-        return cls._counted(moduli, inst, inst.f_walk(moduli, identity, gen_handles))
+        """F(u) = f(g_1^{u_1} ... g_k^{u_k}) over a hidden instance: the walk's
+        labels, gathered into its index grid in place.  Each ``evaluate``
+        books one pointwise ``f``."""
+        walk = inst.blackbox._walk(moduli, identity, gen_handles)
+        # every index is in range; 'clip' gathers into the index grid, unbuffered
+        labels = inst.labels.take(walk, out=walk, mode="clip")
+        return cls(moduli, labels, inst, lambda _: inst.charge(f=1))
 
     @classmethod
     def from_powers(cls, moduli, inst, identity, gen_handles) -> "AbelianOracle":
         """``from_handles`` on a grid of powers g_d = g_1^{w_d} with g_d^{n_d} = e:
-        its values, booking and certificate from the ord(g_1) labels of <g_1>
-        (``HiddenInstance.f_powers``); ValueError, nothing booked, on another grid."""
-        labels, weights = inst.f_powers(moduli, identity, gen_handles)
-        return cls._counted(moduli, inst, labels, weights)
+        its values and certificate from the ord(g_1) labels of <g_1>
+        (``BlackBox._power_walk``); ValueError, nothing booked, on another grid."""
+        walk, weights = inst.blackbox._power_walk(moduli, identity, gen_handles)
+        return cls(moduli, inst.labels[walk], inst, lambda _: inst.charge(f=1), weights)
 
     @classmethod
-    def _counted(cls, moduli, inst, labels, weights=None) -> "AbelianOracle":
-        dom = math.prod(moduli)
-        return cls(
-            moduli,
-            labels,
-            sample_cost=lambda: inst.charge(domain_points=dom, superposed_calls=1),
-            single_cost=lambda _: inst.charge(f=1),
-            first_sample_paid=True,
-            weights=weights,
-        )
-
-    @classmethod
-    def from_products(cls, moduli, bb, identity, gen_handles, charge=None) -> "AbelianOracle":
+    def from_products(cls, moduli, inst, identity, gen_handles) -> "AbelianOracle":
         """F(u) = handle code (encoding bytes) of g_1^{u_1} ... g_k^{u_k}.
 
         Valid only when encodings are unique, so equal codes mean equal
-        elements.  Samples book superposed group-operation rounds through
-        ``charge``; no hiding function is involved.  Each ``evaluate`` at u
-        books as ``mul`` the products ``oracle_lift`` makes to compute u's
-        element: per coordinate c, c.bit_length() + c.bit_count() for the
-        power by square-and-multiply and one to append it.
+        elements; ValueError, nothing booked, otherwise.  The hiding function
+        is not involved.  Each ``evaluate`` at u books as ``mul`` the products
+        ``oracle_lift`` makes to compute u's element: per coordinate c,
+        c.bit_length() + c.bit_count() for the power by square-and-multiply
+        and one to append it.
         """
+        bb = inst.blackbox
+        if bb.salts != 1:
+            raise ValueError("product-valued oracles require unique encoding")
 
         def lift_cost(u):
             bb.counters["mul"] += sum(c.bit_length() + c.bit_count() + 1 for c in u)
 
-        codes = bb.walk_codes(moduli, identity, gen_handles)
-        return cls(moduli, codes, sample_cost=charge, single_cost=lift_cost)
+        codes = bb.codes[bb._walk(moduli, identity, gen_handles), 0]
+        return cls(moduli, codes, inst, lift_cost)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -146,13 +137,6 @@ class AbelianOracle:
 
     def f0(self) -> int:
         return int(self.grid.flat[0])
-
-    def note_sample(self) -> None:
-        if self._credit:
-            self._credit = False
-            return
-        if self._sample_cost is not None:
-            self._sample_cost()
 
     @cached_property
     def _certificate(self) -> tuple[int, np.ndarray, np.ndarray]:
@@ -238,11 +222,14 @@ def draw_samples(
     coset of a certified oracle translates F(0)'s, so the measured value
     only changes phases and each round is a uniform draw from the cached
     L^perp CDF; the rounds take one ``rng.random(count)``, as
-    ``rng.choice(size=count, p=)`` would, and read no grid.  An oracle that
-    cannot be certified raises ValueError before any round is booked."""
+    ``rng.choice(size=count, p=)`` would, and read no grid.  Books each
+    round as one superposed call over the domain's points on the oracle's
+    instance, if it has one: the only place superposed work is booked.  An
+    oracle that cannot be certified raises ValueError before any round is
+    booked."""
     _, outcomes, cdf = oracle._certificate
-    for _ in range(count):
-        oracle.note_sample()
+    if oracle.inst is not None:
+        oracle.inst.charge(superposed_calls=count, domain_points=count * oracle.domain_size)
     flat = outcomes[cdf.searchsorted(rng.random(count), side="right")]
     return list(zip(*(axis.tolist() for axis in np.unravel_index(flat, oracle.moduli))))
 

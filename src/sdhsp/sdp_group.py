@@ -37,14 +37,21 @@ import numpy as np
 from .algebra import ENUM_BOUND, MAX_MODULUS, Lattice, adjoin, closure, lattice_is_full
 
 
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin: the prime bases up to 37 decide every n < 3.3 * 10^24.
+    ValueError above MAX_MODULUS = 2^63."""
+    if n > MAX_MODULUS:
+        raise ValueError("cannot test primality above the bound 2^63")
+    if n < 2 or any(n % a == 0 for a in PRIME_BASES):
+        return n in PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    for a in PRIME_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
             return False
-        d += 1 if d == 2 else 2
     return True
 
 

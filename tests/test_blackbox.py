@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from sdhsp.blackbox import (
     WALK_BOUND,
     BlackBox,
+    HiddenInstance,
     draw_distinct,
     make_hidden_instance,
     oracle_identity,
     oracle_pow,
 )
+from sdhsp.qsim import AbelianOracle
 from sdhsp.reference import enumerate_all_subgroups
 from sdhsp.sdp_group import (
     Element,
@@ -423,32 +425,42 @@ def test_f_goes_through_the_query_counter():
     inst, handles = make_hidden_instance(table, H, seed=0)
     h = inst.blackbox.encode(Element(1, 1))
     inst.f(h)
-    # one superposed call over three points, two walk products
-    inst.f_walk((3,), inst.blackbox.encode(Element(0, 0)), [h])
+    # building an oracle over three points books its two walk products only
+    AbelianOracle.from_handles((3,), inst, inst.blackbox.encode(Element(0, 0)), [h])
     inst.charge(domain_points=10, superposed_calls=2)
     stats = inst.query_stats()
     assert stats["f"] == 1
-    assert stats["domain_points"] == 13
-    assert stats["superposed_calls"] == 3
+    assert stats["domain_points"] == 10
+    assert stats["superposed_calls"] == 2
     assert stats["walk_mul"] == 2
 
 
+def test_labels_are_a_read_only_copy():
+    table = sdp_table(modular_group_spec(3, 2))
+    given_labels = np.arange(table.order)
+    inst = HiddenInstance(BlackBox(table), frozenset({Element(0, 0)}), given_labels)
+    with pytest.raises(ValueError, match="read-only"):
+        inst.labels[0] = 1
+    given_labels[0] = 5  # the caller's array stays its own
+    assert inst.labels[0] == 0 and given_labels.flags.writeable
+
+
 def test_f_walk_gathers_labels_into_the_walk_grid():
-    # The labels overwrite the walk's element indices in place, so one
-    # superposed call holds one grid, not an index grid and a label grid.
+    # from_handles's labels overwrite the walk's element indices in place, so
+    # the oracle holds one grid, not an index grid and a label grid.
     table = sdp_table(modular_group_spec(2, 12))
     inst, _ = make_hidden_instance(table, frozenset({Element(0, 0)}), seed=0)
     bb = inst.blackbox
     gens = [bb.encode(Element(2, 0)), bb.encode(Element(6, 1))]
-    walk = ((2048, 2048), bb.encode(Element(0, 0)), gens)
+    moduli, e = (2048, 2048), bb.encode(Element(0, 0))
     tracemalloc.start()
     try:
-        labels = inst.f_walk(*walk)
+        labels = AbelianOracle.from_handles(moduli, inst, e, gens).grid
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * labels.nbytes
-    np.testing.assert_array_equal(labels, inst._label_array[bb._walk(*walk)])
+    np.testing.assert_array_equal(labels, inst.labels[bb._walk(moduli, e, gens)])
 
 
 def test_a_walk_over_the_bound_is_refused_before_anything_is_booked(monkeypatch):
@@ -459,9 +471,9 @@ def test_a_walk_over_the_bound_is_refused_before_anything_is_booked(monkeypatch)
     built = []
     monkeypatch.setattr(BlackBox, "_products", lambda self, moduli, *_: built.append(moduli))
     before, state = inst.query_stats(), bb._rng.bit_generator.state
-    for walk in (inst.f_walk, bb.walk_codes):
+    for build in (AbelianOracle.from_handles, AbelianOracle.from_products):
         with pytest.raises(ValueError, match="exceeds the walk bound"):
-            walk((2**13, 2**13 + 1), e, [g, g])
+            build((2**13, 2**13 + 1), inst, e, [g, g])
     assert built == [] and inst.query_stats() == before
     assert bb._rng.bit_generator.state == state
     # a grid of exactly WALK_BOUND points is walked and booked

@@ -169,6 +169,13 @@ def test_solve_p_rejects_the_excluded_group(capsys):
         ("solve-zm", "--p", "3", "--r", "1000000", "--m", "1000"),
         ("classify", "--p", "2", "--q", "2", "--r", "10000000"),
         ("solve-zm", "--p", "2", "--r", "3", "--m", "10000000"),
+        # a large prime is decided at once, then refused by a bound
+        ("classify", "--p", "2305843009213693951", "--q", "2", "--r", "1"),
+        ("solve-p", "--p", "2305843009213693951", "--r", "2"),
+        ("solve-zm", "--p", "2305843009213693951", "--r", "2", "--m", "1"),
+        ("classify", "--p", "3", "--q", "9223372036854775837", "--r", "1"),
+        # the brute-force bound on the group order, as for solve-p and bench
+        ("solve-zm", "--p", "3", "--r", "7", "--m", "2"),
     ],
     ids=" ".join,
 )
@@ -187,6 +194,16 @@ def test_oversized_inputs_exit_2_before_any_table_is_built(capsys, monkeypatch, 
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "bound" in err and len(err) < 200
+
+
+def test_classify_decides_a_large_prime_q_at_once(capsys):
+    # 2^61 - 1 is prime and no unit mod 3 has that order: an empty answer, not a hang
+    t0 = time.monotonic()
+    code, rep, _ = run_json(
+        capsys, "classify", "--p", "3", "--q", "2305843009213693951", "--r", "1"
+    )
+    assert time.monotonic() - t0 < 2
+    assert code == 0 and rep["alphas"] == [] and rep["note"] == "q does not divide p - 1"
 
 
 def test_a_walk_over_the_bound_exits_2(capsys):

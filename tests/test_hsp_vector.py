@@ -278,7 +278,7 @@ def test_the_relation_oracle_books_the_products_of_oracle_lift():
     vin = make_vec_instance(S322, [vec_table(S322).identity], generator_policy="scrambled", seed=3)
     bb, gens = vin.blackbox, vin.a_handles
     e = oracle_identity(bb, vin.y_handle)
-    oracle = AbelianOracle.from_products((9,) * len(gens), bb, e, gens)
+    oracle = AbelianOracle.from_products((9,) * len(gens), vin.instance, e, gens)
     for u in itertools.product(range(9), repeat=len(gens)):
         before = bb.counters["mul"]
         value = oracle.evaluate(u)

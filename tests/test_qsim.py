@@ -24,7 +24,7 @@ from sdhsp.blackbox import BlackBox, HiddenInstance, OpaqueHandle, make_hidden_i
 from sdhsp import qsim
 from sdhsp.qsim import AbelianOracle, abelian_hsp_solve, draw_samples
 from sdhsp.reference import sample_annihilator
-from sdhsp.sdp_group import ZmGroupSpec, modular_group_spec, sdp_table, vec_table
+from sdhsp.sdp_group import Element, ZmGroupSpec, modular_group_spec, sdp_table, vec_table
 
 # the certificate's two refusals, and the final check's
 NOT_PERIODIC = "function is not periodic over this domain"
@@ -365,8 +365,6 @@ def test_unconfident_tail_evaluates_each_final_generator_once(monkeypatch):
 def reference_draw_samples(oracle, rng, count=1):
     """The literal sampler: F(0)'s level set transformed by one full-grid
     ifftn, and one rng.choice(size=count, p=) for all the rounds."""
-    for _ in range(count):
-        oracle.note_sample()
     probs = literal_coset_probs(oracle.grid == oracle.f0())
     flat = rng.choice(oracle.domain_size, size=count, p=probs)
     return [tuple(int(x) for x in np.unravel_index(i, oracle.moduli)) for i in flat]
@@ -481,14 +479,14 @@ def test_non_periodic_grid_is_refused_before_any_round(point):
     oracle, _ = coset_oracle((9, 3), ((3, 1),))
     grid = oracle.grid.copy()
     grid[point] = grid.max() + 1
-    booked = []
-    broken = AbelianOracle((9, 3), grid, sample_cost=lambda: booked.append(1))
+    stub = CountingStub()
+    broken = AbelianOracle((9, 3), grid, stub)
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
     for count in (0, 300):
         with pytest.raises(ValueError, match=NOT_PERIODIC):
             draw_samples(broken, rng, count=count)
-    assert booked == []
+    assert not any(stub.counters.values())
     assert rng.bit_generator.state == state
 
 
@@ -628,7 +626,7 @@ def test_final_check_catches_a_draw_off_the_dual(monkeypatch):
 class CountingStub:
     """Stands in for a HiddenInstance: counts f evaluations and batches."""
 
-    def __init__(self, table_order=27):
+    def __init__(self):
         self.counters = {"f": 0, "superposed_calls": 0, "domain_points": 0}
 
     def charge(self, **counts):
@@ -639,19 +637,16 @@ class CountingStub:
 def test_sampling_cost_model():
     stub = CountingStub()
     oracle = oracle_from_function((9, 3), lambda pt: lattice_coset_rep(Lattice((9, 3), ((3, 1),)), pt))
-    counted = AbelianOracle(
-        oracle.moduli,
-        oracle.grid,
-        sample_cost=lambda: stub.charge(domain_points=27, superposed_calls=1),
-        single_cost=lambda _: stub.charge(f=1),
-        first_sample_paid=True,
-    )
+    counted = AbelianOracle(oracle.moduli, oracle.grid, stub, lambda _: stub.charge(f=1))
     rng = np.random.default_rng(909)
     draw_samples(counted, rng, count=3)
-    # first sample rides on the build; the next two cover 27 points each
-    assert stub.counters == {"f": 0, "superposed_calls": 2, "domain_points": 54}
+    # every sample is one superposed call over the 27 grid points
+    assert stub.counters == {"f": 0, "superposed_calls": 3, "domain_points": 81}
     counted.evaluate((1, 1))
-    assert stub.counters == {"f": 1, "superposed_calls": 2, "domain_points": 54}
+    assert stub.counters == {"f": 1, "superposed_calls": 3, "domain_points": 81}
+    # a plain oracle books nothing
+    draw_samples(oracle, rng, count=3)
+    assert stub.counters == {"f": 1, "superposed_calls": 3, "domain_points": 81}
 
 
 # -- the batched oracle walk against the per-point walk it replaced -----------
@@ -734,7 +729,8 @@ def test_batched_walk_matches_the_per_point_walk(table, encoding, moduli, picks,
     assert walk_bb._rng.bit_generator.state == blackbox()._rng.bit_generator.state
     if mode == "unique":
         codes_bb = blackbox()
-        codes = codes_bb.walk_codes(moduli, start, gens)
+        holder = HiddenInstance(codes_bb, frozenset(), np.zeros(table.order))
+        codes = AbelianOracle.from_products(moduli, holder, start, gens).grid
         assert [OpaqueHandle(int(c).to_bytes(8, "big")) for c in codes.ravel()] == want
         assert codes_bb.counters == walk_bb.counters
 
@@ -743,18 +739,23 @@ def test_walk_needs_one_generator_per_modulus():
     bb = BlackBox(WALK_TABLES[0], rng=np.random.default_rng(0))
     e = bb.encode(WALK_TABLES[0].identity)
     with pytest.raises(ValueError, match="one generator handle per modulus"):
-        bb.walk_codes((3, 3), e, [e])
+        bb._walk((3, 3), e, [e])
     assert bb.counters["walk_mul"] == 0
 
 
 @pytest.mark.parametrize("policy", ["zero", "operands", "fresh"])
 def test_walk_codes_refuses_a_salted_box(policy):
-    bb = BlackBox(WALK_TABLES[0], 4, policy, rng=np.random.default_rng(0))
-    e = bb.encode(WALK_TABLES[0].identity)
-    state = bb._rng.bit_generator.state
+    # the product-code oracle (from_products) needs unique encodings
+    table = WALK_TABLES[0]
+    inst, _ = make_hidden_instance(
+        table, [table.identity], mode="salted", salts=4, salt_policy=policy
+    )
+    bb = inst.blackbox
+    e = bb.encode(table.identity)
+    before, state = inst.query_stats(), bb._rng.bit_generator.state
     with pytest.raises(ValueError, match="product-valued oracles require unique encoding"):
-        bb.walk_codes((3, 3), e, [e, e])
-    assert bb.counters == {"mul": 0, "inv": 0, "eq": 0, "walk_mul": 0}
+        AbelianOracle.from_products((3, 3), inst, e, [e, e])
+    assert inst.query_stats() == before
     assert bb._rng.bit_generator.state == state
 
 
@@ -771,11 +772,15 @@ def test_oracle_from_handles_books_one_superposed_evaluation(encoding):
     moduli = (9, 3)
     before, state = inst.query_stats(), bb._rng.bit_generator.state
     oracle = AbelianOracle.from_handles(moduli, inst, e, handles)
-    after = inst.query_stats()
-    # f_walk draws no salt, under any policy
+    built = inst.query_stats()
+    # the walk draws no salt, under any policy, and the build books its products only
     assert bb._rng.bit_generator.state == state
-    assert {k: after[k] - before[k] for k in after} == {
-        "mul": 0, "inv": 0, "eq": 0, "walk_mul": 26, "f": 0, "superposed_calls": 1, "domain_points": 27
+    assert {k: n - before[k] for k, n in built.items() if n != before[k]} == {"walk_mul": 26}
+    # one sample is one superposed evaluation over the 27 points
+    draw_samples(oracle, np.random.default_rng(0), 1)
+    drawn = inst.query_stats()
+    assert {k: n - built[k] for k, n in drawn.items() if n != built[k]} == {
+        "superposed_calls": 1, "domain_points": 27
     }
     # equal ids exactly where the labels of the revealed products are equal
     x, y = (bb.reveal(h) for h in handles)
@@ -791,6 +796,29 @@ def test_oracle_from_handles_books_one_superposed_evaluation(encoding):
     assert np.array_equal(
         flat_ids[:, None] == flat_ids[None, :], flat_labels[:, None] == flat_labels[None, :]
     )
+
+
+@pytest.mark.parametrize("build", ["from_handles", "from_powers", "from_products"])
+def test_draws_alone_book_superposed_work(build):
+    # a build books its walk's products; a draw of N rounds books N calls over
+    # the grid's points; an evaluate books one f, or the products of the lift
+    inst, _ = make_hidden_instance(WALK_TABLES[0], [Element(a, 0) for a in (0, 3, 6)], seed=2)
+    e, g1, g2 = (inst.blackbox.encode(Element(a, 0)) for a in (0, 1, 3))  # e, x, x^3
+    moduli, rng = (9, 3), np.random.default_rng(3)
+
+    def moved(call):  # call()'s result and the counters it moved
+        out, diff = booked(inst, call)
+        return out, {k: n for k, n in diff.items() if n}
+
+    oracle, built = moved(lambda: getattr(AbelianOracle, build)(moduli, inst, e, [g1, g2]))
+    assert built == {"walk_mul": 26}
+    for count in (0, 1, 5):
+        _, drawn = moved(lambda: draw_samples(oracle, rng, count))
+        assert drawn == ({"superposed_calls": count, "domain_points": 27 * count} if count else {})
+    for u in ((0, 0), (4, 2), (-1, 7)):
+        lift = sum(c.bit_length() + c.bit_count() + 1 for c in (u[0] % 9, u[1] % 3))
+        want = {"mul": lift} if build == "from_products" else {"f": 1}
+        assert moved(lambda: oracle.evaluate(u))[1] == want
 
 
 # -- the cyclic route against the walk it stands in for -------------------------
@@ -900,8 +928,9 @@ def test_the_power_route_is_the_walk_route_on_cyclic_grids(t, encoding, hidden, 
     (walk, walk_booked), (power, power_booked) = (
         booked(inst, lambda r=r: r(moduli, inst, start, gens)) for r in ROUTES
     )
+    # a build books its walk's products and nothing superposed
     assert power_booked == walk_booked
-    assert walk_booked["domain_points"] == math.prod(moduli)
+    assert walk_booked == {**dict.fromkeys(walk_booked, 0), "walk_mul": math.prod(moduli) - 1}
     assert power.f0() == walk.f0()
     if not isinstance(assert_same_certificate(inst, power, walk), str):
 
@@ -909,13 +938,18 @@ def test_the_power_route_is_the_walk_route_on_cyclic_grids(t, encoding, hidden, 
             r = np.random.default_rng(seed)
             return *booked(inst, lambda: draw_samples(oracle, r, 40)), r.bit_generator.state
 
-        assert draws(power) == draws(walk)
+        got, want = draws(power), draws(walk)
+        assert got == want
+        # 40 draws book 40 superposed calls over the whole grid, and nothing else
+        assert {k: n for k, n in want[1].items() if n} == {
+            "superposed_calls": 40, "domain_points": 40 * math.prod(moduli)
+        }
     for point in rng.integers(-100, 100, size=(20, len(moduli))).tolist():
         got, want = (booked(inst, lambda o=o: o.evaluate(point)) for o in (power, walk))
         assert got == want
 
     # relabel 1-3 elements the grid reaches: both routes refuse alike or certify alike
-    labels = inst._label_array.copy()
+    labels = inst.labels.copy()
     reached = np.unique(bb._walk(moduli, start, gens))
     for i in rng.choice(reached, size=min(reached.size, int(rng.integers(1, 4))), replace=False):
         labels[i] = labels.max() + 1 if rng.random() < 0.5 else labels[rng.choice(reached)]

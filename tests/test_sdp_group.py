@@ -3,6 +3,7 @@
 Reference group throughout: p=3, r=2, alpha=4, i.e. Z_9 twisted by the unit 4.
 """
 
+import math
 import time
 from functools import partial
 from itertools import combinations
@@ -335,6 +336,40 @@ def test_closure_stops_expanding_past_the_bound():
     assert got == [IDENTITY, Element(1, 0), Element(2, 0), Element(3, 0)]
     assert len(calls) == 2
     assert len(closure(mul, IDENTITY, [Element(1, 0)], bound=9)) == 9
+
+
+def trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    assert [n for n in range(10**5) if is_prime(n)] == list(filter(trial_division, range(10**5)))
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        # strong pseudoprimes to base 2; to bases 2, 3, 5, 7; to every prime base to 23
+        (2047, False),
+        (3215031751, False),
+        (3825123056546413051, False),
+        (2**31 - 1, True),
+        (2**61 - 1, True),
+        (2**63 - 25, True),  # the largest prime below 2^63
+        (2**63, False),
+    ],
+)
+def test_is_prime_on_pseudoprimes_and_mersenne_primes(n, prime):
+    t0 = time.monotonic()
+    assert is_prime(n) is prime
+    assert time.monotonic() - t0 < 0.1
+
+
+def test_is_prime_refuses_integers_above_2_63():
+    for n in (2**63 + 1, 10**4000):
+        with pytest.raises(ValueError, match="bound 2\\^63$") as err:
+            is_prime(n)
+        assert len(str(err.value)) < 60
 
 
 def test_spec_validation():
