@@ -14,10 +14,11 @@ The salt of an oracle result is chosen by policy:
 
 The handles, read as big-endian integers, form a uint64 table of shape
 (order, salts), drawn as one array, whose row is the element's index in
-``table.elements``; a dict built in one pass maps handle bytes back to that
-index.  Below ``encode``/``reveal`` everything is an element index: the
-oracles decode handles to indices, apply the table's scalar law and read
-the result's handle from the table.
+``table.elements``.  A dict maps handle bytes back to that index; it fills
+as handles are issued, and a miss scans the table once.  Below
+``encode``/``reveal`` everything is an element index: the oracles decode
+handles to indices, apply the table's scalar law and read the result's
+handle from the table.
 The superposed walk over h g_1^{u_1}...g_k^{u_k} stays on element indices,
 filled last axis first in contiguous blocks, each an earlier block times a
 power of h g_d h^-1 on the left; ``qsim.AbelianOracle`` reads labels or
@@ -84,6 +85,8 @@ class BlackBox:
     one column per salt; ``encode`` and the oracles read their results from
     it.  ``draw_distinct`` draws the table from ``rng`` as one array in row
     order: the handles and end state of one 8-byte draw per (element, salt).
+    ``_decode_map`` holds only the handles ``_handle`` has issued; decoding
+    any other 8-byte code in ``codes`` scans the table once and records it.
     ``_walk`` is the batched oracle walk over a grid of products; it books
     the products of the per-point ``oracle_mul`` walk as ``walk_mul``, and
     no RNG draw.  ``mul``, ``inv`` and ``eq`` count pointwise calls only.
@@ -112,14 +115,10 @@ class BlackBox:
         self.counters = {"mul": 0, "inv": 0, "eq": 0, "walk_mul": 0}
         # Keyed pseudorandom injection: no two handles collide.  Draws of
         # whole 8-byte chunks concatenate, so they consume the per-handle stream.
-        flat = draw_distinct(
+        self.codes = draw_distinct(
             lambda k: np.frombuffer(self._rng.bytes(HANDLE_BYTES * k), ">u8"), table.order * salts
-        ).astype(np.uint64)
-        self.codes = flat.reshape(table.order, salts)
-        # handle bytes -> element index; unlike 'S8', 'V8' keeps trailing zero bytes
-        self._decode_map: dict[bytes, int] = dict(
-            zip(flat.astype(">u8").view("V8").tolist(), (np.arange(flat.size) // salts).tolist())
-        )
+        ).astype(np.uint64).reshape(table.order, salts)
+        self._decode_map: dict[bytes, int] = {}  # handle bytes -> element index, as issued
 
     # -- construction-side access (not part of the solver surface) ---------
 
@@ -134,12 +133,20 @@ class BlackBox:
         return self.table.elements[self._decode_index(h)]
 
     def _handle(self, i: int, salt: int) -> OpaqueHandle:
-        return OpaqueHandle(int(self.codes[i, salt]).to_bytes(HANDLE_BYTES, "big"))
+        data = int(self.codes[i, salt]).to_bytes(HANDLE_BYTES, "big")
+        self._decode_map[data] = i
+        return OpaqueHandle(data)
 
     def _decode_index(self, h: OpaqueHandle) -> int:
         try:
             return self._decode_map[h.data]
-        except KeyError:
+        except (KeyError, AttributeError):  # not issued yet, or not a handle: scan once
+            data = getattr(h, "data", b"")
+            if len(data) == HANDLE_BYTES:
+                hit = np.flatnonzero(self.codes == int.from_bytes(data, "big"))
+                if hit.size:
+                    self._decode_map[data] = i = int(hit[0]) // self.salts
+                    return i
             raise ValueError("unknown encoding") from None
 
     def _out_salt(self, *operands: OpaqueHandle) -> int:

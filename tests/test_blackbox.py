@@ -12,6 +12,7 @@ from sdhsp.blackbox import (
     WALK_BOUND,
     BlackBox,
     HiddenInstance,
+    OpaqueHandle,
     draw_distinct,
     make_hidden_instance,
     oracle_identity,
@@ -56,6 +57,15 @@ def per_handle_draws(rng, order, salts):
     return decode
 
 
+def assert_decodes_to_rows(bb, decode):
+    """Every handle of ``per_handle_draws``, in draw order, decodes to its row:
+    every other one after ``_handle`` issued it, the rest through the scan."""
+    for k, (data, i) in enumerate(decode.items()):
+        if k % 2:
+            assert bb._handle(i, k % bb.salts).data == data
+        assert bb._decode_index(OpaqueHandle(data)) == i == k // bb.salts
+
+
 @pytest.mark.parametrize("salts", [1, 4, 16])
 @pytest.mark.parametrize(
     "table",
@@ -70,7 +80,7 @@ def test_one_draw_table_matches_the_per_handle_loop(table, salts):
     ref_rng, rng = np.random.default_rng(salts), np.random.default_rng(salts)
     decode = per_handle_draws(ref_rng, table.order, salts)
     bb = BlackBox(table, salts=salts, rng=rng)
-    assert list(bb._decode_map.items()) == list(decode.items())
+    assert_decodes_to_rows(bb, decode)
     expected = np.frombuffer(b"".join(decode), dtype=">u8").reshape(table.order, salts)
     assert np.array_equal(bb.codes, expected)
     assert rng.bytes(64) == ref_rng.bytes(64)
@@ -101,7 +111,7 @@ def test_repeated_handles_are_topped_up_like_the_per_handle_loop():
     decode = per_handle_draws(ref, table.order, 1)
     bb = BlackBox(table, rng=stub)
     assert stub.draws == [27 * 8, 16, 8, 8]
-    assert list(bb._decode_map.items()) == list(decode.items())
+    assert_decodes_to_rows(bb, decode)
     assert bb.codes[:, 0].tolist() == list(range(1, 28))
     assert stub.pos == ref.pos == len(stub.stream)
 
@@ -179,6 +189,59 @@ def test_handles_ending_in_zero_bytes_round_trip(salts):
             assert h.data == values[i * salts + salt].to_bytes(8, "big")
             assert bb._decode_index(h) == i
             assert bb.reveal(h) == g
+
+
+def test_the_decode_map_holds_only_the_handles_issued():
+    table, bb = fresh_box(salts=4, salt_policy="fresh", seed=3)
+    assert bb._decode_map == {}
+    x, y = bb.encode(table.elements[5], 2), bb.encode(table.elements[7])
+    xy, x_inv = bb.oracle_mul(x, y), bb.oracle_inv(x)
+    assert not bb.oracle_eq(x, y)  # eq issues nothing
+    rows = [5, 7, table.imul(5, 7), table.iinv(5)]
+    assert bb._decode_map == {h.data: i for h, i in zip((x, y, xy, x_inv), rows)}
+    inst, handles = make_hidden_instance(table, [Element(0, 0)], "salted", 4, "fresh", "scrambled")
+    assert set(inst.blackbox._decode_map) == {h.data for h in handles}
+
+
+@pytest.mark.parametrize("row, salt", [(0, 0), (13, 1), (26, 3)])
+def test_a_code_never_issued_decodes_through_the_scan(row, salt):
+    table, bb = fresh_box(salts=4, seed=5)
+    h = OpaqueHandle(int(bb.codes[row, salt]).to_bytes(8, "big"))
+    assert bb.reveal(h) == table.elements[row]
+    assert bb._decode_map == {h.data: row}  # recorded: the next decode is a hit
+    assert bb.oracle_eq(h, bb.encode(table.elements[row]))
+
+
+@pytest.mark.parametrize("kind", ["foreign", "7 bytes", "9 bytes", "bytes", "None", "int"])
+def test_a_stranger_is_refused_without_touching_the_decode_map(kind):
+    table, bb = fresh_box(salts=4, seed=5)
+    valid = bb.encode(table.elements[4], 1)
+    bad = {
+        "foreign": fresh_box(salts=4, seed=6)[1].encode(table.elements[4], 1),
+        "7 bytes": OpaqueHandle(valid.data[1:]),
+        "9 bytes": OpaqueHandle(b"\x00" + valid.data),
+        "bytes": valid.data,
+        "None": None,
+        "int": valid.code,
+    }[kind]
+    with pytest.raises(ValueError, match="^unknown encoding$"):
+        bb._decode_index(bad)
+    assert bb._decode_map == {valid.data: 4}
+
+
+def test_building_a_box_allocates_little_beyond_its_codes():
+    table = sdp_table(modular_group_spec(13, 3))
+    BlackBox(table, salts=4, rng=np.random.default_rng(1))  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        bb = BlackBox(table, salts=4, salt_policy="fresh", rng=np.random.default_rng(0))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bb.codes.size == 114_244
+    # the draw, its sorted copy and the native-order copy; a dict of every handle is 16x
+    assert kept <= bb.codes.nbytes + 2**16
+    assert peak <= 4 * bb.codes.nbytes
 
 
 def reference_labels(table, H, seed):

@@ -58,7 +58,9 @@ def _stranger(kind):
 
 
 def _malformed(kind, bb, valid):
-    """A handle that is not in ``bb``'s table, built from ``valid``'s bytes."""
+    """A handle that is not in ``bb``'s table, or no handle, built from ``valid``'s bytes."""
+    if kind in ("bytes", "None", "int"):
+        return {"bytes": valid.data, "None": None, "int": valid.code}[kind]
     if kind == "9 bytes":
         return OpaqueHandle(b"\x00" + valid.data)
     if kind == "7 bytes":
@@ -68,8 +70,12 @@ def _malformed(kind, bb, valid):
     return OpaqueHandle(min(set(range(len(issued) + 1)) - issued).to_bytes(8, "big"))
 
 
-@pytest.mark.parametrize("kind", ["9 bytes", "7 bytes", "8 bytes not issued"])
-@pytest.mark.parametrize("call", ["mul left", "mul right", "eq left", "eq right", "reveal"])
+@pytest.mark.parametrize(
+    "kind", ["9 bytes", "7 bytes", "8 bytes not issued", "bytes", "None", "int"]
+)
+@pytest.mark.parametrize(
+    "call", ["mul left", "mul right", "eq left", "eq right", "reveal", "inv", "f"]
+)
 def test_malformed_handle_at_the_decode_boundary(call, kind):
     inst, handles = rank_one_instance(seed=0)
     bb = inst.blackbox
@@ -81,6 +87,8 @@ def test_malformed_handle_at_the_decode_boundary(call, kind):
         "eq left": lambda: bb.oracle_eq(bad, valid),
         "eq right": lambda: bb.oracle_eq(valid, bad),
         "reveal": lambda: bb.reveal(bad),
+        "inv": lambda: bb.oracle_inv(bad),
+        "f": lambda: inst.f(bad),
     }
     with pytest.raises(ValueError, match="^unknown encoding$"):
         calls[call]()

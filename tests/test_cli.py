@@ -88,6 +88,10 @@ PINNED_REPORTS = {
         "bench", "--grid", "5,3;11,2;13,2", "--encoding", "salted:4", "--salt-policy", "fresh",
         "--generators", "scrambled", "--seed", "7",
     ),
+    "bench_13_3_salted_fresh.csv": (
+        "bench", "--grid", "13,3", "--encoding", "salted:4", "--salt-policy", "fresh",
+        "--generators", "scrambled", "--seed", "7",
+    ),
 }
 WORKFLOW = HERE.parent / ".github" / "workflows" / "tests.yml"
 
