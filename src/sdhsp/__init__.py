@@ -24,7 +24,6 @@ from .algebra import (
     lattice_sample,
     lattice_size,
     lattices_equal,
-    smith_normal_form,
     solve_kernel,
 )
 from .blackbox import BlackBox, HiddenInstance, OpaqueHandle, SolveOutcome, make_hidden_instance
@@ -41,7 +40,6 @@ from .sdp_group import (
     VecElement,
     ZmGroupSpec,
     classify,
-    compose,
     enumerate_alphas,
     enumerate_subgroups,
     iso_map,

@@ -230,13 +230,20 @@ def lattice_coset_rep(L: Lattice, v: Sequence[int]) -> tuple[int, ...]:
     k = len(L.moduli)
     if len(v) != k:
         raise ValueError(f"vector width {len(v)} does not match {k} moduli")
-    basis = _lattice_basis(L)
-    w = [int(x) % n for x, n in zip(v, L.moduli)]
-    for i in range(k):
-        q = w[i] // basis[i][i]
-        if q:
-            w = [x - q * y for x, y in zip(w, basis[i])]
+    w = reduce_rows([int(x) % n for x, n in zip(v, L.moduli)], _lattice_basis(L))
     return tuple(x % n for x, n in zip(w, L.moduli))
+
+
+def reduce_rows(v: list, rows) -> list:
+    """v, integers or integer arrays per coordinate, reduced in place against
+    square upper-triangular `rows`, positive pivots on the diagonal, into the
+    box of their pivots: the one point of v + span(rows) in that box."""
+    for i, row in enumerate(rows):
+        q = v[i] // row[i]
+        for j in range(i, len(v)):
+            if row[j]:
+                v[j] = v[j] - q * row[j]
+    return v
 
 
 def lattice_elements(L: Lattice) -> list[tuple[int, ...]]:
@@ -276,12 +283,12 @@ def dual_lattice(L: Lattice) -> Lattice:
     mods = L.moduli
     k = len(mods)
     N = math.lcm(*mods)
-    weights = [N // n for n in mods]
+    scale = [N // n for n in mods]
     # Factor the k x k basis of the lift, not the generator rows: it gives
     # the same constraints (a modulus row pairs to 0 mod N), has full rank and
     # entries no larger than the moduli.  On a tall stack of raw rows the
     # Smith form's entries grow to thousands of digits.
-    rows = [[h[j] * weights[j] for j in range(k)] for h in _lattice_basis(L)]
+    rows = [[h[j] * scale[j] for j in range(k)] for h in _lattice_basis(L)]
     snf = smith_normal_form(rows, k)
     gens = []
     for i in range(k):

@@ -22,10 +22,9 @@ handle from the table.
 The superposed walk over h g_1^{u_1}...g_k^{u_k} stays on element indices,
 filled last axis first in contiguous blocks, each an earlier block times a
 power of h g_d h^-1 on the left; ``qsim.AbelianOracle`` reads labels or
-codes at them.  It books the products of one ``oracle_mul`` per point as
-``walk_mul``, apart from the pointwise ``mul``, and draws nothing: no
-intermediate product gets a salt, as f labels all its encodings alike;
-``_power_walk`` walks g_1's powers alone.
+codes at them, on the grid or, if it maps onto I = <g_1..g_k> by a
+homomorphism, on |I| points (``_image``).  It books one ``oracle_mul`` per
+grid point as ``walk_mul`` and draws no salt, as f labels all encodings alike.
 
 ``reveal`` decodes a handle back to coordinates.  It exists for reports and
 tests; solver code must never call it.
@@ -39,7 +38,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import closure, square_and_multiply
+from .algebra import closure, reduce_rows, square_and_multiply
 from .sdp_group import GroupTable, generates, greedy_generators
 
 HANDLE_BYTES = 8
@@ -86,10 +85,9 @@ class BlackBox:
     it.  ``draw_distinct`` draws the table from ``rng`` as one array in row
     order: the handles and end state of one 8-byte draw per (element, salt).
     ``_decode_map`` holds only the handles ``_handle`` has issued; decoding
-    any other 8-byte code in ``codes`` scans the table once and records it.
-    ``_walk`` is the batched oracle walk over a grid of products; it books
-    the products of the per-point ``oracle_mul`` walk as ``walk_mul``, and
-    no RNG draw.  ``mul``, ``inv`` and ``eq`` count pointwise calls only.
+    any other 8-byte code in ``codes`` scans the table once and records it,
+    and anything else is an unknown encoding.  ``mul``, ``inv`` and ``eq``
+    count pointwise calls only; ``walk_mul`` the products of ``_walk``.
     """
 
     def __init__(
@@ -140,9 +138,9 @@ class BlackBox:
     def _decode_index(self, h: OpaqueHandle) -> int:
         try:
             return self._decode_map[h.data]
-        except (KeyError, AttributeError):  # not issued yet, or not a handle: scan once
-            data = getattr(h, "data", b"")
-            if len(data) == HANDLE_BYTES:
+        except (KeyError, AttributeError, TypeError):  # not issued yet, or not a handle
+            data = getattr(h, "data", None)
+            if isinstance(data, bytes) and len(data) == HANDLE_BYTES:  # scan once
                 hit = np.flatnonzero(self.codes == int.from_bytes(data, "big"))
                 if hit.size:
                     self._decode_map[data] = i = int(hit[0]) // self.salts
@@ -174,30 +172,32 @@ class BlackBox:
         self.counters["eq"] += 1
         return self._decode_index(h1) == self._decode_index(h2)
 
-    def _walk(self, moduli, identity: OpaqueHandle, gen_handles) -> np.ndarray:
-        """Element indices of h g_1^{u_1} ... g_k^{u_k} over the grid, h = ``identity``.
+    def _walk(self, moduli, identity: OpaqueHandle, gen_handles) -> tuple[np.ndarray, list | None]:
+        """Element indices of h g_1^{u_1} ... g_k^{u_k}, h = ``identity``, over
+        ``_image``'s box with its kernel rows, or else over the grid, with None.
 
-        The per-point walk this replaces visits the grid in row-major order
-        and makes one ``oracle_mul(out[u - e_d], g_d)`` per point u != 0, d
-        its last nonzero digit.  Here the axes are filled last first, each by
-        doubling a contiguous prefix: as h g_d^L x = c_d^L h x, c_d = h g_d h^-1,
-        the cells with u_d in [L, L + W) and earlier digits 0 are the first W
-        of that block times c_d^L on the left, a permutation of the element
-        indices.  Validates every handle, and refuses a grid of more than
-        ``WALK_BOUND`` points, before booking ``walk_mul += total - 1``;
-        draws no salt, as no intermediate product reaches a caller.
+        The per-point walk this replaces makes one ``oracle_mul(out[u - e_d],
+        g_d)`` per grid point u != 0 in row-major order, d its last nonzero
+        digit; it is booked as ``walk_mul``, after every handle is validated
+        and a box over ``WALK_BOUND`` points refused.  ``_products`` fills a
+        grid or box last axis first, each by doubling a contiguous prefix.
         """
         moduli = tuple(int(n) for n in moduli)
         if len(gen_handles) != len(moduli):
             raise ValueError("one generator handle per modulus is required")
-        if (total := math.prod(moduli)) > WALK_BOUND:
-            raise ValueError(f"a grid of {total} points exceeds the walk bound {WALK_BOUND}")
         start, *gens = (self._decode_index(h) for h in (identity, *gen_handles))
-        self.counters["walk_mul"] += total - 1
-        return self._products(moduli, start, gens)
+        span, kernel = self._image(moduli, gens) or (None, None)
+        if (total := math.prod(moduli if span is None else span.shape)) > WALK_BOUND:
+            raise ValueError(f"a grid of {total} points exceeds the walk bound {WALK_BOUND}")
+        self.counters["walk_mul"] += math.prod(moduli) - 1
+        if span is None:
+            return self._products(moduli, start, gens), None
+        return (self.table.index_mul(start, span) if start else span), kernel  # h = e: as is
 
     def _products(self, moduli: tuple, start: int, gens: list) -> np.ndarray:
-        """``_walk``'s grid from element indices, unbooked."""
+        """``_walk``'s grid from element indices, unbooked: as h g_d^L x = c_d^L h x,
+        c_d = h g_d h^-1, the cells with u_d in [L, L + W) and earlier digits 0
+        are the first W of that block times c_d^L on the left, a permutation."""
         elems = np.empty(math.prod(moduli), dtype=np.int64)
         elems[0], done = start, 1  # cells [0, done) are filled: the block u_d = 0
         everything, h_inv = np.arange(self.table.order), self.table.iinv(start)
@@ -211,21 +211,39 @@ class BlackBox:
                 done, left = min(2 * done, end), left[left]
         return elems.reshape(moduli)
 
-    def _power_walk(self, moduli, identity: OpaqueHandle, gen_handles) -> tuple[np.ndarray, list]:
-        """``_walk`` on a grid of powers g_d = g_1^{w_d} with g_d^{n_d} = e, whose
-        points are all h g_1^j: h g_1^j for j < t = ord(g_1), and w, booking the
-        whole grid.  Checked first: ValueError, nothing booked, on another grid."""
-        if len(gen_handles) != len(moduli):
-            raise ValueError("one generator handle per modulus is required")
-        h, g, *rest = (self._decode_index(x) for x in (identity, *gen_handles))
-        elems = self._products((moduli[0] + 1,), h, [g])  # h g^j, j <= n_1
-        t, targets = int(np.argmax(elems[1:] == h)) + 1, [self.table.imul(h, x) for x in rest]
-        w = [1, *(int(np.argmax(elems[:t] == x)) for x in targets)]
-        bad = any(elems[i] != x or i * n % t for i, x, n in zip(w[1:], targets, moduli[1:]))
-        if elems[moduli[0]] != h or bad:
-            raise ValueError("grid generators must be powers of the first, of orders dividing n_d")
-        self.counters["walk_mul"] += math.prod(moduli) - 1
-        return elems[:t], w
+    def _image(self, moduli: tuple, gens: list) -> tuple[np.ndarray, list] | None:
+        """phi(u) = g_1^{u_1} ... g_k^{u_k} on a box prod [0, t_d), with the rows of
+        ker phi, if the g_d commute pairwise and each g_d^{n_d} = e (checked on the
+        table, unbooked; n_d e_d then reduces to 0 against the rows), else None.
+        phi maps the grid onto I = <g_1..g_k> and the box one to one.  Relative
+        orders (Teske, 1998), from the last axis: t_d is the least t with g_d^t
+        in the span of the later axes, g_d^t = phi(c), and row d is t_d e_d - c.
+        The search takes one product a step up to t = 16, then doubles blocks."""
+        imul, index_mul, order = self.table.imul, self.table.index_mul, self.table.order
+        if any(imul(a, b) != imul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]):
+            return None
+        where = np.full(order, -1)
+        span, box, kernel, where[0] = np.zeros(1, np.int64), (), [], 0  # where: index in span
+        for d in reversed(range(len(moduli))):
+            x, powers, size = gens[d], [0], span.size  # blocks g_d^j span, j < t; x = g_d^t
+            while where[x] < 0 and len(powers) < 16:
+                powers.append(x)
+                x = imul(x, gens[d])
+            if len(powers) > 1:  # the span is {e} when size is 1
+                powers = np.array(powers)
+                span = index_mul(powers[:, None], span).ravel() if size > 1 else powers
+            if where[x] < 0:
+                left = index_mul(x, np.arange(order))
+                while (where[span[size::size]] < 0).all():
+                    span, left = np.concatenate((span, left[span])), left[left]
+                t = int(np.argmax(where[span[size::size]] >= 0)) + 1
+                span, x = span[: t * size], span[t * size]  # x = g_d^t
+            c, t = np.unravel_index(where[x], box), span.size // size
+            box, kernel = (t, *box), [[0] * d + [t] + [-int(i) for i in c], *kernel]
+            where[span] = np.arange(span.size)
+        if any(any(reduce_rows(row, kernel)) for row in np.diag(moduli).tolist()):
+            return None
+        return span.reshape(box), kernel
 
 
 def oracle_identity(bb: BlackBox, some_handle: OpaqueHandle) -> OpaqueHandle:

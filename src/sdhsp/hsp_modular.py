@@ -122,7 +122,7 @@ def find_shift(
     shift = -u * v^{-1}.  A full lattice carries no information: the shift
     is then None and the quotient reduction applies.  Returns the shift and
     the abelian solve, whose lattice is this periodicity lattice.  As Y^p lies
-    in <X^p>, the oracle is simulated on <X^p> (``AbelianOracle.from_powers``).
+    in <X^p>, the grid is walked on <X^p> alone (``BlackBox._image``).
     """
     bb = inst.blackbox
     spec = bb.table.spec
@@ -130,7 +130,7 @@ def find_shift(
     n1 = p ** (r - 1)
     e = pair.identity
     yp = oracle_pow(bb, pair.y, p, e)
-    oracle = AbelianOracle.from_powers((n1, n1), inst, e, (xp, yp))
+    oracle = AbelianOracle.from_handles((n1, n1), inst, e, (xp, yp))
     res = abelian_hsp_solve(oracle, rng, delta=delta)
     if lattice_is_full(res.lattice):
         return None, res

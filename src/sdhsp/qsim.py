@@ -26,13 +26,10 @@ only its walk's products; pointwise evaluations are classical work, booked
 by the cost model of the constructor that built the oracle.
 
 Oracles over a black box are built in one batched pass: ``BlackBox._walk``
-gives the element indices of g_1^{u_1}...g_k^{u_k} over the grid, which
-``from_handles`` reads as labels in place and ``from_products`` as handle
-codes under a unique encoding; ``from_powers`` labels only <g_1> on a grid
-of its powers.  The walk books one ``oracle_mul`` per grid point as
-``walk_mul`` and draws no salt, so counters and answers match a
-point-by-point walk.  Grid values are labels or codes, compared only for
-equality.
+gives the element indices of g_1^{u_1}...g_k^{u_k} over the grid, or over the
+|I| points of I = <g_1..g_k> with the kernel rows of that map when it is a
+homomorphism, read as labels (``from_handles``) or handle codes under a
+unique encoding (``from_products``); counters match a point-by-point walk.
 """
 
 from __future__ import annotations
@@ -44,14 +41,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Lattice, _lattice_basis, lattice_canonicalize, lattice_size, solve_kernel
+from .algebra import Lattice, lattice_canonicalize, lattice_size, reduce_rows, solve_kernel
 
 MAX_ROUNDS = 3  # abelian_hsp_solve doubles its sample pool at most twice
 
 
 class AbelianOracle:
-    """F on a product of cyclic groups, pre-evaluated on the full grid, or on
-    Z_t with F(u) = grid[w.u mod t], t = grid.size, given ``weights`` w, w_1 = 1.
+    """F on Z_{n_1} x ... x Z_{n_k}, pre-evaluated on a box prod [0, t_d): F(u) is
+    the grid's value at u reduced against periods of F, the upper-triangular
+    ``kernel`` rows, t_d on their diagonal; by default the box is the domain.
 
     The grid holds integer values, compared only for equality.  The oracle
     takes ownership of `grid` and makes this handle read-only; a caller must
@@ -59,7 +57,7 @@ class AbelianOracle:
     certificate assumes the grid never changes.  ``draw_samples`` books its
     rounds on ``inst``, the hidden instance the oracle was built over, if
     any; ``single_cost`` gets the point of each ``evaluate``, reduced into
-    the grid.  A plain ``AbelianOracle(moduli, grid)`` books nothing.
+    the domain.  A plain ``AbelianOracle(moduli, grid)`` books nothing.
     """
 
     def __init__(
@@ -68,7 +66,7 @@ class AbelianOracle:
         grid: np.ndarray,
         inst=None,
         single_cost: Callable[[tuple[int, ...]], None] | None = None,
-        weights: Sequence[int] | None = None,
+        kernel: Sequence[Sequence[int]] | None = None,
     ) -> None:
         self.moduli = tuple(int(n) for n in moduli)
         if any(n < 1 for n in self.moduli):
@@ -78,7 +76,7 @@ class AbelianOracle:
         self.grid = grid
         self.inst = inst
         self._single_cost = single_cost
-        self._weights = weights
+        self.kernel = kernel or np.diag(self.moduli).tolist()
 
     @property
     def domain_size(self) -> int:
@@ -91,18 +89,10 @@ class AbelianOracle:
         """F(u) = f(g_1^{u_1} ... g_k^{u_k}) over a hidden instance: the walk's
         labels, gathered into its index grid in place.  Each ``evaluate``
         books one pointwise ``f``."""
-        walk = inst.blackbox._walk(moduli, identity, gen_handles)
+        walk, kernel = inst.blackbox._walk(moduli, identity, gen_handles)
         # every index is in range; 'clip' gathers into the index grid, unbuffered
         labels = inst.labels.take(walk, out=walk, mode="clip")
-        return cls(moduli, labels, inst, lambda _: inst.charge(f=1))
-
-    @classmethod
-    def from_powers(cls, moduli, inst, identity, gen_handles) -> "AbelianOracle":
-        """``from_handles`` on a grid of powers g_d = g_1^{w_d} with g_d^{n_d} = e:
-        its values and certificate from the ord(g_1) labels of <g_1>
-        (``BlackBox._power_walk``); ValueError, nothing booked, on another grid."""
-        walk, weights = inst.blackbox._power_walk(moduli, identity, gen_handles)
-        return cls(moduli, inst.labels[walk], inst, lambda _: inst.charge(f=1), weights)
+        return cls(moduli, labels, inst, lambda _: inst.charge(f=1), kernel)
 
     @classmethod
     def from_products(cls, moduli, inst, identity, gen_handles) -> "AbelianOracle":
@@ -122,8 +112,8 @@ class AbelianOracle:
         def lift_cost(u):
             bb.counters["mul"] += sum(c.bit_length() + c.bit_count() + 1 for c in u)
 
-        codes = bb.codes[bb._walk(moduli, identity, gen_handles), 0]
-        return cls(moduli, codes, inst, lift_cost)
+        walk, kernel = bb._walk(moduli, identity, gen_handles)
+        return cls(moduli, bb.codes[walk, 0], inst, lift_cost, kernel)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -131,9 +121,7 @@ class AbelianOracle:
         idx = tuple(int(x) % n for x, n in zip(point, self.moduli, strict=True))
         if self._single_cost is not None:
             self._single_cost(idx)
-        if self._weights is not None:
-            idx = sum(w * x for w, x in zip(self._weights, idx)) % self.grid.size
-        return int(self.grid[idx])
+        return int(self.grid[tuple(reduce_rows(list(idx), self.kernel))])
 
     def f0(self) -> int:
         return int(self.grid.flat[0])
@@ -142,77 +130,64 @@ class AbelianOracle:
     def _certificate(self) -> tuple[int, np.ndarray, np.ndarray]:
         """|L|, L^perp's row-major indices and their CDF by ``Generator.choice``'s
         steps, when every level set of F translates F(0)'s, a subgroup L: iff
-        L's generators leave the grid unchanged (F is L-periodic) and the box
-        prod [0, d_i), d_i the diagonal of L's echelon basis, a transversal of
-        G/L, holds prod d_i values (F is injective on G/L).  Otherwise F hides
-        no subgroup on this grid: ValueError, naming the test that failed.
-
-        F(u) = h[w.u mod t], w_1 = 1, passes iff h does, with L the preimage of
-        h's K: kappa = |Z_t/K|, and L^perp is j (w_d n_d / kappa)_d, row-major for j < kappa."""
-        if self._weights is not None:
-            kappa = self.grid.size // AbelianOracle(self.grid.shape, self.grid)._certificate[0]
-            step = np.multiply(self._weights, self.moduli) // kappa
-            dual = np.arange(kappa)[:, None] * step % self.moduli
-            outcomes = np.ravel_multi_index(tuple(dual.T), self.moduli)
-            return self.domain_size // kappa, outcomes, np.arange(1, kappa + 1) / kappa
-        gens = _subgroup_gens(self.grid)
-        if gens is None:
+        L's generators leave F unchanged (F is L-periodic) and the box prod
+        [0, d_i), d_i the diagonal of L's echelon basis, holds prod d_i values
+        (F is injective on G/L).  Otherwise ValueError, naming the failed test."""
+        basis = _level_basis(self.grid, self.kernel)
+        if basis is None:
             raise ValueError("function is not periodic over this domain")
-        basis = _lattice_basis(Lattice(self.moduli, tuple(gens)))
         box = np.sort(self.grid[tuple(slice(row[i]) for i, row in enumerate(basis))], axis=None)
         if 1 + np.count_nonzero(np.diff(box)) != box.size:
             raise ValueError("function gives two cosets of its period lattice one value")
-        mask = _dual_mask(self.moduli, gens)
-        outcomes = np.flatnonzero(mask)
-        cdf = mask[outcomes].cumsum()
-        return self.domain_size // box.size, outcomes, cdf / cdf[-1]
+        outcomes = _dual(self.moduli, basis)
+        return self.domain_size // box.size, outcomes, np.arange(1, box.size + 1) / box.size
 
 
 # -- sampling -------------------------------------------------------------------
 
 
-def _subgroup_gens(grid: np.ndarray) -> list | None:
-    """Generators of F(0)'s level set S if S is a subgroup L and F is
-    L-periodic (`grid` equals its roll by each), else None.
-
-    g_d is the first point of S with earlier coordinates 0 and least positive
-    u_d on axis d: in row-major order, the first point from stride s_d on, if
-    it is below n_d s_d.  S is <g_d> and F is <g_d>-periodic iff the grid
-    equals its roll by each g_d, as u_d is least; u_d not dividing n_d, or a
-    size other than prod n_d / u_d, rules S out before any periodicity check."""
+def _level_basis(grid: np.ndarray, kernel) -> list | None:
+    """An upper-triangular basis of the lift of F(0)'s level set S if S is a
+    subgroup L and F is L-periodic, else None.  Row d is the first point of S
+    with earlier coordinates 0 and least positive u_d on axis d (in row-major
+    order, the first from stride s_d on, if below t_d s_d), else kernel row d.
+    S = <rows> and F is L-periodic iff F(u + g) = F(u) for each such point g;
+    u_d not dividing t_d, or |S| != prod t_d / u_d, rules S out first."""
     shape, pts = grid.shape, np.flatnonzero(grid == grid.flat[0])
     strides = [math.prod(shape[d + 1 :]) for d in range(len(shape))]
-    gens, order = [], 1
-    for n, s in zip(shape, strides):
+    rows, gens, order = [], [], 1
+    for d, (n, s) in enumerate(zip(shape, strides)):
         first = int(pts[pts.searchsorted(s)]) if pts[-1] >= s else n * s
         u = min(first // s, n)
         order *= 0 if n % u else n // u
         if u < n:
-            gens.append(tuple(first // t % m for t, m in zip(strides, shape)))
-    return gens if pts.size == order and all(_periodic(grid, g) for g in gens) else None
+            gens.append([first // t % m for t, m in zip(strides, shape)])
+        rows.append(gens[-1] if u < n else kernel[d])
+    if pts.size != order:
+        return None
+    axes = np.indices(shape)
+    return rows if all(_invariant(grid, kernel, axes, g) for g in gens) else None
 
 
-def _periodic(grid: np.ndarray, g) -> bool:
-    """Whether `grid` equals its roll by `g`, read in place: a shift s on an axis
-    pairs [s, n) with [0, n - s) and, if s > 0, [0, s) with [n - s, n).  Pairs are
-    compared up to the first mismatch, by count: half the time of (a == b).all()."""
-    pairs = [((), ())]
-    for x, n in zip(g, grid.shape, strict=True):
-        s = int(x) % n
-        cuts = ((slice(s, n), slice(n - s)), (slice(s), slice(n - s, n)))[: 1 + (s > 0)]
-        pairs = [(a + (u,), b + (v,)) for a, b in pairs for u, v in cuts]
-    return all(not np.count_nonzero(grid[a] != grid[b]) for a, b in pairs)
+def _invariant(grid: np.ndarray, kernel, axes: np.ndarray, g) -> bool:
+    """Whether F(u + g) = F(u), u + g reduced, at every point u, ``axes`` of the box."""
+    return np.array_equal(grid[tuple(reduce_rows([a + x for a, x in zip(axes, g)], kernel))], grid)
 
 
-def _dual_mask(moduli: tuple[int, ...], gens: list) -> np.ndarray:
-    """Row-major L^perp indicator, L = <gens>: per g, the phases sum_i k_i g_i N / n_i
-    mod N of the leading axes against minus the last's, in the narrowest type."""
-    k, N = len(moduli), math.lcm(*moduli)
-    w = np.array(gens, np.int64).reshape(-1, k) * (N // np.array(moduli))
-    lead = w[:, :-1] @ np.indices(moduli[:-1]).reshape(k - 1, math.prod(moduli[:-1])) % N
-    last = w[:, -1:] * -np.arange(moduli[-1]) % N
-    dt = np.min_scalar_type(N)
-    return (lead.astype(dt)[:, :, None] == last.astype(dt)[:, None, :]).all(axis=0).reshape(-1)
+def _dual(moduli: tuple, basis: list) -> np.ndarray:
+    """L^perp as sorted row-major indices, from the upper-triangular ``basis`` of
+    L's lift: c is in it iff sum_j b_j c_j N / n_j = 0 mod N, N = lcm(moduli),
+    for each row b.  From the last axis, row i fixes c_i mod n_i / b_ii given
+    the later c_j, leaving b_ii values: |L^perp| = prod b_ii."""
+    N, k = math.lcm(*moduli), len(moduli)
+    pairing = np.array([[b % n * (N // n) for b, n in zip(row, moduli)] for row in basis])
+    pts = np.zeros((1, k), dtype=np.int64)  # one row per point of the later axes, 0 elsewhere
+    for i in reversed(range(k)):
+        d, m = basis[i][i], moduli[i] // basis[i][i]  # c_i N / n_i d_i = c_i N / m
+        c = -(pts @ pairing[i] % N) // (N // m) % m
+        pts = np.repeat(pts, d, axis=0)
+        pts[:, i] = (c[:, None] + m * np.arange(d)).reshape(-1)
+    return np.sort(pts @ [math.prod(moduli[i + 1 :]) for i in range(k)])
 
 
 def draw_samples(

@@ -212,7 +212,10 @@ def test_a_code_never_issued_decodes_through_the_scan(row, salt):
     assert bb.oracle_eq(h, bb.encode(table.elements[row]))
 
 
-@pytest.mark.parametrize("kind", ["foreign", "7 bytes", "9 bytes", "bytes", "None", "int"])
+@pytest.mark.parametrize(
+    "kind",
+    ["foreign", "7 bytes", "9 bytes", "bytes", "None", "int", "str data", "bytearray data", "int data"],
+)
 def test_a_stranger_is_refused_without_touching_the_decode_map(kind):
     table, bb = fresh_box(salts=4, seed=5)
     valid = bb.encode(table.elements[4], 1)
@@ -223,6 +226,10 @@ def test_a_stranger_is_refused_without_touching_the_decode_map(kind):
         "bytes": valid.data,
         "None": None,
         "int": valid.code,
+        # handles whose data is not bytes: 8 characters, a valid code's bytes, a number
+        "str data": OpaqueHandle("12345678"),
+        "bytearray data": OpaqueHandle(bytearray(valid.data)),
+        "int data": OpaqueHandle(12345678),
     }[kind]
     with pytest.raises(ValueError, match="^unknown encoding$"):
         bb._decode_index(bad)
@@ -514,7 +521,8 @@ def test_f_walk_gathers_labels_into_the_walk_grid():
     table = sdp_table(modular_group_spec(2, 12))
     inst, _ = make_hidden_instance(table, frozenset({Element(0, 0)}), seed=0)
     bb = inst.blackbox
-    gens = [bb.encode(Element(2, 0)), bb.encode(Element(6, 1))]
+    # x and x^6 y do not commute: the walk covers the whole grid
+    gens = [bb.encode(Element(1, 0)), bb.encode(Element(6, 1))]
     moduli, e = (2048, 2048), bb.encode(Element(0, 0))
     tracemalloc.start()
     try:
@@ -523,7 +531,7 @@ def test_f_walk_gathers_labels_into_the_walk_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * labels.nbytes
-    np.testing.assert_array_equal(labels, inst.labels[bb._walk(moduli, e, gens)])
+    np.testing.assert_array_equal(labels, inst.labels[bb._walk(moduli, e, gens)[0]])
 
 
 def test_a_walk_over_the_bound_is_refused_before_anything_is_booked(monkeypatch):

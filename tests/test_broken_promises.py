@@ -61,6 +61,8 @@ def _malformed(kind, bb, valid):
     """A handle that is not in ``bb``'s table, or no handle, built from ``valid``'s bytes."""
     if kind in ("bytes", "None", "int"):
         return {"bytes": valid.data, "None": None, "int": valid.code}[kind]
+    if kind.endswith(" data"):  # a handle whose data is not bytes
+        return OpaqueHandle({"str": "12345678", "bytearray": bytearray(8), "int": 12345678}[kind[:-5]])
     if kind == "9 bytes":
         return OpaqueHandle(b"\x00" + valid.data)
     if kind == "7 bytes":
@@ -71,7 +73,11 @@ def _malformed(kind, bb, valid):
 
 
 @pytest.mark.parametrize(
-    "kind", ["9 bytes", "7 bytes", "8 bytes not issued", "bytes", "None", "int"]
+    "kind",
+    [
+        "9 bytes", "7 bytes", "8 bytes not issued", "bytes", "None", "int",
+        "str data", "bytearray data", "int data",
+    ],
 )
 @pytest.mark.parametrize(
     "call", ["mul left", "mul right", "eq left", "eq right", "reveal", "inv", "f"]
@@ -290,10 +296,9 @@ RELABEL_CELLS = {
 @pytest.fixture
 def evaluated(monkeypatch):
     """The element indices at which f is evaluated, pointwise or on a
-    superposed grid: the walk's elements under ``AbelianOracle.from_handles``,
-    and the powers of g_1 under ``from_powers`` (which stand for every point
-    of their grid); ``from_products`` grids hold handle codes, not f values,
-    and stay out."""
+    superposed grid: the walk's elements under ``AbelianOracle.from_handles``
+    (on an image box they stand for every point of their grid);
+    ``from_products`` grids hold handle codes, not f values, and stay out."""
     seen: set[int] = set()
     labelling = []
     f = HiddenInstance.f
@@ -302,7 +307,7 @@ def evaluated(monkeypatch):
         def spied(bb, *args):
             out = walk(bb, *args)
             if labelling:
-                seen.update(np.unique(out[0] if isinstance(out, tuple) else out).tolist())
+                seen.update(np.unique(out[0]).tolist())
             return out
 
         return spied
@@ -321,9 +326,8 @@ def evaluated(monkeypatch):
         seen.add(inst.blackbox._decode_index(h))
         return f(inst, h)
 
-    for walk, build in (("_walk", "from_handles"), ("_power_walk", "from_powers")):
-        monkeypatch.setattr(BlackBox, walk, spy_walk(getattr(BlackBox, walk)))
-        monkeypatch.setattr(AbelianOracle, build, spy_labels(getattr(AbelianOracle, build)))
+    monkeypatch.setattr(BlackBox, "_walk", spy_walk(BlackBox._walk))
+    monkeypatch.setattr(AbelianOracle, "from_handles", spy_labels(AbelianOracle.from_handles))
     monkeypatch.setattr(HiddenInstance, "f", spy_f)
     return seen
 

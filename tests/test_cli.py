@@ -76,6 +76,11 @@ PINNED_REPORTS = {
         "solve-zm", "--p", "2", "--r", "3", "--m", "3", "--hidden", "random",
         "--generators", "scrambled", "--seed", "4",
     ),
+    # seed 1 draws two A-handles: a relation grid of 2^28 points, walked on A's 2^14
+    "solve_zm_2_14_1_scrambled.json": (
+        "solve-zm", "--p", "2", "--r", "14", "--m", "1", "--hidden", "trivial",
+        "--generators", "scrambled", "--seed", "1",
+    ),
     "bench_mixed.csv": ("bench", "--grid", "3,2;2,3;3,2,1", "--seed", "7"),
     "bench_salted_fresh.csv": (
         "bench", "--grid", "3,3;2,4", "--encoding", "salted:4", "--salt-policy", "fresh",
@@ -210,14 +215,15 @@ def test_classify_decides_a_large_prime_q_at_once(capsys):
     assert code == 0 and rep["alphas"] == [] and rep["note"] == "q does not divide p - 1"
 
 
-def test_a_walk_over_the_bound_exits_2(capsys):
-    # seed 1 draws two A-handles, so the relation grid is (2^14)^2 points
-    code, out, err = run(
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_a_relation_grid_is_walked_on_a_at_every_seed(capsys, seed):
+    # seeds 1, 3, 5 and 6 draw two A-handles, a relation grid of 2^28 points;
+    # the walk covers A's 2^14 elements, so every seed is answered
+    code, rep, _ = run_json(
         capsys, "solve-zm", "--p", "2", "--r", "14", "--m", "1", "--hidden", "trivial",
-        "--generators", "scrambled", "--seed", "1",
+        "--generators", "scrambled", "--seed", str(seed),
     )
-    assert code == 2 and out == ""
-    assert err == "error: a grid of 268435456 points exceeds the walk bound 67108864\n"
+    assert code == 0 and rep["match"] is True and rep["solver"]["confident"] is True
 
 
 def test_solve_p_samples_a_domain_of_2_22_points_in_closed_form(capsys, monkeypatch):

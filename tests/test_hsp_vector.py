@@ -1,6 +1,7 @@
 """Solver for Z_{p^r}^m twisted by the near-identity unit."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,3 +287,24 @@ def test_the_relation_oracle_books_the_products_of_oracle_lift():
         h = oracle_lift(bb, e, gens, u)
         assert bb.counters["mul"] - before == 2 * booked
         assert h.code == value
+
+
+def test_the_relation_oracle_is_built_on_a_not_on_its_grid():
+    # two A-handles of (2,10,1) span a relation grid of (2^10)^2 points, but
+    # the walk covers A = Z_1024 alone: the build's peak memory is O(|A|)
+    spec = ZmGroupSpec(2, 10, 1)
+    vin = make_vec_instance(spec, [vec_table(spec).identity], seed=0)
+    bb = vin.blackbox
+    e = oracle_identity(bb, vin.y_handle)
+    gens = [bb.encode(VecElement((a,), 0)) for a in (6, 1)]
+    AbelianOracle.from_products((8, 8), vin.instance, e, gens)  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        oracle = AbelianOracle.from_products((1024, 1024), vin.instance, e, gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert oracle.grid.size == 1024 and oracle.domain_size == 2**20
+    # 8 bytes per grid point would be 8 MB; this is under 256 bytes per element of A
+    assert peak <= 256 * 1024
+    assert bb.counters["walk_mul"] == 2**20 - 1 + 63

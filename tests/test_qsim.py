@@ -19,12 +19,20 @@ from sdhsp.algebra import (
     lattice_member,
     lattice_size,
     lattices_equal,
+    reduce_rows,
 )
 from sdhsp.blackbox import BlackBox, HiddenInstance, OpaqueHandle, make_hidden_instance
 from sdhsp import qsim
 from sdhsp.qsim import AbelianOracle, abelian_hsp_solve, draw_samples
 from sdhsp.reference import sample_annihilator
-from sdhsp.sdp_group import Element, ZmGroupSpec, modular_group_spec, sdp_table, vec_table
+from sdhsp.sdp_group import (
+    Element,
+    VecElement,
+    ZmGroupSpec,
+    modular_group_spec,
+    sdp_table,
+    vec_table,
+)
 
 # the certificate's two refusals, and the final check's
 NOT_PERIODIC = "function is not periodic over this domain"
@@ -168,10 +176,27 @@ def test_annihilator_sampler_agrees_with_statevector():
 
 def subgroup_lattice(oracle) -> Lattice:
     """F(0)'s level set as the sampler's subgroup reader sees it, canonicalised."""
-    gens = qsim._subgroup_gens(oracle.grid == oracle.f0())
-    if gens is None:
+    basis = qsim._level_basis(oracle.grid == oracle.f0(), oracle.kernel)
+    if basis is None:
         raise ValueError(NOT_PERIODIC)
-    return lattice_canonicalize(Lattice(oracle.moduli, tuple(gens)))
+    return lattice_canonicalize(Lattice(oracle.moduli, tuple(basis)))
+
+
+def diagonal(moduli) -> list:
+    """The kernel rows of a box that is the whole domain."""
+    return AbelianOracle(moduli, np.zeros(moduli)).kernel
+
+
+def dual_mask(moduli: tuple[int, ...], gens) -> np.ndarray:
+    """Row-major L^perp indicator, L = <gens>: per g, the phases sum_i k_i g_i N / n_i
+    mod N of the leading axes against minus the last's, in the narrowest type.
+    The domain-sized reference for the certificate's unranked L^perp."""
+    k, N = len(moduli), math.lcm(*moduli)
+    w = np.array(gens, np.int64).reshape(-1, k) * (N // np.array(moduli))
+    lead = w[:, :-1] @ np.indices(moduli[:-1]).reshape(k - 1, math.prod(moduli[:-1])) % N
+    last = w[:, -1:] * -np.arange(moduli[-1]) % N
+    dt = np.min_scalar_type(N)
+    return (lead.astype(dt)[:, :, None] == last.astype(dt)[:, None, :]).all(axis=0).reshape(-1)
 
 
 def test_periodicity_lattice_roundtrip():
@@ -214,13 +239,13 @@ def random_supports(seed, count=60):
 def test_subgroup_reader_on_random_supports(seed):
     kinds = set()
     for support in random_supports(seed):
-        gens = qsim._subgroup_gens(support)
-        kinds.add(gens is not None)
-        assert (gens is not None) == closed_under_addition(support)
-        if gens is not None:
-            mask = qsim._dual_mask(support.shape, gens)
+        basis = qsim._level_basis(support, diagonal(support.shape))
+        kinds.add(basis is not None)
+        assert (basis is not None) == closed_under_addition(support)
+        if basis is not None:
             want = np.flatnonzero(literal_coset_probs(support))
-            assert np.array_equal(np.flatnonzero(mask), want)
+            assert np.array_equal(np.flatnonzero(dual_mask(support.shape, basis)), want)
+            assert np.array_equal(qsim._dual(support.shape, basis), want)
     assert kinds == {True, False}
 
 
@@ -242,9 +267,9 @@ def test_subgroup_reader_rules_out_each_failure(monkeypatch, moduli, points, che
         support[pt] = True
     assert not closed_under_addition(support)
     shifts = []
-    periodic = qsim._periodic
-    monkeypatch.setattr(qsim, "_periodic", lambda grid, g: shifts.append(g) or periodic(grid, g))
-    assert qsim._subgroup_gens(support) is None
+    invariant = qsim._invariant
+    monkeypatch.setattr(qsim, "_invariant", lambda *args: shifts.append(args) or invariant(*args))
+    assert qsim._level_basis(support, diagonal(moduli)) is None
     # divisibility and size rule a support out before any periodicity check
     assert len(shifts) == checks
 
@@ -260,7 +285,7 @@ def test_subgroup_reader_rules_out_each_failure(monkeypatch, moduli, points, che
 @example([5, 3], [0, 0, 0, 0], False, 1)  # the zero shift leaves every grid as it is
 @example([3, 3], [-1, 1, 0, 0], True, 0)  # periodic by (2, 1), not by (1, 1)
 @settings(max_examples=200, deadline=None)
-def test_in_place_periodicity_check_agrees_with_np_roll(moduli, shift, periodic, seed):
+def test_the_reduced_periodicity_check_agrees_with_np_roll(moduli, shift, periodic, seed):
     g, axes = tuple(shift[: len(moduli)]), tuple(range(len(moduli)))
     rng = np.random.default_rng(seed)
     # each point's least flat index over its orbit u + <g>; a grid constant
@@ -273,7 +298,7 @@ def test_in_place_periodicity_check_agrees_with_np_roll(moduli, shift, periodic,
         grid.flat[rng.integers(grid.size)] = 3
     want = np.array_equal(np.roll(grid, g, axis=axes), grid)
     assert want or not periodic
-    assert qsim._periodic(grid, g) == want
+    assert qsim._invariant(grid, diagonal(moduli), np.indices(moduli), g) == want
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -679,6 +704,13 @@ def reference_walk(bb, moduli, identity, gen_handles) -> list:
     return out
 
 
+def spread(box, kernel, moduli) -> np.ndarray:
+    """A walk's box over the whole grid: each point's value at its reduction."""
+    if kernel is None:
+        return box
+    return box[tuple(reduce_rows(list(np.indices(moduli)), kernel))]
+
+
 WALK_TABLES = [
     sdp_table(modular_group_spec(3, 2)),
     sdp_table(modular_group_spec(2, 3)),
@@ -718,7 +750,7 @@ def test_batched_walk_matches_the_per_point_walk(table, encoding, moduli, picks,
     )
     gens = gens[: len(moduli)]
     want = reference_walk(ref_bb, moduli, start, gens)
-    got = walk_bb._walk(moduli, start, gens)
+    got = spread(*walk_bb._walk(moduli, start, gens), moduli)
     total = math.prod(moduli)
     assert got.shape == tuple(moduli)
     assert got.ravel().tolist() == [ref_bb._decode_index(h) for h in want]
@@ -730,7 +762,8 @@ def test_batched_walk_matches_the_per_point_walk(table, encoding, moduli, picks,
     if mode == "unique":
         codes_bb = blackbox()
         holder = HiddenInstance(codes_bb, frozenset(), np.zeros(table.order))
-        codes = AbelianOracle.from_products(moduli, holder, start, gens).grid
+        oracle = AbelianOracle.from_products(moduli, holder, start, gens)
+        codes = spread(oracle.grid, oracle.kernel, moduli)
         assert [OpaqueHandle(int(c).to_bytes(8, "big")) for c in codes.ravel()] == want
         assert codes_bb.counters == walk_bb.counters
 
@@ -798,13 +831,13 @@ def test_oracle_from_handles_books_one_superposed_evaluation(encoding):
     )
 
 
-@pytest.mark.parametrize("build", ["from_handles", "from_powers", "from_products"])
+@pytest.mark.parametrize("build", ["from_handles", "from_products"])
 def test_draws_alone_book_superposed_work(build):
     # a build books its walk's products; a draw of N rounds books N calls over
     # the grid's points; an evaluate books one f, or the products of the lift
     inst, _ = make_hidden_instance(WALK_TABLES[0], [Element(a, 0) for a in (0, 3, 6)], seed=2)
     e, g1, g2 = (inst.blackbox.encode(Element(a, 0)) for a in (0, 1, 3))  # e, x, x^3
-    moduli, rng = (9, 3), np.random.default_rng(3)
+    moduli, rng = (9, 3), np.random.default_rng(3)  # walked on <x>, 9 points, booked as 27
 
     def moved(call):  # call()'s result and the counters it moved
         out, diff = booked(inst, call)
@@ -821,16 +854,16 @@ def test_draws_alone_book_superposed_work(build):
         assert moved(lambda: oracle.evaluate(u))[1] == want
 
 
-# -- the cyclic route against the walk it stands in for -------------------------
+# -- the image route against a plain full-grid oracle ---------------------------
 
 # the groups of the three benchmark workloads, and (2,13)
-POWER_TABLES = [
+IMAGE_TABLES = [
     *(sdp_table(modular_group_spec(p, r)) for p, r in ((5, 4), (3, 6), (2, 10), (3, 3), (5, 2))),
     *(sdp_table(modular_group_spec(p, r)) for p, r in ((7, 2), (3, 4), (2, 13))),
     vec_table(ZmGroupSpec(2, 3, 2)),
     vec_table(ZmGroupSpec(3, 2, 2)),
 ]
-POWER_ENCODINGS = [("unique", 1, "zero"), ("salted", 4, "fresh")]
+IMAGE_ENCODINGS = [("unique", 1, "zero"), ("salted", 4, "fresh")]
 
 
 def element_order(table, i: int) -> int:
@@ -848,9 +881,9 @@ def element_power(table, i: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def power_instance(t: int, encoding, seed: int):
-    """A hiding instance on ``POWER_TABLES[t]`` for the span of two random elements."""
-    table, (mode, salts, policy) = POWER_TABLES[t], encoding
+def image_instance(t: int, encoding, seed: int):
+    """A hiding instance on ``IMAGE_TABLES[t]`` for the span of two random elements."""
+    table, (mode, salts, policy) = IMAGE_TABLES[t], encoding
     rng = np.random.default_rng([seed, t])
     span = closure(table.imul, 0, rng.integers(0, table.order, size=2).tolist())
     subgroup = [table.elements[i] for i in span]
@@ -861,8 +894,8 @@ def power_instance(t: int, encoding, seed: int):
 
 
 def random_cyclic_grid(table, rng, max_points=6_000):
-    """(start, moduli, generators) as element indices: g_1 of order t, n_1 a
-    multiple of t, and g_d = g_1^{w_d} with n_d a multiple of its order."""
+    """(moduli, generators) as element indices: g_1 of order t, n_1 a multiple
+    of t, and g_d = g_1^{w_d} with n_d a multiple of its order."""
     a = int(rng.integers(1, table.order))
     o = element_order(table, a)
     t = int(rng.choice([d for d in range(1, o + 1) if o % d == 0 and d <= 81]))
@@ -875,8 +908,16 @@ def random_cyclic_grid(table, rng, max_points=6_000):
         if math.prod(moduli) * n <= max_points:
             moduli.append(n)
             gens.append(element_power(table, g1, w))
-    start = 0 if rng.random() < 0.5 else int(rng.integers(0, table.order))
-    return start, tuple(moduli), gens
+    return tuple(moduli), gens
+
+
+def random_a_grid(table, rng):
+    """(moduli, generators): s = m or m + 1 random elements of A = Z_{p^r}^m, the
+    relation grid of the vector solver, (p^r)^s points."""
+    spec = table.spec
+    s = spec.m + int(rng.integers(0, 2))
+    rows = rng.integers(0, spec.modulus, size=(s, spec.m)).tolist()
+    return (spec.modulus,) * s, [table.index(VecElement(tuple(row), 0)) for row in rows]
 
 
 def handles_of(bb, rng, indices):
@@ -894,11 +935,18 @@ def booked(inst, call):
     return out, {k: after[k] - before[k] for k in after}
 
 
-def assert_same_certificate(inst, power, walk):
+def full_grid_oracle(inst, moduli, start, gens) -> AbelianOracle:
+    """The plain oracle over every grid point, walked unbooked, no kernel rows."""
+    bb = inst.blackbox
+    walk = bb._products(moduli, bb._decode_index(start), [bb._decode_index(h) for h in gens])
+    return AbelianOracle(moduli, inst.labels[walk], inst, lambda _: inst.charge(f=1))
+
+
+def assert_same_certificate(inst, image, full):
     """Both refuse with one message, or give one |L|, L^perp and CDF, bit for bit;
-    neither books anything."""
+    neither books anything.  A certified L^perp is ``dual_mask``'s support."""
     (got, got_booked), (want, want_booked) = (
-        booked(inst, lambda o=o: o._certificate) for o in (power, walk)
+        booked(inst, lambda o=o: o._certificate) for o in (image, full)
     )
     assert not any(got_booked.values()) and not any(want_booked.values())
     if isinstance(want, str):
@@ -907,81 +955,91 @@ def assert_same_certificate(inst, power, walk):
         assert got[0] == want[0]
         assert got[1].tolist() == want[1].tolist()
         assert got[2].tobytes() == want[2].tobytes()
+        L = reference_periodicity_lattice(full)
+        assert want[1].tolist() == np.flatnonzero(dual_mask(full.moduli, L.gens)).tolist()
     return want
 
 
-ROUTES = (AbelianOracle.from_handles, AbelianOracle.from_powers)
-
-
 @given(
-    t=st.integers(0, len(POWER_TABLES) - 1),
-    encoding=st.sampled_from(POWER_ENCODINGS),
+    t=st.integers(0, len(IMAGE_TABLES) - 1),
+    encoding=st.sampled_from(IMAGE_ENCODINGS),
     hidden=st.integers(0, 2),
     seed=st.integers(0, 2**16),
 )
-@settings(max_examples=120, deadline=None)
-def test_the_power_route_is_the_walk_route_on_cyclic_grids(t, encoding, hidden, seed):
-    inst = power_instance(t, encoding, hidden)
+@settings(max_examples=150, deadline=None)
+def test_the_image_route_is_the_full_grid_on_commuting_grids(t, encoding, hidden, seed):
+    inst = image_instance(t, encoding, hidden)
     bb, rng = inst.blackbox, np.random.default_rng(seed)
-    start, moduli, gens = random_cyclic_grid(bb.table, rng)
-    start, *gens = handles_of(bb, rng, [start, *gens])
-    (walk, walk_booked), (power, power_booked) = (
-        booked(inst, lambda r=r: r(moduli, inst, start, gens)) for r in ROUTES
+    table = bb.table
+    vector = isinstance(table.spec, ZmGroupSpec)
+    moduli, gens = (random_a_grid if vector and rng.random() < 0.7 else random_cyclic_grid)(
+        table, rng
     )
-    # a build books its walk's products and nothing superposed
-    assert power_booked == walk_booked
-    assert walk_booked == {**dict.fromkeys(walk_booked, 0), "walk_mul": math.prod(moduli) - 1}
-    assert power.f0() == walk.f0()
-    if not isinstance(assert_same_certificate(inst, power, walk), str):
+    reach = len(closure(table.imul, 0, gens))
+    start = 0 if rng.random() < 0.5 else int(rng.integers(0, table.order))
+    start, *gens = handles_of(bb, rng, [start, *gens])
+    image, image_booked = booked(inst, lambda: AbelianOracle.from_handles(moduli, inst, start, gens))
+    full = full_grid_oracle(inst, moduli, start, gens)
+    # the build walks |I| points and books the whole grid's products, nothing superposed
+    assert image.grid.size == reach
+    assert image_booked == {**dict.fromkeys(image_booked, 0), "walk_mul": math.prod(moduli) - 1}
+    assert image.f0() == full.f0()
+    if not isinstance(assert_same_certificate(inst, image, full), str):
 
         def draws(oracle):  # the same draws, booking and RNG end state
             r = np.random.default_rng(seed)
             return *booked(inst, lambda: draw_samples(oracle, r, 40)), r.bit_generator.state
 
-        got, want = draws(power), draws(walk)
+        got, want = draws(image), draws(full)
         assert got == want
         # 40 draws book 40 superposed calls over the whole grid, and nothing else
         assert {k: n for k, n in want[1].items() if n} == {
             "superposed_calls": 40, "domain_points": 40 * math.prod(moduli)
         }
     for point in rng.integers(-100, 100, size=(20, len(moduli))).tolist():
-        got, want = (booked(inst, lambda o=o: o.evaluate(point)) for o in (power, walk))
+        got, want = (booked(inst, lambda o=o: o.evaluate(point)) for o in (image, full))
         assert got == want
 
     # relabel 1-3 elements the grid reaches: both routes refuse alike or certify alike
     labels = inst.labels.copy()
-    reached = np.unique(bb._walk(moduli, start, gens))
+    reached = np.unique(bb._walk(moduli, start, gens)[0])
     for i in rng.choice(reached, size=min(reached.size, int(rng.integers(1, 4))), replace=False):
         labels[i] = labels.max() + 1 if rng.random() < 0.5 else labels[rng.choice(reached)]
     twin = HiddenInstance(bb, inst.truth_elements(), labels)
-    walk, power = (r(moduli, twin, start, gens) for r in ROUTES)
-    assert_same_certificate(twin, power, walk)
+    image = AbelianOracle.from_handles(moduli, twin, start, gens)
+    assert_same_certificate(twin, image, full_grid_oracle(twin, moduli, start, gens))
 
 
-@pytest.mark.parametrize("t", range(len(POWER_TABLES)))
-def test_the_power_route_refuses_other_grids_before_booking(t):
-    inst = power_instance(t, POWER_ENCODINGS[0], 0)
+@pytest.mark.parametrize("t", range(len(IMAGE_TABLES)))
+def test_the_image_route_refuses_strangers_and_walks_other_grids_in_full(t):
+    inst = image_instance(t, IMAGE_ENCODINGS[0], 0)
     bb, table, rng = inst.blackbox, inst.blackbox.table, np.random.default_rng(t)
-    gens = [0]
-    while gens[0] == 0:  # a g_1 other than the identity
-        _, moduli, gens = random_cyclic_grid(table, rng)
-    g1 = gens[0]
-    powers = {element_power(table, g1, j) for j in range(element_order(table, g1))}
-    outside = next(i for i in rng.permutation(table.order).tolist() if i not in powers)
+    g1 = next(i for i in rng.permutation(table.order).tolist() if element_order(table, i) > 2)
+    n1 = element_order(table, g1)
+    mover = next(  # an element that does not commute with g_1, if there is one
+        (i for i in range(table.order) if table.imul(g1, i) != table.imul(i, g1)), None
+    )
     foreign = BlackBox(table, rng=np.random.default_rng(99))._handle(g1, 0)
-    e, g1h, out_h = handles_of(bb, rng, [0, g1, outside])
-    n1 = moduli[0]
-    cases = [
+    e, g1h = handles_of(bb, rng, [0, g1])
+    for match, mod, start_h, gen_h in [
         ("unknown encoding", (n1,), foreign, [g1h]),
         ("unknown encoding", (n1, n1), e, [g1h, foreign]),
         ("one generator handle per modulus", (n1, 2), e, [g1h]),
-        ("powers of the first", (n1, n1), e, [g1h, out_h]),
-        ("powers of the first", (n1, 1), e, [g1h, g1h]),  # g_2 = g_1, g_2^1 != e
-        ("powers of the first", (n1 - 1,), e, [g1h]),  # g_1^{n_1 - 1} != e
-    ]
-    for match, mod, start_h, gen_h in cases:
+    ]:
         before, state = inst.query_stats(), bb._rng.bit_generator.state
         with pytest.raises(ValueError, match=match):
-            AbelianOracle.from_powers(mod, inst, start_h, gen_h)
+            AbelianOracle.from_handles(mod, inst, start_h, gen_h)
         assert inst.query_stats() == before
         assert bb._rng.bit_generator.state == state
+    # a grid with g_d^{n_d} != e, or with generators that do not commute, is its own box
+    others = [((n1 - 1,), [g1h]), ((n1, 1), [g1h, g1h])]
+    if mover is not None:
+        others.append(((n1, element_order(table, mover)), [g1h, *handles_of(bb, rng, [mover])]))
+    for mod, gen_h in others:
+        walk, kernel = bb._walk(mod, e, gen_h)
+        assert kernel is None and walk.shape == mod
+        oracle = AbelianOracle.from_handles(mod, inst, e, gen_h)
+        assert np.array_equal(oracle.grid, full_grid_oracle(inst, mod, e, gen_h).grid)
+    # and the cyclic grid of g_1 itself is walked on <g_1>, one point per element
+    walk, kernel = bb._walk((n1 * 2,), e, [g1h])
+    assert kernel == [[n1]] and sorted(walk.tolist()) == sorted(closure(table.imul, 0, [g1]))
