@@ -19,12 +19,11 @@ as handles are issued, and a miss scans the table once.  Below
 ``encode``/``reveal`` everything is an element index: the oracles decode
 handles to indices, apply the table's scalar law and read the result's
 handle from the table.
-The superposed walk over h g_1^{u_1}...g_k^{u_k} stays on element indices,
-filled last axis first in contiguous blocks, each an earlier block times a
-power of h g_d h^-1 on the left; ``qsim.AbelianOracle`` reads labels or
-codes at them, on the grid or, if it maps onto I = <g_1..g_k> by a
-homomorphism, on |I| points (``_image``).  It books one ``oracle_mul`` per
-grid point as ``walk_mul`` and draws no salt, as f labels all encodings alike.
+The superposed walk over h g_1^{u_1}...g_k^{u_k}, one loop for every grid,
+stays on element indices, on the grid or, if it maps onto I = <g_1..g_k>
+by a homomorphism, on |I| points; ``qsim.AbelianOracle`` reads labels or
+codes at them.  It books one ``oracle_mul`` per grid point as ``walk_mul``
+and draws no salt, as f labels all encodings alike.
 
 ``reveal`` decodes a handle back to coordinates.  It exists for reports and
 tests; solver code must never call it.
@@ -38,7 +37,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import closure, reduce_rows, square_and_multiply
+from .algebra import closure, square_and_multiply
 from .sdp_group import GroupTable, generates, greedy_generators
 
 HANDLE_BYTES = 8
@@ -173,77 +172,63 @@ class BlackBox:
         return self._decode_index(h1) == self._decode_index(h2)
 
     def _walk(self, moduli, identity: OpaqueHandle, gen_handles) -> tuple[np.ndarray, list | None]:
-        """Element indices of h g_1^{u_1} ... g_k^{u_k}, h = ``identity``, over
-        ``_image``'s box with its kernel rows, or else over the grid, with None.
-
-        The per-point walk this replaces makes one ``oracle_mul(out[u - e_d],
-        g_d)`` per grid point u != 0 in row-major order, d its last nonzero
-        digit; it is booked as ``walk_mul``, after every handle is validated
-        and a box over ``WALK_BOUND`` points refused.  ``_products`` fills a
-        grid or box last axis first, each by doubling a contiguous prefix.
-        """
+        """Element indices of h g_1^{u_1} ... g_k^{u_k}, h = ``identity``: over the
+        grid, with None, or, if phi(u) = g_1^{u_1} ... g_k^{u_k} is a homomorphism
+        (the g_d commute and each g_d^{n_d} = e, checked on the table), over a box
+        prod [0, t_d) that phi maps one to one onto I = <g_1..g_k>, with the rows
+        of ker phi.  From e, last axis first, block j of axis d is g_d^j times the
+        span of the later axes: one product a step up to j = 16, then by doubling
+        a left permutation; h is applied last.  For a homomorphism the span's
+        membership map stops axis d at the least t_d with g_d^{t_d} = phi(c) in
+        the span, its relative order (Teske, 1998), and row d is t_d e_d - c;
+        otherwise the map stays empty and t_d = n_d.  Books the per-point walk's
+        one ``oracle_mul`` per point u != 0 as ``walk_mul``, once the handles
+        are valid and any other grid over ``WALK_BOUND`` points refused."""
         moduli = tuple(int(n) for n in moduli)
         if len(gen_handles) != len(moduli):
             raise ValueError("one generator handle per modulus is required")
+        if min(moduli, default=1) < 1:
+            raise ValueError("moduli must be positive")
         start, *gens = (self._decode_index(h) for h in (identity, *gen_handles))
-        span, kernel = self._image(moduli, gens) or (None, None)
-        if (total := math.prod(moduli if span is None else span.shape)) > WALK_BOUND:
-            raise ValueError(f"a grid of {total} points exceeds the walk bound {WALK_BOUND}")
-        self.counters["walk_mul"] += math.prod(moduli) - 1
-        if span is None:
-            return self._products(moduli, start, gens), None
-        return (self.table.index_mul(start, span) if start else span), kernel  # h = e: as is
-
-    def _products(self, moduli: tuple, start: int, gens: list) -> np.ndarray:
-        """``_walk``'s grid from element indices, unbooked: as h g_d^L x = c_d^L h x,
-        c_d = h g_d h^-1, the cells with u_d in [L, L + W) and earlier digits 0
-        are the first W of that block times c_d^L on the left, a permutation."""
-        elems = np.empty(math.prod(moduli), dtype=np.int64)
-        elems[0], done = start, 1  # cells [0, done) are filled: the block u_d = 0
-        everything, h_inv = np.arange(self.table.order), self.table.iinv(start)
-        for d in reversed(range(len(moduli))):
-            conj = self.table.imul(self.table.imul(start, gens[d]), h_inv)  # c_d
-            left, end = self.table.index_mul(conj, everything), done * moduli[d]
-            while done < end:
-                width = min(done, end - done)
-                # every index is in range; 'clip' gathers straight into out, unbuffered
-                left.take(elems[:width], out=elems[done : done + width], mode="clip")
-                done, left = min(2 * done, end), left[left]
-        return elems.reshape(moduli)
-
-    def _image(self, moduli: tuple, gens: list) -> tuple[np.ndarray, list] | None:
-        """phi(u) = g_1^{u_1} ... g_k^{u_k} on a box prod [0, t_d), with the rows of
-        ker phi, if the g_d commute pairwise and each g_d^{n_d} = e (checked on the
-        table, unbooked; n_d e_d then reduces to 0 against the rows), else None.
-        phi maps the grid onto I = <g_1..g_k> and the box one to one.  Relative
-        orders (Teske, 1998), from the last axis: t_d is the least t with g_d^t
-        in the span of the later axes, g_d^t = phi(c), and row d is t_d e_d - c.
-        The search takes one product a step up to t = 16, then doubles blocks."""
         imul, index_mul, order = self.table.imul, self.table.index_mul, self.table.order
-        if any(imul(a, b) != imul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]):
-            return None
-        where = np.full(order, -1)
-        span, box, kernel, where[0] = np.zeros(1, np.int64), (), [], 0  # where: index in span
+        commute = all(imul(a, b) == imul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :])
+        homomorphic = commute and all(square_and_multiply(imul, None, 0, g, n) == 0 for g, n in zip(gens, moduli))
+        if (total := math.prod(moduli)) > WALK_BOUND and not homomorphic:
+            raise ValueError(f"a grid of {total} points exceeds the walk bound {WALK_BOUND}")
+        self.counters["walk_mul"] += total - 1
+        elems = np.empty(min(total, order) if homomorphic else total, np.int64)  # a box has |I| <= |G| points
+        where = np.full(order, -1)  # an element's place in the span, if a member
+        kernel, where[0] = ([], 0) if homomorphic else (None, -1)  # otherwise nothing is a member
+        elems[0], done, box = 0, 1, ()
         for d in reversed(range(len(moduli))):
-            x, powers, size = gens[d], [0], span.size  # blocks g_d^j span, j < t; x = g_d^t
-            while where[x] < 0 and len(powers) < 16:
+            size, end, x, powers = done, min(moduli[d] * done, elems.size), gens[d], []
+            most = min(16, min(end, order) // size) - 1  # blocks 1.. by scalar steps, at most |G| points
+            while len(powers) < most and where[x] < 0:
                 powers.append(x)
                 x = imul(x, gens[d])
-            if len(powers) > 1:  # the span is {e} when size is 1
-                powers = np.array(powers)
-                span = index_mul(powers[:, None], span).ravel() if size > 1 else powers
-            if where[x] < 0:
-                left = index_mul(x, np.arange(order))
-                while (where[span[size::size]] < 0).all():
-                    span, left = np.concatenate((span, left[span])), left[left]
-                t = int(np.argmax(where[span[size::size]] >= 0)) + 1
-                span, x = span[: t * size], span[t * size]  # x = g_d^t
-            c, t = np.unravel_index(where[x], box), span.size // size
-            box, kernel = (t, *box), [[0] * d + [t] + [-int(i) for i in c], *kernel]
-            where[span] = np.arange(span.size)
-        if any(any(reduce_rows(row, kernel)) for row in np.diag(moduli).tolist()):
-            return None
-        return span.reshape(box), kernel
+            if powers:
+                done, powers = (len(powers) + 1) * size, np.array(powers)
+                elems[size:done] = index_mul(powers[:, None], elems[:size]).ravel() if size > 1 else powers
+            if where[x] < 0 and done < end:
+                left = index_mul(x, np.arange(order))  # x = g_d^j, j = done / size
+                while done < end:  # blocks [j, 2j) are blocks [0, j) times g_d^j
+                    width = min(done, end - done)
+                    # every index is in range; 'clip' gathers straight into elems, unbuffered
+                    left.take(elems[:width], out=elems[done : done + width], mode="clip")
+                    hits = np.flatnonzero(where[elems[done : done + width : size]] >= 0)
+                    if hits.size:
+                        done += int(hits[0]) * size
+                        break
+                    done, left = done + width, left[left]
+            box = (done // size, *box)
+            if kernel is not None:  # g_d^(t_d) = phi(c) is in the span
+                c = np.unravel_index(where[imul(int(elems[done - size]), gens[d])], box[1:])
+                kernel.insert(0, [0] * d + [box[0]] + [-int(i) for i in c])
+                where[elems[:done]] = np.arange(done)
+        elems = elems[:done].reshape(box)
+        if start:  # h on the left: one permutation, gathered in place
+            index_mul(start, np.arange(order)).take(elems, out=elems, mode="clip")
+        return elems, kernel
 
 
 def oracle_identity(bb: BlackBox, some_handle: OpaqueHandle) -> OpaqueHandle:

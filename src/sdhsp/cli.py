@@ -84,19 +84,14 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-_TUPLE_RE = re.compile(r"\(([^()]*)\)")
+_TUPLE = r"\(\s*[+-]?[0-9]+\s*(?:,\s*[+-]?[0-9]+\s*)*\)"  # (int, ..., int)
 
 
 def _parse_tuples(text: str) -> list[tuple[int, ...]]:
-    out = []
-    for body in _TUPLE_RE.findall(text):
-        parts = [s.strip() for s in body.split(",") if s.strip()]
-        if not parts:
-            raise ValueError(f"empty tuple in {text!r}")
-        out.append(tuple(int(s) for s in parts))
-    if not out:
-        raise ValueError(f"no tuples found in {text!r}")
-    return out
+    """Comma-separated tuples of integers, whitespace allowed; else ValueError."""
+    if not re.fullmatch(rf"\s*{_TUPLE}\s*(?:,\s*{_TUPLE}\s*)*", text):
+        raise ValueError(f"expected comma-separated tuples of integers, got {text!r}")
+    return [tuple(int(s) for s in body[1:-1].split(",")) for body in re.findall(_TUPLE, text)]
 
 
 def parse_hidden(text: str, table, rng: np.random.Generator) -> list:

@@ -122,7 +122,7 @@ def find_shift(
     shift = -u * v^{-1}.  A full lattice carries no information: the shift
     is then None and the quotient reduction applies.  Returns the shift and
     the abelian solve, whose lattice is this periodicity lattice.  As Y^p lies
-    in <X^p>, the grid is walked on <X^p> alone (``BlackBox._image``).
+    in <X^p>, the grid is walked on <X^p> alone (``BlackBox._walk``).
     """
     bb = inst.blackbox
     spec = bb.table.spec

@@ -134,7 +134,7 @@ def minimal_generating_set(
     hidden-lattice problem whose oracle values are raw encoding bytes, so
     the abelian solver recovers it without touching the hiding function;
     its (p^r)^s-point grid is walked on the |A| or fewer elements it reaches
-    (``BlackBox._image``).  A Smith decomposition of R then rebases the handles: the quotient
+    (``BlackBox._walk``).  A Smith decomposition of R then rebases the handles: the quotient
     Z^s / R must come out as m cyclic factors of order p^r exactly, or the
     inputs were not a generating set of A.  Returns the reduction map and
     the relation lattice's abelian solve.

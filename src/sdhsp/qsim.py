@@ -25,11 +25,12 @@ one: a superposed call and the domain's points per round.  A build books
 only its walk's products; pointwise evaluations are classical work, booked
 by the cost model of the constructor that built the oracle.
 
-Oracles over a black box are built in one batched pass: ``BlackBox._walk``
-gives the element indices of g_1^{u_1}...g_k^{u_k} over the grid, or over the
-|I| points of I = <g_1..g_k> with the kernel rows of that map when it is a
-homomorphism, read as labels (``from_handles``) or handle codes under a
-unique encoding (``from_products``); counters match a point-by-point walk.
+Oracles over a black box are built in one batched pass: ``BlackBox._walk``,
+one loop for every grid, gives the element indices of g_1^{u_1}...g_k^{u_k}
+over the grid, or, when that map is a homomorphism, over the |I| points of
+I = <g_1..g_k> with its kernel rows, read as labels (``from_handles``) or
+handle codes under a unique encoding (``from_products``); counters match a
+point-by-point walk.
 """
 
 from __future__ import annotations

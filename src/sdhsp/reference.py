@@ -81,7 +81,8 @@ def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:
     Each subgroup grows from a smaller one on the array law ``index_mul``,
     which only picks the subgroups to plant: the brute force checks every
     answer on ``imul``, and tests cross-check these sets with a closure
-    route and the taxonomy.  Raises ValueError unless |G| is a power of p.
+    route and the taxonomy.  Raises ValueError unless |G| is a power of p,
+    or once |G| or the subgroup count passes ``ENUMERATION_BOUND``.
     """
     n, p = table.order, table.spec.p
     if n > ENUMERATION_BOUND:
@@ -109,6 +110,8 @@ def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:
                 if K.tobytes() not in seen:
                     seen.add(K.tobytes())
                     queue.append((K, gens + (int(g),)))
+                    if len(queue) > ENUMERATION_BOUND:
+                        raise ValueError(f"group of order {n} has over {ENUMERATION_BOUND} subgroups")
     # index order is element order, so this is the order of the element sets
     queue.sort(key=lambda entry: (len(entry[0]), entry[0].tolist()))
     return [frozenset(table.elements[i] for i in K) for K, _ in queue]

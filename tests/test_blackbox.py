@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdhsp import blackbox
 from sdhsp.blackbox import (
-    WALK_BOUND,
     BlackBox,
     HiddenInstance,
     OpaqueHandle,
@@ -538,19 +538,22 @@ def test_a_walk_over_the_bound_is_refused_before_anything_is_booked(monkeypatch)
     table = sdp_table(modular_group_spec(3, 2))
     inst, _ = make_hidden_instance(table, frozenset({Element(0, 0)}), seed=0)
     bb = inst.blackbox
+    # x has order 9: (x, x) on a (3, n) grid is no homomorphism and is walked in full
     e, g = bb.encode(Element(0, 0)), bb.encode(Element(1, 0))
-    built = []
-    monkeypatch.setattr(BlackBox, "_products", lambda self, moduli, *_: built.append(moduli))
+    monkeypatch.setattr(blackbox, "WALK_BOUND", 12)
     before, state = inst.query_stats(), bb._rng.bit_generator.state
     for build in (AbelianOracle.from_handles, AbelianOracle.from_products):
-        with pytest.raises(ValueError, match="exceeds the walk bound"):
-            build((2**13, 2**13 + 1), inst, e, [g, g])
-    assert built == [] and inst.query_stats() == before
+        with pytest.raises(ValueError, match="a grid of 15 points exceeds the walk bound 12"):
+            build((3, 5), inst, e, [g, g])
+    assert inst.query_stats() == before
     assert bb._rng.bit_generator.state == state
     # a grid of exactly WALK_BOUND points is walked and booked
-    bb._walk((2**13, 2**13), e, [g, g])
-    assert built == [(2**13, 2**13)]
-    assert bb.counters["walk_mul"] == before["walk_mul"] + WALK_BOUND - 1
+    walk, kernel = bb._walk((3, 4), e, [g, g])
+    assert kernel is None and walk.shape == (3, 4)
+    assert bb.counters["walk_mul"] == before["walk_mul"] + 12 - 1
+    # a homomorphism's box is at most |G| points, so its grid is never refused
+    walk, kernel = bb._walk((9, 9), e, [g, g])
+    assert kernel == [[1, -1], [0, 9]] and walk.shape == (1, 9)
 
 
 def test_generator_policies():

@@ -318,7 +318,11 @@ def test_bad_encoding_string(capsys):
 
 
 def test_bad_hidden_spec(capsys):
-    for text in ("nope:1", "xpower:9", "cyclicxy:0,1", "cyclicxy:1"):
+    for text in (
+        "nope:1", "xpower:9", "cyclicxy:0,1", "cyclicxy:1",
+        # text outside the tuples, or a tuple left open, is refused
+        "gens:(1,0),(0", "gens:junk(1,0)junk", "gens:(1,0);(0,1)",
+    ):
         code, out, err = run(capsys, "solve-p", "--p", "3", "--r", "2", "--hidden", text)
         assert code == 2, text
 

@@ -27,6 +27,7 @@ from sdhsp.qsim import AbelianOracle, abelian_hsp_solve, draw_samples
 from sdhsp.reference import sample_annihilator
 from sdhsp.sdp_group import (
     Element,
+    GroupSpec,
     VecElement,
     ZmGroupSpec,
     modular_group_spec,
@@ -773,6 +774,9 @@ def test_walk_needs_one_generator_per_modulus():
     e = bb.encode(WALK_TABLES[0].identity)
     with pytest.raises(ValueError, match="one generator handle per modulus"):
         bb._walk((3, 3), e, [e])
+    for moduli in ((0,), (0, 3), (-3,), (3, 0)):  # refused before a grid size is booked
+        with pytest.raises(ValueError, match="moduli must be positive"):
+            bb._walk(moduli, e, [e] * len(moduli))
     assert bb.counters["walk_mul"] == 0
 
 
@@ -856,13 +860,16 @@ def test_draws_alone_book_superposed_work(build):
 
 # -- the image route against a plain full-grid oracle ---------------------------
 
-# the groups of the three benchmark workloads, and (2,13)
+# the groups of the three benchmark workloads, (2,13), and three abelian direct
+# products (alpha = 1), on which a commuting grid can reach all of G
 IMAGE_TABLES = [
     *(sdp_table(modular_group_spec(p, r)) for p, r in ((5, 4), (3, 6), (2, 10), (3, 3), (5, 2))),
     *(sdp_table(modular_group_spec(p, r)) for p, r in ((7, 2), (3, 4), (2, 13))),
     vec_table(ZmGroupSpec(2, 3, 2)),
     vec_table(ZmGroupSpec(3, 2, 2)),
+    *(sdp_table(GroupSpec(p, q, r, 1)) for p, q, r in ((2, 2, 5), (3, 3, 3), (7, 3, 2))),
 ]
+TABLE_INDEX = {table.spec: t for t, table in enumerate(IMAGE_TABLES)}
 IMAGE_ENCODINGS = [("unique", 1, "zero"), ("salted", 4, "fresh")]
 
 
@@ -936,9 +943,16 @@ def booked(inst, call):
 
 
 def full_grid_oracle(inst, moduli, start, gens) -> AbelianOracle:
-    """The plain oracle over every grid point, walked unbooked, no kernel rows."""
+    """The plain oracle over every grid point, no kernel rows, built unbooked and
+    apart from the walk: h g_1^{u_1} ... g_d^{u_d} is the product of the grid up
+    to axis d - 1 with the d-th power list, one outer product an axis."""
     bb = inst.blackbox
-    walk = bb._products(moduli, bb._decode_index(start), [bb._decode_index(h) for h in gens])
+    table, walk = bb.table, np.array(bb._decode_index(start))
+    for g, n in zip(map(bb._decode_index, gens), moduli):
+        powers = [0]
+        for _ in range(n - 1):
+            powers.append(table.imul(powers[-1], g))
+        walk = table.index_mul(walk[..., None], np.array(powers))
     return AbelianOracle(moduli, inst.labels[walk], inst, lambda _: inst.charge(f=1))
 
 
@@ -1008,6 +1022,31 @@ def test_the_image_route_is_the_full_grid_on_commuting_grids(t, encoding, hidden
     twin = HiddenInstance(bb, inst.truth_elements(), labels)
     image = AbelianOracle.from_handles(moduli, twin, start, gens)
     assert_same_certificate(twin, image, full_grid_oracle(twin, moduli, start, gens))
+
+
+@pytest.mark.parametrize("encoding", IMAGE_ENCODINGS, ids=lambda e: e[0])
+@pytest.mark.parametrize(
+    "spec, moduli, gens, box",
+    [
+        (GroupSpec(2, 2, 5, 1), (64, 2), [(1, 0), (0, 1)], (32, 2)),
+        (GroupSpec(2, 2, 5, 1), (32, 4), [(1, 0), (0, 1)], (32, 2)),
+        (GroupSpec(3, 3, 3, 1), (27, 27), [(1, 0), (1, 1)], (3, 27)),
+        (GroupSpec(7, 3, 2, 1), (49, 3), [(1, 0), (0, 1)], (49, 3)),
+    ],
+    ids=["2,2,5:64,2", "2,2,5:32,4", "3,3,3:27,27", "7,3,2:49,3"],
+)
+def test_the_image_route_walks_onto_a_whole_direct_product(spec, moduli, gens, box, encoding):
+    # I = G: the box holds every element once, and the oracle is the full grid's
+    inst = image_instance(TABLE_INDEX[spec], encoding, 1)
+    bb, table, rng = inst.blackbox, inst.blackbox.table, np.random.default_rng(1)
+    gen_h = [bb.encode(g) for g in gens]
+    for start in handles_of(bb, rng, [0, int(rng.integers(1, table.order))]):
+        walk = bb._walk(moduli, start, gen_h)[0]
+        assert walk.shape == box and sorted(walk.ravel().tolist()) == list(range(table.order))
+        image = AbelianOracle.from_handles(moduli, inst, start, gen_h)
+        full = full_grid_oracle(inst, moduli, start, gen_h)
+        assert np.array_equal(spread(image.grid, image.kernel, moduli), full.grid)
+        assert_same_certificate(inst, image, full)
 
 
 @pytest.mark.parametrize("t", range(len(IMAGE_TABLES)))

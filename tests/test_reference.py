@@ -343,6 +343,17 @@ def test_enumeration_refuses_a_group_that_is_not_a_p_group():
         enumerate_all_subgroups(table)
 
 
+def test_enumeration_refuses_a_group_with_too_many_subgroups(monkeypatch):
+    # (2,3,2) has order 128 and 140 subgroups: a bound of 139 admits the
+    # order and stops the enumeration at its 140th subgroup
+    table = vec_table(ZmGroupSpec(2, 3, 2))
+    monkeypatch.setattr(reference, "ENUMERATION_BOUND", 139)
+    with pytest.raises(ValueError, match="group of order 128 has over 139 subgroups"):
+        enumerate_all_subgroups(table)
+    monkeypatch.setattr(reference, "ENUMERATION_BOUND", 140)
+    assert len(enumerate_all_subgroups(table)) == 140
+
+
 def test_enumerated_sets_are_subgroups_and_complete():
     table = vec_table(ZmGroupSpec(3, 2, 1))
     subs = enumerate_all_subgroups(table)
