@@ -6,8 +6,8 @@ m >= 1 and (p, r) != (2, 2).  Unlike the rank-one solver, no case analysis
 is needed: the whole group reduces at once.
 
 The reduction map pi sends abelian coordinates (u_1..u_m, v) to the element
-g'_1^{u_1} ... g'_m^{u_m} Y^v, where the g'_i form a minimal generating set
-of the abelian part A recovered from the input handles, and Y is the given
+g'_1^{u_1} ... g'_m^{u_m} Y^v, where the g'_i are a subset of the given
+handles that forms a basis of the abelian part A, and Y is the given
 generator of the complement with Y^p = e.  pi is a coordinate bijection but
 not a homomorphism; the twist contributes a factor that is always a power
 of an element of H whenever the operands map into H, so F = f o pi is
@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    Lattice,
-    _lattice_basis,
-    lattice_is_full,
-    smith_normal_form,
-)
+from .algebra import Lattice, _lattice_basis, lattice_is_full, lattice_size
 from .blackbox import (
     BlackBox,
     HiddenInstance,
@@ -128,46 +123,43 @@ def minimal_generating_set(
     rng: np.random.Generator,
     delta: float = 0.01,
 ) -> tuple[ReductionMap, AbelianSolveResult]:
-    """Distill the A-generator handles into m independent order-p^r generators.
+    """Pick m of the A-generator handles that form a basis of A.
 
     The relation lattice R = {u : a_1^{u_1} ... a_s^{u_s} = e} is itself a
     hidden-lattice problem whose oracle values are raw encoding bytes, so
     the abelian solver recovers it without touching the hiding function;
     its (p^r)^s-point grid is walked on the |A| or fewer elements it reaches
-    (``BlackBox._walk``).  A Smith decomposition of R then rebases the handles: the quotient
-    Z^s / R must come out as m cyclic factors of order p^r exactly, or the
-    inputs were not a generating set of A.  Returns the reduction map and
-    the relation lattice's abelian solve.
+    (``BlackBox._walk``).  The handles present Z_n^m exactly when
+    |Z_n^s / R| = n^m and the Hermite basis of R mod p has s - m pivots
+    equal to 1.  Each pivot handle is a combination of the others mod pA,
+    so the other m, kept in their given order, span A / pA; Z_n is a local
+    ring, so by Nakayama's lemma they span A and form a basis.  After the
+    solve, one commute test checks the complement handle y = (c, b): it
+    acts on the first basis handle g, which lies outside pA, as alpha^b
+    with alpha^b - 1 = b p^(r-1), so y commutes with g iff b = 0.
+    Returns the reduction map and the relation lattice's abelian solve.
     """
     inst, bb = vin.instance, vin.blackbox
     spec = vin.spec
     n, m = spec.modulus, spec.m
     s = len(vin.a_handles)
+    not_free = f"the abelian generator handles do not present a free module of rank {m} over Z_{n}"
+    if s < m:
+        raise ValueError(not_free)
     e = oracle_identity(bb, vin.y_handle)
 
     oracle = AbelianOracle.from_products((n,) * s, inst, e, vin.a_handles)
     res = abelian_hsp_solve(oracle, rng, delta=delta)
 
-    basis = _lattice_basis(res.lattice)  # rows span the relation lattice
-    cols = [list(col) for col in zip(*basis)]
-    snf = smith_normal_form(cols, s)
-    expect = sorted([1] * (s - m) + [n] * m)
-    if sorted(snf.d) != expect:
-        raise ValueError(
-            "the abelian generator handles do not present a free module of "
-            f"rank {m} over Z_{n}"
-        )
-    gens = [
-        oracle_lift(bb, e, vin.a_handles, [snf.uinv[j][i] % n for j in range(s)])
-        for i, d in enumerate(snf.d)
-        if d == n
-    ]
-    rmap = ReductionMap(
-        moduli=(n,) * m + (spec.p,),
-        gen_handles=tuple(gens),
-        y_handle=vin.y_handle,
-        identity=e,
-    )
+    mod_p = _lattice_basis(Lattice((spec.p,) * s, res.lattice.gens))
+    pivots = {i for i, row in enumerate(mod_p) if row[i] == 1}
+    if lattice_size(res.lattice) * n**m != n**s or len(pivots) != s - m:
+        raise ValueError(not_free)
+    gens = tuple(h for i, h in enumerate(vin.a_handles) if i not in pivots)
+    y = vin.y_handle
+    if bb.oracle_eq(bb.oracle_mul(y, gens[0]), bb.oracle_mul(gens[0], y)):
+        raise ValueError("the complement handle lies in the abelian part")
+    rmap = ReductionMap(moduli=(n,) * m + (spec.p,), gen_handles=gens, y_handle=y, identity=e)
     return rmap, res
 
 
@@ -227,11 +219,13 @@ def solve(
 ) -> SolveOutcome:
     """Recover the hidden subgroup of Z_{p^r}^m x| Z_p.
 
-    Pipeline: rebase the abelian generators, solve the single reduced
-    abelian instance, map the m + 1 echelon basis rows of its lattice
-    through the reduction map.  The report's ``stages`` hold one record per
-    step, in order: ``minimal_generating_set`` (the commute check
-    included), ``reduce`` and ``pullback``.
+    Pipeline: pick a basis out of the abelian generators, solve the single
+    reduced abelian instance, map the m + 1 echelon basis rows of its
+    lattice through the reduction map.  The promise checks raise
+    ValueError: the abelian handles must commute and present Z_{p^r}^m,
+    and the complement handle must not lie in A.  The report's ``stages``
+    hold one record per step, in order: ``minimal_generating_set`` (the
+    promise checks included), ``reduce`` and ``pullback``.
     ``confident`` requires every stage to have verified its output: the
     result is then exact under the hiding promise.  Without the promise it
     certifies the evidence: a confident answer K hides f on the set E of

@@ -67,11 +67,14 @@ def test_criterion_2_vector_solver_sweep():
         (5, 2, 2): 426, (2, 5, 2): 696, (2, 3, 2): 140, (2, 4, 2): 322, (3, 3, 2): 440,
         (7, 2, 1): 18,
     }
-    want = {(cell, "salts=1/zero gen=canonical seed=7"): n for cell, n in subgroups.items()}
+    configs = ("salts=1/zero gen=canonical seed=7", "salts=1/zero gen=scrambled seed=3")
+    want = {(cell, config): n for cell, n in subgroups.items() for config in configs}
     assert res.metrics["runs"] == want
-    assert sum(want.values()) == 2217
+    assert sum(want.values()) == 4434
     assert res.metrics["unconfident"] == 0
-    assert res.metrics["worst_ratio"] == (1.375, (2, 3, 1))
+    # scrambled seed 3 hands the solver m + 1 A-handles: one superposed call more
+    assert res.metrics["superposed_calls"] == {25: 67, 26: 67, 27: 2149, 28: 2150, 41: 1}
+    assert res.metrics["worst_ratio"] == (2.375, (2, 3, 1))
 
 
 QUICK_SWEEPS = pytest.mark.parametrize(

@@ -3,8 +3,9 @@
 Each case hands a solver something outside its input contract: handles
 from another black box (to a solver or an oracle walk), handle sets that
 do not generate the group, abelian handles that do not form a basis, a
-salted encoding given to the vector solver, which needs unique encodings,
-or a hiding function that is not periodic or gives two cosets one label.
+complement handle inside the abelian part, a salted encoding given to the
+vector solver, which needs unique encodings, or a hiding function that is
+not periodic or gives two cosets one label.
 A hiding function with a few elements relabelled may still be answered,
 but a confident answer must hide f on every element the solve evaluated.
 At the element edge, an element outside the group or a salt outside the
@@ -134,7 +135,7 @@ def test_rank_one_handles_that_do_not_generate(gens):
 
 
 @pytest.mark.parametrize(
-    "rows", [((3, 0), (0, 1)), ((1, 0),)], ids=["3e1,e2", "e1"]
+    "rows", [((3, 0), (0, 1)), ((1, 0),), ()], ids=["3e1,e2", "e1", "()"]
 )
 def test_vector_handles_that_are_not_a_basis(rows):
     vin = make_vec_instance(S322, [vec_table(S322).identity], seed=0)
@@ -143,6 +144,27 @@ def test_vector_handles_that_are_not_a_basis(rows):
     bad = VecInstance(vin.instance, a_handles, vin.y_handle)
     with pytest.raises(ValueError, match="do not present a free module"):
         solve_vector(bad, rng=np.random.default_rng(1))
+
+
+@pytest.mark.parametrize(
+    "spec, y",
+    [
+        (ZmGroupSpec(3, 2, 1), (0,)),
+        (ZmGroupSpec(3, 2, 1), (1,)),
+        (S322, (0, 0)),
+        (S322, (1, 0)),
+        (S322, (3, 1)),
+    ],
+    ids=["(3,2,1) e", "(3,2,1) x1", "(3,2,2) e", "(3,2,2) x1", "(3,2,2) x1^3x2"],
+)
+def test_a_complement_handle_inside_a_raises_on_every_subgroup(spec, y):
+    # y in A commutes with A, so pi covers A only: no hidden subgroup may be answered
+    table = vec_table(spec)
+    for sub in enumerate_all_subgroups(table):
+        vin = make_vec_instance(spec, sub, seed=0)
+        bad = VecInstance(vin.instance, vin.a_handles, vin.blackbox.encode(VecElement(y, 0)))
+        with pytest.raises(ValueError, match="the complement handle lies in the abelian part"):
+            solve_vector(bad, rng=np.random.default_rng(1))
 
 
 def test_salted_instance_given_to_the_vector_solver():

@@ -76,6 +76,11 @@ PINNED_REPORTS = {
         "solve-zm", "--p", "2", "--r", "3", "--m", "3", "--hidden", "random",
         "--generators", "scrambled", "--seed", "4",
     ),
+    # seed 3 draws three A-handles: the basis is picked out of m + 1 of them
+    "solve_zm_3_2_2_scrambled.json": (
+        "solve-zm", "--p", "3", "--r", "2", "--m", "2", "--hidden", "random",
+        "--generators", "scrambled", "--seed", "3",
+    ),
     # seed 1 draws two A-handles: a relation grid of 2^28 points, walked on A's 2^14
     "solve_zm_2_14_1_scrambled.json": (
         "solve-zm", "--p", "2", "--r", "14", "--m", "1", "--hidden", "trivial",

@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdhsp.algebra import lattice_is_full, Lattice
+from sdhsp.algebra import Lattice, lattice_is_full, lattice_size
 from sdhsp.blackbox import oracle_identity, oracle_lift, oracle_pow
 from sdhsp.hsp_vector import (
     VecInstance,
@@ -138,6 +140,38 @@ def test_minimal_generating_set_reduces_redundant_sets():
             assert g.b == 0
             seen.add(g.a)
         assert len(seen) == 81
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_selected_handles_are_a_basis_out_of_the_given_ones(data):
+    cells = [S322, ZmGroupSpec(2, 3, 2), ZmGroupSpec(2, 4, 2), ZmGroupSpec(2, 3, 3)]
+    spec = data.draw(st.sampled_from(cells))
+    n, m = spec.modulus, spec.m
+    vin = make_vec_instance(spec, [vec_table(spec).identity], seed=0)
+    bb = vin.blackbox
+    # s random A-vectors, about one in four of them scaled by p
+    s = data.draw(st.sampled_from(range(m + 3)))
+    draws = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = np.where(draws.random((s, 1)) < 0.25, spec.p, 1)
+    rows = [tuple(int(x) % n for x in row) for row in draws.integers(0, n, (s, m)) * scale]
+    given_handles = tuple(bb.encode(VecElement(row, 0)) for row in rows)
+    revealed = [bb.reveal(h).a for h in given_handles]
+    free = lattice_size(Lattice((n,) * m, revealed)) == n**m
+    try:
+        rmap, _ = minimal_generating_set(
+            VecInstance(vin.instance, given_handles, vin.y_handle), np.random.default_rng(5)
+        )
+    except ValueError as err:
+        assert not free and "do not present a free module" in str(err)
+        return
+    assert free
+    # m of the given handles, in their given order
+    rest = iter(given_handles)
+    assert len(rmap.gen_handles) == m
+    assert all(any(h == g for g in rest) for h in rmap.gen_handles)
+    coords = itertools.product(*(range(k) for k in rmap.moduli))
+    assert len({bb.reveal(rmap.lift(bb, c)) for c in coords}) == spec.order
 
 
 def test_reduction_map_is_bijective():
