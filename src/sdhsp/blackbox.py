@@ -10,12 +10,14 @@ and the hiding function ``f``; every call is counted.
 The salt of an oracle result is chosen by policy:
   'zero'      always salt 0 (encodings behave as if unique),
   'operands'  a deterministic mix of the operand bytes,
-  'fresh'     drawn from the instance RNG on every call.
+  'fresh'     drawn from the box's RNG: the values of one integers(0, S) draw
+              per call, drawn SALT_BLOCK at a time, so a caller-supplied rng
+              advances a block at a time.
 
 The handles, read as big-endian integers, form a uint64 table of shape
 (order, salts), drawn as one array, whose row is the element's index in
-``table.elements``.  A dict maps handle bytes back to that index; it fills
-as handles are issued, and a miss scans the table once.  Below
+``table.elements``.  Each handle is made once, when first issued, and a
+dict maps its bytes back to that index; a miss scans the table once.  Below
 ``encode``/``reveal`` everything is an element index: the oracles decode
 handles to indices, apply the table's scalar law and read the result's
 handle from the table.
@@ -46,6 +48,7 @@ WALK_BOUND = 2**26  # the most grid points one walk builds
 SALT_POLICIES = ("zero", "operands", "fresh")
 MIX_MASK = 0xFFFFFFFF  # the 'operands' salt mixes operand bytes modulo 2^32
 MIX_FACTOR = 1000003
+SALT_BLOCK = 64  # 'fresh' salts drawn at a time
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,10 @@ class BlackBox:
     one column per salt; ``encode`` and the oracles read their results from
     it.  ``draw_distinct`` draws the table from ``rng`` as one array in row
     order: the handles and end state of one 8-byte draw per (element, salt).
-    ``_decode_map`` holds only the handles ``_handle`` has issued; decoding
-    any other 8-byte code in ``codes`` scans the table once and records it,
-    and anything else is an unknown encoding.  ``mul``, ``inv`` and ``eq``
+    ``_handle`` makes each handle once and keeps it in ``_issued``, to reissue;
+    ``_decode_map`` holds only the handles issued.  Decoding any other 8-byte
+    code in ``codes`` scans the table once and records it, and anything else
+    is an unknown encoding.  ``mul``, ``inv`` and ``eq``
     count pointwise calls only; ``walk_mul`` the products of ``_walk``.
     """
 
@@ -116,6 +120,8 @@ class BlackBox:
             lambda k: np.frombuffer(self._rng.bytes(HANDLE_BYTES * k), ">u8"), table.order * salts
         ).astype(np.uint64).reshape(table.order, salts)
         self._decode_map: dict[bytes, int] = {}  # handle bytes -> element index, as issued
+        self._issued: dict[int, OpaqueHandle] = {}  # i * salts + salt -> its handle
+        self._fresh: list[int] = []  # 'fresh' salts drawn and not yet used, last one next
 
     # -- construction-side access (not part of the solver surface) ---------
 
@@ -130,9 +136,11 @@ class BlackBox:
         return self.table.elements[self._decode_index(h)]
 
     def _handle(self, i: int, salt: int) -> OpaqueHandle:
-        data = int(self.codes[i, salt]).to_bytes(HANDLE_BYTES, "big")
-        self._decode_map[data] = i
-        return OpaqueHandle(data)
+        if (h := self._issued.get(key := i * self.salts + salt)) is None:  # made once
+            data = int(self.codes[i, salt]).to_bytes(HANDLE_BYTES, "big")
+            h = self._issued[key] = OpaqueHandle(data)
+            self._decode_map[data] = i
+        return h
 
     def _decode_index(self, h: OpaqueHandle) -> int:
         try:
@@ -154,7 +162,9 @@ class BlackBox:
             for h in operands:
                 acc = (acc * MIX_FACTOR + h.code) & MIX_MASK
             return acc % self.salts
-        return int(self._rng.integers(0, self.salts))
+        if not self._fresh:  # the next SALT_BLOCK draws, in draw order from the end
+            self._fresh = self._rng.integers(0, self.salts, size=SALT_BLOCK).tolist()[::-1]
+        return self._fresh.pop()
 
     # -- the oracle surface -------------------------------------------------
 
@@ -177,11 +187,13 @@ class BlackBox:
         (the g_d commute and each g_d^{n_d} = e, checked on the table), over a box
         prod [0, t_d) that phi maps one to one onto I = <g_1..g_k>, with the rows
         of ker phi.  From e, last axis first, block j of axis d is g_d^j times the
-        span of the later axes: one product a step up to j = 16, then by doubling
-        a left permutation; h is applied last.  For a homomorphism the span's
-        membership map stops axis d at the least t_d with g_d^{t_d} = phi(c) in
-        the span, its relative order (Teske, 1998), and row d is t_d e_d - c;
-        otherwise the map stays empty and t_d = n_d.  Books the per-point walk's
+        span of the later axes: one product a step up to j = 16, then by doubling,
+        x = g_d^j times the blocks so far while they hold at most |G| points (else
+        through x's left permutation) and x <- x^2; h is applied last, the same
+        way.  For a homomorphism the span's membership map stops axis d at the
+        least t_d with g_d^{t_d} = phi(c) in the span, its relative order (Teske,
+        1998), and row d is t_d e_d - c; otherwise the map stays empty, no block
+        is looked up in it, and t_d = n_d.  Books the per-point walk's
         one ``oracle_mul`` per point u != 0 as ``walk_mul``, once the handles
         are valid and any other grid over ``WALK_BOUND`` points refused."""
         moduli = tuple(int(n) for n in moduli)
@@ -209,24 +221,27 @@ class BlackBox:
             if powers:
                 done, powers = (len(powers) + 1) * size, np.array(powers)
                 elems[size:done] = index_mul(powers[:, None], elems[:size]).ravel() if size > 1 else powers
-            if where[x] < 0 and done < end:
-                left = index_mul(x, np.arange(order))  # x = g_d^j, j = done / size
-                while done < end:  # blocks [j, 2j) are blocks [0, j) times g_d^j
-                    width = min(done, end - done)
-                    # every index is in range; 'clip' gathers straight into elems, unbuffered
-                    left.take(elems[:width], out=elems[done : done + width], mode="clip")
-                    hits = np.flatnonzero(where[elems[done : done + width : size]] >= 0)
-                    if hits.size:
-                        done += int(hits[0]) * size
-                        break
-                    done, left = done + width, left[left]
+            while done < end and where[x] < 0:  # blocks [j, 2j) are blocks [0, j) times x = g_d^j
+                width = min(done, end - done)
+                block = elems[done : done + width]
+                if width <= order:  # x times the block itself
+                    block[...] = index_mul(x, elems[:width])
+                else:  # past |G| points, through x's left permutation; 'clip' gathers in place
+                    index_mul(x, np.arange(order)).take(elems[:width], out=block, mode="clip")
+                x = imul(x, x)
+                if kernel is not None and (hits := np.flatnonzero(where[block[::size]] >= 0)).size:
+                    done += int(hits[0]) * size
+                    break
+                done += width
             box = (done // size, *box)
             if kernel is not None:  # g_d^(t_d) = phi(c) is in the span
                 c = np.unravel_index(where[imul(int(elems[done - size]), gens[d])], box[1:])
                 kernel.insert(0, [0] * d + [box[0]] + [-int(i) for i in c])
                 where[elems[:done]] = np.arange(done)
         elems = elems[:done].reshape(box)
-        if start:  # h on the left: one permutation, gathered in place
+        if start and elems.size <= order:  # h on the left of the box
+            elems = index_mul(start, elems)
+        elif start:  # or of a grid past |G| points: one permutation, gathered in place
             index_mul(start, np.arange(order)).take(elems, out=elems, mode="clip")
         return elems, kernel
 

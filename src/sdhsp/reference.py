@@ -3,8 +3,8 @@
 Everything here works on explicit group tables or known lattices with full
 truth access and serves as the independent route the solvers are checked
 against.  Nothing in this module touches handles, oracles or counters.  The
-brute force builds right multiplication by each standard generator on the
-scalar law ``imul`` and composes all others from those; the enumeration,
+brute force builds right multiplication by each standard generator from its
+closed form on index arrays and composes all others from those; the enumeration,
 which only picks the subgroups to plant, uses the oracle walk's array law
 ``index_mul``.  ``sample_annihilator`` draws uniformly from a known
 lattice's annihilator, the distribution the simulated quantum sampler is
@@ -35,8 +35,9 @@ def brute_force_hidden_subgroup(table: GroupTable, label_of: Callable[[Any], int
     by each generator are constant on every left coset gH, and then a label
     count of |G|/|H| makes them distinct across cosets.  Each right
     multiplication is an index permutation, composed in O(log |G|) array
-    passes from the standard generators' m + 1, built once per group on the
-    scalar law; ``index_mul``, the instance builder's and walk's law, is unused.
+    passes from the standard generators' m + 1, built once per group from
+    their closed form; the table's law (``imul``, ``index_mul``), which the
+    instance builder and the walk use, is only used to close H.
     """
     if table.order > BRUTE_FORCE_BOUND:
         raise ValueError(f"group of order {table.order} exceeds the brute-force bound")
@@ -56,21 +57,32 @@ def brute_force_hidden_subgroup(table: GroupTable, label_of: Callable[[Any], int
 
 
 def _right_multiplication(table: GroupTable, h: int) -> np.ndarray:
-    """R_h[g] = g h for h = x_1^a_1 ... x_m^a_m y^b: R_x1^a_1, ..., then R_y^b.
-
-    The m + 1 generator permutations R_s are built on the scalar law once
-    per group, kept by ``table.spec``: it hashes in O(1), unlike the table.
-    """
-    if table.spec not in _GENERATOR_PERMUTATIONS:
-        _GENERATOR_PERMUTATIONS[table.spec] = [
-            np.array([table.imul(g, s) for g in range(table.order)])
-            for s in map(table.index, table.standard_generators)
-        ]
+    """R_h[g] = g h for h = x_1^a_1 ... x_m^a_m y^b: R_x1^a_1, ..., then R_y^b."""
     e = table.elements[h]
     R = identity = np.arange(table.order)
-    for R_s, k in zip(_GENERATOR_PERMUTATIONS[table.spec], (*np.atleast_1d(e.a), e.b)):
+    for R_s, k in zip(_generator_permutations(table), (*np.atleast_1d(e.a), e.b)):
         R = square_and_multiply(lambda u, v: u[v], None, identity, R_s, k)[R]
     return R
+
+
+def _generator_permutations(table: GroupTable) -> list[np.ndarray]:
+    """R_s for the standard generators x_1..x_m, y, from right multiplication on (a, b):
+    g x_i adds alpha^b to digit i of a, and g y adds 1 to b.  Computed on index arrays
+    from the spec alone, without the table's law, once per group, kept by ``table.spec``:
+    it hashes in O(1), unlike the table."""
+    spec = table.spec
+    if spec not in _GENERATOR_PERMUTATIONS:
+        n, m = spec.modulus, getattr(spec, "m", 1)
+        q = table.order // n**m
+        g = np.arange(table.order)
+        b = g % q
+        step = np.array([pow(spec.alpha, k, n) for k in range(q)])[b]  # alpha^b
+        perms = []
+        for place in (q * n ** (m - 1 - i) for i in range(m)):  # of the digits a_1 .. a_m
+            digit = g // place % n
+            perms.append(g + ((digit + step) % n - digit) * place)
+        _GENERATOR_PERMUTATIONS[spec] = perms + [g - b + (b + 1) % q]
+    return _GENERATOR_PERMUTATIONS[spec]
 
 
 def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:

@@ -20,9 +20,10 @@ Below them a group element is its index in ``table.elements``: mixed
 radix over the coordinates, then b (``a*q + b`` in the rank-one family),
 so index order is the elements' order.  A ``GroupTable`` carries the one
 law of both families on indices twice: as a scalar law (``imul``,
-``iinv``) and vectorized over numpy arrays (``index_mul``).  Everything
-that takes or returns elements (``GroupTable.mul``/``inv``, ``compose``)
-only decodes, calls the scalar law and encodes.
+``iinv``) and vectorized over numpy arrays (``index_mul``), both products
+read off one twist table of |G| entries.  Everything that takes or returns
+elements (``GroupTable.mul``/``inv``, ``compose``) only decodes, calls the
+scalar law and encodes.
 """
 
 from __future__ import annotations
@@ -129,14 +130,6 @@ def modular_group_spec(p: int, r: int) -> GroupSpec:
     return GroupSpec(p=p, q=p, r=r, alpha=_bounded_power(p, r - 1, "the modulus p^r") + 1)
 
 
-@lru_cache(maxsize=None)
-def _alpha_powers(alpha: int, q: int, modulus: int) -> tuple[int, ...]:
-    out = [1]
-    for _ in range(q - 1):
-        out.append(out[-1] * alpha % modulus)
-    return tuple(out)
-
-
 def compose(G: GroupSpec, e1: Element, e2: Element) -> Element:
     return sdp_table(G).mul(e1, e2)
 
@@ -214,25 +207,47 @@ def vec_elements(G: ZmGroupSpec) -> list[VecElement]:
 # Group tables: either family as its elements plus one law on their indices
 
 
-def _scalar_law(n: int, m: int, q: int, pw: tuple[int, ...]) -> tuple[Callable, Callable]:
-    """The product and inverse of Z_n^m x| Z_q on single element indices.
+def _twist(n: int, m: int, q: int, pw: tuple[int, ...]) -> np.ndarray:
+    """The twist table of Z_n^m x| Z_q: entry a*q + b is q times the index of pw[b] a.
+    One entry per element, in index order, built digit by digit of a."""
+    digits, twist = np.arange(n**m)[:, None], np.zeros((n**m, q), np.int64)
+    for place in (n**k for k in range(m)):
+        twist += digits // place % n * np.array(pw) % n * place
+    return twist.ravel() * q
 
-    (a1, b1)(a2, b2) = (a1 + pw[b1] a2, b1 + b2) and (a, b)^-1 = (-pw[-b] a, -b),
-    coordinate by coordinate over the mixed-radix digits of a: the law of
-    both families, m = 1 being the rank-one group and q = p the vector group.
+
+def _law(n: int, m: int, q: int, pw: tuple, twist: np.ndarray) -> tuple[Callable, Callable, Callable]:
+    """``imul``, ``iinv`` and ``index_mul``: the product and inverse of Z_n^m x| Z_q on
+    element indices, and the product broadcast over integer arrays of them.
+
+    (a1, b1)(a2, b2) = (a1 + pw[b1] a2, b1 + b2) and (a, b)^-1 = (-pw[-b] a, -b), digit by
+    digit over the mixed radix of a: the law of both families, m = 1 being the rank-one
+    group and q = p the vector group.  A product reads t = (pw[b1] a2, b2) off ``twist`` at
+    a2*q + b1 and adds i, less a carry at each lower digit boundary that the two lower
+    parts overflow, mod |G|.  No array but ``twist`` grows with the group.
     """
+    order, bounds = n**m * q, [q * n**k for k in range(1, m)]
+    tw, wrap = memoryview(twist), q * (np.arange(2 * q) >= q)  # tw reads Python ints off twist
 
     def imul(i: int, j: int) -> int:
-        a1, b1 = divmod(i, q)
-        a2, b2 = divmod(j, q)
-        s = pw[b1]
-        a, place = 0, 1
-        for _ in range(m - 1):
-            a1, c1 = divmod(a1, n)
-            a2, c2 = divmod(a2, n)
-            a += (c1 + s * c2) % n * place
-            place *= n
-        return (a + (a1 + s * a2) % n * place) * q + (b1 + b2) % q
+        b1, b2 = i % q, j % q
+        t = tw[j - b2 + b1] + b2
+        carried = q if b1 + b2 >= q else 0
+        for place in bounds:
+            if i % place + t % place - carried >= place:
+                carried += place
+        k = i + t - carried
+        return k - order if k >= order else k
+
+    def index_mul(i, j):
+        b1, b2 = i % q, j % q
+        t = twist[j - b2 + b1] + b2
+        carried = wrap[b1 + b2]
+        for place in bounds:
+            carried = carried + place * (i % place + t % place - carried >= place)
+        k = i + t - carried
+        np.subtract(k, order, out=k, where=k >= order)
+        return k
 
     def iinv(i: int) -> int:
         rest, b = divmod(i, q)
@@ -245,28 +260,7 @@ def _scalar_law(n: int, m: int, q: int, pw: tuple[int, ...]) -> tuple[Callable, 
             place *= n
         return (a + -s * rest % n * place) * q + b
 
-    return imul, iinv
-
-
-def _index_law(n: int, m: int, q: int, pw: tuple[int, ...]) -> Callable:
-    """The product of ``_scalar_law``, broadcast over integer arrays of indices."""
-    powers = np.array(pw, dtype=np.int64)
-
-    def index_mul(i, j):
-        a1, b1 = divmod(i, q)
-        a2, b2 = divmod(j, q)
-        s = powers[b1]
-        lower = []  # the coordinates after the first, last one first
-        for _ in range(m - 1):
-            a1, c1 = divmod(a1, n)
-            a2, c2 = divmod(a2, n)
-            lower.append((c1 + s * c2) % n)
-        a = (a1 + s * a2) % n
-        for c in reversed(lower):
-            a = a * n + c
-        return a * q + (b1 + b2) % q
-
-    return index_mul
+    return imul, iinv, index_mul
 
 
 @dataclass(frozen=True)
@@ -275,9 +269,9 @@ class GroupTable:
 
     ``elements[i]`` is the element of index i; the identity has index 0.
     ``imul``/``iinv`` is the scalar law and ``index_mul`` the same product
-    over numpy arrays.  ``index``, ``mul``, ``inv`` and ``identity`` are the
-    element-typed edge: ``index`` raises ValueError for an element outside
-    the group.  A plain tuple of an element's fields names that element,
+    over numpy arrays, both read off one twist table (``_law``).  ``index``,
+    ``mul``, ``inv`` and ``identity`` are the element-typed edge: ``index``
+    raises ValueError for an element outside the group.  A plain tuple of an element's fields names that element,
     as elements are tuples: ``index((1, 0)) == index(Element(1, 0))``.
     """
 
@@ -312,8 +306,9 @@ class GroupTable:
 
 
 def _table(name: str, spec, m: int, q: int, elems: list, standard_generators: tuple) -> GroupTable:
-    pw = _alpha_powers(spec.alpha, q, spec.modulus)
-    imul, iinv = _scalar_law(spec.modulus, m, q, pw)
+    """The table of Z_n^m x| Z_q, n = p^r: elements, positions, the twist table and its law."""
+    n, pw = spec.modulus, tuple(pow(spec.alpha, b, spec.modulus) for b in range(q))
+    imul, iinv, index_mul = _law(n, m, q, pw, _twist(n, m, q, pw))
     return GroupTable(
         name=name,
         spec=spec,
@@ -321,7 +316,7 @@ def _table(name: str, spec, m: int, q: int, elems: list, standard_generators: tu
         standard_generators=standard_generators,
         imul=imul,
         iinv=iinv,
-        index_mul=_index_law(spec.modulus, m, q, pw),
+        index_mul=index_mul,
         positions={g: i for i, g in enumerate(elems)},
     )
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sdhsp import blackbox
 from sdhsp.blackbox import (
+    SALT_BLOCK,
     BlackBox,
     HiddenInstance,
     OpaqueHandle,
@@ -416,6 +417,45 @@ def test_fresh_salt_policy_actually_varies():
     assert len({bb2.oracle_mul(g2, h2).data for _ in range(100)}) == 1
 
 
+def drawn_salts(bb):
+    """Where a box's salt stream stands: its generator's state and the unused salts of its block."""
+    return bb._rng.bit_generator.state, list(bb._fresh)
+
+
+def open_block(bb):
+    """Take one salt as an oracle result does, so a 'fresh' box holds a started block."""
+    bb._out_salt()
+    return bb
+
+
+@pytest.mark.parametrize("salts", [2, 3, 4, 16])
+def test_fresh_salts_come_in_blocks_with_the_values_of_one_draw_per_result(salts):
+    table, bb = fresh_box(salts=salts, salt_policy="fresh", seed=salts)
+    twin = fresh_box(salts=salts, seed=salts)[1]._rng  # past the same codes draw
+    salt_of = {int(c): k % salts for k, c in enumerate(bb.codes.ravel())}
+    picks = np.random.default_rng(41).integers(0, table.order, 8).tolist()
+    handles = [bb.encode(table.elements[i], k % salts) for k, i in enumerate(picks)]
+    k = 150
+    assert k > 2 * SALT_BLOCK  # the results cross two block boundaries
+    got = []
+    for t in range(k):
+        g, h = handles[t % 8], handles[(3 * t + 1) % 8]
+        got.append(salt_of[(bb.oracle_inv(g) if t % 5 == 0 else bb.oracle_mul(g, h)).code])
+    assert got == [int(twin.integers(0, salts)) for _ in range(k)]
+    # what is left of the block are the next draws, and the generator stands after them
+    assert bb._fresh[::-1] == [int(twin.integers(0, salts)) for _ in range(-k % SALT_BLOCK)]
+    assert bb._rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_a_handle_is_made_once_per_box():
+    table, bb = fresh_box(salts=4, salt_policy="fresh", seed=8)
+    x, y = bb.encode(table.elements[5], 1), bb.encode(table.elements[7])
+    assert bb.encode(table.elements[5], 1) is x
+    outs = [bb.oracle_mul(x, y) for _ in range(40)]
+    assert len({id(h) for h in outs}) == len({h.data for h in outs}) <= 4
+    assert len(bb._issued) == len(bb._decode_map)
+
+
 def test_counters_track_every_call():
     table, bb = fresh_box()
     g = bb.encode(Element(1, 1))
@@ -541,12 +581,12 @@ def test_a_walk_over_the_bound_is_refused_before_anything_is_booked(monkeypatch)
     # x has order 9: (x, x) on a (3, n) grid is no homomorphism and is walked in full
     e, g = bb.encode(Element(0, 0)), bb.encode(Element(1, 0))
     monkeypatch.setattr(blackbox, "WALK_BOUND", 12)
-    before, state = inst.query_stats(), bb._rng.bit_generator.state
+    before, salts = inst.query_stats(), drawn_salts(bb)
     for build in (AbelianOracle.from_handles, AbelianOracle.from_products):
         with pytest.raises(ValueError, match="a grid of 15 points exceeds the walk bound 12"):
             build((3, 5), inst, e, [g, g])
     assert inst.query_stats() == before
-    assert bb._rng.bit_generator.state == state
+    assert drawn_salts(bb) == salts
     # a grid of exactly WALK_BOUND points is walked and booked
     walk, kernel = bb._walk((3, 4), e, [g, g])
     assert kernel is None and walk.shape == (3, 4)

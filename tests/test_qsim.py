@@ -22,6 +22,7 @@ from sdhsp.algebra import (
     reduce_rows,
 )
 from sdhsp.blackbox import BlackBox, HiddenInstance, OpaqueHandle, make_hidden_instance
+from test_blackbox import drawn_salts, open_block
 from sdhsp import qsim
 from sdhsp.qsim import AbelianOracle, abelian_hsp_solve, draw_samples
 from sdhsp.reference import sample_annihilator
@@ -745,7 +746,7 @@ def test_batched_walk_matches_the_per_point_walk(table, encoding, moduli, picks,
     def blackbox():
         return BlackBox(table, salts, policy, rng=np.random.default_rng(seed))
 
-    ref_bb, walk_bb = blackbox(), blackbox()
+    ref_bb, walk_bb = blackbox(), open_block(blackbox())
     start, *gens = (
         ref_bb.encode(table.elements[i % table.order], s % ref_bb.salts) for i, s in picks
     )
@@ -758,8 +759,9 @@ def test_batched_walk_matches_the_per_point_walk(table, encoding, moduli, picks,
     # the walk books the per-point walk's products as walk_mul, not mul
     assert ref_bb.counters == {"mul": total - 1, "inv": 0, "eq": 0, "walk_mul": 0}
     assert walk_bb.counters == {"mul": 0, "inv": 0, "eq": 0, "walk_mul": total - 1}
-    # no intermediate product reaches a caller, so the walk draws no salt
-    assert walk_bb._rng.bit_generator.state == blackbox()._rng.bit_generator.state
+    # no intermediate product reaches a caller, so the walk draws no salt, from the
+    # generator or from the block a 'fresh' box has started
+    assert drawn_salts(walk_bb) == drawn_salts(open_block(blackbox()))
     if mode == "unique":
         codes_bb = blackbox()
         holder = HiddenInstance(codes_bb, frozenset(), np.zeros(table.order))
@@ -787,13 +789,13 @@ def test_walk_codes_refuses_a_salted_box(policy):
     inst, _ = make_hidden_instance(
         table, [table.identity], mode="salted", salts=4, salt_policy=policy
     )
-    bb = inst.blackbox
+    bb = open_block(inst.blackbox)
     e = bb.encode(table.identity)
-    before, state = inst.query_stats(), bb._rng.bit_generator.state
+    before, salts = inst.query_stats(), drawn_salts(bb)
     with pytest.raises(ValueError, match="product-valued oracles require unique encoding"):
         AbelianOracle.from_products((3, 3), inst, e, [e, e])
     assert inst.query_stats() == before
-    assert bb._rng.bit_generator.state == state
+    assert drawn_salts(bb) == salts
 
 
 @pytest.mark.parametrize("encoding", WALK_ENCODINGS, ids=lambda e: f"{e[0]}:{e[1]}:{e[2]}")
@@ -804,14 +806,15 @@ def test_oracle_from_handles_books_one_superposed_evaluation(encoding):
     inst, handles = make_hidden_instance(
         table, H, mode=mode, salts=salts, salt_policy=policy, seed=4
     )
-    bb = inst.blackbox
+    bb = open_block(inst.blackbox)
     e = bb.encode(table.identity)
     moduli = (9, 3)
-    before, state = inst.query_stats(), bb._rng.bit_generator.state
+    before, salts = inst.query_stats(), drawn_salts(bb)
     oracle = AbelianOracle.from_handles(moduli, inst, e, handles)
     built = inst.query_stats()
-    # the walk draws no salt, under any policy, and the build books its products only
-    assert bb._rng.bit_generator.state == state
+    # the walk draws no salt, under any policy and from a started block either, and the
+    # build books its products only
+    assert drawn_salts(bb) == salts
     assert {k: n - before[k] for k, n in built.items() if n != before[k]} == {"walk_mul": 26}
     # one sample is one superposed evaluation over the 27 points
     draw_samples(oracle, np.random.default_rng(0), 1)
@@ -1060,16 +1063,20 @@ def test_the_image_route_refuses_strangers_and_walks_other_grids_in_full(t):
     )
     foreign = BlackBox(table, rng=np.random.default_rng(99))._handle(g1, 0)
     e, g1h = handles_of(bb, rng, [0, g1])
-    for match, mod, start_h, gen_h in [
-        ("unknown encoding", (n1,), foreign, [g1h]),
-        ("unknown encoding", (n1, n1), e, [g1h, foreign]),
-        ("one generator handle per modulus", (n1, 2), e, [g1h]),
-    ]:
-        before, state = inst.query_stats(), bb._rng.bit_generator.state
-        with pytest.raises(ValueError, match=match):
-            AbelianOracle.from_handles(mod, inst, start_h, gen_h)
-        assert inst.query_stats() == before
-        assert bb._rng.bit_generator.state == state
+    # refused under either encoding, with nothing booked and no salt drawn, from a started block either
+    for box_inst in (inst, image_instance.__wrapped__(t, IMAGE_ENCODINGS[1], 0)):
+        box = open_block(box_inst.blackbox)
+        ue, ug1 = handles_of(box, rng, [0, g1])
+        for match, mod, start_h, gen_h in [
+            ("unknown encoding", (n1,), foreign, [ug1]),
+            ("unknown encoding", (n1, n1), ue, [ug1, foreign]),
+            ("one generator handle per modulus", (n1, 2), ue, [ug1]),
+        ]:
+            before, salts = box_inst.query_stats(), drawn_salts(box)
+            with pytest.raises(ValueError, match=match):
+                AbelianOracle.from_handles(mod, box_inst, start_h, gen_h)
+            assert box_inst.query_stats() == before
+            assert drawn_salts(box) == salts
     # a grid with g_d^{n_d} != e, or with generators that do not commute, is its own box
     others = [((n1 - 1,), [g1h]), ((n1, 1), [g1h, g1h])]
     if mover is not None:

@@ -1,12 +1,14 @@
 """Brute-force reference routes.  These must stay independent of the solvers."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from test_blackbox import symmetric_group_table
 
 from sdhsp import reference
+from sdhsp.acceptance import MODULAR_GRID, MODULAR_GRID_WIDE, VECTOR_GRID
 from sdhsp.blackbox import make_hidden_instance
 from sdhsp.reference import (
     brute_force_hidden_subgroup,
@@ -17,6 +19,8 @@ from sdhsp.sdp_group import (
     Element,
     GroupSpec,
     ZmGroupSpec,
+    _law,
+    _twist,
     closure,
     enumerate_subgroups,
     greedy_generators,
@@ -223,6 +227,62 @@ def test_derived_right_multiplication_is_the_scalar_law(spec, draws):
     for h in hs:
         want = [table.imul(g, h) for g in G]
         assert reference._right_multiplication(table, h).tolist() == want, table.elements[h]
+
+
+SWEEP_CELLS = [modular_group_spec(p, r) for p, r in MODULAR_GRID + MODULAR_GRID_WIDE] + [
+    ZmGroupSpec(*cell) for cell in VECTOR_GRID
+]
+
+
+def cell_id(spec):
+    return ",".join(map(str, (spec.p, spec.r, spec.m) if isinstance(spec, ZmGroupSpec) else (spec.p, spec.r)))
+
+
+def check_generator_permutations(perms, imul, std, points):
+    """R_s[g] == imul(g, s) at every point g for each standard generator s, and a
+    single wrong entry of any R_s, at any point checked, is one mismatch."""
+    points = np.asarray(points)
+    wants = [np.array([imul(g, s) for g in points.tolist()]) for s in std]
+    assert [np.count_nonzero(R[points] != want) for R, want in zip(perms, wants)] == [0] * len(std)
+    for k, (R, want) in enumerate(zip(perms, wants)):
+        g = points[(k * 7919) % points.size]
+        wrong = R.copy()
+        wrong[g] = (wrong[g] + 1) % R.size
+        assert np.count_nonzero(wrong[points] != want) == 1
+
+
+@pytest.mark.parametrize("spec", SWEEP_CELLS, ids=cell_id)
+def test_generator_permutations_are_right_multiplication_on_every_element(spec, monkeypatch):
+    table = table_of(spec)
+    monkeypatch.setattr(reference, "_GENERATOR_PERMUTATIONS", {})
+    perms = reference._generator_permutations(table)
+    std = [table.index(s) for s in table.standard_generators]
+    check_generator_permutations(perms, table.imul, std, range(table.order))
+
+
+@pytest.mark.parametrize("spec", [modular_group_spec(7, 6), ZmGroupSpec(7, 2, 3)], ids=cell_id)
+def test_generator_permutations_on_a_fixed_sample_of_a_large_cell(spec, monkeypatch):
+    # |G| = 823,543: the law alone, without the table's element tuples
+    n, m = spec.modulus, getattr(spec, "m", 1)
+    q = spec.order // n**m
+    pw = tuple(pow(spec.alpha, b, n) for b in range(q))
+    imul = _law(n, m, q, pw, _twist(n, m, q, pw))[0]
+    monkeypatch.setattr(reference, "_GENERATOR_PERMUTATIONS", {})
+    perms = reference._generator_permutations(SimpleNamespace(spec=spec, order=spec.order))
+    std = [q * n ** (m - 1 - i) for i in range(m)] + [1]  # the indices of x_1..x_m and y
+    check_generator_permutations(perms, imul, std, np.random.default_rng(6).integers(0, spec.order, 3000))
+
+
+def test_generator_permutations_read_neither_law(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the table's law was called")
+
+    for spec in (modular_group_spec(3, 3), ZmGroupSpec(3, 2, 2)):
+        table = table_of(spec)
+        monkeypatch.setattr(reference, "_GENERATOR_PERMUTATIONS", {})
+        blind = dataclasses.replace(table, imul=refuse, index_mul=refuse, iinv=refuse)
+        std = [table.index(s) for s in table.standard_generators]
+        check_generator_permutations(reference._generator_permutations(blind), table.imul, std, range(table.order))
 
 
 @pytest.mark.parametrize("spec", [modular_group_spec(3, 3), ZmGroupSpec(3, 2, 2)], ids=["3,3", "3,2,2"])

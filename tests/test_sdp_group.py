@@ -5,6 +5,7 @@ Reference group throughout: p=3, r=2, alpha=4, i.e. Z_9 twisted by the unit 4.
 
 import math
 import time
+import tracemalloc
 from functools import partial
 from itertools import combinations
 
@@ -23,6 +24,8 @@ from sdhsp.sdp_group import (
     SubgroupDesc,
     VecElement,
     ZmGroupSpec,
+    _law,
+    _twist,
     classify,
     closure,
     compose,
@@ -635,6 +638,113 @@ def test_scalar_inverse_on_every_index(table):
     assert inverses == [_documented_index(table, invert_ref(table.spec, g)) for g in table.elements]
     for i, j in enumerate(inverses):
         assert table.imul(i, j) == table.imul(j, i) == 0
+
+
+# Both families with m = 1, 2, 3, and twists outside the modular family: D16
+# (alpha = -1), quasi-dihedral, q-hedral (q = 3 dividing p - 1) and alpha = 1.
+LAW_SPECS = {
+    "3,2": modular_group_spec(3, 2),
+    "3,2,1": ZmGroupSpec(3, 2, 1),
+    "3,2,2": ZmGroupSpec(3, 2, 2),
+    "2,3,3": ZmGroupSpec(2, 3, 3),
+    "D16": GroupSpec(2, 2, 3, 7),
+    "QD32": GroupSpec(2, 2, 4, 7),
+    "7:3": GroupSpec(7, 3, 1, 2),
+    "Z9xZ3": GroupSpec(3, 3, 2, 1),
+    "Z4xZ3": GroupSpec(2, 3, 2, 1),
+}
+
+
+def law_parts(spec):
+    """(n, m, q, twist powers) of a spec, and its element tuples (a_1..a_m, b) in index order."""
+    m = getattr(spec, "m", 1)
+    q = spec.q if isinstance(spec, GroupSpec) else spec.p
+    table = sdp_table(spec) if isinstance(spec, GroupSpec) else vec_table(spec)
+    elems = [(tuple(np.atleast_1d(g.a).tolist()), g.b) for g in table.elements]
+    return (spec.modulus, m, q, tuple(pow(spec.alpha, b, spec.modulus) for b in range(q))), elems
+
+
+def law_mismatches(spec, law, sample) -> dict:
+    """Failed checks of ``law`` = (imul, iinv, index_mul) by form, against the defining
+    formula (a1, b1)(a2, b2) = (a1 + alpha^b1 a2, b1 + b2), (a, b)^-1 = (-alpha^-b a, -b)
+    computed on element tuples.  Every element of ``sample`` is a left factor of every
+    element, through ``imul`` and through ``index_mul`` flat, scalar x array, array x
+    scalar and as a 2-D outer product; ``iinv`` is checked on every element."""
+    (n, m, q, pw), elems = law_parts(spec)
+    imul, iinv, index_mul = law
+    index = {g: k for k, g in enumerate(elems)}
+
+    def product(i, j):
+        (a1, b1), (a2, b2) = elems[i], elems[j]
+        return index[tuple((x + pw[b1] * y) % n for x, y in zip(a1, a2)), (b1 + b2) % q]
+
+    def inverse(i):
+        a, b = elems[i]
+        return index[tuple(-pw[-b % q] * x % n for x in a), -b % q]
+
+    every, left = np.arange(len(elems)), np.asarray(sample)
+    want = np.array([[product(i, j) for j in every.tolist()] for i in left.tolist()])
+    return {
+        "imul": sum(imul(i, j) != w for i, row in zip(left.tolist(), want.tolist())
+                    for j, w in enumerate(row)),
+        "flat": np.count_nonzero(
+            index_mul(np.repeat(left, every.size), np.tile(every, left.size)) != want.ravel()
+        ),
+        "scalar x array": sum(np.count_nonzero(index_mul(int(i), every) != w) for i, w in zip(left, want)),
+        "array x scalar": sum(np.count_nonzero(index_mul(left, int(j)) != want[:, j]) for j in every),
+        "2-D": np.count_nonzero(index_mul(left[:, None], every[None, :]) != want),
+        "iinv": sum(iinv(i) != inverse(i) for i in every.tolist()),
+    }
+
+
+def law_sample(spec):
+    """Every element as a left factor, or 48 fixed ones above order 256."""
+    order = spec.order
+    return np.arange(order) if order <= 256 else np.random.default_rng(order).choice(order, 48, replace=False)
+
+
+@pytest.mark.parametrize("spec", LAW_SPECS.values(), ids=LAW_SPECS)
+def test_the_table_law_is_the_defining_formula(spec):
+    table = sdp_table(spec) if isinstance(spec, GroupSpec) else vec_table(spec)
+    law = (table.imul, table.iinv, table.index_mul)
+    assert law_mismatches(spec, law, law_sample(spec)) == dict.fromkeys(
+        ("imul", "flat", "scalar x array", "array x scalar", "2-D", "iinv"), 0
+    )
+
+
+@pytest.mark.parametrize("spec", LAW_SPECS.values(), ids=LAW_SPECS)
+def test_one_wrong_twist_entry_breaks_every_product_form(spec):
+    (n, m, q, pw), _ = law_parts(spec)
+    base, order = _twist(n, m, q, pw), spec.order
+    sample = law_sample(spec)
+    entries = sorted({0, order - 1, *np.random.default_rng(5).integers(0, order, 3).tolist()})
+    for k in entries:
+        # the entry at a2*q + b1 is read by every product of an i with b = b1 and j with a = a2
+        if not np.isin(sample % q, k % q).any():
+            continue
+        twist = base.copy()
+        twist[k] = (twist[k] + q) % order  # still a valid index, off by one step of a
+        bad = law_mismatches(spec, _law(n, m, q, pw, twist), sample)
+        assert bad.pop("iinv") == 0  # the inverse keeps its arithmetic
+        assert all(bad.values()), (k, bad)
+
+
+@pytest.mark.parametrize("spec", [ZmGroupSpec(2, 3, 3), modular_group_spec(13, 3), ZmGroupSpec(2, 5, 2)],
+                         ids=["2,3,3", "13,3", "2,5,2"])
+def test_the_law_holds_one_twist_entry_per_element_and_o_of_q_else(spec):
+    (n, m, q, pw), _ = law_parts(spec)
+    twist = _twist(n, m, q, pw)
+    assert twist.shape == (spec.order,) and twist.dtype == np.int64
+    _law(n, m, q, pw, twist)  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        law = _law(n, m, q, pw, twist)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # closures, pw, the 2q-entry wrap table: one more int64 per element would be 8 |G| bytes
+    assert kept <= 2048 + 64 * q < 8 * spec.order
+    assert law[2](np.arange(spec.order), 0).tolist() == list(range(spec.order))
 
 
 @pytest.mark.parametrize(
