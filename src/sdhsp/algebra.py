@@ -132,8 +132,9 @@ class Lattice:
         object.__setattr__(self, "gens", tuple(rows))
 
 
-def _lattice_basis(L: Lattice) -> list[list[int]]:
-    """Hermite basis of the lift of L: the preimage of L in Z^k.
+def _lattice_basis(L: Lattice) -> tuple[tuple[int, ...], ...]:
+    """Hermite basis of the lift of L: the preimage of L in Z^k, built once
+    per lattice and kept on it as read-only rows.
 
     Square and upper triangular, basis[i][i] > 0 divides n_i, and every
     entry above a pivot lies in [0, pivot); the Hermite form of a full-rank
@@ -144,6 +145,8 @@ def _lattice_basis(L: Lattice) -> list[list[int]]:
     which leaves the span unchanged: n_j * e_j lies in the span of the rows
     with pivots >= j, and row i is not among them.
     """
+    if "_basis" in vars(L):
+        return L._basis
     mods = L.moduli
     k = len(mods)
     basis = [[0] * k for _ in range(k)]
@@ -181,18 +184,22 @@ def _lattice_basis(L: Lattice) -> list[list[int]]:
             if q:
                 for j in range(i, k):
                     above[j] -= q * basis[i][j]
-    return basis
+    object.__setattr__(L, "_basis", tuple(map(tuple, basis)))
+    return L._basis
 
 
 def lattice_canonicalize(L: Lattice) -> Lattice:
-    """Canonical form: equal subgroups yield identical row sets."""
+    """Canonical form: equal subgroups yield identical row sets.  The output
+    keeps L's Hermite basis, the same for the same subgroup."""
     basis = _lattice_basis(L)
     rows = []
     for row in basis:
         reduced = tuple(x % n for x, n in zip(row, L.moduli))
         if any(reduced):
             rows.append(reduced)
-    return Lattice(L.moduli, tuple(sorted(rows)))
+    out = Lattice(L.moduli, tuple(sorted(rows)))
+    object.__setattr__(out, "_basis", basis)
+    return out
 
 
 def lattices_equal(L1: Lattice, L2: Lattice) -> bool:
@@ -301,30 +308,27 @@ def solve_kernel(samples: Iterable[Sequence[int]], moduli: Sequence[int]) -> Lat
     """Joint kernel of sampled characters: {h : <c, h> = 0 for all samples c}.
 
     The pairing is symmetric, so this is the dual of the lattice the samples
-    generate.  No samples means no constraints: the full lattice.
+    generate, spanned by their distinct rows.  No samples means no
+    constraints: the full lattice.
     """
     mods = tuple(moduli)
-    return dual_lattice(Lattice(mods, tuple(tuple(s) for s in samples)))
+    return dual_lattice(Lattice(mods, tuple(dict.fromkeys(tuple(s) for s in samples))))
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z, with transforms
+# Smith normal form over Z, with the column transform
 
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """A @ V == uinv @ diag(d) with V and uinv unimodular.
+    """U @ A @ V == diag(d) for unimodular U and V.  Only V is kept: no
+    caller reads the row transform U.
 
     d is nonnegative with d[i] | d[i+1] (zeros last).
     """
 
     d: tuple[int, ...]
-    uinv: tuple[tuple[int, ...], ...]
     v: tuple[tuple[int, ...], ...]
-
-
-def _eye(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]], width: int) -> SmithDecomposition:
@@ -333,23 +337,10 @@ def smith_normal_form(rows: Sequence[Sequence[int]], width: int) -> SmithDecompo
     for r in A:
         if len(r) != k:
             raise ValueError("ragged matrix")
-    Uinv, V = _eye(m), _eye(k)
+    V = [[int(i == j) for j in range(k)] for i in range(k)]
 
     def row_swap(i: int, j: int) -> None:
         A[i], A[j] = A[j], A[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def row_add(i: int, j: int, c: int) -> None:
-        # row i += c * row j
-        A[i] = [x + c * y for x, y in zip(A[i], A[j])]
-        for r in Uinv:
-            r[j] -= c * r[i]
-
-    def row_neg(i: int) -> None:
-        A[i] = [-x for x in A[i]]
-        for r in Uinv:
-            r[i] = -r[i]
 
     def col_swap(i: int, j: int) -> None:
         for r in A:
@@ -385,8 +376,8 @@ def smith_normal_form(rows: Sequence[Sequence[int]], width: int) -> SmithDecompo
                 for i in range(t + 1, m):
                     if A[i][t]:
                         q = A[i][t] // A[t][t]
-                        if q:
-                            row_add(i, t, -q)
+                        if q:  # row i -= q * row t
+                            A[i] = [x - q * y for x, y in zip(A[i], A[t])]
                         if A[i][t]:
                             row_swap(i, t)
                             dirty = True
@@ -401,7 +392,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], width: int) -> SmithDecompo
                 if not dirty:
                     break
             if A[t][t] < 0:
-                row_neg(t)
+                A[t] = [-x for x in A[t]]
 
     while True:
         diagonalize()
@@ -421,6 +412,4 @@ def smith_normal_form(rows: Sequence[Sequence[int]], width: int) -> SmithDecompo
         if not violation:
             break
 
-    d = tuple(A[i][i] for i in range(rank))
-    to_t = lambda M: tuple(tuple(r) for r in M)
-    return SmithDecomposition(d, to_t(Uinv), to_t(V))
+    return SmithDecomposition(tuple(A[i][i] for i in range(rank)), tuple(map(tuple, V)))

@@ -166,6 +166,8 @@ def _level_basis(grid: np.ndarray, kernel) -> list | None:
         rows.append(gens[-1] if u < n else kernel[d])
     if pts.size != order:
         return None
+    if not gens:
+        return rows
     axes = np.indices(shape)
     return rows if all(_invariant(grid, kernel, axes, g) for g in gens) else None
 
@@ -179,16 +181,19 @@ def _dual(moduli: tuple, basis: list) -> np.ndarray:
     """L^perp as sorted row-major indices, from the upper-triangular ``basis`` of
     L's lift: c is in it iff sum_j b_j c_j N / n_j = 0 mod N, N = lcm(moduli),
     for each row b.  From the last axis, row i fixes c_i mod n_i / b_ii given
-    the later c_j, leaving b_ii values: |L^perp| = prod b_ii."""
+    the later c_j, leaving b_ii values: |L^perp| = prod b_ii.  Each point of
+    the later axes is carried as its row-major index and, per earlier row, its
+    pairing sum."""
     N, k = math.lcm(*moduli), len(moduli)
-    pairing = np.array([[b % n * (N // n) for b, n in zip(row, moduli)] for row in basis])
-    pts = np.zeros((1, k), dtype=np.int64)  # one row per point of the later axes, 0 elsewhere
+    flat, sums, stride = np.zeros(1, dtype=np.int64), [np.zeros(1, dtype=np.int64)] * k, 1
     for i in reversed(range(k)):
-        d, m = basis[i][i], moduli[i] // basis[i][i]  # c_i N / n_i d_i = c_i N / m
-        c = -(pts @ pairing[i] % N) // (N // m) % m
-        pts = np.repeat(pts, d, axis=0)
-        pts[:, i] = (c[:, None] + m * np.arange(d)).reshape(-1)
-    return np.sort(pts @ [math.prod(moduli[i + 1 :]) for i in range(k)])
+        n, d = moduli[i], basis[i][i]
+        m = n // d  # c_i N / n_i d_i = c_i N / m
+        c = (-(sums[i] % N) // (N // m) % m)[:, None] + m * np.arange(d)  # points x d
+        flat = (flat[:, None] + stride * c).ravel()
+        sums = [(s[:, None] + basis[r][i] % n * (N // n) * c).ravel() for r, s in enumerate(sums[:i])]
+        stride *= n
+    return np.sort(flat)
 
 
 def draw_samples(

@@ -111,9 +111,11 @@ def enumerate_all_subgroups(table: GroupTable) -> list[frozenset]:
     seen = {queue[0][0].tobytes()}
     for U, gens in queue:  # grows while it is read, one entry per subgroup
         inU = np.bincount(U, minlength=n) > 0
-        ok = inU[powers[p]] & ~inU
-        for u in gens:  # g normalises U if it conjugates U's generators into U
-            ok &= inU[mul(mul(G, u), inv)]
+        cand = np.flatnonzero(inU[powers[p]] & ~inU)
+        # g normalises U if it conjugates U's generators into U
+        conj = mul(mul(cand[:, None], np.array(gens, np.int64)), inv[cand, None])
+        ok = np.zeros(n, bool)
+        ok[cand[inU[conj].all(axis=1)]] = True
         for g in np.flatnonzero(ok):
             if ok[g]:  # no K built from U holds g yet
                 cosets = mul(powers[:p, g, None], U)  # U, gU, ..., g^(p-1) U

@@ -1,5 +1,6 @@
 """Lattice and number-theory layer, checked against direct enumeration."""
 
+import dataclasses
 import itertools
 import math
 import signal
@@ -120,7 +121,7 @@ def lattices_with_repeats(draw):
 @settings(max_examples=300, deadline=None)
 def test_the_basis_is_the_hermite_form_of_the_stacked_rows(L):
     basis = _lattice_basis(L)
-    assert basis == reference_basis(L)
+    assert [list(row) for row in basis] == reference_basis(L)
     k = len(L.moduli)
     assert len(basis) == k
     for i, (row, n) in enumerate(zip(basis, L.moduli)):
@@ -128,6 +129,58 @@ def test_the_basis_is_the_hermite_form_of_the_stacked_rows(L):
         assert row[i] > 0 and n % row[i] == 0
         for above in basis[:i]:
             assert 0 <= above[i] < row[i]
+
+
+def fresh_basis(L: Lattice):
+    """L's Hermite basis built anew, on a copy of L that has none stored."""
+    return _lattice_basis(Lattice(L.moduli, L.gens))
+
+
+@given(lattices_with_repeats())
+@settings(max_examples=150, deadline=None)
+def test_the_stored_basis_is_the_basis_of_its_lattice(L):
+    for read in (lattice_size, lattice_is_full, lattice_canonicalize):
+        M = Lattice(L.moduli, L.gens)
+        read(M)
+        assert vars(M)["_basis"] == fresh_basis(M)
+    for C in (lattice_canonicalize(L), dual_lattice(L), solve_kernel(L.gens, L.moduli)):
+        # the canonical form is given its input's basis rather than building one
+        assert vars(C)["_basis"] == fresh_basis(C)
+        twin = Lattice(C.moduli, C.gens)
+        assert C == twin and hash(C) == hash(twin)
+    assert vars(lattice_canonicalize(L))["_basis"] == fresh_basis(L)
+
+
+def test_the_stored_basis_cannot_be_written():
+    L = Lattice((4, 6), ((2, 3),))
+    basis = _lattice_basis(L)
+    with pytest.raises(TypeError):
+        basis[0][0] = 1
+    with pytest.raises(TypeError):
+        basis[0] = (1, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        L._basis = ((1, 0), (0, 1))
+    assert _lattice_basis(L) is basis and lattice_size(L) == 2
+
+
+@st.composite
+def sample_pools(draw):
+    """Moduli (1-4 of them, up to 2^63), a pool of up to 20 rows drawn from a
+    few distinct ones, and the pool's distinct rows in shuffled order."""
+    moduli = draw(st.lists(st.sampled_from(MODULI_POOL + HUGE_MODULI), min_size=1, max_size=4))
+    row = st.tuples(*(st.integers(0, n - 1) for n in moduli))
+    pool = draw(st.lists(st.sampled_from(draw(st.lists(row, min_size=1, max_size=5))), max_size=20))
+    return tuple(moduli), pool, draw(st.permutations(list(set(pool))))
+
+
+@given(sample_pools())
+@settings(max_examples=200, deadline=None)
+def test_the_kernel_of_a_pool_is_the_kernel_of_its_distinct_rows(case):
+    moduli, pool, distinct = case
+    K = solve_kernel(pool, moduli)
+    assert K == solve_kernel(distinct, moduli) == solve_kernel(pool + pool, moduli)
+    assert K == dual_lattice(Lattice(moduli, tuple(pool)))  # every row, repeats included
+    assert K.gens == lattice_canonicalize(K).gens
 
 
 def test_dual_of_known_line():
@@ -291,6 +344,90 @@ def exact_det(M) -> int:
     )
 
 
+def reference_smith(rows, width):
+    """(d, uinv, v) with A @ v == uinv @ diag(d), v and uinv unimodular: the
+    pivoting of ``smith_normal_form``, which keeps only d and v, with the
+    inverse row transform uinv updated on every row operation as well."""
+    m, k = len(rows), width
+    A = [list(map(int, r)) for r in rows]
+    Uinv = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(k)] for i in range(k)]
+
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        for r in Uinv:
+            r[i], r[j] = r[j], r[i]
+
+    def row_add(i, j, c):  # row i += c * row j
+        A[i] = [x + c * y for x, y in zip(A[i], A[j])]
+        for r in Uinv:
+            r[j] -= c * r[i]
+
+    def row_neg(i):
+        A[i] = [-x for x in A[i]]
+        for r in Uinv:
+            r[i] = -r[i]
+
+    def col_swap(i, j):
+        for r in A + V:
+            r[i], r[j] = r[j], r[i]
+
+    def col_add(i, j, c):  # col i += c * col j
+        for r in A + V:
+            r[i] += c * r[j]
+
+    rank = min(m, k)
+
+    def diagonalize():
+        for t in range(rank):
+            nonzero = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, k) if A[i][j]]
+            if not nonzero:
+                return
+            _, bi, bj = min(nonzero)  # smallest magnitude, first in row-major order
+            if bi != t:
+                row_swap(t, bi)
+            if bj != t:
+                col_swap(t, bj)
+            dirty = True
+            while dirty:
+                dirty = False
+                for i in range(t + 1, m):
+                    if A[i][t]:
+                        q = A[i][t] // A[t][t]
+                        if q:
+                            row_add(i, t, -q)
+                        if A[i][t]:
+                            row_swap(i, t)
+                            dirty = True
+                for j in range(t + 1, k):
+                    if A[t][j]:
+                        q = A[t][j] // A[t][t]
+                        if q:
+                            col_add(j, t, -q)
+                        if A[t][j]:
+                            col_swap(j, t)
+                            dirty = True
+            if A[t][t] < 0:
+                row_neg(t)
+
+    violation = True
+    while violation:
+        diagonalize()
+        violation = False  # zeros last, then the divisibility chain
+        for i in range(rank - 1):
+            a, b = A[i][i], A[i + 1][i + 1]
+            if a == 0 and b != 0:
+                row_swap(i, i + 1)
+                col_swap(i, i + 1)
+                violation = True
+                break
+            if a != 0 and b % a != 0:
+                col_add(i, i + 1, 1)
+                violation = True
+                break
+    return tuple(A[i][i] for i in range(rank)), Uinv, V
+
+
 @given(
     st.lists(
         st.lists(st.integers(-40, 40), min_size=3, max_size=3),
@@ -300,21 +437,23 @@ def exact_det(M) -> int:
 )
 @settings(max_examples=80, deadline=None)
 def test_smith_normal_form_properties(rows):
+    d, uinv, v = reference_smith(rows, 3)
     snf = smith_normal_form(rows, 3)
+    assert snf.d == d and snf.v == tuple(map(tuple, v))
     A = np.array(rows, dtype=object)
     D = np.zeros((len(rows), 3), dtype=object)
-    for i, d in enumerate(snf.d):
-        D[i, i] = d
-    V, Uinv = np.array(snf.v, dtype=object), np.array(snf.uinv, dtype=object)
+    for i, x in enumerate(d):
+        D[i, i] = x
+    V, Uinv = np.array(v, dtype=object), np.array(uinv, dtype=object)
     assert (A @ V).tolist() == (Uinv @ D).tolist()
-    assert abs(exact_det(snf.v)) == 1
-    assert abs(exact_det(snf.uinv)) == 1
-    assert all(d >= 0 for d in snf.d)
-    for i in range(len(snf.d) - 1):
-        if snf.d[i + 1] != 0:
-            assert snf.d[i + 1] % max(snf.d[i], 1) == 0 or snf.d[i] == 0
-        if snf.d[i] != 0 and snf.d[i + 1] != 0:
-            assert snf.d[i + 1] % snf.d[i] == 0
+    assert abs(exact_det(v)) == 1
+    assert abs(exact_det(uinv)) == 1
+    assert all(x >= 0 for x in d)
+    for i in range(len(d) - 1):
+        if d[i + 1] != 0:
+            assert d[i + 1] % max(d[i], 1) == 0 or d[i] == 0
+        if d[i] != 0 and d[i + 1] != 0:
+            assert d[i + 1] % d[i] == 0
 
 
 def test_lattice_validation():

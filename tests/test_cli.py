@@ -102,6 +102,10 @@ PINNED_REPORTS = {
         "bench", "--grid", "13,3", "--encoding", "salted:4", "--salt-policy", "fresh",
         "--generators", "scrambled", "--seed", "7",
     ),
+    # every one of the 322 subgroups of Z_16^2 x| Z_2, in enumeration order
+    "bench_2_4_2_scrambled.csv": (
+        "bench", "--grid", "2,4,2", "--generators", "scrambled", "--seed", "7",
+    ),
 }
 WORKFLOW = HERE.parent / ".github" / "workflows" / "tests.yml"
 
